@@ -3,15 +3,16 @@
 Thompson construction over symbol labels, plus a subset-construction DFA.
 The DFA is what makes counting sound: every accepted string corresponds to
 exactly one DFA path, so path counts are distinct-string counts even when
-the source regex is ambiguous.
+the source regex is ambiguous.  The same DFA answers membership.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union, DslError
+from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union, split_labels
 
 
 @dataclass
@@ -98,6 +99,15 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
+    def accepts(self, labels: Iterable[str]) -> bool:
+        transitions = self.transitions
+        state = self.start
+        for lab in labels:
+            state = transitions[state].get(lab)
+            if state is None:
+                return False
+        return state in self.accepting
+
 
 def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
     start = _closure(nfa, frozenset([nfa.start]))
@@ -124,45 +134,18 @@ def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
     return Dfa(0, accepting, transitions)
 
 
+@functools.lru_cache(maxsize=256)
 def system_dfa(system: SystemDef) -> Dfa:
+    """The system's DFA over its labels, built once per system and shared:
+    callers must not modify it."""
     return determinize(build_nfa(system.expr), [d.label for d in system.alphabet])
-
-
-@lru_cache(maxsize=256)
-def _char_dfa(system: SystemDef) -> Dfa:
-    nfa = build_nfa(system.expr)
-    # expand each label edge into a chain of single-character steps
-    char_edges: dict[tuple[int, str], list[int]] = {}
-    extra = nfa.n_states
-    eps = {k: list(v) for k, v in nfa.eps.items()}
-    for (state, label), targets in nfa.edges.items():
-        for target in targets:
-            prev = state
-            for c in label[:-1]:
-                char_edges.setdefault((prev, c), []).append(extra)
-                prev = extra
-                extra += 1
-            char_edges.setdefault((prev, label[-1]), []).append(target)
-    cnfa = Nfa(nfa.start, nfa.accept, char_edges, eps, extra)
-    chars = sorted({c for (_, c) in char_edges})
-    return determinize(cnfa, chars)
 
 
 def matches(system: SystemDef, s: str) -> bool:
     """Membership test: is ``s`` (a concatenation of alphabet labels) in the
     language of the system?
 
-    Works character-by-character so multi-character labels need no external
-    tokenization; any segmentation of ``s`` into labels counts.
+    ``s`` is read as its only segmentation into labels (``split_labels``);
+    a string with none raises ``DslError``.
     """
-    alphabet_chars = {c for d in system.alphabet for c in d.label}
-    for c in s:
-        if c not in alphabet_chars:
-            raise DslError(f"character {c!r} not in alphabet")
-    dfa = _char_dfa(system)
-    state = dfa.start
-    for c in s:
-        state = dfa.transitions[state].get(c)
-        if state is None:
-            return False
-    return state in dfa.accepting
+    return system_dfa(system).accepts(split_labels(s, system.label_re))

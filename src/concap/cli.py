@@ -248,10 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (dsl.DslError, maxent.MaxentError, spectrum.SpectrumError, genfun.SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, genfun.SolverError, OSError) as exc:
+        # ValueError covers DslError, MaxentError, SpectrumError and bad
+        # numeric arguments such as --tol 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

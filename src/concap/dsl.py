@@ -17,7 +17,9 @@ than union.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class DslError(ValueError):
@@ -91,20 +93,28 @@ class SystemDef:
         if not self.alphabet:
             raise DslError("alphabet must be nonempty")
         labels = [d.label for d in self.alphabet]
-        for lab in labels:
-            if labels.count(lab) > 1:
-                raise DslError(f"duplicate symbol label {lab!r}")
+        ordered = sorted(labels)
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise DslError(f"duplicate symbol label {a!r}")
+            if b.startswith(a):
+                raise DslError(f"label {a!r} is a prefix of label {b!r}; labels must be prefix-free")
         _check_symbols(self.expr, set(labels))
 
     @property
     def weights(self) -> dict[str, float]:
         return {d.label: d.weight for d in self.alphabet}
 
+    @cached_property
+    def label_re(self) -> re.Pattern[str]:
+        """The label regex of ``split_labels``, built once per system."""
+        return label_regex(d.label for d in self.alphabet)
+
     def string_weight(self, s: str) -> float:
         """Weight of a string, summing per-symbol weights (additivity)."""
         w = self.weights
         total = 0.0
-        for lab in split_labels(s, list(w)):
+        for lab in split_labels(s, self.label_re):
             total += w[lab]
         return total
 
@@ -123,22 +133,28 @@ def _check_symbols(node: Regex, labels: set[str]) -> None:
             pass
 
 
-def split_labels(s: str, labels: list[str]) -> list[str]:
-    """Segment a plain string into alphabet labels (greedy longest-match)."""
-    if s == "":
-        return []
-    by_len = sorted(labels, key=len, reverse=True)
-    out = []
-    i = 0
-    while i < len(s):
-        for lab in by_len:
-            if s.startswith(lab, i):
-                out.append(lab)
-                i += len(lab)
+def label_regex(labels: Iterable[str]) -> re.Pattern[str]:
+    """Regex matching the longest of ``labels`` that starts at a position."""
+    return re.compile("|".join(map(re.escape, sorted(labels, key=len, reverse=True))))
+
+
+def split_labels(s: str, label_re: re.Pattern[str]) -> list[str]:
+    """Segment a plain string into labels, taking at each position the
+    longest label that ``label_re`` (from ``label_regex``) matches there.
+
+    A ``SystemDef``'s labels are prefix-free, so at most one of them starts
+    at any position and this is the string's only segmentation.  A string
+    with no segmentation raises ``DslError``.
+    """
+    parts = label_re.findall(s)
+    if "".join(parts) != s:  # findall skipped a position where no label starts
+        i = 0
+        for part in parts:
+            if not s.startswith(part, i):
                 break
-        else:
-            raise DslError(f"character {s[i]!r} at position {i} not in alphabet")
-    return out
+            i += len(part)
+        raise DslError(f"no label starts at position {i} (character {s[i]!r})")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +180,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], text: str):
+    def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
-        self.text = text
 
     def peek(self) -> _Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -299,7 +314,7 @@ class _Parser:
         if word in labels:
             return Symbol(word)
         try:
-            parts = split_labels(word, sorted(labels, key=len, reverse=True))
+            parts = split_labels(word, label_regex(labels))
         except DslError:
             raise DslError(f"undeclared symbol {word!r}", tok.line, tok.col) from None
         node: Regex = Symbol(parts[0])
@@ -310,7 +325,7 @@ class _Parser:
 
 def parse_system(text: str, name: str = "") -> SystemDef:
     """Parse a system definition document into a validated ``SystemDef``."""
-    return _Parser(_tokenize(text), text).parse_system(name)
+    return _Parser(_tokenize(text)).parse_system(name)
 
 
 def load_system(path) -> SystemDef:

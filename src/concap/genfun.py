@@ -13,6 +13,7 @@ the system.  Divergence is represented by ``math.inf``, never an error.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union
@@ -122,6 +123,37 @@ DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
 
 
+def bisect_root(
+    below: Callable[[float], bool], tol: float, max_iter: int = MAX_ITERATIONS
+) -> tuple[float, float, int]:
+    """Bracket the root of a monotone problem on [0, inf) by bisection.
+
+    ``below(s)`` must hold for every ``s`` below the root and fail above
+    it; 0 is taken to lie below.  The upper end starts at 1 and doubles
+    until ``below`` fails, then the bracket is halved until it is at most
+    ``tol`` wide.  Returns ``(lo, hi, iterations)``, the iterations
+    counting halvings only.
+    """
+    lo, hi = 0.0, 1.0
+    grow = 0
+    while below(hi):
+        hi *= 2.0
+        grow += 1
+        if grow > 60:
+            raise SolverError("no point above the root found", lo, hi)
+    iterations = 0
+    while hi - lo > tol and iterations < max_iter:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    if hi - lo > tol:
+        raise SolverError("bisection did not reach tolerance", lo, hi)
+    return lo, hi, iterations
+
+
 def abscissa(g: GenExpr, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> CapacityResult:
     """Infimum of real ``s`` where the series converges, by bisection.
 
@@ -134,24 +166,7 @@ def abscissa(g: GenExpr, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATION
         raise ValueError("tol must be positive")
     if eval_real(g, 0.0) != DIVERGENT:
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
-    lo = 0.0
-    hi = 1.0
-    grow = 0
-    while eval_real(g, hi) == DIVERGENT:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise SolverError("no convergent point found", lo, hi)
-    iterations = 0
-    while hi - lo > tol and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if eval_real(g, mid) == DIVERGENT:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    if hi - lo > tol:
-        raise SolverError("bisection did not reach tolerance", lo, hi)
+    lo, hi, iterations = bisect_root(lambda s: eval_real(g, s) == DIVERGENT, tol, max_iter)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 
@@ -175,15 +190,5 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
 
     if j == 1 and k == 1:
         return 0.0  # lhs(0) == 0 exactly
-    lo, hi = 0.0, 1.0
-    while lhs(hi) > 0.0:
-        hi *= 2.0
-    iterations = 0
-    while hi - lo > tol and iterations < MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    lo, hi, _ = bisect_root(lambda s: lhs(s) > 0.0, tol)
     return 0.5 * (lo + hi)

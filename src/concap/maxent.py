@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import matches
-from .dsl import SystemDef
-
-DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 200
+from .automata import matches, system_dfa
+from .dsl import SystemDef, split_labels
+from .genfun import DEFAULT_TOL, bisect_root
 
 
 class MaxentError(ValueError):
@@ -107,19 +105,7 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
     def f(s: float) -> float:
         return sum(math.exp(-w * s) for w in weights) - 1.0
 
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-    iterations = 0
-    while hi - lo > tol and iterations < MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    if hi - lo > tol:
-        raise MaxentError(f"rate bisection stalled at bracket [{lo}, {hi}]")
+    lo, hi, iterations = bisect_root(lambda s: f(s) > 0.0, tol)
     rate = 0.5 * (lo + hi)
     return RateResult(rate, abs(f(rate)), iterations)
 
@@ -173,6 +159,7 @@ def validate_input_source(
     every string accepted by the system, supports pairwise disjoint and
     nonempty.  The verdict covers only the depth supplied."""
     depth = len(supports)
+    dfa = system_dfa(system)
     seen: dict[str, int] = {}
     for level, sup in enumerate(supports, start=1):
         if len(sup) == 0:
@@ -186,7 +173,7 @@ def validate_input_source(
                     reason=f"string {s!r} appears in supports {seen[s]} and {level}",
                 )
             seen[s] = level
-            if not matches(system, s):
+            if not dfa.accepts(split_labels(s, system.label_re)):
                 return ValidationReport(
                     False,
                     depth,
@@ -197,7 +184,7 @@ def validate_input_source(
 
 
 def truncated_supports(
-    p: Pmf, system: SystemDef, depth: int, max_tuples: int = 1_000_000
+    p: Pmf, depth: int, max_tuples: int = 1_000_000
 ) -> tuple[list[WeightedSupport], bool]:
     """Materialize the depth-l concatenation supports of an IID block
     process, keeping only blocks of positive probability and deduplicating
@@ -211,6 +198,15 @@ def truncated_supports(
     blocks = [(s, w) for s, w, _ in p.positive_items()]
     if not blocks:
         raise MaxentError("no positive-probability blocks")
+    return _concatenations(blocks, depth, max_tuples)
+
+
+def _concatenations(
+    blocks: list[tuple[str, float]], depth: int, max_tuples: float
+) -> tuple[list[WeightedSupport], bool]:
+    """Supports of the concatenations of 1..depth blocks, weights adding,
+    one dict per level; stops early once a level would exceed
+    ``max_tuples`` block tuples."""
     supports: list[WeightedSupport] = []
     level: dict[str, float] = dict(blocks)
     tuples = len(blocks)
@@ -236,7 +232,7 @@ def validate_input_process(
     the system up to ``depth``: its truncated concatenation supports must
     form an input source.  In particular no concatenated string may be
     reachable at two different depths (the double-counting pitfall)."""
-    supports, truncated = truncated_supports(p, system, depth, max_tuples)
+    supports, truncated = truncated_supports(p, depth, max_tuples)
     report = validate_input_source(supports, system)
     if truncated:
         report = ValidationReport(
@@ -342,14 +338,7 @@ def jk_phrase_support(j: int, k: int) -> WeightedSupport:
 def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
     """Depth-l concatenations of the (j,k) phrase alphabet: the canonical
     input source of the run-length system."""
-    phrases = jk_phrase_support(j, k)
-    supports = []
-    level = {s: w for s, w in phrases.items}
-    for _ in range(depth):
-        supports.append(WeightedSupport(tuple(sorted(level.items()))))
-        level = {
-            s + bs: w + bw for s, w in level.items() for bs, bw in phrases.items
-        }
+    supports, _ = _concatenations(list(jk_phrase_support(j, k).items), depth, math.inf)
     return supports
 
 

@@ -223,14 +223,6 @@ def c0_estimate(sp: WeightSpectrum) -> float:
     return c0_sequence(sp)[-1]
 
 
-def tail_running_max(seq: list[float]) -> float:
-    """Max over the last half of an estimate sequence; a second, coarser
-    stand-in for the limit superior."""
-    if not seq:
-        raise SpectrumError("empty sequence")
-    return max(seq[len(seq) // 2 :])
-
-
 def growth_rate_estimate(sp: WeightSpectrum) -> float:
     """Tail growth rate ln(cum_k/cum_{k-1})/(nu_k - nu_{k-1}).
 

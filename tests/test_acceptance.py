@@ -91,10 +91,6 @@ def _counts_spectrum(counts: tuple[int, ...]):
     )
 
 
-def _predicate_spectrum(j: int, k: int, horizon: int):
-    return _counts_spectrum(brute_force_counts(j, k, horizon))
-
-
 def test_criterion_3a_jk_formula_vs_abscissa():
     start = time.perf_counter()
     tol = 1e-12
@@ -120,7 +116,7 @@ def test_criterion_3b_jk_formula_vs_spectrum_estimate():
     # bias and is left to 3a).  2**100 strings cannot be filtered, so the
     # counts come from the run-length DP, checked here against the literal
     # filter first.  The growth-rate estimate converges fast enough to be
-    # checked on the filtered spectrum at horizon 18.
+    # checked at horizon 18, on the same DP counts.
     start = time.perf_counter()
     worst = 0.0
     worst_growth = 0.0
@@ -130,7 +126,7 @@ def test_criterion_3b_jk_formula_vs_spectrum_estimate():
             q = capacity_jk(j, k)
             sp = _counts_spectrum(runlength_dp_counts(j, k, 100))
             worst = max(worst, abs(capacity_estimate(sp) - q))
-            sp18 = _predicate_spectrum(j, k, 18)
+            sp18 = _counts_spectrum(runlength_dp_counts(j, k, 18))
             worst_growth = max(worst_growth, abs(growth_rate_estimate(sp18) - q))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.06 and worst_growth <= 0.06 and elapsed < 60.0
@@ -148,12 +144,14 @@ def test_criterion_4_estimator_agreement_horizon_20():
     # The 0.02 tolerance applies to the gap minus that leading term, with C
     # taken from outside the estimators.  Per-weight counts in place of
     # the cumulative ones, or either estimator divided by a horizon one
-    # step off, leave a residual above 0.03.
+    # step off, leave a residual above 0.03.  The (2,2) counts come from the
+    # run-length DP, checked against the literal filter first.
     start = time.perf_counter()
+    assert runlength_dp_counts(2, 2, 14) == brute_force_counts(2, 2, 14)
     sbin_counts = [(float(n), 2**n) for n in range(1, 21)]
     cases = {
         "S_bin": (spectrum_from_counts(sbin_counts), LN2),
-        "S_(2,2)": (_predicate_spectrum(2, 2, 20), capacity_jk(2, 2)),
+        "S_(2,2)": (_counts_spectrum(runlength_dp_counts(2, 2, 20)), capacity_jk(2, 2)),
     }
     worst_residual = 0.0
     monotone = True

@@ -179,3 +179,15 @@ def test_jk_table_symmetric_row(capsys):
 def test_jk_table_bounds_capped(capsys):
     code, _, _ = run(capsys, ["jk-table", "--jmax", "65"])
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--jk", "2", "2", "--tol", "0"],
+    ["jk-table", "--tol", "0"],
+    ["capacity", "--jk", "0", "3"],
+])
+def test_bad_numeric_arguments_are_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err

@@ -172,3 +172,26 @@ def test_jk_rejects_zero():
 def test_matches_rejects_foreign_character(sbin):
     with pytest.raises(DslError):
         matches(sbin, "012")
+
+
+# --- one segmentation rule: prefix-free labels ---------------------------
+
+
+def test_prefix_labels_rejected():
+    with pytest.raises(DslError) as err:
+        parse_system("sym a=1 ab=5 b=1;\nexpr: (a b)*")
+    assert "'a'" in str(err.value) and "'ab'" in str(err.value)
+
+
+def test_multichar_membership_agrees_with_weight():
+    s = parse_system("sym ab=1.5 c=2;\nexpr: (ab c)*")
+    for n in range(4):
+        word = "abc" * n
+        assert matches(s, word)
+        assert s.string_weight(word) == pytest.approx(3.5 * n)
+    assert not matches(s, "cab")
+    assert not matches(s, "ab")
+    with pytest.raises(DslError):
+        matches(s, "abx")  # a character outside the alphabet
+    with pytest.raises(DslError):
+        matches(s, "a")  # alphabet characters, but no label sequence

@@ -6,6 +6,7 @@ from concap import build_jk_system, parse_system
 from concap.dsl import EPSILON, Star, Symbol, Union
 from concap.genfun import (
     DIVERGENT,
+    SolverError,
     Product,
     StarClosure,
     Sum,
@@ -126,3 +127,35 @@ def test_capacity_jk_agrees_with_abscissa(j, k):
 def test_capacity_jk_rejects_zero():
     with pytest.raises(ValueError):
         capacity_jk(0, 1)
+
+
+# --- the one bracketed root finder behind every "solve f(s) = 1" ---------
+
+
+def _root_finders(sbin):
+    from concap.maxent import WeightedSupport, solve_rate
+
+    support = WeightedSupport((("0", 1.0), ("1", 1.0), ("01", 2.0)))
+    return {
+        "abscissa": lambda tol: abscissa(system_gf(sbin), tol=tol),
+        "capacity_jk": lambda tol: capacity_jk(2, 3, tol=tol),
+        "solve_rate": lambda tol: solve_rate(support, tol=tol),
+    }
+
+
+@pytest.mark.parametrize("name", ["abscissa", "capacity_jk", "solve_rate"])
+def test_root_finders_reject_nonpositive_tol(sbin, name):
+    solve = _root_finders(sbin)[name]
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError):
+            solve(tol)
+
+
+@pytest.mark.parametrize("name", ["abscissa", "capacity_jk", "solve_rate"])
+def test_root_finders_raise_on_unreachable_tol(sbin, name):
+    # 1e-300 is below the float spacing near every root here, so the
+    # bracket stops shrinking and the bisection must say so
+    with pytest.raises(SolverError) as err:
+        _root_finders(sbin)[name](1e-300)
+    lo, hi = err.value.bracket
+    assert lo < hi

@@ -185,7 +185,7 @@ def test_pitfall_fixed_by_zeroing_01(sbin):
     p = Pmf(PITFALL, (0.5, 0.5, 0.0))
     report = validate_input_process(p, sbin, depth=4)
     assert report.valid
-    supports, _ = truncated_supports(p, sbin, depth=3)
+    supports, _ = truncated_supports(p, depth=3)
     assert [len(s) for s in supports] == [2, 4, 8]  # (0|1)^l
 
 
@@ -196,11 +196,11 @@ def test_jk_process_valid():
     assert report.valid
 
 
-def test_zero_probability_blocks_never_materialize(sbin):
+def test_zero_probability_blocks_never_materialize():
     # the zero-probability block "01" must not appear as a depth-1 item;
     # depth-2 strings are exactly the four concatenations of "0" and "1"
     p = Pmf(PITFALL, (0.5, 0.5, 0.0))
-    supports, _ = truncated_supports(p, sbin, depth=2)
+    supports, _ = truncated_supports(p, depth=2)
     assert sorted(supports[0].strings) == ["0", "1"]
     assert sorted(supports[1].strings) == ["00", "01", "10", "11"]
 

@@ -18,7 +18,6 @@ from concap.spectrum import (
     iter_strings,
     parse_spectrum,
     spectrum_from_counts,
-    tail_running_max,
 )
 
 from conftest import brute_force_counts, runlength_ok
@@ -142,12 +141,6 @@ def test_estimator_ordering_and_gap_shrinks():
 def test_growth_rate_estimate_converges_fast():
     sp = enumerate_spectrum(build_jk_system(2, 2), max_weight=18)
     assert growth_rate_estimate(sp) == pytest.approx(0.481211825, abs=2e-3)
-
-
-def test_tail_running_max():
-    assert tail_running_max([5.0, 1.0, 2.0, 3.0]) == 3.0
-    with pytest.raises(SpectrumError):
-        tail_running_max([])
 
 
 def test_estimators_refuse_single_entry():
