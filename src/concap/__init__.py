@@ -12,15 +12,7 @@ from .dsl import (
     load_system,
     parse_system,
 )
-from .genfun import (
-    CapacityResult,
-    GenExpr,
-    abscissa,
-    capacity_jk,
-    compile_gf,
-    eval_real,
-    system_gf,
-)
+from .genfun import CapacityResult, abscissa, capacity_jk, eval_real
 from .maxent import (
     Pmf,
     RateBound,

@@ -43,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def cmd_capacity(args) -> int:
     system = _load_system(args)
-    result = genfun.abscissa(genfun.system_gf(system), tol=args.tol)
+    result = genfun.abscissa(system, tol=args.tol)
     q = _units_value(result.q, args.units)
     name = system.name or "system"
     print(f"system      {name}")
@@ -85,8 +85,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = _load_system(args)
-    g = genfun.system_gf(system)
-    q = genfun.abscissa(g, tol=args.tol)
+    q = genfun.abscissa(system, tol=args.tol)
     if args.s <= q.q:
         print(f"error: s={args.s} is inside the divergence region (Q={q.q:.6f})")
         return EXIT_ERROR
@@ -96,7 +95,7 @@ def cmd_crosscheck(args) -> int:
     if not sp.complete:
         print(f"budget exceeded: spectrum truncated at weight {sp.horizon:g}")
         return EXIT_BUDGET
-    check = spectrum.cross_check_gf(sp, g, args.s, abscissa_estimate=q.q)
+    check = spectrum.cross_check_gf(sp, system, args.s)
     print(f"partial_sum  {check.partial_sum:.9f}")
     print(f"gf_value     {check.gf_value:.9f}")
     print(f"difference   {check.difference:.3g}")
@@ -109,7 +108,7 @@ def cmd_maxent(args) -> int:
     with open(args.support, encoding="utf-8") as fh:
         support, _ = maxent.parse_support_file(fh.read())
     result = maxent.solve_rate(support, tol=args.tol)
-    p = maxent.maxentropic_pmf(support, tol=args.tol)
+    p = maxent.maxentropic_pmf(support, result)
     print(f"rate        {_units_value(result.rate, args.units):.12f} {args.units}")
     print(f"residual    {result.residual:.3g}")
     if result.degenerate:

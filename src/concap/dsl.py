@@ -9,7 +9,7 @@ regular expression over those symbols::
 
 Supported regex syntax: juxtaposition for concatenation, ``|`` for union,
 postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
-and bounded repetition ``a{m,n}`` (expanded to a union of concatenations).
+and bounded repetition ``a{m,n}`` (expanded by ``repeat``).
 Precedence: star binds tighter than concatenation, concatenation tighter
 than union.
 """
@@ -93,12 +93,9 @@ class SystemDef:
         if not self.alphabet:
             raise DslError("alphabet must be nonempty")
         labels = [d.label for d in self.alphabet]
-        ordered = sorted(labels)
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise DslError(f"duplicate symbol label {a!r}")
-            if b.startswith(a):
-                raise DslError(f"label {a!r} is a prefix of label {b!r}; labels must be prefix-free")
+        for i, label in enumerate(labels):
+            if clash := _label_clash(label, labels[:i]):
+                raise DslError(clash)
         _check_symbols(self.expr, set(labels))
 
     @property
@@ -117,6 +114,18 @@ class SystemDef:
         for lab in split_labels(s, self.label_re):
             total += w[lab]
         return total
+
+
+def _label_clash(label: str, earlier: Iterable[str]) -> str | None:
+    """The error for declaring ``label`` after the labels ``earlier``, if it
+    repeats one of them or one of the two is a prefix of the other."""
+    for other in earlier:
+        if label == other:
+            return f"duplicate symbol label {label!r}"
+        if label.startswith(other) or other.startswith(label):
+            a, b = sorted((label, other), key=len)
+            return f"label {a!r} is a prefix of label {b!r}; labels must be prefix-free"
+    return None
 
 
 def _check_symbols(node: Regex, labels: set[str]) -> None:
@@ -205,14 +214,13 @@ class _Parser:
 
     def parse_system(self, name: str) -> SystemDef:
         decls: list[SymbolDecl] = []
-        seen: set[str] = set()
         while True:
             tok = self.peek()
             if tok is None:
                 raise DslError("missing 'expr:' clause", 1, 1)
             if tok.text == "sym":
                 self.next()
-                decls.extend(self._parse_sym_block(seen))
+                self._parse_sym_block(decls)
             elif tok.text == "expr":
                 self.next()
                 break
@@ -232,21 +240,22 @@ class _Parser:
             raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
         return SystemDef(alphabet=tuple(decls), expr=expr, name=name)
 
-    def _parse_sym_block(self, seen: set[str]) -> list[SymbolDecl]:
-        decls = []
+    def _parse_sym_block(self, decls: list[SymbolDecl]) -> None:
+        """Parse one ``sym`` block onto ``decls``, the declarations so far."""
+        start = len(decls)
         while True:
             tok = self.next()
             if tok.text == ";":
-                if not decls:
+                if len(decls) == start:
                     raise DslError("empty 'sym' declaration", tok.line, tok.col)
-                return decls
+                return
             label = tok.text
             if not re.fullmatch(r"[A-Za-z0-9_]+", label):
                 raise DslError(f"bad symbol label {label!r}", tok.line, tok.col)
             if label == "eps":
                 raise DslError("'eps' is reserved for the empty string", tok.line, tok.col)
-            if label in seen:
-                raise DslError(f"duplicate symbol label {label!r}", tok.line, tok.col)
+            if clash := _label_clash(label, (d.label for d in decls)):
+                raise DslError(clash, tok.line, tok.col)
             self.expect("=")
             wtok = self.next()
             try:
@@ -255,7 +264,6 @@ class _Parser:
                 raise DslError(f"bad weight {wtok.text!r}", wtok.line, wtok.col) from None
             if not weight > 0:
                 raise DslError(f"weight of {label!r} must be positive", wtok.line, wtok.col)
-            seen.add(label)
             decls.append(SymbolDecl(label, weight))
 
     # --- regex, precedence: union < concat < star/repeat
@@ -337,29 +345,33 @@ def load_system(path) -> SystemDef:
 # Construction helpers
 
 
-def concat_all(parts: list[Regex]) -> Regex:
-    node = parts[0]
-    for p in parts[1:]:
-        node = Concat(node, p)
-    return node
-
-
-def union_all(parts: list[Regex]) -> Regex:
-    node = parts[0]
-    for p in parts[1:]:
-        node = Union(node, p)
-    return node
-
-
 def repeat(node: Regex, lo: int, hi: int) -> Regex:
-    """``node{lo,hi}`` as a union of explicit concatenations."""
-    choices = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            choices.append(EPSILON)
-        else:
-            choices.append(concat_all([node] * n))
-    return union_all(choices)
+    """``node{lo,hi}`` as ``node^lo`` then ``node{0,hi-lo}``: O(hi) nodes,
+    O(log hi) depth, and one derivation for each count in [lo, hi], so it
+    is no more ambiguous than ``node`` itself."""
+    if lo == hi:
+        return _power(node, lo) if lo else EPSILON
+    rest = _up_to(node, hi - lo)
+    return Concat(_power(node, lo), rest) if lo else rest
+
+
+def _power(node: Regex, n: int) -> Regex:
+    """``node`` n >= 1 times, as a balanced concatenation."""
+    if n == 1:
+        return node
+    half = _power(node, n // 2)
+    twice = Concat(half, half)
+    return Concat(twice, node) if n % 2 else twice
+
+
+def _up_to(node: Regex, m: int) -> Regex:
+    """``node{0,m}`` for m >= 1: ``(eps|node) (node node){0,t}`` for
+    m = 2t+1, and ``eps | node node{0,m-1}`` for even m."""
+    if m == 1:
+        return Union(EPSILON, node)
+    if m % 2:
+        return Concat(Union(EPSILON, node), _up_to(Concat(node, node), m // 2))
+    return Union(EPSILON, Concat(node, _up_to(node, m - 1)))
 
 
 def build_jk_system(j: int, k: int) -> SystemDef:
@@ -375,8 +387,8 @@ def build_jk_system(j: int, k: int) -> SystemDef:
     one, zero = Symbol("1"), Symbol("0")
     ones = repeat(one, 1, j)
     zeros = repeat(zero, 1, k)
-    branch1 = concat_all([ones, Star(Concat(zeros, ones)), Union(EPSILON, zeros)])
-    branch2 = concat_all([zeros, Star(Concat(ones, zeros)), Union(EPSILON, ones)])
+    branch1 = Concat(Concat(ones, Star(Concat(zeros, ones))), Union(EPSILON, zeros))
+    branch2 = Concat(Concat(zeros, Star(Concat(ones, zeros))), Union(EPSILON, ones))
     return SystemDef(
         alphabet=(SymbolDecl("0", 1.0), SymbolDecl("1", 1.0)),
         expr=Union(branch1, branch2),

@@ -1,13 +1,13 @@
-"""Generating functions of constrained systems and their abscissa of
-convergence.
+"""Capacity as an abscissa of convergence, and the series of a regex.
 
-A system's strings with weights become a general Dirichlet series: each
-symbol of weight ``w`` contributes a factor ``exp(-w*s)``, union becomes a
-sum, concatenation a product, and Kleene star the geometric closure
-``1/(1 - f)``.  On the real axis the series has nonnegative coefficients,
-so it converges for ``s`` above a threshold and diverges below it; that
-threshold (the abscissa of convergence) is the combinatorial capacity of
-the system.  Divergence is represented by ``math.inf``, never an error.
+The sum of ``exp(-w*s)`` over a system's distinct strings (of weight
+``w``) converges for real ``s`` above a threshold and diverges below it;
+that threshold, the abscissa of convergence, is the system's capacity.
+``abscissa`` reads it off the DFA, on which every string is one path.
+``eval_real`` sums a regex's own series, one term per derivation, which
+equals the string series only if the regex is unambiguous: it is the
+ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
+``math.inf``, never an error.
 """
 
 from __future__ import annotations
@@ -16,80 +16,67 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .automata import system_dfa
 from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union
 
 DIVERGENT = math.inf
 
 
-# ---------------------------------------------------------------------------
-# Expression tree
-
-
-@dataclass(frozen=True)
-class Term:
-    """One exponential term exp(-weight * s); weight 0 is the empty string."""
-
-    weight: float
-
-
-@dataclass(frozen=True)
-class Sum:
-    children: tuple["GenExpr", ...]
-
-
-@dataclass(frozen=True)
-class Product:
-    children: tuple["GenExpr", ...]  # order preserved from concatenation
-
-
-@dataclass(frozen=True)
-class StarClosure:
-    child: "GenExpr"
-
-
-GenExpr = Term | Sum | Product | StarClosure
-
-
-def compile_gf(expr: Regex, weights: dict[str, float]) -> GenExpr:
-    """Map a regex to its generating-function expression, node for node."""
+def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
+    """Evaluate a regex's series at real ``s``: a symbol of weight ``w``
+    gives exp(-w*s), union a sum, concatenation a product, and star the
+    closed form 1/(1-v) for v < 1, divergent for v >= 1.  A product with a
+    divergent factor diverges even where the other underflowed to 0.0."""
     match expr:
         case Symbol(label):
-            return Term(weights[label])
+            return math.exp(-weights[label] * s)
         case Epsilon():
-            return Term(0.0)
+            return 1.0
         case Union(l, r):
-            return Sum((compile_gf(l, weights), compile_gf(r, weights)))
+            return eval_real(l, weights, s) + eval_real(r, weights, s)
         case Concat(l, r):
-            return Product((compile_gf(l, weights), compile_gf(r, weights)))
+            left, right = eval_real(l, weights, s), eval_real(r, weights, s)
+            return DIVERGENT if DIVERGENT in (left, right) else left * right
         case Star(c):
-            return StarClosure(compile_gf(c, weights))
+            v = eval_real(c, weights, s)
+            return 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
     raise TypeError(f"not a regex node: {expr!r}")
 
 
-def system_gf(system: SystemDef) -> GenExpr:
-    return compile_gf(system.expr, system.weights)
+def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
+    """Whether the sum over DFA paths of exp(-w*s) converges, ``edges[i]``
+    listing each successor j of state i with the weights of its edges.
 
-
-def eval_real(g: GenExpr, s: float) -> float:
-    """Evaluate at real ``s``; returns ``math.inf`` where the series diverges.
-
-    The star closure is summed in closed form: 1/(1-v) for v < 1, divergent
-    for v >= 1.  This is exact for series with nonnegative coefficients.
+    With A(s)_ij the sum of exp(-w*s) over edges i -> j, it converges iff
+    the spectral radius of A(s) is below 1, iff I - A(s) is a nonsingular
+    M-matrix, iff Gaussian elimination without pivoting meets only positive
+    pivots.  The DSL has no empty-set regex, so every state ``determinize``
+    builds is reachable and reaches acceptance: every cycle counts.
+    Elimination runs from the last state in BFS order down, touching only
+    rows with an entry in the pivot column: repetition chains stay cheap.
     """
-    match g:
-        case Term(weight):
-            return math.exp(-weight * s)
-        case Sum(children):
-            return sum(eval_real(c, s) for c in children)
-        case Product(children):
-            out = 1.0
-            for c in children:
-                out *= eval_real(c, s)
-            return out
-        case StarClosure(child):
-            v = eval_real(child, s)
-            return 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
-    raise TypeError(f"not a generating-function node: {g!r}")
+    rows: list[dict[int, float]] = []
+    column_rows: list[set[int]] = [set() for _ in edges]
+    for i, targets in enumerate(edges):
+        row = {i: 1.0}
+        for j, ws in targets:
+            row[j] = row.get(j, 0.0) - sum(math.exp(-w * s) for w in ws)
+            column_rows[j].add(i)
+        rows.append(row)
+    for k in range(len(rows) - 1, -1, -1):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot > 0.0:
+            return False
+        for i in column_rows[k]:
+            if i < k:  # not row k itself, nor a row already eliminated
+                row = rows[i]
+                factor = row.pop(k) / pivot
+                for j, v in pivot_row.items():
+                    if j < k:
+                        row[j] = row.get(j, 0.0) - factor * v
+                        column_rows[j].add(i)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +93,6 @@ class CapacityResult:
     residual: float  # final bracket width
     iterations: int
     finite_language: bool = False
-
-    def in_bits(self) -> float:
-        return self.q / math.log(2)
 
 
 class SolverError(RuntimeError):
@@ -154,19 +138,25 @@ def bisect_root(
     return lo, hi, iterations
 
 
-def abscissa(g: GenExpr, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> CapacityResult:
-    """Infimum of real ``s`` where the series converges, by bisection.
+def abscissa(system: SystemDef, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> CapacityResult:
+    """Infimum of real ``s`` where the series of the system's distinct
+    strings converges, by bisection with ``_converges`` on its DFA.
 
-    Divergence is downward-closed on the real axis (all exponents have
-    nonnegative weight), so one convergent and one divergent point bracket
-    the abscissa.  A series already convergent at 0 has finitely many terms
-    and is reported with ``finite_language`` set and capacity 0.
+    A series already convergent at 0 has finitely many terms (the DFA has
+    no cycle) and is reported with ``finite_language`` set and capacity 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if eval_real(g, 0.0) != DIVERGENT:
+    weights = system.weights
+    edges = []
+    for transitions in system_dfa(system).transitions:
+        targets: dict[int, list[float]] = {}
+        for label, j in transitions.items():
+            targets.setdefault(j, []).append(weights[label])
+        edges.append(list(targets.items()))
+    if _converges(edges, 0.0):
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
-    lo, hi, iterations = bisect_root(lambda s: eval_real(g, s) == DIVERGENT, tol, max_iter)
+    lo, hi, iterations = bisect_root(lambda s: not _converges(edges, s), tol, max_iter)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 
@@ -177,7 +167,7 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
         (x + x^2 + ... + x^j) * (x + x^2 + ... + x^k) = 1,   x = exp(-s).
 
     The left-hand side is strictly decreasing in ``s``, so bisection applies.
-    Agrees with ``abscissa(system_gf(build_jk_system(j, k)))``.
+    Agrees with ``abscissa(build_jk_system(j, k))``.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")

@@ -110,10 +110,11 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
     return RateResult(rate, abs(f(rate)), iterations)
 
 
-def maxentropic_pmf(support: WeightedSupport, tol: float = DEFAULT_TOL) -> Pmf:
+def maxentropic_pmf(support: WeightedSupport, solved: RateResult | None = None) -> Pmf:
     """The unique entropy-per-weight-maximizing distribution
-    p(z) = exp(-w(z) * R)."""
-    result = solve_rate(support, tol)
+    p(z) = exp(-w(z) * R).  ``solved``, the support's ``solve_rate``
+    result if the caller has it, saves solving for R again."""
+    result = solve_rate(support) if solved is None else solved
     if result.degenerate:
         return Pmf(support, (1.0,))
     probs = [math.exp(-w * result.rate) for w in support.weights]

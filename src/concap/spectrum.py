@@ -4,8 +4,8 @@ Enumeration runs weight-ordered over the determinized automaton of the
 system, so every accepted string is counted exactly once regardless of how
 many derivations the regex gives it.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
-estimators and a partial-sum cross-check against the compiled generating
-function, which doubles as the regex ambiguity detector.
+estimators and a partial-sum cross-check against the regex's own series
+(one term per derivation), which doubles as the regex ambiguity detector.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .automata import system_dfa
 from .dsl import SystemDef
-from .genfun import DIVERGENT, GenExpr, eval_real
+from .genfun import DEFAULT_TOL, DIVERGENT, bisect_root, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
 
@@ -66,9 +66,10 @@ class WeightSpectrum:
         return self.entries[-1][0]
 
     def partial_sum(self, s: float) -> float:
-        """Truncated Dirichlet series sum N(nu) exp(-nu*s) over the spectrum."""
+        """Truncated Dirichlet series sum N(nu) exp(-nu*s) over the spectrum,
+        each term as exp(ln N - nu*s): N may exceed the float range."""
         total = 1.0 if self.includes_empty else 0.0
-        return total + sum(c * math.exp(-nu * s) for nu, c in self.entries)
+        return total + sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
 
 
 def enumerate_spectrum(
@@ -268,7 +269,7 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
 
 
 # ---------------------------------------------------------------------------
-# Cross-check against the compiled generating function
+# Cross-check against the regex's own series
 
 
 @dataclass(frozen=True)
@@ -280,43 +281,41 @@ class CrossCheck:
     ambiguous: bool
 
 
-def gf_tail_bound(g: GenExpr, s: float, horizon: float, s_probe_lo: float) -> float:
-    """Upper bound on the series tail beyond ``horizon`` at ``s``: for any
-    convergent probe point s' < s, the tail is at most gf(s') * exp(-horizon
-    * (s - s')).  The probe grid searches (s_probe_lo, s) for the tightest
-    bound."""
+def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
+    """Upper bound on the tail beyond ``horizon`` at ``s`` of the series of
+    the system's regex: for any convergent probe point s' < s, the tail is
+    at most gf(s') * exp(-horizon * (s - s')).  The probe grid searches
+    (the series' own abscissa, s) for the tightest bound."""
+    expr, weights = system.expr, system.weights
+    lo, hi, _ = bisect_root(lambda x: eval_real(expr, weights, x) == DIVERGENT, DEFAULT_TOL)
+    floor = 0.5 * (lo + hi)
     best = math.inf
     for t in range(1, 40):
-        sp_ = s_probe_lo + (s - s_probe_lo) * t / 40.0
-        v = eval_real(g, sp_)
+        sp_ = floor + (s - floor) * t / 40.0
+        v = eval_real(expr, weights, sp_)
         if v == DIVERGENT:
             continue
         best = min(best, v * math.exp(-horizon * (s - sp_)))
     return best
 
 
-def cross_check_gf(
-    sp: WeightSpectrum,
-    g: GenExpr,
-    s: float,
-    abscissa_estimate: float = 0.0,
-    rel_tol: float = 1e-6,
-) -> CrossCheck:
-    """Compare the enumerated partial sum with the compiled function value.
+def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: float = 1e-6) -> CrossCheck:
+    """Compare the enumerated partial sum with the value of the series of
+    the system's regex.
 
-    The enumeration counts distinct strings; regex-to-series compilation
-    counts derivations.  For an unambiguous regex the function value exceeds
+    The enumeration counts distinct strings; the regex's series counts
+    derivations.  For an unambiguous regex the function value exceeds
     the complete partial sum by at most the series tail, so a gap larger
     than the tail bound certifies that the regex is ambiguous (some string
     is derived more than once).
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
-    gf_value = eval_real(g, s)
+    gf_value = eval_real(system.expr, system.weights, s)
     if gf_value == DIVERGENT:
-        raise SpectrumError(f"generating function diverges at s={s}")
+        raise SpectrumError(f"the series of the regex diverges at s={s}")
     partial = sp.partial_sum(s)
-    tail = 0.0 if sp.exhausted else gf_tail_bound(g, s, sp.horizon, abscissa_estimate)
+    tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
     diff = gf_value - partial
     ambiguous = diff > tail + rel_tol * gf_value
     return CrossCheck(diff, partial, gf_value, tail, ambiguous)

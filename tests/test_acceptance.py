@@ -21,7 +21,7 @@ import time
 import pytest
 
 from concap import build_jk_system, parse_system
-from concap.genfun import abscissa, capacity_jk, system_gf
+from concap.genfun import abscissa, capacity_jk
 from concap.maxent import (
     Pmf,
     WeightedSupport,
@@ -57,7 +57,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_sbin_capacity():
     start = time.perf_counter()
     system = parse_system("sym 0=1 1=1;\nexpr: (0|1)*", name="S_bin")
-    q = abscissa(system_gf(system)).q
+    q = abscissa(system).q
     elapsed = time.perf_counter() - start
     ok = abs(q - LN2) <= 1e-9 and elapsed < 1.0
     report("1 S_bin capacity", ok, f"Q={q:.12f} elapsed={elapsed:.3f}s")
@@ -98,8 +98,8 @@ def test_criterion_3a_jk_formula_vs_abscissa():
     for j in range(1, 4):
         for k in range(1, 4):
             direct = capacity_jk(j, k, tol=tol)
-            via_gf = abscissa(system_gf(build_jk_system(j, k)), tol=tol).q
-            worst = max(worst, abs(direct - via_gf))
+            via_dfa = abscissa(build_jk_system(j, k), tol=tol).q
+            worst = max(worst, abs(direct - via_dfa))
     elapsed = time.perf_counter() - start
     ok = worst <= 2e-12 and elapsed < 60.0
     report("3a (j,k) formula vs abscissa", ok,
@@ -270,12 +270,10 @@ def test_criterion_8_ambiguity_detector():
     start = time.perf_counter()
     flat = parse_system("sym a=1;\nexpr: a|a")
     sp = enumerate_spectrum(flat, max_weight=4)
-    check_flat = cross_check_gf(sp, system_gf(flat), 1.0)
+    check_flat = cross_check_gf(sp, flat, 1.0)
     starred = parse_system("sym a=1;\nexpr: (a|a)*")
-    g = system_gf(starred)
-    q = abscissa(g).q
     sp2 = enumerate_spectrum(starred, max_weight=14)
-    check_star = cross_check_gf(sp2, g, 1.0, abscissa_estimate=q)
+    check_star = cross_check_gf(sp2, starred, 1.0)
     elapsed = time.perf_counter() - start
     factor = check_flat.gf_value / check_flat.partial_sum
     ok = (

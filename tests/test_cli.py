@@ -191,3 +191,82 @@ def test_bad_numeric_arguments_are_errors(capsys, argv):
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in out + err
+
+
+def test_capacity_of_an_ambiguous_regex(capsys, tmp_path):
+    # D1: the language of (a|a)* is a*, capacity 0, not the ln 2 of its
+    # derivations; test_genfun.py covers the other rows of the table
+    path = tmp_path / "twice.cs"
+    path.write_text("sym a=1;\nexpr: (a|a)*\n")
+    code, out, _ = run(capsys, ["capacity", "--system", str(path)])
+    assert code == EXIT_OK
+    q = float(next(l.split()[1] for l in out.splitlines() if l.startswith("capacity")))
+    assert q == pytest.approx(0.0, abs=1e-9)
+
+
+def test_crosscheck_ambiguous_just_above_regex_abscissa(capsys, tmp_path):
+    # the series of (a|a)* converges only above ln 2, far above the
+    # language's capacity 0; the tail bound must probe that series where it
+    # converges, or no probe does and the verdict is lost
+    path = tmp_path / "twice.cs"
+    path.write_text("sym a=1;\nexpr: (a|a)*\n")
+    code, out, _ = run(
+        capsys, ["crosscheck", "--system", str(path), "--s", "0.71", "--max-weight", "1000"]
+    )
+    assert code == EXIT_INVALID
+    assert "ambiguous    yes" in out
+    tail = float(next(l.split()[1] for l in out.splitlines() if l.startswith("tail_bound")))
+    assert tail < 1.0
+
+
+def test_crosscheck_long_horizon(capsys, sbin_file):
+    # D4: counts up to 2**1100 are beyond the float range; their terms are not
+    code, out, _ = run(
+        capsys,
+        ["crosscheck", "--system", sbin_file, "--s", "1.0", "--max-weight", "1100",
+         "--max-strings", str(2**1101)],
+    )
+    assert code == EXIT_OK
+    assert "ambiguous    no" in out
+    partial = float(next(l.split()[1] for l in out.splitlines() if l.startswith("partial_sum")))
+    assert partial == pytest.approx(1.0 / (1.0 - 2.0 / math.e), abs=1e-9)
+
+
+def test_crosscheck_divergent_regex_series_is_error(capsys, tmp_path):
+    # (a|a|c)* diverges at s=1 (3/e > 1), though its language (a|c)* does
+    # not; the heavy b underflows to 0.0, which must not turn inf into nan
+    path = tmp_path / "heavy.cs"
+    path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
+    code, out, err = run(
+        capsys,
+        ["crosscheck", "--system", str(path), "--s", "1.0", "--max-weight", "12"],
+    )
+    assert code == EXIT_ERROR
+    assert "diverges" in err
+    assert "nan" not in out + err
+
+
+def test_maxent_solves_rate_once(capsys, tmp_path, monkeypatch):
+    from concap import maxent
+
+    calls = []
+    solve = maxent.solve_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(maxent, "solve_rate", counting)
+    sup = tmp_path / "pitfall.sup"
+    sup.write_text("0 1\n1 1\n01 2\n")
+    code, _, _ = run(capsys, ["maxent", "--support", str(sup)])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_capacity_label_clash_has_location(capsys, tmp_path):
+    path = tmp_path / "clash.cs"
+    path.write_text("sym a=1 ab=5 b=1;\nexpr: (a b)*\n")
+    code, _, err = run(capsys, ["capacity", "--system", str(path)])
+    assert code == EXIT_ERROR
+    assert "prefix" in err and "(line 1, column 9)" in err

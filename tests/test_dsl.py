@@ -1,15 +1,20 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concap import dsl
 from concap.automata import matches
+from concap.genfun import eval_real
 from concap.dsl import (
     Concat,
     DslError,
     Epsilon,
     Star,
     Symbol,
+    SymbolDecl,
+    SystemDef,
     Union,
     build_jk_system,
     format_regex,
@@ -54,9 +59,38 @@ def test_multichar_labels():
 
 def test_bounded_repetition_sugar():
     s = parse_system("sym a=1;\nexpr: a{1,2}")
-    assert s.expr == Union(Symbol("a"), Concat(Symbol("a"), Symbol("a")))
+    assert [w for w in ("", "a", "aa", "aaa") if matches(s, w)] == ["a", "aa"]
+    for x in (0.3, 1.0, 2.5):  # one derivation per string
+        assert eval_real(s.expr, s.weights, x) == pytest.approx(math.exp(-x) + math.exp(-2 * x))
     s0 = parse_system("sym a=1;\nexpr: a{0,1}")
     assert s0.expr == Union(Epsilon(), Symbol("a"))
+
+
+def _size_and_depth(node):
+    match node:
+        case Concat(l, r) | Union(l, r):
+            (nl, dl), (nr, dr) = _size_and_depth(l), _size_and_depth(r)
+            return 1 + nl + nr, 1 + max(dl, dr)
+        case Star(c):
+            n, d = _size_and_depth(c)
+            return 1 + n, 1 + d
+    return 1, 1
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5), (3, 3), (2, 9), (5, 64), (1, 1000), (700, 1000)])
+def test_repetition_linear_size_one_derivation_per_count(lo, hi):
+    # node = a | b c has series f = exp(-s) + exp(-2s); node{lo,hi} must
+    # have the series f^lo + ... + f^hi, each count derived exactly once
+    node = Union(Symbol("a"), Concat(Symbol("b"), Symbol("c")))
+    expr = dsl.repeat(node, lo, hi)
+    size, depth = _size_and_depth(expr)
+    assert size <= 12 * max(hi, 1)
+    assert depth <= 4 * math.log2(hi + 2) + 4
+    weights = {"a": 1.0, "b": 1.0, "c": 1.0}
+    for s in (0.7, 1.3):
+        f = math.exp(-s) + math.exp(-2 * s)
+        want = math.fsum(f**k for k in range(lo, hi + 1))
+        assert eval_real(expr, weights, s) == pytest.approx(want, rel=1e-12)
 
 
 def test_comments_ignored():
@@ -181,6 +215,26 @@ def test_prefix_labels_rejected():
     with pytest.raises(DslError) as err:
         parse_system("sym a=1 ab=5 b=1;\nexpr: (a b)*")
     assert "'a'" in str(err.value) and "'ab'" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, 9)  # the label 'ab'
+    assert "(line 1, column 9)" in str(err.value)
+
+
+def test_label_clash_located_at_later_label():
+    with pytest.raises(DslError) as err:
+        parse_system("sym ab=5;\nsym b=1 a=1;\nexpr: (a b)*")
+    assert (err.value.line, err.value.col) == (2, 9)
+    assert "'a' is a prefix of label 'ab'" in str(err.value)
+    with pytest.raises(DslError) as err:
+        parse_system("sym a=1\n  a=2;\nexpr: a")
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert "duplicate" in str(err.value)
+
+
+def test_label_clash_without_parser_has_no_location():
+    with pytest.raises(DslError) as err:
+        SystemDef((SymbolDecl("a", 1.0), SymbolDecl("ab", 5.0)), Symbol("a"))
+    assert err.value.line == 0
+    assert "prefix-free" in str(err.value)
 
 
 def test_multichar_membership_agrees_with_weight():

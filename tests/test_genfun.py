@@ -1,67 +1,60 @@
 import math
+import time
 
 import pytest
 
 from concap import build_jk_system, parse_system
-from concap.dsl import EPSILON, Star, Symbol, Union
+from concap.dsl import EPSILON
 from concap.genfun import (
     DIVERGENT,
     SolverError,
-    Product,
-    StarClosure,
-    Sum,
-    Term,
     abscissa,
     capacity_jk,
-    compile_gf,
     eval_real,
-    system_gf,
 )
 
 LN2 = math.log(2)
 LN_GOLDEN = math.log((1 + math.sqrt(5)) / 2)  # root of x + x^2 = 1
 
 
-def test_compile_sbin(sbin):
-    assert system_gf(sbin) == StarClosure(Sum((Term(1.0), Term(1.0))))
-
-
-def test_compile_epsilon():
-    assert compile_gf(EPSILON, {}) == Term(0.0)
-
-
-def test_compile_mirrors_structure():
-    expr = Union(Star(Symbol("a")), EPSILON)
-    g = compile_gf(expr, {"a": 2.5})
-    assert g == Sum((StarClosure(Term(2.5)), Term(0.0)))
-
-
 def test_eval_term_zero_is_one():
+    # the empty string's term exp(-0 * s)
     for s in (-3.0, 0.0, 7.5):
-        assert eval_real(Term(0.0), s) == 1.0
+        assert eval_real(EPSILON, {}, s) == 1.0
+
+
+def _eval(system, s):
+    return eval_real(system.expr, system.weights, s)
 
 
 def test_eval_sbin_above_capacity(sbin):
     s = LN2 + 0.1
     expected = 1.0 / (1.0 - 2.0 * math.exp(-s))  # = 10.50833194...
-    assert eval_real(system_gf(sbin), s) == pytest.approx(expected, abs=1e-12)
-    assert eval_real(system_gf(sbin), s) == pytest.approx(10.508331944775056)
+    assert _eval(sbin, s) == pytest.approx(expected, abs=1e-12)
+    assert _eval(sbin, s) == pytest.approx(10.508331944775056)
 
 
 def test_eval_sbin_divergent_at_boundary(sbin):
-    assert eval_real(system_gf(sbin), LN2) == DIVERGENT
-    assert eval_real(system_gf(sbin), LN2 - 0.2) == DIVERGENT
+    assert _eval(sbin, LN2) == DIVERGENT
+    assert _eval(sbin, LN2 - 0.2) == DIVERGENT
 
 
 def test_eval_monotone_decreasing(sbin):
-    g = system_gf(sbin)
-    values = [eval_real(g, s) for s in (0.8, 1.0, 1.5, 3.0)]
+    values = [_eval(sbin, s) for s in (0.8, 1.0, 1.5, 3.0)]
     assert values == sorted(values, reverse=True)
     assert all(v >= 0 for v in values)
 
 
+def test_eval_divergent_factor_beats_underflow():
+    # (a|a|c)* diverges at s=1 while exp(-100000) underflows to 0.0; the
+    # product is divergent, not inf * 0.0 = nan
+    system = parse_system("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b")
+    assert _eval(system, 1.0) == DIVERGENT
+    assert _eval(parse_system("sym a=1 c=1 b=100000;\nexpr: b (a|a|c)*"), 1.0) == DIVERGENT
+
+
 def test_abscissa_sbin(sbin):
-    result = abscissa(system_gf(sbin))
+    result = abscissa(sbin)
     assert result.q == pytest.approx(LN2, abs=1e-9)
     assert result.bracket_lo <= result.q <= result.bracket_hi
     assert result.residual <= 1e-12
@@ -70,32 +63,73 @@ def test_abscissa_sbin(sbin):
 
 def test_abscissa_certificate(sbin):
     tol = 1e-10
-    result = abscissa(system_gf(sbin), tol=tol)
-    g = system_gf(sbin)
-    assert eval_real(g, result.q + tol) != DIVERGENT
-    assert eval_real(g, result.q - tol) == DIVERGENT
+    result = abscissa(sbin, tol=tol)
+    assert _eval(sbin, result.q + tol) != DIVERGENT
+    assert _eval(sbin, result.q - tol) == DIVERGENT
 
 
 def test_abscissa_s11_is_zero():
-    result = abscissa(system_gf(build_jk_system(1, 1)))
+    result = abscissa(build_jk_system(1, 1))
     assert result.q == pytest.approx(0.0, abs=1e-12)
 
 
 def test_abscissa_s22_golden_ratio():
-    result = abscissa(system_gf(build_jk_system(2, 2)))
+    result = abscissa(build_jk_system(2, 2))
     assert result.q == pytest.approx(LN_GOLDEN, abs=1e-12)
 
 
 def test_abscissa_finite_language():
     s = parse_system("sym a=1;\nexpr: a|a a")
-    result = abscissa(system_gf(s))
+    result = abscissa(s)
     assert result.finite_language
     assert result.q == 0.0
 
 
 def test_abscissa_rejects_bad_tol(sbin):
     with pytest.raises(ValueError):
-        abscissa(system_gf(sbin), tol=0.0)
+        abscissa(sbin, tol=0.0)
+
+
+# --- capacity is a property of the language, read off the DFA ----------
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("sym a=1;\nexpr: (a|a)*", 0.0),  # the language is a*
+        ("sym 0=1 1=1;\nexpr: (0|1|01)*", LN2),  # the language is (0|1)*
+        # exp(-100000 s) underflows to 0.0 at every s the bisection tries
+        ("sym a=1 c=1 b=100000;\nexpr: (a|c)* b", LN2),
+    ],
+)
+def test_abscissa_of_the_language(text, expected):
+    # D1: the regex's own series counts derivations and diverges above the
+    # first two capacities (at ln 2 and 0.8814); D2: the third
+    assert abscissa(parse_system(text)).q == pytest.approx(expected, abs=1e-9)
+
+
+def _repetition_root(n):
+    """Root of x^2 (1 + x + ... + x^(n-1)) = 1, x = exp(-s): the capacity
+    of (a{1,n} b)* with unit weights, by plain bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        x = math.exp(-mid)
+        if math.fsum(x ** (i + 1) for i in range(1, n + 1)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_abscissa_long_repetition_under_a_second():
+    # D3: the repetition used to expand to O(n^2) nodes and recurse past
+    # Python's limit; the DFA for n = 1000 is a chain of ~1000 states
+    start = time.perf_counter()
+    result = abscissa(parse_system("sym a=1 b=1;\nexpr: (a{1,1000} b)*"))
+    elapsed = time.perf_counter() - start
+    assert result.q == pytest.approx(_repetition_root(1000), abs=1e-9)
+    assert elapsed < 1.0
 
 
 def test_capacity_jk_known_values():
@@ -120,8 +154,8 @@ def test_capacity_jk_symmetry_and_monotonicity():
 def test_capacity_jk_agrees_with_abscissa(j, k):
     tol = 1e-12
     direct = capacity_jk(j, k, tol=tol)
-    via_gf = abscissa(system_gf(build_jk_system(j, k)), tol=tol).q
-    assert abs(direct - via_gf) <= 2 * tol
+    via_dfa = abscissa(build_jk_system(j, k), tol=tol).q
+    assert abs(direct - via_dfa) <= 2 * tol
 
 
 def test_capacity_jk_rejects_zero():
@@ -137,7 +171,7 @@ def _root_finders(sbin):
 
     support = WeightedSupport((("0", 1.0), ("1", 1.0), ("01", 2.0)))
     return {
-        "abscissa": lambda tol: abscissa(system_gf(sbin), tol=tol),
+        "abscissa": lambda tol: abscissa(sbin, tol=tol),
         "capacity_jk": lambda tol: capacity_jk(2, 3, tol=tol),
         "solve_rate": lambda tol: solve_rate(support, tol=tol),
     }

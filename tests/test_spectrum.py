@@ -3,7 +3,6 @@ import math
 import pytest
 
 from concap import build_jk_system, parse_system
-from concap.genfun import abscissa, system_gf
 from concap.spectrum import (
     SpectrumError,
     c0_estimate,
@@ -182,16 +181,22 @@ def test_density_trivial_single_entry():
     assert density_check(sp, L=1.0, K=2.0).satisfied
 
 
+def test_partial_sum_of_counts_beyond_float_range():
+    # D4: 2**1100 cannot be a float, but 2**1100 * exp(-1100) can
+    sp = spectrum_from_counts([(1.0, 2), (1100.0, 2**1100)])
+    want = 2 * math.exp(-1.0) + math.exp(1100 * (LN2 - 1.0))
+    assert sp.partial_sum(1.0) == pytest.approx(want, rel=1e-12)
+
+
 # --- cross-check / ambiguity detector -----------------------------------
 
 
 def test_partial_sums_approach_gf_from_below(sbin):
-    g = system_gf(sbin)
     target = 1.0 / (1.0 - 2.0 * math.exp(-1.0))  # 3.7844223...
     diffs = []
     for horizon in (6, 10, 14):
         sp = enumerate_spectrum(sbin, max_weight=horizon)
-        check = cross_check_gf(sp, g, 1.0, abscissa_estimate=LN2)
+        check = cross_check_gf(sp, sbin, 1.0)
         assert check.gf_value == pytest.approx(target, abs=1e-12)
         assert 0 <= check.difference <= check.tail_bound
         assert not check.ambiguous
@@ -201,9 +206,8 @@ def test_partial_sums_approach_gf_from_below(sbin):
 
 def test_cross_check_s22_within_tail_bound():
     system = build_jk_system(2, 2)
-    g = system_gf(system)
     sp = enumerate_spectrum(system, max_weight=14)
-    check = cross_check_gf(sp, g, 1.0, abscissa_estimate=0.4813)
+    check = cross_check_gf(sp, system, 1.0)
     assert 0 <= check.difference <= check.tail_bound
     assert not check.ambiguous
 
@@ -212,7 +216,7 @@ def test_ambiguous_union_flagged():
     system = parse_system("sym a=1;\nexpr: a|a")
     sp = enumerate_spectrum(system, max_weight=5)
     assert sp.exhausted  # finite language fully enumerated, tail is zero
-    check = cross_check_gf(sp, system_gf(system), 1.0)
+    check = cross_check_gf(sp, system, 1.0)
     assert check.partial_sum == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert check.gf_value == pytest.approx(2 * math.exp(-1.0), abs=1e-12)
     assert check.ambiguous
@@ -220,10 +224,8 @@ def test_ambiguous_union_flagged():
 
 def test_ambiguous_star_flagged():
     system = parse_system("sym a=1;\nexpr: (a|a)*")
-    g = system_gf(system)
-    q = abscissa(g).q
     sp = enumerate_spectrum(system, max_weight=14)
-    check = cross_check_gf(sp, g, 1.0, abscissa_estimate=q)
+    check = cross_check_gf(sp, system, 1.0)
     assert check.ambiguous
     assert check.difference > check.tail_bound
 
@@ -231,13 +233,13 @@ def test_ambiguous_star_flagged():
 def test_cross_check_rejects_divergent_point(sbin):
     sp = enumerate_spectrum(sbin, max_weight=8)
     with pytest.raises(SpectrumError):
-        cross_check_gf(sp, system_gf(sbin), 0.5)
+        cross_check_gf(sp, sbin, 0.5)
 
 
 def test_cross_check_rejects_incomplete(sbin):
     sp = enumerate_spectrum(sbin, max_weight=20, max_strings=100)
     with pytest.raises(SpectrumError):
-        cross_check_gf(sp, system_gf(sbin), 1.0)
+        cross_check_gf(sp, sbin, 1.0)
 
 
 # --- export format ------------------------------------------------------
