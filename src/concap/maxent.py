@@ -12,12 +12,14 @@ processes to estimate entropy rates empirically.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import matches, system_dfa
-from .dsl import SystemDef, split_labels
+from .automata import system_dfa
+from .dsl import DslError, SystemDef, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
 
 
@@ -159,8 +161,17 @@ def validate_input_source(
     """Check the input-source conditions on a finite prefix of support sets:
     every string accepted by the system, supports pairwise disjoint and
     nonempty.  The verdict covers only the depth supplied."""
-    depth = len(supports)
     dfa = system_dfa(system)
+    return _check_source(supports, lambda level, s: dfa.accepts(split_labels(s, system.label_re)))
+
+
+def _check_source(
+    supports: list[WeightedSupport], accepts: Callable[[int, str], bool]
+) -> ValidationReport:
+    """The input-source check behind both validators, level by level and
+    string by string in support order: ``accepts(level, s)`` answers
+    membership for string ``s`` of support ``level``."""
+    depth = len(supports)
     seen: dict[str, int] = {}
     for level, sup in enumerate(supports, start=1):
         if len(sup) == 0:
@@ -174,7 +185,7 @@ def validate_input_source(
                     reason=f"string {s!r} appears in supports {seen[s]} and {level}",
                 )
             seen[s] = level
-            if not dfa.accepts(split_labels(s, system.label_re)):
+            if not accepts(level, s):
                 return ValidationReport(
                     False,
                     depth,
@@ -185,45 +196,79 @@ def validate_input_source(
 
 
 def truncated_supports(
-    p: Pmf, depth: int, max_tuples: int = 1_000_000
-) -> tuple[list[WeightedSupport], bool]:
+    p: Pmf, depth: int, max_tuples: int = 1_000_000, system: SystemDef | None = None
+) -> tuple[list[WeightedSupport], bool, list[dict[str, int]] | None]:
     """Materialize the depth-l concatenation supports of an IID block
     process, keeping only blocks of positive probability and deduplicating
     concatenations within a level.
 
-    Returns (supports, truncated); ``truncated`` means the tuple budget was
-    hit and only the completed levels are returned.
+    Returns (supports, truncated, states); ``truncated`` means the tuple
+    budget was hit and only the completed levels are returned.  Given a
+    ``system``, ``states`` maps each string of each level to the state of
+    the system's DFA it leads to (its dead state ``n_states`` if none):
+    each block is read as its label sequence once, and a string's state
+    is its last block's step from its prefix's state.  Otherwise
+    ``states`` is None.
     """
     if depth < 1:
         raise MaxentError("depth must be >= 1")
     blocks = [(s, w) for s, w, _ in p.positive_items()]
     if not blocks:
         raise MaxentError("no positive-probability blocks")
-    return _concatenations(blocks, depth, max_tuples)
+    if system is None:
+        supports, truncated, _ = _concatenations(blocks, depth, max_tuples)
+        return supports, truncated, None
+    dfa = system_dfa(system)
+    steps = dfa.step_table(_label_sequence(s, system.label_re) for s, _ in blocks)
+    return _concatenations(blocks, depth, max_tuples, steps, dfa.start)
+
+
+def _label_sequence(s: str, label_re: re.Pattern[str]) -> list[str] | None:
+    """``s`` as its label sequence, or None if it has none."""
+    try:
+        return split_labels(s, label_re)
+    except DslError:
+        return None
 
 
 def _concatenations(
-    blocks: list[tuple[str, float]], depth: int, max_tuples: float
-) -> tuple[list[WeightedSupport], bool]:
+    blocks: list[tuple[str, float]],
+    depth: int,
+    max_tuples: float,
+    steps: list[list[int]] | None = None,
+    start: int = 0,
+) -> tuple[list[WeightedSupport], bool, list[dict[str, int]]]:
     """Supports of the concatenations of 1..depth blocks, weights adding,
-    one dict per level; stops early once a level would exceed
-    ``max_tuples`` block tuples."""
+    one dict per level, with each string's state: block i's state is
+    ``steps[i][start]``, and appending block i to a string moves its state
+    q to ``steps[i][q]`` (without ``steps`` every state is 0).  Stops
+    early once a level would exceed ``max_tuples`` block tuples."""
+    if steps is None:
+        steps = [[0]] * len(blocks)
+    extend = [(s, w, row) for (s, w), row in zip(blocks, steps)]
     supports: list[WeightedSupport] = []
+    states: list[dict[str, int]] = []
     level: dict[str, float] = dict(blocks)
+    level_states = {s: row[start] for s, _, row in extend}
     tuples = len(blocks)
     for _ in range(depth):
         supports.append(WeightedSupport(tuple(sorted(level.items()))))
+        states.append(level_states)
         if len(supports) == depth:
             break
         tuples *= len(blocks)
         if tuples > max_tuples:
-            return supports, True
+            return supports, True, states
         nxt: dict[str, float] = {}
+        nxt_states: dict[str, int] = {}
         for s, w in level.items():
-            for bs, bw in blocks:
-                nxt[s + bs] = w + bw
-        level = nxt
-    return supports, False
+            q = level_states[s]
+            for bs, bw, row in extend:
+                t = s + bs
+                nxt[t] = w + bw
+                nxt_states[t] = row[q]
+        level, level_states = nxt, nxt_states
+    return supports, False, states
 
 
 def validate_input_process(
@@ -232,9 +277,22 @@ def validate_input_process(
     """Check whether an IID block distribution is a valid input process of
     the system up to ``depth``: its truncated concatenation supports must
     form an input source.  In particular no concatenated string may be
-    reachable at two different depths (the double-counting pitfall)."""
-    supports, truncated = truncated_supports(p, depth, max_tuples)
-    report = validate_input_source(supports, system)
+    reachable at two different depths (the double-counting pitfall).
+
+    Membership is read off the DFA states ``truncated_supports`` carries,
+    so no string is split or walked from its start again."""
+    supports, truncated, states = truncated_supports(p, depth, max_tuples, system)
+    accepting = system_dfa(system).accepting
+
+    def accepts(level: int, s: str) -> bool:
+        if states[level - 1][s] in accepting:
+            return True
+        # only a block can lack a label sequence; it raises here, in
+        # support order, as in validate_input_source
+        split_labels(s, system.label_re)
+        return False
+
+    report = _check_source(supports, accepts)
     if truncated:
         report = ValidationReport(
             report.valid, len(supports), report.witness, report.reason, truncated=True
@@ -288,21 +346,36 @@ def sample_process(
 
     Reports the exact per-block entropy and mean weight alongside plug-in
     empirical estimates from the observed block frequencies (no bias
-    correction).  Deterministic for a given seed.
+    correction).  With a ``system``, membership of the concatenation is
+    decided one block at a time through the DFA's step table, each block
+    read as its own label sequence.  Deterministic for a given seed.
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(p.probs), size=n_blocks, p=np.asarray(p.probs))
     counts = np.bincount(idx, minlength=len(p.probs))
+    order = idx.tolist()
     strings = p.support.strings
     weights = np.asarray(p.support.weights)
-    text = "".join(strings[i] for i in idx)
+    text = "".join([strings[i] for i in order])
     freqs = counts / n_blocks
     pos = freqs > 0
     emp_entropy = float(-(freqs[pos] * np.log(freqs[pos])).sum())
     emp_weight = float((freqs * weights).sum())
-    accepted = matches(system, text) if system is not None else None
+    accepted = None
+    if system is not None:
+        # one step per block; a positive-probability block with no label
+        # sequence raises DslError, and zero-probability ones are never drawn
+        dfa = system_dfa(system)
+        steps = dfa.step_table(
+            split_labels(s, system.label_re) if q > 0 else None
+            for s, q in zip(strings, p.probs)
+        )
+        state = dfa.start
+        for i in order:
+            state = steps[i][state]
+        accepted = state in dfa.accepting
     h = entropy(p)
     mw = mean_weight(p)
     return SampleReport(
@@ -339,8 +412,7 @@ def jk_phrase_support(j: int, k: int) -> WeightedSupport:
 def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
     """Depth-l concatenations of the (j,k) phrase alphabet: the canonical
     input source of the run-length system."""
-    supports, _ = _concatenations(list(jk_phrase_support(j, k).items), depth, math.inf)
-    return supports
+    return _concatenations(list(jk_phrase_support(j, k).items), depth, math.inf)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ estimators and a partial-sum cross-check against the regex's own series
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
 from .automata import system_dfa
 from .dsl import SystemDef
-from .genfun import DEFAULT_TOL, DIVERGENT, bisect_root, eval_real
+from .genfun import DEFAULT_TOL, DIVERGENT, abscissa, bisect_root, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
 
@@ -51,13 +53,10 @@ class WeightSpectrum:
     def counts(self) -> list[int]:
         return [c for _, c in self.entries]
 
-    @property
-    def cumulative(self) -> list[int]:
-        out, total = [], 0
-        for _, c in self.entries:
-            total += c
-            out.append(total)
-        return out
+    @functools.cached_property
+    def cumulative(self) -> tuple[int, ...]:
+        """Running totals of the counts, summed once per spectrum."""
+        return tuple(itertools.accumulate(c for _, c in self.entries))
 
     @property
     def horizon(self) -> float:
@@ -215,13 +214,14 @@ def capacity_estimate(sp: WeightSpectrum) -> float:
     at horizon 20.  ln(cumulative/last count)/H is the gap to
     ``c0_estimate``, not the excess over the capacity."""
     _require(sp)
-    return capacity_sequence(sp)[-1]
+    return math.log(sp.cumulative[-1]) / sp.horizon
 
 
 def c0_estimate(sp: WeightSpectrum) -> float:
     """Finite-horizon estimate of the per-weight log count at the horizon."""
     _require(sp)
-    return c0_sequence(sp)[-1]
+    nu, c = sp.entries[-1]
+    return math.log(c) / nu
 
 
 def growth_rate_estimate(sp: WeightSpectrum) -> float:
@@ -307,14 +307,20 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: flo
     derivations.  For an unambiguous regex the function value exceeds
     the complete partial sum by at most the series tail, so a gap larger
     than the tail bound certifies that the regex is ambiguous (some string
-    is derived more than once).
+    is derived more than once).  So does a series of the regex that
+    diverges at an ``s`` above the capacity, where the string series
+    converges: value, difference and tail bound then read ``inf``.  At or
+    below the capacity ``s`` is no evaluation point: ``SpectrumError``.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
     gf_value = eval_real(system.expr, system.weights, s)
-    if gf_value == DIVERGENT:
+    if gf_value == DIVERGENT and s <= abscissa(system).q:
         raise SpectrumError(f"the series of the regex diverges at s={s}")
     partial = sp.partial_sum(s)
+    if gf_value == DIVERGENT:
+        # the regex has more derivations than the language has strings
+        return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
     tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
     diff = gf_value - partial
     ambiguous = diff > tail + rel_tol * gf_value

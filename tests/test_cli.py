@@ -232,18 +232,37 @@ def test_crosscheck_long_horizon(capsys, sbin_file):
     assert partial == pytest.approx(1.0 / (1.0 - 2.0 / math.e), abs=1e-9)
 
 
-def test_crosscheck_divergent_regex_series_is_error(capsys, tmp_path):
+def test_crosscheck_divergent_regex_series_is_ambiguous(capsys, tmp_path):
     # (a|a|c)* diverges at s=1 (3/e > 1), though its language (a|c)* does
-    # not; the heavy b underflows to 0.0, which must not turn inf into nan
+    # not (capacity ln 2): more derivations than strings proves ambiguity.
+    # The heavy b underflows to 0.0, which must not turn inf into nan
     path = tmp_path / "heavy.cs"
     path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
     code, out, err = run(
         capsys,
         ["crosscheck", "--system", str(path), "--s", "1.0", "--max-weight", "12"],
     )
-    assert code == EXIT_ERROR
-    assert "diverges" in err
-    assert "nan" not in out + err
+    assert code == EXIT_INVALID
+    assert out.splitlines() == [
+        "partial_sum  0.000000000",
+        "gf_value     inf",
+        "difference   inf",
+        "tail_bound   inf",
+        "ambiguous    yes",
+    ]
+    assert err == ""
+
+
+def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
+    path = tmp_path / "heavy.cs"
+    path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
+    for s in ("0.5", str(math.log(2) - 1e-9)):
+        code, out, _ = run(
+            capsys,
+            ["crosscheck", "--system", str(path), "--s", s, "--max-weight", "12"],
+        )
+        assert code == EXIT_ERROR
+        assert "inside the divergence region" in out
 
 
 def test_maxent_solves_rate_once(capsys, tmp_path, monkeypatch):
@@ -270,3 +289,29 @@ def test_capacity_label_clash_has_location(capsys, tmp_path):
     code, _, err = run(capsys, ["capacity", "--system", str(path)])
     assert code == EXIT_ERROR
     assert "prefix" in err and "(line 1, column 9)" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_block_that_is_no_label_sequence_is_error(capsys, tmp_path, command):
+    # labels {ab, c}: the blocks a and b concatenate to the label ab, but
+    # neither is a label sequence on its own
+    system = tmp_path / "ab.cs"
+    system.write_text("sym ab=1 c=1;\nexpr: (ab|c)*\n")
+    support = tmp_path / "split.sup"
+    support.write_text("a 1 0.5\nb 1 0.5\n")
+    argv = [command, "--system", str(system), "--support", str(support)]
+    code, out, err = run(capsys, argv + (["--blocks", "2"] if command == "simulate" else []))
+    assert code == EXIT_ERROR
+    assert "no label starts at position 0 (character 'a')" in err
+
+
+def test_validate_rejected_block_before_unlabelled_one_is_invalid(capsys, tmp_path):
+    # blocks are checked in support order: "cc" (a label sequence the
+    # system rejects) comes before "x" (no label sequence) and decides
+    system = tmp_path / "ab.cs"
+    system.write_text("sym ab=1 c=1;\nexpr: (ab|c) (ab)*\n")
+    support = tmp_path / "mixed.sup"
+    support.write_text("x 1 0.5\ncc 2 0.5\n")
+    code, out, _ = run(capsys, ["validate", "--system", str(system), "--support", str(support)])
+    assert code == EXIT_INVALID
+    assert "witness cc" in out

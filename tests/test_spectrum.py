@@ -154,6 +154,7 @@ def test_cumulative_strictly_increasing(sbin):
     sp = enumerate_spectrum(sbin, max_weight=12)
     cum = sp.cumulative
     assert all(b > a for a, b in zip(cum, cum[1:]))
+    assert sp.cumulative is cum  # summed once per spectrum
 
 
 # --- density check ------------------------------------------------------
@@ -234,6 +235,18 @@ def test_cross_check_rejects_divergent_point(sbin):
     sp = enumerate_spectrum(sbin, max_weight=8)
     with pytest.raises(SpectrumError):
         cross_check_gf(sp, sbin, 0.5)
+
+
+def test_cross_check_divergent_regex_series_above_capacity_is_ambiguous():
+    # (a|a|c)* diverges at s=1 (3/e > 1); its language (a|c)* converges there
+    system = parse_system("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b")
+    sp = enumerate_spectrum(system, max_weight=12)
+    check = cross_check_gf(sp, system, 1.0)
+    assert check.ambiguous
+    assert check.gf_value == check.difference == check.tail_bound == math.inf
+    assert check.partial_sum == 0.0
+    with pytest.raises(SpectrumError):
+        cross_check_gf(sp, system, 0.5)  # below ln 2 the language diverges too
 
 
 def test_cross_check_rejects_incomplete(sbin):
