@@ -112,29 +112,6 @@ class Dfa:
     def accepts(self, labels: Iterable[str]) -> bool:
         return self.walk(labels, self.start) in self.accepting
 
-    def step_table(self, words: Iterable[list[str] | None]) -> list[list[int]]:
-        """For each label sequence in ``words``, the state it leads to from
-        each state that sequences of the words reach from the start, as a
-        row indexed by state.  Index ``n_states`` is a dead state that
-        absorbs: a walk that finds no transition ends there, and so does
-        every step of a None word.  Entries for states never reached read
-        dead too: filling them would cost a walk per state and word."""
-        words = list(words)
-        dead = self.n_states
-        table = [[dead] * (dead + 1) for _ in words]
-        reached = {self.start}
-        stack = [self.start]
-        while stack:
-            q = stack.pop()
-            for labels, row in zip(words, table):
-                nxt = None if labels is None else self.walk(labels, q)
-                if nxt is not None:
-                    row[q] = nxt
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        stack.append(nxt)
-        return table
-
 
 def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
     start = _closure(nfa, frozenset([nfa.start]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import system_dfa
-from .dsl import DslError, SystemDef, split_labels
+from .dsl import DslError, SystemDef, build_jk_system, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
 
 
@@ -196,31 +196,23 @@ def _check_source(
 
 
 def truncated_supports(
-    p: Pmf, depth: int, max_tuples: int = 1_000_000, system: SystemDef | None = None
-) -> tuple[list[WeightedSupport], bool, list[dict[str, int]] | None]:
+    p: Pmf, system: SystemDef, depth: int, max_tuples: int = 1_000_000
+) -> tuple[list[WeightedSupport], bool, list[dict[str, int | None]]]:
     """Materialize the depth-l concatenation supports of an IID block
     process, keeping only blocks of positive probability and deduplicating
     concatenations within a level.
 
     Returns (supports, truncated, states); ``truncated`` means the tuple
-    budget was hit and only the completed levels are returned.  Given a
-    ``system``, ``states`` maps each string of each level to the state of
-    the system's DFA it leads to (its dead state ``n_states`` if none):
-    each block is read as its label sequence once, and a string's state
-    is its last block's step from its prefix's state.  Otherwise
-    ``states`` is None.
+    budget was hit and only the completed levels are returned.  ``states``
+    maps each string of each level to the state of the system's DFA it
+    leads to, None if none (see ``_concatenations``).
     """
     if depth < 1:
         raise MaxentError("depth must be >= 1")
     blocks = [(s, w) for s, w, _ in p.positive_items()]
     if not blocks:
         raise MaxentError("no positive-probability blocks")
-    if system is None:
-        supports, truncated, _ = _concatenations(blocks, depth, max_tuples)
-        return supports, truncated, None
-    dfa = system_dfa(system)
-    steps = dfa.step_table(_label_sequence(s, system.label_re) for s, _ in blocks)
-    return _concatenations(blocks, depth, max_tuples, steps, dfa.start)
+    return _concatenations(blocks, system, depth, max_tuples)
 
 
 def _label_sequence(s: str, label_re: re.Pattern[str]) -> list[str] | None:
@@ -232,24 +224,24 @@ def _label_sequence(s: str, label_re: re.Pattern[str]) -> list[str] | None:
 
 
 def _concatenations(
-    blocks: list[tuple[str, float]],
-    depth: int,
-    max_tuples: float,
-    steps: list[list[int]] | None = None,
-    start: int = 0,
-) -> tuple[list[WeightedSupport], bool, list[dict[str, int]]]:
+    blocks: list[tuple[str, float]], system: SystemDef, depth: int, max_tuples: float
+) -> tuple[list[WeightedSupport], bool, list[dict[str, int | None]]]:
     """Supports of the concatenations of 1..depth blocks, weights adding,
-    one dict per level, with each string's state: block i's state is
-    ``steps[i][start]``, and appending block i to a string moves its state
-    q to ``steps[i][q]`` (without ``steps`` every state is 0).  Stops
-    early once a level would exceed ``max_tuples`` block tuples."""
-    if steps is None:
-        steps = [[0]] * len(blocks)
-    extend = [(s, w, row) for (s, w), row in zip(blocks, steps)]
+    one dict per level, with the DFA state each string leads to.  Each
+    block is read as its label sequence once, and a string's state is its
+    last block walked from its prefix's state; None (a block with no label
+    sequence, or no transition) stays None.  Each block is walked from a
+    state at most once.  Stops early once a level would exceed
+    ``max_tuples`` block tuples."""
+    dfa = system_dfa(system)
+    walk = dfa.walk
+    extend = [(s, w, _label_sequence(s, system.label_re), {}) for s, w in blocks]
     supports: list[WeightedSupport] = []
-    states: list[dict[str, int]] = []
+    states: list[dict[str, int | None]] = []
     level: dict[str, float] = dict(blocks)
-    level_states = {s: row[start] for s, _, row in extend}
+    level_states = {
+        s: None if labels is None else walk(labels, dfa.start) for s, _, labels, _ in extend
+    }
     tuples = len(blocks)
     for _ in range(depth):
         supports.append(WeightedSupport(tuple(sorted(level.items()))))
@@ -260,13 +252,15 @@ def _concatenations(
         if tuples > max_tuples:
             return supports, True, states
         nxt: dict[str, float] = {}
-        nxt_states: dict[str, int] = {}
+        nxt_states: dict[str, int | None] = {}
         for s, w in level.items():
             q = level_states[s]
-            for bs, bw, row in extend:
+            for bs, bw, labels, steps in extend:
                 t = s + bs
                 nxt[t] = w + bw
-                nxt_states[t] = row[q]
+                if q not in steps:
+                    steps[q] = None if q is None or labels is None else walk(labels, q)
+                nxt_states[t] = steps[q]
         level, level_states = nxt, nxt_states
     return supports, False, states
 
@@ -281,7 +275,7 @@ def validate_input_process(
 
     Membership is read off the DFA states ``truncated_supports`` carries,
     so no string is split or walked from its start again."""
-    supports, truncated, states = truncated_supports(p, depth, max_tuples, system)
+    supports, truncated, states = truncated_supports(p, system, depth, max_tuples)
     accepting = system_dfa(system).accepting
 
     def accepts(level: int, s: str) -> bool:
@@ -347,8 +341,8 @@ def sample_process(
     Reports the exact per-block entropy and mean weight alongside plug-in
     empirical estimates from the observed block frequencies (no bias
     correction).  With a ``system``, membership of the concatenation is
-    decided one block at a time through the DFA's step table, each block
-    read as its own label sequence.  Deterministic for a given seed.
+    decided by walking the DFA one block at a time, each block read as its
+    own label sequence.  Deterministic for a given seed.
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
@@ -365,16 +359,23 @@ def sample_process(
     emp_weight = float((freqs * weights).sum())
     accepted = None
     if system is not None:
-        # one step per block; a positive-probability block with no label
-        # sequence raises DslError, and zero-probability ones are never drawn
-        dfa = system_dfa(system)
-        steps = dfa.step_table(
+        # a positive-probability block with no label sequence raises
+        # DslError; zero-probability ones are never drawn
+        labels = [
             split_labels(s, system.label_re) if q > 0 else None
             for s, q in zip(strings, p.probs)
-        )
-        state = dfa.start
+        ]
+        dfa = system_dfa(system)
+        # block i's end state from each state it was drawn at, each walked once
+        steps: list[dict[int, int | None]] = [{} for _ in strings]
+        state: int | None = dfa.start
         for i in order:
-            state = steps[i][state]
+            memo = steps[i]
+            if state not in memo:
+                memo[state] = dfa.walk(labels[i], state)
+            state = memo[state]
+            if state is None:
+                break
         accepted = state in dfa.accepting
     h = entropy(p)
     mw = mean_weight(p)
@@ -412,7 +413,8 @@ def jk_phrase_support(j: int, k: int) -> WeightedSupport:
 def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
     """Depth-l concatenations of the (j,k) phrase alphabet: the canonical
     input source of the run-length system."""
-    return _concatenations(list(jk_phrase_support(j, k).items), depth, math.inf)[0]
+    phrases = list(jk_phrase_support(j, k).items)
+    return _concatenations(phrases, build_jk_system(j, k), depth, math.inf)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -309,13 +309,14 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: flo
     than the tail bound certifies that the regex is ambiguous (some string
     is derived more than once).  So does a series of the regex that
     diverges at an ``s`` above the capacity, where the string series
-    converges: value, difference and tail bound then read ``inf``.  At or
-    below the capacity ``s`` is no evaluation point: ``SpectrumError``.
+    converges: value, difference and tail bound then read ``inf``.  Up to
+    the upper end of the capacity's bisection bracket an unambiguous
+    regex can diverge too, so there divergence is a ``SpectrumError``.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
     gf_value = eval_real(system.expr, system.weights, s)
-    if gf_value == DIVERGENT and s <= abscissa(system).q:
+    if gf_value == DIVERGENT and s <= abscissa(system).bracket_hi:
         raise SpectrumError(f"the series of the regex diverges at s={s}")
     partial = sp.partial_sum(s)
     if gf_value == DIVERGENT:

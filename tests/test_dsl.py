@@ -251,21 +251,11 @@ def test_multichar_membership_agrees_with_weight():
         matches(s, "a")  # alphabet characters, but no label sequence
 
 
-def test_step_table_rows_and_dead_state():
+def test_walk_continues_from_any_state():
     s = parse_system("sym ab=1 c=2;\nexpr: ab c*")
     dfa = system_dfa(s)
-    dead = dfa.n_states
-    words = [["ab"], ["c", "c"], [], None]
-    table = dfa.step_table(words)
-    # ab, then c c, reach every state from the start, so every row is full
-    for row, labels in zip(table, words):
-        assert len(row) == dead + 1 and row[dead] == dead  # the dead state absorbs
-        for q in range(dead):
-            walked = None if labels is None else dfa.walk(labels, q)
-            assert row[q] == (dead if walked is None else walked)
-    assert table[0][table[0][dfa.start]] == dead  # ab ab is rejected
-    # c alone never leaves the start: states it does not reach read dead
-    (row,) = dfa.step_table([["c"]])
     after_ab = dfa.walk(["ab"], dfa.start)
-    assert dfa.walk(["c"], after_ab) is not None
-    assert row == [dead] * (dead + 1)
+    assert dfa.walk(["c", "c"], after_ab) in dfa.accepting
+    assert dfa.walk(["ab", "c"], dfa.start) == dfa.walk(["c"], after_ab)
+    assert dfa.walk(["ab"], after_ab) is None  # ab ab has no transition
+    assert dfa.walk([], after_ab) == after_ab

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from concap import build_jk_system
+from concap import build_jk_system, parse_system
+from concap.automata import Dfa, matches
 from concap.genfun import capacity_jk
 from concap.maxent import (
     MaxentError,
@@ -185,7 +186,7 @@ def test_pitfall_fixed_by_zeroing_01(sbin):
     p = Pmf(PITFALL, (0.5, 0.5, 0.0))
     report = validate_input_process(p, sbin, depth=4)
     assert report.valid
-    supports, _, _ = truncated_supports(p, depth=3)
+    supports, _, _ = truncated_supports(p, sbin, depth=3)
     assert [len(s) for s in supports] == [2, 4, 8]  # (0|1)^l
 
 
@@ -196,11 +197,11 @@ def test_jk_process_valid():
     assert report.valid
 
 
-def test_zero_probability_blocks_never_materialize():
+def test_zero_probability_blocks_never_materialize(sbin):
     # the zero-probability block "01" must not appear as a depth-1 item;
     # depth-2 strings are exactly the four concatenations of "0" and "1"
     p = Pmf(PITFALL, (0.5, 0.5, 0.0))
-    supports, _, _ = truncated_supports(p, depth=2)
+    supports, _, _ = truncated_supports(p, sbin, depth=2)
     assert sorted(supports[0].strings) == ["0", "1"]
     assert sorted(supports[1].strings) == ["00", "01", "10", "11"]
 
@@ -292,3 +293,22 @@ def test_support_file_without_probs():
 def test_support_file_bad_columns():
     with pytest.raises(MaxentError):
         parse_support_file("0 1 0.5\n1 1\n")
+
+
+def test_each_block_is_walked_from_a_state_at_most_once(monkeypatch):
+    # ~200 DFA states and 200 blocks: walking every block from every state
+    # would take ~40,000 walks, more than sampling or building depth 2 needs
+    system = parse_system("sym a=1 b=1;\nexpr: (a{1,200} b)*")
+    blocks = (("a", 1.0),) + tuple(("a" * k + "b", k + 1.0) for k in range(1, 200))
+    p = maxentropic_pmf(WeightedSupport(blocks))
+    _, _, states = truncated_supports(p, system, depth=2)
+    walk, walks = Dfa.walk, []
+    monkeypatch.setattr(Dfa, "walk", lambda dfa, labels, q: walks.append(q) or walk(dfa, labels, q))
+    report = sample_process(p, n_blocks=1000, seed=1, system=system)
+    assert len(walks) <= 1000
+    walks.clear()
+    validate_input_process(p, system, depth=2)
+    # each block from the start, then from each distinct depth-1 state
+    assert len(walks) <= len(blocks) * (1 + len(set(states[0].values())))
+    monkeypatch.undo()
+    assert report.accepted == matches(system, report.string)

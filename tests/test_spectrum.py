@@ -249,6 +249,14 @@ def test_cross_check_divergent_regex_series_above_capacity_is_ambiguous():
         cross_check_gf(sp, system, 0.5)  # below ln 2 the language diverges too
 
 
+def test_cross_check_divergent_just_below_capacity_is_error(sbin):
+    # the bisection midpoint lies below ln 2 here, and (0|1)* is unambiguous:
+    # its series diverges just below ln 2, which proves nothing
+    sp = enumerate_spectrum(sbin, max_weight=12)
+    with pytest.raises(SpectrumError):
+        cross_check_gf(sp, sbin, math.nextafter(LN2, 0.0))
+
+
 def test_cross_check_rejects_incomplete(sbin):
     sp = enumerate_spectrum(sbin, max_weight=20, max_strings=100)
     with pytest.raises(SpectrumError):
