@@ -1,9 +1,11 @@
 """Finite automata compiled from constraint regexes.
 
-Thompson construction over symbol labels, plus a subset-construction DFA.
-The DFA is what makes counting sound: every accepted string corresponds to
-exactly one DFA path, so path counts are distinct-string counts even when
-the source regex is ambiguous.  The same DFA answers membership.
+Thompson construction over symbol labels, a subset-construction DFA, and
+Hopcroft minimization of that DFA.  The DFA is what makes counting sound:
+every accepted string corresponds to exactly one DFA path, so path counts
+are distinct-string counts even when the source regex is ambiguous.  The
+same DFA answers membership.  Minimizing it changes none of this, only the
+number of states every consumer works through.
 """
 
 from __future__ import annotations
@@ -138,11 +140,85 @@ def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
     return Dfa(0, accepting, transitions)
 
 
+def minimize(dfa: Dfa, labels: list[str]) -> Dfa:
+    """The minimal DFA of ``dfa``'s language, by Hopcroft's partition
+    refinement (Hopcroft 1971).
+
+    A missing transition goes to an implicit dead state, which is refined
+    like any other and dropped from the result with every state equivalent
+    to it.  States are numbered in BFS order from the start (state 0),
+    following ``labels`` in order, as ``determinize`` numbers them.
+    """
+    dead = dfa.n_states
+    # inverse[lab][t]: the states whose ``lab`` transition leads to t; the
+    # dead state (no row of its own) leads back to itself
+    inverse = {lab: [[] for _ in range(dead + 1)] for lab in labels}
+    for q, row in enumerate([*dfa.transitions, {}]):
+        for lab in labels:
+            inverse[lab][row.get(lab, dead)].append(q)
+    rejecting = set(range(dead + 1)) - dfa.accepting
+    blocks = [b for b in (set(dfa.accepting), rejecting) if b]
+    block_of = [0] * (dead + 1)
+    for i, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = i
+    smaller = min(range(len(blocks)), key=lambda i: len(blocks[i]))
+    work = [(smaller, lab) for lab in labels]
+    queued = set(work)
+    while work:
+        splitter = work.pop()
+        queued.discard(splitter)
+        i, lab = splitter
+        sources = inverse[lab]
+        hit: dict[int, list[int]] = {}
+        for t in blocks[i]:
+            for q in sources[t]:
+                hit.setdefault(block_of[q], []).append(q)
+        for j, moved in hit.items():
+            block = blocks[j]
+            if len(moved) == len(block):
+                continue
+            new = len(blocks)
+            blocks.append(set(moved))
+            block.difference_update(moved)
+            for q in moved:
+                block_of[q] = new
+            for c in labels:
+                # the smaller half suffices, unless (j, c) is still pending
+                pair = (new, c) if (j, c) in queued or len(moved) <= len(block) else (j, c)
+                work.append(pair)
+                queued.add(pair)
+
+    dead_block = block_of[dead]
+    start = block_of[dfa.start]
+    if start == dead_block:
+        return Dfa(0, frozenset(), [{}])
+    index = {start: 0}
+    order = [start]
+    transitions: list[dict[str, int]] = []
+    for b in order:
+        row = dfa.transitions[next(iter(blocks[b]))]
+        out: dict[str, int] = {}
+        for lab in labels:
+            t = row.get(lab)
+            if t is None or block_of[t] == dead_block:
+                continue
+            target = block_of[t]
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            out[lab] = index[target]
+        transitions.append(out)
+    accepting = frozenset(i for i, b in enumerate(order) if next(iter(blocks[b])) in dfa.accepting)
+    return Dfa(0, accepting, transitions)
+
+
 @functools.lru_cache(maxsize=256)
 def system_dfa(system: SystemDef) -> Dfa:
-    """The system's DFA over its labels, built once per system and shared:
-    callers must not modify it."""
-    return determinize(build_nfa(system.expr), [d.label for d in system.alphabet])
+    """The system's minimal DFA over its labels, built once per system and
+    shared: callers must not modify it."""
+    labels = [d.label for d in system.alphabet]
+    return minimize(determinize(build_nfa(system.expr), labels), labels)
 
 
 def matches(system: SystemDef, s: str) -> bool:

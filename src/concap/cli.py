@@ -7,6 +7,7 @@ Exit codes are stable across subcommands: 0 success (and VALID verdicts),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -180,7 +181,9 @@ def cmd_jk_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="concap",
         description="Capacity and maxentropic input processes of weighted constrained systems",

@@ -50,10 +50,11 @@ def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
     With A(s)_ij the sum of exp(-w*s) over edges i -> j, it converges iff
     the spectral radius of A(s) is below 1, iff I - A(s) is a nonsingular
     M-matrix, iff Gaussian elimination without pivoting meets only positive
-    pivots.  The DSL has no empty-set regex, so every state ``determinize``
-    builds is reachable and reaches acceptance: every cycle counts.
-    Elimination runs from the last state in BFS order down, touching only
-    rows with an entry in the pivot column: repetition chains stay cheap.
+    pivots.  The DSL has no empty-set regex, so every state of the
+    minimized DFA (``system_dfa``) is reachable and reaches acceptance:
+    every cycle counts.  Elimination runs from the last state in BFS order
+    down, touching only rows with an entry in the pivot column: repetition
+    chains stay cheap.
     """
     rows: list[dict[int, float]] = []
     column_rows: list[set[int]] = [set() for _ in edges]

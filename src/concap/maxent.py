@@ -16,8 +16,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .automata import system_dfa
 from .dsl import DslError, SystemDef, build_jk_system, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
@@ -346,6 +344,8 @@ def sample_process(
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
+    import numpy as np  # only sampling needs it: importing concap stays fast
+
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(p.probs), size=n_blocks, p=np.asarray(p.probs))
     counts = np.bincount(idx, minlength=len(p.probs))

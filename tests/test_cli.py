@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, main
+from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, build_parser, main
 
 SBIN = "sym 0=1 1=1;\nexpr: (0|1)*\n"
 PITFALL_PMF = "0 1 0.4142135623731\n1 1 0.4142135623731\n01 2 0.1715728752538\n"
@@ -251,6 +254,28 @@ def test_crosscheck_divergent_regex_series_is_ambiguous(capsys, tmp_path):
         "ambiguous    yes",
     ]
     assert err == ""
+
+
+def test_crosscheck_ambiguous_verdict_ignores_coarse_tol(capsys, tmp_path):
+    # at --tol 0.5 the bracket is [0.5, 1.0]; s=0.9 is still above the
+    # capacity ln 2, so the divergent regex series still proves ambiguity
+    path = tmp_path / "heavy.cs"
+    path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
+    argv = ["crosscheck", "--system", str(path), "--s", "0.9", "--tol", "0.5", "--max-weight", "12"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_INVALID
+    assert out.splitlines()[-1] == "ambiguous    yes"
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only sampling needs numpy; every other subcommand starts without it
+    code = "import sys, concap.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
