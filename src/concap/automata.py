@@ -14,7 +14,7 @@ import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union, split_labels
+from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union, split_labels
 
 
 @dataclass
@@ -71,6 +71,17 @@ def build_nfa(expr: Regex) -> Nfa:
                 add_eps(cb, ca)
                 add_eps(cb, b)
                 return a, b
+            case Repeat(c, lo, hi):
+                # hi copies in a chain, an eps-edge to the exit after each count >= lo
+                ends = [new_state()]
+                for _ in range(hi):
+                    ca, cb = walk(c)
+                    add_eps(ends[-1], ca)
+                    ends.append(cb)
+                b = new_state()
+                for end in ends[lo:]:
+                    add_eps(end, b)
+                return ends[0], b
         raise TypeError(f"not a regex node: {node!r}")
 
     start, accept = walk(expr)

@@ -88,8 +88,7 @@ def cmd_crosscheck(args) -> int:
     system = _load_system(args)
     q = genfun.abscissa(system, tol=args.tol)
     if args.s <= q.q:
-        print(f"error: s={args.s} is inside the divergence region (Q={q.q:.6f})")
-        return EXIT_ERROR
+        raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
     sp = spectrum.enumerate_spectrum(
         system, max_weight=args.max_weight, max_strings=args.max_strings
     )
@@ -147,8 +146,7 @@ def cmd_simulate(args) -> int:
     elif args.jk:
         support, pmf = maxent.jk_phrase_support(*args.jk), None
     else:
-        print("error: --support is required unless --jk is given")
-        return EXIT_ERROR
+        raise ValueError("--support is required unless --jk is given")
     if pmf is None:
         pmf = maxent.maxentropic_pmf(support)
     report = maxent.sample_process(pmf, n_blocks=args.blocks, seed=args.seed, system=system)
@@ -168,8 +166,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_jk_table(args) -> int:
     if args.jmax > 64 or args.kmax > 64:
-        print("error: table bounds must be <= 64")
-        return EXIT_ERROR
+        raise ValueError("table bounds must be <= 64")
     header = "j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1))
     print(header)
     for j in range(1, args.jmax + 1):
@@ -252,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, genfun.SolverError, OSError) as exc:
         # ValueError covers DslError, MaxentError, SpectrumError and bad
-        # numeric arguments such as --tol 0
+        # arguments such as --tol 0 or --jmax 65
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,9 +9,9 @@ regular expression over those symbols::
 
 Supported regex syntax: juxtaposition for concatenation, ``|`` for union,
 postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
-and bounded repetition ``a{m,n}`` (expanded by ``repeat``).
-Precedence: star binds tighter than concatenation, concatenation tighter
-than union.
+and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
+of n copies of ``a``, printed back as written).  Postfix operators bind
+tighter than concatenation, concatenation tighter than union.
 """
 
 from __future__ import annotations
@@ -64,7 +64,14 @@ class Star:
     child: "Regex"
 
 
-Regex = Symbol | Epsilon | Concat | Union | Star
+@dataclass(frozen=True)
+class Repeat:  # child{lo,hi}: child from lo to hi times
+    child: "Regex"
+    lo: int
+    hi: int
+
+
+Regex = Symbol | Epsilon | Concat | Union | Star | Repeat
 
 EPSILON = Epsilon()
 
@@ -136,10 +143,10 @@ def _check_symbols(node: Regex, labels: set[str]) -> None:
         case Concat(l, r) | Union(l, r):
             _check_symbols(l, labels)
             _check_symbols(r, labels)
-        case Star(c):
+        case Repeat(_, lo, hi) if not 0 <= lo <= hi:
+            raise DslError(f"bad repetition bounds {{{lo},{hi}}}")
+        case Star(c) | Repeat(c):
             _check_symbols(c, labels)
-        case Epsilon():
-            pass
 
 
 def label_regex(labels: Iterable[str]) -> re.Pattern[str]:
@@ -305,7 +312,7 @@ class _Parser:
             raise DslError("repetition bounds must be integers", lo_tok.line, lo_tok.col) from None
         if lo < 0 or hi < lo:
             raise DslError(f"bad repetition bounds {{{lo},{hi}}}", lo_tok.line, lo_tok.col)
-        return repeat(node, lo, hi)
+        return Repeat(node, lo, hi)
 
     def _parse_atom(self, labels: set[str]) -> Regex:
         tok = self.next()
@@ -345,35 +352,6 @@ def load_system(path) -> SystemDef:
 # Construction helpers
 
 
-def repeat(node: Regex, lo: int, hi: int) -> Regex:
-    """``node{lo,hi}`` as ``node^lo`` then ``node{0,hi-lo}``: O(hi) nodes,
-    O(log hi) depth, and one derivation for each count in [lo, hi], so it
-    is no more ambiguous than ``node`` itself."""
-    if lo == hi:
-        return _power(node, lo) if lo else EPSILON
-    rest = _up_to(node, hi - lo)
-    return Concat(_power(node, lo), rest) if lo else rest
-
-
-def _power(node: Regex, n: int) -> Regex:
-    """``node`` n >= 1 times, as a balanced concatenation."""
-    if n == 1:
-        return node
-    half = _power(node, n // 2)
-    twice = Concat(half, half)
-    return Concat(twice, node) if n % 2 else twice
-
-
-def _up_to(node: Regex, m: int) -> Regex:
-    """``node{0,m}`` for m >= 1: ``(eps|node) (node node){0,t}`` for
-    m = 2t+1, and ``eps | node node{0,m-1}`` for even m."""
-    if m == 1:
-        return Union(EPSILON, node)
-    if m % 2:
-        return Concat(Union(EPSILON, node), _up_to(Concat(node, node), m // 2))
-    return Union(EPSILON, Concat(node, _up_to(node, m - 1)))
-
-
 def build_jk_system(j: int, k: int) -> SystemDef:
     """Run-length-limited binary system: at most ``j`` consecutive 1s and at
     most ``k`` consecutive 0s, both symbols of weight 1.
@@ -385,8 +363,8 @@ def build_jk_system(j: int, k: int) -> SystemDef:
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
     one, zero = Symbol("1"), Symbol("0")
-    ones = repeat(one, 1, j)
-    zeros = repeat(zero, 1, k)
+    ones = Repeat(one, 1, j)
+    zeros = Repeat(zero, 1, k)
     branch1 = Concat(Concat(ones, Star(Concat(zeros, ones))), Union(EPSILON, zeros))
     branch2 = Concat(Concat(zeros, Star(Concat(ones, zeros))), Union(EPSILON, ones))
     return SystemDef(
@@ -398,8 +376,6 @@ def build_jk_system(j: int, k: int) -> SystemDef:
 
 # ---------------------------------------------------------------------------
 # Pretty-printing (round-trips through parse_system)
-
-_PREC = {"union": 0, "concat": 1, "postfix": 2}
 
 
 def format_regex(node: Regex, _prec: int = 0) -> str:
@@ -414,6 +390,8 @@ def format_regex(node: Regex, _prec: int = 0) -> str:
             s, prec = f"{format_regex(l, 1)} {format_regex(r, 2)}", 1
         case Star(c):
             s, prec = f"{format_regex(c, 2)}*", 2
+        case Repeat(c, lo, hi):
+            s, prec = f"{format_regex(c, 2)}{{{lo},{hi}}}", 2
         case _:
             raise TypeError(f"not a regex node: {node!r}")
     if prec < _prec:

@@ -17,15 +17,15 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .automata import system_dfa
-from .dsl import Concat, Epsilon, Regex, Star, Symbol, SystemDef, Union
+from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union
 
 DIVERGENT = math.inf
 
 
 def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
-    """Evaluate a regex's series at real ``s``: a symbol of weight ``w``
-    gives exp(-w*s), union a sum, concatenation a product, and star the
-    closed form 1/(1-v) for v < 1, divergent for v >= 1.  A product with a
+    """Evaluate a regex's series at real ``s``: a symbol of weight ``w`` gives
+    exp(-w*s), union a sum, concatenation a product, star 1/(1-v) for v < 1
+    (divergent for v >= 1), repetition a polynomial in v.  A product with a
     divergent factor diverges even where the other underflowed to 0.0."""
     match expr:
         case Symbol(label):
@@ -40,6 +40,13 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
         case Star(c):
             v = eval_real(c, weights, s)
             return 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
+        case Repeat(c, lo, hi):
+            # v^lo (1 + ... + v^(hi-lo)) by Horner: an overflow reads inf, not an error
+            v = eval_real(c, weights, s)
+            total = 1.0
+            for k in range(hi - 1, -1, -1):
+                total = total * v + (k >= lo)
+            return total
     raise TypeError(f"not a regex node: {expr!r}")
 
 

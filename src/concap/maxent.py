@@ -15,6 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import system_dfa
 from .dsl import DslError, SystemDef, build_jk_system, split_labels
@@ -317,7 +318,8 @@ def rate_bound(supports: list[WeightedSupport], tol: float = DEFAULT_TOL) -> Rat
 
 @dataclass(frozen=True)
 class SampleReport:
-    string: str
+    blocks: list[str]  # the support's strings
+    drawn: list[int]  # the sampled blocks' indices; ``string`` joins them when read
     n_blocks: int
     entropy: float  # exact per-block entropy of the PMF, nats
     mean_weight: float  # exact per-block average weight
@@ -326,6 +328,10 @@ class SampleReport:
     empirical_mean_weight: float
     empirical_rate: float
     accepted: bool | None  # membership of the concatenation, if a system was given
+
+    @cached_property
+    def string(self) -> str:
+        return "".join([self.blocks[i] for i in self.drawn])
 
 
 def sample_process(
@@ -352,7 +358,6 @@ def sample_process(
     order = idx.tolist()
     strings = p.support.strings
     weights = np.asarray(p.support.weights)
-    text = "".join([strings[i] for i in order])
     freqs = counts / n_blocks
     pos = freqs > 0
     emp_entropy = float(-(freqs[pos] * np.log(freqs[pos])).sum())
@@ -380,7 +385,8 @@ def sample_process(
     h = entropy(p)
     mw = mean_weight(p)
     return SampleReport(
-        string=text,
+        blocks=strings,
+        drawn=order,
         n_blocks=n_blocks,
         entropy=h,
         mean_weight=mw,

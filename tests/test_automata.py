@@ -19,6 +19,7 @@ from concap.automata import Dfa, build_nfa, determinize, minimize, system_dfa
 from concap.dsl import (
     Concat,
     Epsilon,
+    Repeat,
     Star,
     Symbol,
     SymbolDecl,
@@ -26,7 +27,6 @@ from concap.dsl import (
     Union,
     build_jk_system,
     parse_system,
-    repeat,
 )
 
 
@@ -144,8 +144,8 @@ def test_dead_state_and_its_equivalents_dropped():
 
 
 def repetition_chain(n):
-    """The subset DFA of ``(a{1,n} b)*``, written out: determinizing that
-    regex is quadratic in n (``test_repetition_chain_is_the_subset_dfa``
+    """The subset DFA of ``(a{1,n} b)*``, written out, so that a growth
+    check times ``minimize`` alone (``test_repetition_chain_is_the_subset_dfa``
     ties the two at a small n)."""
     transitions = [{"a": 1}]
     transitions += [{"a": i + 1, "b": n + 1} for i in range(1, n)]
@@ -191,7 +191,7 @@ def _regexes():
             st.tuples(inner, inner).map(lambda t: Union(*t)),
             inner.map(Star),
             st.tuples(inner, st.integers(0, 2), st.integers(0, 3)).map(
-                lambda t: repeat(t[0], t[1], t[1] + t[2])
+                lambda t: Repeat(t[0], t[1], t[1] + t[2])
             ),
         ),
         max_leaves=8,

@@ -180,8 +180,15 @@ def test_jk_table_symmetric_row(capsys):
 
 
 def test_jk_table_bounds_capped(capsys):
-    code, _, _ = run(capsys, ["jk-table", "--jmax", "65"])
+    code, out, err = run(capsys, ["jk-table", "--jmax", "65"])
     assert code == EXIT_ERROR
+    assert (out, err) == ("", "error: table bounds must be <= 64\n")
+
+
+def test_simulate_without_support_is_error(capsys):
+    code, out, err = run(capsys, ["simulate", "--blocks", "2"])
+    assert code == EXIT_ERROR
+    assert (out, err) == ("", "error: --support is required unless --jk is given\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,12 +289,13 @@ def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
     path = tmp_path / "heavy.cs"
     path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
     for s in ("0.5", str(math.log(2) - 1e-9)):
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             ["crosscheck", "--system", str(path), "--s", s, "--max-weight", "12"],
         )
         assert code == EXIT_ERROR
-        assert "inside the divergence region" in out
+        assert out == ""
+        assert err.startswith(f"error: s={s} is inside the divergence region (Q=0.693147)")
 
 
 def test_maxent_solves_rate_once(capsys, tmp_path, monkeypatch):

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concap import dsl
-from concap.automata import matches, system_dfa
+from concap.automata import build_nfa, matches, system_dfa
 from concap.genfun import eval_real
 from concap.dsl import (
     Concat,
     DslError,
     Epsilon,
+    Repeat,
     Star,
     Symbol,
     SymbolDecl,
@@ -63,18 +63,7 @@ def test_bounded_repetition_sugar():
     for x in (0.3, 1.0, 2.5):  # one derivation per string
         assert eval_real(s.expr, s.weights, x) == pytest.approx(math.exp(-x) + math.exp(-2 * x))
     s0 = parse_system("sym a=1;\nexpr: a{0,1}")
-    assert s0.expr == Union(Epsilon(), Symbol("a"))
-
-
-def _size_and_depth(node):
-    match node:
-        case Concat(l, r) | Union(l, r):
-            (nl, dl), (nr, dr) = _size_and_depth(l), _size_and_depth(r)
-            return 1 + nl + nr, 1 + max(dl, dr)
-        case Star(c):
-            n, d = _size_and_depth(c)
-            return 1 + n, 1 + d
-    return 1, 1
+    assert s0.expr == Repeat(Symbol("a"), 0, 1)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5), (3, 3), (2, 9), (5, 64), (1, 1000), (700, 1000)])
@@ -82,10 +71,8 @@ def test_repetition_linear_size_one_derivation_per_count(lo, hi):
     # node = a | b c has series f = exp(-s) + exp(-2s); node{lo,hi} must
     # have the series f^lo + ... + f^hi, each count derived exactly once
     node = Union(Symbol("a"), Concat(Symbol("b"), Symbol("c")))
-    expr = dsl.repeat(node, lo, hi)
-    size, depth = _size_and_depth(expr)
-    assert size <= 12 * max(hi, 1)
-    assert depth <= 4 * math.log2(hi + 2) + 4
+    expr = Repeat(node, lo, hi)
+    assert build_nfa(expr).n_states == 2 + hi * build_nfa(node).n_states
     weights = {"a": 1.0, "b": 1.0, "c": 1.0}
     for s in (0.7, 1.3):
         f = math.exp(-s) + math.exp(-2 * s)
@@ -159,6 +146,14 @@ def test_format_system_round_trip():
     again = parse_system(format_system(s))
     assert again.expr == s.expr
     assert again.weights == s.weights
+
+
+def test_repetition_printed_as_written():
+    s = parse_system("sym a=1 b=1;\nexpr: (a{1,5} b)*")
+    assert format_system(s) == "sym a=1 b=1;\nexpr: (a{1,5} b)*\n"
+    assert format_regex(parse_system("sym a=1 b=1;\nexpr: (a b){0,2}* a*{1,3}").expr) == (
+        "(a b){0,2}* a*{1,3}"
+    )
 
 
 # --- (j,k) preset vs run-length predicate --------------------------------

@@ -265,6 +265,14 @@ def test_sample_process_deterministic_given_seed():
     assert c.string != a.string
 
 
+def test_sample_text_joined_only_when_read():
+    report = sample_process(maxentropic_pmf(PITFALL), n_blocks=1000, seed=3)
+    assert "string" not in vars(report)
+    assert report.string == "".join(report.blocks[i] for i in report.drawn)
+    assert len(report.drawn) == 1000
+    assert "string" in vars(report)
+
+
 def test_sample_process_single_deterministic_block():
     p = Pmf(WeightedSupport((("ab", 2.0),)), (1.0,))
     report = sample_process(p, n_blocks=1, seed=0)
