@@ -50,15 +50,18 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
     raise TypeError(f"not a regex node: {expr!r}")
 
 
-def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
-    """Whether the sum over DFA paths of exp(-w*s) converges, ``edges[i]``
-    listing each successor j of state i with the weights of its edges.
+def _least_pivot(edges: list[list[tuple[int, list[float]]]], s: float) -> float:
+    """The least pivot of Gaussian elimination on I - A(s), A(s)_ij summing
+    exp(-w*s) over the DFA's edges i -> j (``edges[i]`` lists each successor
+    j of state i with the weights of its edges); elimination stops at the
+    first pivot that is not positive (nan included) and returns it.
 
-    With A(s)_ij the sum of exp(-w*s) over edges i -> j, it converges iff
-    the spectral radius of A(s) is below 1, iff I - A(s) is a nonsingular
-    M-matrix, iff Gaussian elimination without pivoting meets only positive
-    pivots.  The DSL has no empty-set regex, so every state of the
-    minimized DFA (``system_dfa``) is reachable and reaches acceptance:
+    The sum over DFA paths of exp(-w*s) converges iff the spectral radius
+    of A(s) is below 1, iff I - A(s) is a nonsingular M-matrix, iff every
+    pivot is positive: iff the value is positive.  Near the capacity only
+    the pivot that vanishes there comes close to 0, so the value is
+    continuous there.  The DSL has no empty-set regex, so every state of
+    the minimized DFA (``system_dfa``) is reachable and reaches acceptance:
     every cycle counts.  Elimination runs from the last state in BFS order
     down, touching only rows with an entry in the pivot column: repetition
     chains stay cheap.
@@ -71,11 +74,13 @@ def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
             row[j] = row.get(j, 0.0) - sum(math.exp(-w * s) for w in ws)
             column_rows[j].add(i)
         rows.append(row)
+    least = math.inf
     for k in range(len(rows) - 1, -1, -1):
         pivot_row = rows[k]
         pivot = pivot_row[k]
         if not pivot > 0.0:
-            return False
+            return pivot
+        least = min(least, pivot)
         for i in column_rows[k]:
             if i < k:  # not row k itself, nor a row already eliminated
                 row = rows[i]
@@ -84,7 +89,7 @@ def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
                     if j < k:
                         row[j] = row.get(j, 0.0) - factor * v
                         column_rows[j].add(i)
-    return True
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ def _converges(edges: list[list[tuple[int, list[float]]]], s: float) -> bool:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity (abscissa of convergence) with bisection diagnostics."""
+    """Capacity (abscissa of convergence) with root-finder diagnostics."""
 
     q: float
     bracket_lo: float
@@ -113,42 +118,80 @@ class SolverError(RuntimeError):
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
+SLACK = 3  # tests allowed beyond bisection's count, to follow regula falsi
 
 
 def bisect_root(
-    below: Callable[[float], bool], tol: float, max_iter: int = MAX_ITERATIONS
+    excess: Callable[[float], float], tol: float, max_iter: int = MAX_ITERATIONS
 ) -> tuple[float, float, int]:
-    """Bracket the root of a monotone problem on [0, inf) by bisection.
+    """Bracket the root of a decreasing ``excess`` on [0, inf): the cell
+    plain bisection ends in, found in far fewer tests.
 
-    ``below(s)`` must hold for every ``s`` below the root and fail above
-    it; 0 is taken to lie below.  The upper end starts at 1 and doubles
-    until ``below`` fails, then the bracket is halved until it is at most
-    ``tol`` wide.  Returns ``(lo, hi, iterations)``, the iterations
-    counting halvings only.
+    ``excess(s) < 0`` means ``s`` lies above the root; 0 or more, or nan,
+    at or below it (0 is taken to lie below).  ``hi`` doubles from 1 until
+    it lies above; bisection of [0, hi] would then halve n times, to a cell
+    of the grid of multiples of h = hi / 2^n, h <= ``tol``.  Every trial
+    point here is a grid point: Anderson-Bjorck regula falsi between the
+    bracket ends (an end kept twice in a row has its value scaled down), or
+    the midpoint while the lower end is the untested 0, kept within a window
+    that leaves the bracket at most 2^(n + SLACK - t) cells wide after t
+    tests.  So where the sign of ``excess`` is monotone on the grid, the
+    search ends in bisection's own cell after at most n + SLACK tests, and
+    near a smooth root after a few.  Returns ``(a, a + h, iterations)``,
+    counting the tests made after ``hi`` was found.  If ``tol`` is out of
+    reach (below the float spacing at the root, or beyond ``max_iter``
+    halvings), ``SolverError`` carries the tightest bracket found.
     """
-    lo, hi = 0.0, 1.0
+    hi, f_hi = 1.0, excess(1.0)
+    f_half = math.nan  # excess at hi / 2 once tested; 0 never is
     grow = 0
-    while below(hi):
-        hi *= 2.0
+    while not f_hi < 0.0:
         grow += 1
         if grow > 60:
-            raise SolverError("no point above the root found", lo, hi)
-    iterations = 0
-    while hi - lo > tol and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+            raise SolverError("no point above the root found", 0.0, 2.0 * hi)
+        hi, f_half, f_hi = 2.0 * hi, f_hi, excess(2.0 * hi)
+    n, h = 0, hi
+    while h > tol:
+        h *= 0.5
+        n += 1
+    levels = min(n, max_iter, 1023)  # grid points are ints k < 2^1024, at k * hi / 2^levels
+    scale = math.frexp(hi)[1] - 1 - levels
+    a, fa = (1 << (levels - 1), f_half) if grow and levels else (0, math.nan)
+    b, fb = 1 << levels, f_hi
+    budget, tests, kept = levels + SLACK, 0, 0
+    while b - a > 1 and tests < max_iter:
+        k = (a + b) // 2
+        room = budget - tests - 1  # after this test the bracket spans <= 2^room cells
+        if room >= 0 and fa != fb:
+            guess = a - fa * (b - a) / (fb - fa)
+            low, high = max(a + 1, b - (1 << room)), min(b - 1, a + (1 << room))
+            if math.isfinite(guess) and low <= high:
+                k = min(max(round(guess), low), high)
+        # past 2^53 cells only some grid points are floats: take the nearest
+        first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
+        if first > last:
+            break  # no float lies strictly inside the bracket
+        k = min(max(int(float(k)), first), last)
+        f = excess(math.ldexp(k, scale))
+        tests += 1
+        if f < 0.0:
+            if kept == -1:  # a kept twice
+                fa *= 1.0 - f / fb if f > fb else 0.5
+            b, fb, kept = k, f, -1
         else:
-            hi = mid
-        iterations += 1
-    if hi - lo > tol:
+            if kept == 1:  # b kept twice
+                fb *= 1.0 - f / fa if f < fa else 0.5
+            a, fa, kept = k, f, 1
+    lo, hi = math.ldexp(a, scale), math.ldexp(b, scale)
+    if b - a > 1 or n > levels:
         raise SolverError("bisection did not reach tolerance", lo, hi)
-    return lo, hi, iterations
+    return lo, hi, tests
 
 
 def abscissa(system: SystemDef, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> CapacityResult:
     """Infimum of real ``s`` where the series of the system's distinct
-    strings converges, by bisection with ``_converges`` on its DFA.
+    strings converges: ``bisect_root`` guided by minus ``_least_pivot`` on
+    the system's DFA, so the bracket is plain bisection's.
 
     A series already convergent at 0 has finitely many terms (the DFA has
     no cycle) and is reported with ``finite_language`` set and capacity 0.
@@ -162,9 +205,9 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL, max_iter: int = MAX_IT
         for label, j in transitions.items():
             targets.setdefault(j, []).append(weights[label])
         edges.append(list(targets.items()))
-    if _converges(edges, 0.0):
+    if _least_pivot(edges, 0.0) > 0.0:
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
-    lo, hi, iterations = bisect_root(lambda s: not _converges(edges, s), tol, max_iter)
+    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(edges, s), tol, max_iter)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 
@@ -174,8 +217,8 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
 
         (x + x^2 + ... + x^j) * (x + x^2 + ... + x^k) = 1,   x = exp(-s).
 
-    The left-hand side is strictly decreasing in ``s``, so bisection applies.
-    Agrees with ``abscissa(build_jk_system(j, k))``.
+    The left-hand side minus 1 strictly decreases in ``s`` and guides
+    ``bisect_root``.  Agrees with ``abscissa(build_jk_system(j, k))``.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
@@ -188,5 +231,5 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
 
     if j == 1 and k == 1:
         return 0.0  # lhs(0) == 0 exactly
-    lo, hi, _ = bisect_root(lambda s: lhs(s) > 0.0, tol)
+    lo, hi, _ = bisect_root(lhs, tol)
     return 0.5 * (lo + hi)

@@ -95,7 +95,9 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
 
     The left side strictly decreases from the support size at s=0, so for
     two or more items the root is unique and positive; a single item makes
-    the maximization degenerate (one string, entropy 0) and R is 0.
+    the maximization degenerate (one string, entropy 0) and R is 0.  The
+    left side minus 1 guides ``bisect_root``; ``iterations`` counts its
+    tests.
     """
     if tol <= 0:
         raise MaxentError("tol must be positive")
@@ -106,7 +108,7 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
     def f(s: float) -> float:
         return sum(math.exp(-w * s) for w in weights) - 1.0
 
-    lo, hi, iterations = bisect_root(lambda s: f(s) > 0.0, tol)
+    lo, hi, iterations = bisect_root(f, tol)
     rate = 0.5 * (lo + hi)
     return RateResult(rate, abs(f(rate)), iterations)
 

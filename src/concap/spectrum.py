@@ -190,16 +190,6 @@ def spectrum_from_counts(
 # Estimators
 
 
-def capacity_sequence(sp: WeightSpectrum) -> list[float]:
-    """ln(cumulative count) / nu at every horizon."""
-    return [math.log(c) / nu for (nu, _), c in zip(sp.entries, sp.cumulative)]
-
-
-def c0_sequence(sp: WeightSpectrum) -> list[float]:
-    """ln(count) / nu at every horizon (Shannon-style, no cumulative sum)."""
-    return [math.log(c) / nu for nu, c in sp.entries]
-
-
 def _require(sp: WeightSpectrum) -> None:
     if len(sp.entries) < 2:
         raise SpectrumError("need at least 2 spectrum entries")
@@ -287,7 +277,14 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     at most gf(s') * exp(-horizon * (s - s')).  The probe grid searches
     (the series' own abscissa, s) for the tightest bound."""
     expr, weights = system.expr, system.weights
-    lo, hi, _ = bisect_root(lambda x: eval_real(expr, weights, x) == DIVERGENT, DEFAULT_TOL)
+
+    def excess(x: float) -> float:
+        # -1/(1+v) rises to 0 as v grows to the divergence at the abscissa;
+        # -1/v would divide by a term that underflowed to 0.0
+        v = eval_real(expr, weights, x)
+        return 1.0 if v == DIVERGENT else -1.0 / (1.0 + v)
+
+    lo, hi, _ = bisect_root(excess, DEFAULT_TOL)
     floor = 0.5 * (lo + hi)
     best = math.inf
     for t in range(1, 40):
@@ -310,7 +307,7 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: flo
     is derived more than once).  So does a series of the regex that
     diverges at an ``s`` above the capacity, where the string series
     converges: value, difference and tail bound then read ``inf``.  Up to
-    the upper end of the capacity's bisection bracket an unambiguous
+    the upper end of the capacity's bracket an unambiguous
     regex can diverge too, so there divergence is a ``SpectrumError``.
     """
     if not sp.complete:
@@ -343,25 +340,3 @@ def format_spectrum(sp: WeightSpectrum) -> str:
         out.write(f"{nu:.12g} {count} {cum}\n")
     return out.getvalue()
 
-
-def parse_spectrum(text: str) -> WeightSpectrum:
-    meta = {}
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition(" ")
-            meta[key] = value
-            continue
-        nu, count, _ = line.split()
-        entries.append((float(nu), int(count)))
-    return WeightSpectrum(
-        entries=tuple(entries),
-        weight_epsilon=float(meta.get("weight_epsilon", DEFAULT_WEIGHT_EPSILON)),
-        max_weight=float(meta.get("max_weight", entries[-1][0] if entries else 0.0)),
-        complete=bool(int(meta.get("complete", 1))),
-        exhausted=bool(int(meta.get("exhausted", 0))),
-        includes_empty=bool(int(meta.get("includes_empty", 0))),
-    )

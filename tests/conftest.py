@@ -7,6 +7,7 @@ length or, at horizons too long to list every string, from a dynamic
 program over run lengths.
 """
 
+import math
 import re
 from functools import lru_cache
 
@@ -52,6 +53,16 @@ def runlength_dp_counts(j: int, k: int, max_len: int) -> tuple[int, ...]:
         runs = grown
         counts.append(sum(runs.values()))
     return tuple(counts)
+
+
+def capacity_sequence(sp) -> list[float]:
+    """ln(cumulative count) / nu at every horizon of a spectrum."""
+    return [math.log(c) / nu for (nu, _), c in zip(sp.entries, sp.cumulative)]
+
+
+def c0_sequence(sp) -> list[float]:
+    """ln(count) / nu at every horizon (Shannon-style, no cumulative sum)."""
+    return [math.log(c) / nu for nu, c in sp.entries]
 
 
 @pytest.fixture

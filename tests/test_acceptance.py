@@ -35,16 +35,20 @@ from concap.maxent import (
     validate_input_process,
 )
 from concap.spectrum import (
-    c0_sequence,
     capacity_estimate,
-    capacity_sequence,
     cross_check_gf,
     enumerate_spectrum,
     growth_rate_estimate,
     spectrum_from_counts,
 )
 
-from conftest import brute_force_counts, runlength_dp_counts, runlength_ok
+from conftest import (
+    brute_force_counts,
+    c0_sequence,
+    capacity_sequence,
+    runlength_dp_counts,
+    runlength_ok,
+)
 
 LN2 = math.log(2)
 

@@ -5,6 +5,7 @@ by table filling over the completed DFA (a dead state for every missing
 transition), and languages compared string by string.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -102,11 +103,14 @@ def test_minimized_sizes(system, raw, minimal):
 
 
 def assert_same_capacity(system, raw):
-    """The whole bisection, every bracket end and the iteration count, is
-    the same on the subset DFA: the printed digits cannot move."""
+    """Capacity, both bracket ends, residual and finiteness are the same on
+    the subset DFA: the printed digits cannot move.  The iteration count
+    may differ, since trial points follow the pivot values."""
     capacity = genfun.abscissa(system)
     with mock.patch.object(genfun, "system_dfa", lambda _: raw):
-        assert genfun.abscissa(system) == capacity
+        assert dataclasses.replace(genfun.abscissa(system), iterations=0) == dataclasses.replace(
+            capacity, iterations=0
+        )
 
 
 @pytest.mark.parametrize("system", [s for s, _, _ in SIZES])

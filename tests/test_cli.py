@@ -263,6 +263,41 @@ def test_crosscheck_divergent_regex_series_is_ambiguous(capsys, tmp_path):
     assert err == ""
 
 
+def test_crosscheck_tail_bound_with_underflowed_series(capsys, tmp_path):
+    # above ln 2 the series of (a|c)* b is exp(-100000 s) / (1 - 2 exp(-s)),
+    # which underflows to 0.0: the tail bound's root search must not divide by it
+    path = tmp_path / "heavy.cs"
+    path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|c)* b\n")
+    code, out, err = run(
+        capsys,
+        ["crosscheck", "--system", str(path), "--s", "1.0", "--max-weight", "10"],
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "ambiguous    no"
+    assert err == ""
+
+
+def test_unreachable_tol_reports_tightest_bracket(capsys):
+    code, out, err = run(capsys, ["capacity", "--jk", "2", "2", "--tol", "1e-300"])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == (
+        "error: bisection did not reach tolerance "
+        "(bracket [0.4812118250596034, 0.48121182505960347])\n"
+    )
+
+
+def test_bad_command_line_exits_1_and_help_0(capsys):
+    # argparse's own code 2 would read as an INVALID verdict
+    code, out, err = run(capsys, ["capacity"])
+    assert code == EXIT_ERROR
+    assert "one of the arguments --system --jk is required" in err
+    for argv in (["--help"], ["capacity", "--help"]):
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: concap")
+
+
 def test_crosscheck_ambiguous_verdict_ignores_coarse_tol(capsys, tmp_path):
     # at --tol 0.5 the bracket is [0.5, 1.0]; s=0.9 is still above the
     # capacity ln 2, so the divergent regex series still proves ambiguity

@@ -1,17 +1,26 @@
+import dataclasses
 import math
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from concap import build_jk_system, parse_system
-from concap.dsl import EPSILON
+from concap import build_jk_system, genfun, maxent, parse_system
+from concap.dsl import EPSILON, SystemDef
 from concap.genfun import (
     DIVERGENT,
+    MAX_ITERATIONS,
     SolverError,
     abscissa,
+    bisect_root,
     capacity_jk,
     eval_real,
 )
+from concap.maxent import WeightedSupport, solve_rate
+
+from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
 
 LN2 = math.log(2)
 LN_GOLDEN = math.log((1 + math.sqrt(5)) / 2)  # root of x + x^2 = 1
@@ -167,8 +176,6 @@ def test_capacity_jk_rejects_zero():
 
 
 def _root_finders(sbin):
-    from concap.maxent import WeightedSupport, solve_rate
-
     support = WeightedSupport((("0", 1.0), ("1", 1.0), ("01", 2.0)))
     return {
         "abscissa": lambda tol: abscissa(sbin, tol=tol),
@@ -188,8 +195,122 @@ def test_root_finders_reject_nonpositive_tol(sbin, name):
 @pytest.mark.parametrize("name", ["abscissa", "capacity_jk", "solve_rate"])
 def test_root_finders_raise_on_unreachable_tol(sbin, name):
     # 1e-300 is below the float spacing near every root here, so the
-    # bracket stops shrinking and the bisection must say so
+    # bracket stops shrinking and the search must say so, with the
+    # tightest bracket: two neighbouring floats
     with pytest.raises(SolverError) as err:
         _root_finders(sbin)[name](1e-300)
     lo, hi = err.value.bracket
     assert lo < hi
+    assert hi - lo < 1e-15
+
+
+# --- bisect_root ends where plain bisection ends --------------------------
+
+
+def plain_bisection(excess, tol, max_iter=MAX_ITERATIONS):
+    """The reference: ``hi`` doubles from 1 until ``excess(hi) < 0``, then
+    [0, hi] is halved on the sign of ``excess`` at each midpoint until it
+    is at most ``tol`` wide.  Returns ``(lo, hi, halvings)``."""
+    lo, hi = 0.0, 1.0
+    grow = 0
+    while not excess(hi) < 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 60:
+            raise SolverError("no point above the root found", lo, hi)
+    halvings = 0
+    while hi - lo > tol and halvings < max_iter:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+        halvings += 1
+    if hi - lo > tol:
+        raise SolverError("bisection did not reach tolerance", lo, hi)
+    return lo, hi, halvings
+
+
+def assert_as_bisection(module, solve):
+    """``solve()`` with ``module.bisect_root`` and with the reference in
+    its place: every root search ends in the same bracket, after at most
+    three tests more than the reference's halvings.  Returns both results."""
+    runs = []
+    for finder in (bisect_root, plain_bisection):
+        searches = []
+
+        def spy(*args, finder=finder, searches=searches):
+            searches.append(finder(*args))
+            return searches[-1]
+
+        with mock.patch.object(module, "bisect_root", spy):
+            runs.append((solve(), searches))
+    (result, searches), (expected, reference) = runs
+    assert [s[:2] for s in searches] == [r[:2] for r in reference]
+    assert all(s[2] <= r[2] + 3 for s, r in zip(searches, reference))
+    return result, expected
+
+
+def _but_iterations(result):
+    return dataclasses.replace(result, iterations=0)
+
+
+@seed(531)
+@settings(max_examples=80, deadline=None)
+@given(_regexes())
+def test_abscissa_as_bisection(expr):
+    system = SystemDef(_DECLS, expr)
+    for tol in (1e-12, 1e-6, 1e-3):
+        result, expected = assert_as_bisection(genfun, lambda: abscissa(system, tol=tol))
+        assert _but_iterations(result) == _but_iterations(expected)
+
+
+@seed(531)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.05, 40.0), min_size=2, max_size=30))
+def test_solve_rate_as_bisection(weights):
+    support = WeightedSupport(tuple((f"s{i}", w) for i, w in enumerate(weights)))
+    result, expected = assert_as_bisection(maxent, lambda: solve_rate(support))
+    assert _but_iterations(result) == _but_iterations(expected)
+
+
+def test_capacity_jk_as_bisection():
+    for j in range(1, 13):
+        for k in range(1, 13):
+            result, expected = assert_as_bisection(genfun, lambda: capacity_jk(j, k))
+            assert result == expected
+
+
+def test_bisect_root_worst_case_is_bisection_plus_three():
+    # values that mislead interpolation: just below 0 everywhere above the
+    # root, so regula falsi creeps one cell at a time; the window still
+    # ends the search within bisection's halvings plus three
+    def excess(s):
+        return 1.0 if s <= 0.3 else -1e-300
+
+    lo, hi, tests = bisect_root(excess, 1e-12)
+    ref_lo, ref_hi, halvings = plain_bisection(excess, 1e-12)
+    assert (lo, hi) == (ref_lo, ref_hi)
+    assert tests <= halvings + 3
+
+
+def test_bisect_root_stops_at_neighbouring_floats():
+    # no float lies strictly between the two ends: the search says so at
+    # once instead of spending max_iter tests
+    tests = []
+
+    def excess(s):
+        tests.append(s)
+        return math.log(2) - s
+
+    with pytest.raises(SolverError) as err:
+        bisect_root(excess, 1e-17)
+    lo, hi = err.value.bracket
+    assert math.nextafter(lo, 1.0) == hi
+    assert len(tests) < 10
+
+
+def test_bisect_root_far_fewer_tests_than_bisection():
+    # the capacity workload's saving: about 40 halvings at the default tol
+    tests = [abscissa(build_jk_system(j, k)).iterations for j in range(1, 9) for k in range(1, 9)]
+    assert sum(tests) / len(tests) < 15

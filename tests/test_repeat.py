@@ -77,9 +77,14 @@ def expand(node):
 
 def series_abscissa(expr, weights):
     """Where the regex's own series (one term per derivation) starts to
-    converge, bisected on ``eval_real``; inf if it converges nowhere."""
+    converge, guided by ``eval_real``; inf if it converges nowhere."""
+
+    def excess(s):
+        v = eval_real(expr, weights, s)
+        return 1.0 if v == math.inf else -1.0 / (1.0 + v)
+
     try:
-        _, hi, _ = bisect_root(lambda s: eval_real(expr, weights, s) == math.inf, 1e-9)
+        _, hi, _ = bisect_root(excess, 1e-9)
     except SolverError:  # a star over a nullable child: eps derived forever
         return math.inf
     return hi
@@ -137,6 +142,13 @@ def test_repetition_closures_do_not_grow_with_the_bound():
         return max(len(_closure(nfa, frozenset([q]))) for q in range(nfa.n_states))
 
     assert largest_closure(1000) == largest_closure(4000) <= 8
+
+
+def test_series_abscissa_is_finite():
+    # a guide that reads every point as below the root would make it inf,
+    # and the property above vacuous
+    system = parse_system("sym 0=1 1=1;\nexpr: (0|1)*")
+    assert series_abscissa(system.expr, system.weights) == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_repetition_series_overflows_to_inf():

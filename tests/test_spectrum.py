@@ -4,22 +4,21 @@ import pytest
 
 from concap import build_jk_system, parse_system
 from concap.spectrum import (
+    DEFAULT_WEIGHT_EPSILON,
     SpectrumError,
+    WeightSpectrum,
     c0_estimate,
-    c0_sequence,
     capacity_estimate,
-    capacity_sequence,
     cross_check_gf,
     density_check,
     enumerate_spectrum,
     format_spectrum,
     growth_rate_estimate,
     iter_strings,
-    parse_spectrum,
     spectrum_from_counts,
 )
 
-from conftest import brute_force_counts, runlength_ok
+from conftest import brute_force_counts, c0_sequence, capacity_sequence, runlength_ok
 
 LN2 = math.log(2)
 
@@ -264,6 +263,30 @@ def test_cross_check_rejects_incomplete(sbin):
 
 
 # --- export format ------------------------------------------------------
+
+
+def parse_spectrum(text: str) -> WeightSpectrum:
+    """Read back what ``format_spectrum`` writes."""
+    meta = {}
+    entries = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(" ")
+            meta[key] = value
+            continue
+        nu, count, _ = line.split()
+        entries.append((float(nu), int(count)))
+    return WeightSpectrum(
+        entries=tuple(entries),
+        weight_epsilon=float(meta.get("weight_epsilon", DEFAULT_WEIGHT_EPSILON)),
+        max_weight=float(meta.get("max_weight", entries[-1][0] if entries else 0.0)),
+        complete=bool(int(meta.get("complete", 1))),
+        exhausted=bool(int(meta.get("exhausted", 0))),
+        includes_empty=bool(int(meta.get("includes_empty", 0))),
+    )
 
 
 def test_spectrum_round_trips_through_text(sbin):
