@@ -3,22 +3,24 @@
 Given a finite support of weighted strings, the largest achievable entropy
 per average weight is the positive root R of sum(exp(-w*s)) = 1, attained
 uniquely by the distribution p(z) = exp(-w(z)*R).  This module solves for
-R, builds that distribution, validates candidate input sources/processes
-against a constrained system (disjoint supports, membership, no string
-counted twice across depths), bounds achievable rates, and samples
-processes to estimate entropy rates empirically.
+R, builds that distribution, validates candidate input sources against a
+constrained system (disjoint supports, membership), validates IID block
+processes (every concatenation of at most a given number of blocks
+accepted, and none with two factorizations into blocks, decided by a
+search over DFA states and a depth-bounded Sardinas-Patterson test),
+bounds achievable rates, and samples processes to estimate entropy rates
+empirically.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from collections.abc import Callable
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import system_dfa
-from .dsl import DslError, SystemDef, build_jk_system, split_labels
+from .dsl import SystemDef, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
 
 
@@ -147,10 +149,9 @@ def entropy_per_weight(p: Pmf) -> float:
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
-    depth: int  # number of support levels checked
+    depth: int  # number of support levels, or of blocks, the verdict covers
     witness: str = ""  # offending string, if any
     reason: str = ""
-    truncated: bool = False  # combinatorial budget hit; verdict partial
 
     def __bool__(self) -> bool:
         return self.valid
@@ -161,17 +162,9 @@ def validate_input_source(
 ) -> ValidationReport:
     """Check the input-source conditions on a finite prefix of support sets:
     every string accepted by the system, supports pairwise disjoint and
-    nonempty.  The verdict covers only the depth supplied."""
+    nonempty, checked level by level and string by string in support
+    order.  The verdict covers only the depth supplied."""
     dfa = system_dfa(system)
-    return _check_source(supports, lambda level, s: dfa.accepts(split_labels(s, system.label_re)))
-
-
-def _check_source(
-    supports: list[WeightedSupport], accepts: Callable[[int, str], bool]
-) -> ValidationReport:
-    """The input-source check behind both validators, level by level and
-    string by string in support order: ``accepts(level, s)`` answers
-    membership for string ``s`` of support ``level``."""
     depth = len(supports)
     seen: dict[str, int] = {}
     for level, sup in enumerate(supports, start=1):
@@ -186,7 +179,7 @@ def _check_source(
                     reason=f"string {s!r} appears in supports {seen[s]} and {level}",
                 )
             seen[s] = level
-            if not accepts(level, s):
+            if not dfa.accepts(split_labels(s, system.label_re)):
                 return ValidationReport(
                     False,
                     depth,
@@ -196,103 +189,145 @@ def _check_source(
     return ValidationReport(True, depth)
 
 
-def truncated_supports(
-    p: Pmf, system: SystemDef, depth: int, max_tuples: int = 1_000_000
-) -> tuple[list[WeightedSupport], bool, list[dict[str, int | None]]]:
-    """Materialize the depth-l concatenation supports of an IID block
-    process, keeping only blocks of positive probability and deduplicating
-    concatenations within a level.
+def validate_input_process(p: Pmf, system: SystemDef, depth: int) -> ValidationReport:
+    """Check whether an IID block distribution is a valid input process of
+    the system up to ``depth``: every concatenation of at most ``depth``
+    positive-probability blocks is accepted, and no string is the
+    concatenation of two different sequences of at most ``depth`` blocks
+    (the double-counting pitfall, within one depth or across two).
 
-    Returns (supports, truncated, states); ``truncated`` means the tuple
-    budget was hit and only the completed levels are returned.  ``states``
-    maps each string of each level to the state of the system's DFA it
-    leads to, None if none (see ``_concatenations``).
+    No concatenation is built: membership is a search over DFA states
+    (``_first_rejected``) and collisions a depth-bounded Sardinas-Patterson
+    search (``_first_collision``), both polynomial in the number of blocks,
+    the number of states and ``depth``.  A string fails at the number of
+    blocks after which it is rejected or has its second factorization; the
+    witness fails at the lowest such number, a rejection winning a tie.
     """
     if depth < 1:
         raise MaxentError("depth must be >= 1")
-    blocks = [(s, w) for s, w, _ in p.positive_items()]
-    if not blocks:
-        raise MaxentError("no positive-probability blocks")
-    return _concatenations(blocks, system, depth, max_tuples)
-
-
-def _label_sequence(s: str, label_re: re.Pattern[str]) -> list[str] | None:
-    """``s`` as its label sequence, or None if it has none."""
-    try:
-        return split_labels(s, label_re)
-    except DslError:
-        return None
-
-
-def _concatenations(
-    blocks: list[tuple[str, float]], system: SystemDef, depth: int, max_tuples: float
-) -> tuple[list[WeightedSupport], bool, list[dict[str, int | None]]]:
-    """Supports of the concatenations of 1..depth blocks, weights adding,
-    one dict per level, with the DFA state each string leads to.  Each
-    block is read as its label sequence once, and a string's state is its
-    last block walked from its prefix's state; None (a block with no label
-    sequence, or no transition) stays None.  Each block is walked from a
-    state at most once.  Stops early once a level would exceed
-    ``max_tuples`` block tuples."""
-    dfa = system_dfa(system)
-    walk = dfa.walk
-    extend = [(s, w, _label_sequence(s, system.label_re), {}) for s, w in blocks]
-    supports: list[WeightedSupport] = []
-    states: list[dict[str, int | None]] = []
-    level: dict[str, float] = dict(blocks)
-    level_states = {
-        s: None if labels is None else walk(labels, dfa.start) for s, _, labels, _ in extend
-    }
-    tuples = len(blocks)
-    for _ in range(depth):
-        supports.append(WeightedSupport(tuple(sorted(level.items()))))
-        states.append(level_states)
-        if len(supports) == depth:
-            break
-        tuples *= len(blocks)
-        if tuples > max_tuples:
-            return supports, True, states
-        nxt: dict[str, float] = {}
-        nxt_states: dict[str, int | None] = {}
-        for s, w in level.items():
-            q = level_states[s]
-            for bs, bw, labels, steps in extend:
-                t = s + bs
-                nxt[t] = w + bw
-                if q not in steps:
-                    steps[q] = None if q is None or labels is None else walk(labels, q)
-                nxt_states[t] = steps[q]
-        level, level_states = nxt, nxt_states
-    return supports, False, states
-
-
-def validate_input_process(
-    p: Pmf, system: SystemDef, depth: int, max_tuples: int = 1_000_000
-) -> ValidationReport:
-    """Check whether an IID block distribution is a valid input process of
-    the system up to ``depth``: its truncated concatenation supports must
-    form an input source.  In particular no concatenated string may be
-    reachable at two different depths (the double-counting pitfall).
-
-    Membership is read off the DFA states ``truncated_supports`` carries,
-    so no string is split or walked from its start again."""
-    supports, truncated, states = truncated_supports(p, system, depth, max_tuples)
-    accepting = system_dfa(system).accepting
-
-    def accepts(level: int, s: str) -> bool:
-        if states[level - 1][s] in accepting:
-            return True
-        # only a block can lack a label sequence; it raises here, in
-        # support order, as in validate_input_source
-        split_labels(s, system.label_re)
-        return False
-
-    report = _check_source(supports, accepts)
-    if truncated:
-        report = ValidationReport(
-            report.valid, len(supports), report.witness, report.reason, truncated=True
+    blocks = sorted(s for s, _, _ in p.positive_items())
+    rejected = _first_rejected(blocks, system, depth)
+    collision = _first_collision(blocks, depth if rejected is None else len(rejected) - 1)
+    if collision is not None:
+        x, y = sorted(collision, key=lambda f: (len(f), f))
+        s = "".join(x)
+        if len(x) == len(y):
+            where = f"twice in support {len(x)}, as {'·'.join(x)} and {'·'.join(y)}"
+        else:
+            where = f"in supports {len(x)} and {len(y)}"
+        return ValidationReport(False, depth, s, f"string {s!r} appears {where}")
+    if rejected is not None:
+        s = "".join(rejected)
+        return ValidationReport(
+            False, depth, s, f"string {s!r} in support {len(rejected)} is not accepted"
         )
-    return report
+    return ValidationReport(True, depth)
+
+
+def _first_rejected(blocks: list[str], system: SystemDef, depth: int) -> list[str] | None:
+    """A shortest sequence of at most ``depth`` blocks whose concatenation
+    the system rejects, or None.
+
+    Breadth-first over the DFA states that block steps reach from the
+    start: every such concatenation is accepted iff every state reached
+    within ``depth`` steps is accepting, no transition counting as a
+    rejecting dead state.  Each state is expanded once, at the level it is
+    first reached, trying the blocks in order, so each block is walked from
+    each state at most once.  A block is read as its label sequence on its
+    first walk; one with none raises ``DslError``.
+    """
+    dfa = system_dfa(system)
+    labels: list[list[str] | None] = [None] * len(blocks)
+    parent: dict[int, tuple[int, str] | None] = {dfa.start: None}
+    frontier = [dfa.start]
+    for _ in range(depth):
+        reached = []
+        for q in frontier:
+            for i, block in enumerate(blocks):
+                if labels[i] is None:
+                    labels[i] = split_labels(block, system.label_re)
+                t = dfa.walk(labels[i], q)
+                if t not in dfa.accepting:
+                    path = [block]
+                    while parent[q] is not None:
+                        q, b = parent[q]
+                        path.append(b)
+                    return path[::-1]
+                if t not in parent:
+                    parent[t] = (q, block)
+                    reached.append(t)
+        frontier = reached
+    return None
+
+
+def _first_collision(
+    blocks: list[str], depth: int
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """Two different sequences of at most ``depth`` blocks with the same
+    concatenation, the longer of the two as short as possible, or None.
+
+    A Sardinas-Patterson test (Sardinas & Patterson, 1953) bounded by
+    ``depth``.  A node is a pair of block sequences whose first blocks
+    differ, the one ahead spelling the one behind plus a dangling suffix
+    ``d``.  A node grows by a block appended to the one behind: a block
+    equal to ``d`` closes a collision, a prefix of ``d`` leaves the rest of
+    ``d`` dangling, and a block that ``d`` is a proper prefix of puts the
+    one behind ahead.  Nodes are told apart by ``d`` and the two lengths and
+    are searched in order of the longer length.  ``blocks`` is sorted.
+    """
+    if depth < 2:  # a collision needs two blocks on one side
+        return None
+    members = set(blocks)
+    lengths = sorted({len(b) for b in blocks})
+
+    def continuations(d: str):
+        for n in lengths:  # blocks that are a prefix of d, d itself included
+            if n > len(d):
+                break
+            if d[:n] in members:
+                yield d[:n]
+        i = bisect_right(blocks, d)  # blocks that d is a proper prefix of
+        while i < len(blocks) and blocks[i].startswith(d):
+            yield blocks[i]
+            i += 1
+
+    # by_length[k]: the nodes whose longer sequence has k blocks
+    by_length: list[list[tuple[str, tuple[str, ...], tuple[str, ...]]]] = [
+        [] for _ in range(depth + 1)
+    ]
+    seen: set[tuple[str, int, int]] = set()
+
+    def push(d: str, ahead: tuple[str, ...], behind: tuple[str, ...]) -> None:
+        key = (d, len(ahead), len(behind))
+        if key not in seen:
+            seen.add(key)
+            by_length[max(len(ahead), len(behind))].append((d, ahead, behind))
+
+    chain: list[str] = []  # earlier blocks, each a prefix of the next and of v
+    for v in blocks:
+        while chain and not v.startswith(chain[-1]):
+            chain.pop()
+        for u in chain:
+            push(v[len(u):], (v,), (u,))
+        chain.append(v)
+    for k in range(1, depth + 1):
+        found = None
+        for d, ahead, behind in by_length[k]:  # the list grows while it is read
+            if len(behind) == depth:
+                continue
+            for c in continuations(d):
+                grown = behind + (c,)
+                if c == d:
+                    if len(grown) <= k:
+                        return ahead, grown
+                    found = found or (ahead, grown)
+                elif len(c) < len(d):
+                    push(d[len(c):], ahead, grown)
+                else:
+                    push(c[len(d):], grown, ahead)
+        if found:
+            return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -419,10 +454,15 @@ def jk_phrase_support(j: int, k: int) -> WeightedSupport:
 
 
 def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
-    """Depth-l concatenations of the (j,k) phrase alphabet: the canonical
-    input source of the run-length system."""
-    phrases = list(jk_phrase_support(j, k).items)
-    return _concatenations(phrases, build_jk_system(j, k), depth, math.inf)[0]
+    """Depth-l concatenations of the (j,k) phrase alphabet, l = 1..depth:
+    the canonical input source of the run-length system."""
+    phrases = jk_phrase_support(j, k).items
+    supports: list[WeightedSupport] = []
+    level = {"": 0.0}
+    for _ in range(depth):
+        level = {s + b: w + bw for s, w in level.items() for b, bw in phrases}
+        supports.append(WeightedSupport(tuple(sorted(level.items()))))
+    return supports
 
 
 # ---------------------------------------------------------------------------

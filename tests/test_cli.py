@@ -134,6 +134,52 @@ def test_validate_fixed_pmf_valid(capsys, sbin_file, tmp_path):
     assert "verdict VALID" in out
 
 
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_validate_pitfall_output(capsys, sbin_file, tmp_path, depth):
+    sup = tmp_path / "pitfall.sup"
+    sup.write_text("0 1\n1 1\n01 2\n")
+    argv = ["validate", "--system", sbin_file, "--support", str(sup), "--depth", depth]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_INVALID
+    assert out == (
+        f"verdict INVALID depth={depth}\n"
+        "witness 01\n"
+        "reason  string '01' appears in supports 1 and 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "depth,code,out",
+    [
+        ("1", EXIT_OK, "verdict VALID depth=1\n"),
+        (
+            "2",
+            EXIT_INVALID,
+            "verdict INVALID depth=2\n"
+            "witness aba\n"
+            "reason  string 'aba' appears twice in support 2, as a·ba and ab·a\n",
+        ),
+    ],
+)
+def test_validate_collision_within_one_depth(capsys, tmp_path, depth, code, out):
+    # D5: a·ba = ab·a
+    system = tmp_path / "ab.cs"
+    system.write_text("sym a=1 b=1;\nexpr: (a|b)*\n")
+    sup = tmp_path / "d5.sup"
+    sup.write_text("a 1\nab 2\nba 2\n")
+    argv = ["validate", "--system", str(system), "--support", str(sup), "--depth", depth]
+    assert run(capsys, argv)[:2] == (code, out)
+
+
+def test_validate_has_no_tuple_budget(capsys, sbin_file, tmp_path):
+    sup = tmp_path / "pitfall.sup"
+    sup.write_text("0 1\n1 1\n01 2\n")
+    argv = ["validate", "--system", sbin_file, "--support", str(sup), "--max-tuples", "50"]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert "unrecognized arguments: --max-tuples" in err
+
+
 def test_validate_empty_support_is_error(capsys, sbin_file, tmp_path):
     empty = tmp_path / "empty.sup"
     empty.write_text("\n")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from concap import build_jk_system, parse_system
-from concap.automata import Dfa, matches
+from concap import build_jk_system, maxent, parse_system
+from concap.automata import Dfa, matches, system_dfa
 from concap.genfun import capacity_jk
 from concap.maxent import (
     MaxentError,
@@ -20,7 +20,6 @@ from concap.maxent import (
     sample_process,
     solve_rate,
     support_from_strings,
-    truncated_supports,
     validate_input_process,
     validate_input_source,
 )
@@ -186,8 +185,8 @@ def test_pitfall_fixed_by_zeroing_01(sbin):
     p = Pmf(PITFALL, (0.5, 0.5, 0.0))
     report = validate_input_process(p, sbin, depth=4)
     assert report.valid
-    supports, _, _ = truncated_supports(p, sbin, depth=3)
-    assert [len(s) for s in supports] == [2, 4, 8]  # (0|1)^l
+    assert report.depth == 4
+    assert (report.witness, report.reason) == ("", "")
 
 
 def test_jk_process_valid():
@@ -198,19 +197,63 @@ def test_jk_process_valid():
 
 
 def test_zero_probability_blocks_never_materialize(sbin):
-    # the zero-probability block "01" must not appear as a depth-1 item;
-    # depth-2 strings are exactly the four concatenations of "0" and "1"
-    p = Pmf(PITFALL, (0.5, 0.5, 0.0))
-    supports, _, _ = truncated_supports(p, sbin, depth=2)
-    assert sorted(supports[0].strings) == ["0", "1"]
-    assert sorted(supports[1].strings) == ["00", "01", "10", "11"]
+    # "01" would collide with 0·1 and "x" is no label sequence of (0|1)*:
+    # at probability 0 neither is read, so the process is valid
+    support = WeightedSupport(PITFALL.items + (("x", 1.0),))
+    report = validate_input_process(Pmf(support, (0.5, 0.5, 0.0, 0.0)), sbin, depth=3)
+    assert report.valid
 
 
-def test_tuple_budget_truncates(sbin):
-    p = maxentropic_pmf(PITFALL)
-    report = validate_input_process(p, sbin, depth=10, max_tuples=50)
-    assert report.truncated
-    assert report.depth < 10
+D5 = WeightedSupport((("a", 1.0), ("ab", 2.0), ("ba", 2.0)))
+SAB = "sym a=1 b=1;\nexpr: (a|b)*"
+
+
+def test_collision_within_one_depth_is_invalid():
+    # D5: a·ba = ab·a, two factorizations into two blocks each
+    report = validate_input_process(maxentropic_pmf(D5), parse_system(SAB), depth=2)
+    assert not report.valid
+    assert report.depth == 2
+    assert report.witness == "aba"
+    assert report.reason == "string 'aba' appears twice in support 2, as a·ba and ab·a"
+
+
+def test_collision_needs_depth_two():
+    report = validate_input_process(maxentropic_pmf(D5), parse_system(SAB), depth=1)
+    assert report.valid
+    assert report.depth == 1
+
+
+def test_collision_across_depths_is_invalid_at_every_depth(sbin):
+    for depth in (2, 3, 5):
+        report = validate_input_process(maxentropic_pmf(PITFALL), sbin, depth)
+        assert (report.valid, report.depth, report.witness) == (False, depth, "01")
+        assert report.reason == "string '01' appears in supports 1 and 2"
+
+
+def test_collision_depth_is_its_longer_side(sbin):
+    # 0·0·0 = 000 fails at depth 3, but 0·000 = 000·0 already at depth 2
+    p = maxentropic_pmf(WeightedSupport((("0", 1.0), ("000", 3.0))))
+    report = validate_input_process(p, sbin, depth=3)
+    assert report.witness == "0000"
+    assert report.reason == "string '0000' appears twice in support 2, as 0·000 and 000·0"
+
+
+def test_lowest_failing_depth_wins():
+    # bba = b·b·a collides at depth 3; a·a is rejected at depth 2 by a
+    # system without aa, and at depth 2 a rejection wins over D5's collision
+    sab, no_aa = parse_system(SAB), parse_system("sym a=1 b=1;\nexpr: (b | a b)* (a | eps)")
+    code = WeightedSupport((("a", 1.0), ("b", 1.0), ("bba", 3.0)))
+    p = maxentropic_pmf(code)
+    assert validate_input_process(p, sab, depth=2).valid
+    report = validate_input_process(p, sab, depth=3)
+    assert (report.witness, report.reason) == ("bba", "string 'bba' appears in supports 1 and 3")
+    for q in (p, maxentropic_pmf(D5)):
+        report = validate_input_process(q, no_aa, depth=3)
+        assert (report.witness, report.reason) == ("aa", "string 'aa' in support 2 is not accepted")
+    # up to length 4, D5 is first rejected at depth 3 (a·ab·ab): its
+    # collision at depth 2 wins
+    short = parse_system("sym a=1 b=1;\nexpr: (a|b){0,4}")
+    assert validate_input_process(maxentropic_pmf(D5), short, depth=3).witness == "aba"
 
 
 # --- rate bound ---------------------------------------------------------
@@ -305,18 +348,45 @@ def test_support_file_bad_columns():
 
 def test_each_block_is_walked_from_a_state_at_most_once(monkeypatch):
     # ~200 DFA states and 200 blocks: walking every block from every state
-    # would take ~40,000 walks, more than sampling or building depth 2 needs
+    # would take ~40,000 walks, more than sampling needs
     system = parse_system("sym a=1 b=1;\nexpr: (a{1,200} b)*")
     blocks = (("a", 1.0),) + tuple(("a" * k + "b", k + 1.0) for k in range(1, 200))
     p = maxentropic_pmf(WeightedSupport(blocks))
-    _, _, states = truncated_supports(p, system, depth=2)
     walk, walks = Dfa.walk, []
-    monkeypatch.setattr(Dfa, "walk", lambda dfa, labels, q: walks.append(q) or walk(dfa, labels, q))
+
+    def counting(dfa, labels, q):
+        walks.append((tuple(labels), q))
+        return walk(dfa, labels, q)
+
+    monkeypatch.setattr(Dfa, "walk", counting)
     report = sample_process(p, n_blocks=1000, seed=1, system=system)
     assert len(walks) <= 1000
-    walks.clear()
-    validate_input_process(p, system, depth=2)
-    # each block from the start, then from each distinct depth-1 state
-    assert len(walks) <= len(blocks) * (1 + len(set(states[0].values())))
+    # runs of at most 200 a's: the comma code b a^k (k = 0..100) reaches
+    # the runs 0..100 at depth 1, and expands each of them once
+    runs = parse_system("sym a=1 b=1;\nexpr: (b | a{1,200} b)* a{0,200}")
+    code = WeightedSupport(tuple(("b" + "a" * k, k + 1.0) for k in range(101)))
+    assert system_dfa(runs).n_states == 201
+    for depth in (1, 2, 3):
+        walks.clear()
+        assert validate_input_process(maxentropic_pmf(code), runs, depth).valid
+        assert len(set(walks)) == len(walks) <= len(code) * 201
+        assert len(walks) == len(code) * (1 if depth == 1 else len(code))
     monkeypatch.undo()
     assert report.accepted == matches(system, report.string)
+
+
+def test_blocks_are_split_on_their_first_walk(monkeypatch):
+    # the first block, a, is rejected at once: no other block is split
+    system = parse_system("sym a=1 b=1;\nexpr: (a{1,1000} b)*")
+    blocks = (("a", 1.0),) + tuple(("a" * k + "b", k + 1.0) for k in range(1, 1000))
+    p = Pmf(WeightedSupport(blocks), (1 / len(blocks),) * len(blocks))
+    split, calls = maxent.split_labels, []
+
+    def counting(s, label_re):
+        calls.append(s)
+        return split(s, label_re)
+
+    monkeypatch.setattr(maxent, "split_labels", counting)
+    report = validate_input_process(p, system, depth=1)
+    assert (report.valid, report.witness) == (False, "a")
+    assert calls == ["a"]

@@ -1,13 +1,15 @@
 """Random IID block processes checked against references written here.
 
-``validate_input_process`` walks each string's DFA state from its prefix's
-state and its last block, and ``sample_process`` walks the sampled blocks
-the same way.  The references below instead test every concatenation from
-its start with ``matches`` and build each depth with ``itertools.product``.
+``validate_input_process`` searches DFA states and dangling suffixes and
+never builds a concatenation, and ``sample_process`` walks the sampled
+blocks one at a time.  The references below instead build every
+concatenation of up to ``depth`` blocks with ``itertools.product``, record
+each of its factorizations, and test it from its start with ``matches``.
 """
 
 import itertools
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,7 +20,6 @@ from concap.automata import matches
 from concap.dsl import DslError
 from concap.maxent import (
     Pmf,
-    ValidationReport,
     WeightedSupport,
     sample_process,
     validate_input_process,
@@ -49,28 +50,29 @@ def processes(draw):
     return system, Pmf(support, tuple(m / sum(mass) for m in mass))
 
 
-def reference_validate(p, system, depth, max_tuples):
-    """Depth l holds the distinct concatenations of l positive-probability
-    blocks, built only while (number of blocks)**l <= max_tuples (depth 1
-    always); strings are checked depth by depth in sorted order."""
-    blocks = [s for s, q in zip(p.support.strings, p.probs) if q > 0]
-    levels = []
+def reference_failures(p, system, depth):
+    """Every string that fails as a concatenation of at most ``depth``
+    positive-probability blocks, mapped to the number of blocks after which
+    it fails: its fewest if the system rejects it, else its second-fewest if
+    it has two factorizations.  The blocks are first checked in sorted
+    order, so a block with no label sequence raises ``DslError`` unless an
+    earlier block is rejected; then every rejected block fails at 1."""
+    blocks = sorted(s for s, q in zip(p.support.strings, p.probs) if q > 0)
+    for s in blocks:
+        if not matches(system, s):
+            labelled = [b for b in blocks if is_label_sequence(system, b)]
+            return {b: 1 for b in labelled if not matches(system, b)}
+    factorizations = defaultdict(list)
     for n in range(1, depth + 1):
-        if n > 1 and len(blocks) ** n > max_tuples:
-            break
-        levels.append(sorted({"".join(t) for t in itertools.product(blocks, repeat=n)}))
-    checked, truncated = len(levels), len(levels) < depth
-    seen = {}
-    for level, strings in enumerate(levels, start=1):
-        for s in strings:
-            if s in seen:
-                reason = f"string {s!r} appears in supports {seen[s]} and {level}"
-                return ValidationReport(False, checked, s, reason, truncated)
-            seen[s] = level
-            if not matches(system, s):
-                reason = f"string {s!r} in support {level} is not accepted"
-                return ValidationReport(False, checked, s, reason, truncated)
-    return ValidationReport(True, checked, truncated=truncated)
+        for t in itertools.product(blocks, repeat=n):
+            factorizations["".join(t)].append(n)
+    failures = {}
+    for s, counts in factorizations.items():
+        if not matches(system, s):
+            failures[s] = counts[0]
+        elif len(counts) > 1:
+            failures[s] = counts[1]
+    return failures
 
 
 def outcome(fn, *args):
@@ -87,11 +89,25 @@ def is_label_sequence(system, s):
 
 @seed(5)
 @settings(max_examples=300, deadline=None)
-@given(processes(), st.integers(1, 3), st.integers(1, 60))
-def test_validate_input_process_equals_reference(process, depth, max_tuples):
+@given(processes(), st.integers(1, 3))
+def test_validate_input_process_equals_reference(process, depth):
     system, p = process
-    expected = outcome(reference_validate, p, system, depth, max_tuples)
-    assert outcome(validate_input_process, p, system, depth, max_tuples) == expected
+    failures = outcome(reference_failures, p, system, depth)
+    report = outcome(validate_input_process, p, system, depth)
+    if isinstance(failures, tuple):  # DslError
+        assert report == failures
+        return
+    assert report.valid == (not failures)
+    assert report.depth == depth
+    if failures:
+        # a real failure at the lowest failing depth
+        w = report.witness
+        assert failures.get(w) == min(failures.values())
+        if matches(system, w):
+            assert report.reason.startswith(f"string {w!r} appears ")
+            assert re.search(rf"\b{failures[w]}\b", report.reason)
+        else:
+            assert report.reason == f"string {w!r} in support {failures[w]} is not accepted"
 
 
 @seed(6)

@@ -18,7 +18,13 @@ from concap.spectrum import (
     spectrum_from_counts,
 )
 
-from conftest import brute_force_counts, c0_sequence, capacity_sequence, runlength_ok
+from conftest import (
+    brute_force_counts,
+    c0_sequence,
+    capacity_sequence,
+    runlength_dp_counts,
+    runlength_ok,
+)
 
 LN2 = math.log(2)
 
@@ -39,7 +45,10 @@ def test_s11_two_per_length():
 
 def test_s22_fibonacci_growth():
     sp = enumerate_spectrum(build_jk_system(2, 2), max_weight=20)
-    assert sp.counts == list(brute_force_counts(2, 2, 20))
+    # two exact oracles: the run-length DP at 20, the filter of all 2^n
+    # strings at 14 (listing all 2^20 took seconds)
+    assert sp.counts == list(runlength_dp_counts(2, 2, 20))
+    assert sp.counts[:14] == list(brute_force_counts(2, 2, 14))
     # growth ratio approaches the golden ratio
     ratio = sp.counts[-1] / sp.counts[-2]
     assert ratio == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-3)
