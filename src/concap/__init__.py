@@ -12,7 +12,7 @@ from .dsl import (
     load_system,
     parse_system,
 )
-from .genfun import CapacityResult, abscissa, capacity_jk, eval_real
+from .genfun import CapacityResult, abscissa, capacity_jk, converges, eval_real
 from .maxent import (
     Pmf,
     RateBound,
@@ -41,7 +41,6 @@ from .spectrum import (
     density_check,
     enumerate_spectrum,
     growth_rate_estimate,
-    iter_strings,
     spectrum_from_counts,
 )
 

@@ -38,9 +38,13 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_units(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=genfun.DEFAULT_TOL)
-    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    _add_units(p)
 
 
 def cmd_capacity(args) -> int:
@@ -87,8 +91,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = _load_system(args)
-    q = genfun.abscissa(system, tol=args.tol)
-    if args.s <= q.q:
+    if args.s <= 0.0 or not genfun.converges(system, args.s):  # capacity >= 0
+        q = genfun.abscissa(system, tol=args.tol)
         raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
     sp = spectrum.enumerate_spectrum(
         system, max_weight=args.max_weight, max_strings=args.max_strings
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="enumerate the weight spectrum and estimators")
     _add_system_args(p)
-    _add_common(p)
+    _add_units(p)
     p.add_argument("--max-weight", type=float, required=True)
     p.add_argument("--max-strings", type=int, default=10_000_000)
     p.add_argument("--density-l", type=float, default=1.0)
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="partial-sum vs generating-function check")
     _add_system_args(p)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=genfun.DEFAULT_TOL)
     p.add_argument("--s", type=float, required=True, help="evaluation point")
     p.add_argument("--max-weight", type=float, required=True)
     p.add_argument("--max-strings", type=int, default=10_000_000)
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", metavar="FILE")
-    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    _add_units(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("jk-table", help="capacity grid over (j,k)")

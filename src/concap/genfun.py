@@ -3,7 +3,8 @@
 The sum of ``exp(-w*s)`` over a system's distinct strings (of weight
 ``w``) converges for real ``s`` above a threshold and diverges below it;
 that threshold, the abscissa of convergence, is the system's capacity.
-``abscissa`` reads it off the DFA, on which every string is one path.
+``abscissa`` reads it off the DFA, on which every string is one path, by
+bisecting on the pivot test ``converges``.
 ``eval_real`` sums a regex's own series, one term per derivation, which
 equals the string series only if the regex is unambiguous: it is the
 ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
@@ -121,9 +122,7 @@ MAX_ITERATIONS = 200
 SLACK = 3  # tests allowed beyond bisection's count, to follow regula falsi
 
 
-def bisect_root(
-    excess: Callable[[float], float], tol: float, max_iter: int = MAX_ITERATIONS
-) -> tuple[float, float, int]:
+def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, float, int]:
     """Bracket the root of a decreasing ``excess`` on [0, inf): the cell
     plain bisection ends in, found in far fewer tests.
 
@@ -139,7 +138,7 @@ def bisect_root(
     search ends in bisection's own cell after at most n + SLACK tests, and
     near a smooth root after a few.  Returns ``(a, a + h, iterations)``,
     counting the tests made after ``hi`` was found.  If ``tol`` is out of
-    reach (below the float spacing at the root, or beyond ``max_iter``
+    reach (below the float spacing at the root, or beyond ``MAX_ITERATIONS``
     halvings), ``SolverError`` carries the tightest bracket found.
     """
     hi, f_hi = 1.0, excess(1.0)
@@ -154,12 +153,12 @@ def bisect_root(
     while h > tol:
         h *= 0.5
         n += 1
-    levels = min(n, max_iter, 1023)  # grid points are ints k < 2^1024, at k * hi / 2^levels
+    levels = min(n, MAX_ITERATIONS, 1023)  # grid points are ints k < 2^1024, at k * hi / 2^levels
     scale = math.frexp(hi)[1] - 1 - levels
     a, fa = (1 << (levels - 1), f_half) if grow and levels else (0, math.nan)
     b, fb = 1 << levels, f_hi
     budget, tests, kept = levels + SLACK, 0, 0
-    while b - a > 1 and tests < max_iter:
+    while b - a > 1 and tests < MAX_ITERATIONS:
         k = (a + b) // 2
         room = budget - tests - 1  # after this test the bracket spans <= 2^room cells
         if room >= 0 and fa != fb:
@@ -188,7 +187,24 @@ def bisect_root(
     return lo, hi, tests
 
 
-def abscissa(system: SystemDef, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> CapacityResult:
+def _edges(system: SystemDef) -> list[list[tuple[int, list[float]]]]:
+    """The system DFA's edges as ``_least_pivot`` reads them."""
+    weights, edges = system.weights, []
+    for transitions in system_dfa(system).transitions:
+        targets: dict[int, list[float]] = {}
+        for label, j in transitions.items():
+            targets.setdefault(j, []).append(weights[label])
+        edges.append(list(targets.items()))
+    return edges
+
+
+def converges(system: SystemDef, s: float) -> bool:
+    """Whether the series of the system's distinct strings converges at
+    ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance."""
+    return _least_pivot(_edges(system), s) > 0.0
+
+
+def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
     """Infimum of real ``s`` where the series of the system's distinct
     strings converges: ``bisect_root`` guided by minus ``_least_pivot`` on
     the system's DFA, so the bracket is plain bisection's.
@@ -198,16 +214,10 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL, max_iter: int = MAX_IT
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    weights = system.weights
-    edges = []
-    for transitions in system_dfa(system).transitions:
-        targets: dict[int, list[float]] = {}
-        for label, j in transitions.items():
-            targets.setdefault(j, []).append(weights[label])
-        edges.append(list(targets.items()))
+    edges = _edges(system)
     if _least_pivot(edges, 0.0) > 0.0:
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
-    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(edges, s), tol, max_iter)
+    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(edges, s), tol)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 

@@ -160,16 +160,14 @@ class ValidationReport:
 def validate_input_source(
     supports: list[WeightedSupport], system: SystemDef
 ) -> ValidationReport:
-    """Check the input-source conditions on a finite prefix of support sets:
-    every string accepted by the system, supports pairwise disjoint and
-    nonempty, checked level by level and string by string in support
-    order.  The verdict covers only the depth supplied."""
+    """Check the input-source conditions on a finite prefix of support sets
+    (``WeightedSupport`` is never empty): every string accepted by the
+    system and supports pairwise disjoint, checked level by level and string
+    by string in support order.  The verdict covers only the depth supplied."""
     dfa = system_dfa(system)
     depth = len(supports)
     seen: dict[str, int] = {}
     for level, sup in enumerate(supports, start=1):
-        if len(sup) == 0:
-            return ValidationReport(False, depth, reason=f"support {level} is empty")
         for s in sup.strings:
             if s in seen:
                 return ValidationReport(
@@ -337,7 +335,7 @@ class RateBound:
     depth: int
 
 
-def rate_bound(supports: list[WeightedSupport], tol: float = DEFAULT_TOL) -> RateBound:
+def rate_bound(supports: list[WeightedSupport]) -> RateBound:
     """Max achievable entropy-per-weight over a validated support prefix.
 
     Finite stand-in for a limit superior over all depths; for a system with
@@ -345,7 +343,7 @@ def rate_bound(supports: list[WeightedSupport], tol: float = DEFAULT_TOL) -> Rat
     """
     if not supports:
         raise MaxentError("no supports given")
-    rates = tuple(solve_rate(sup, tol).rate for sup in supports)
+    rates = tuple(solve_rate(sup).rate for sup in supports)
     return RateBound(max(rates), rates, len(supports))
 
 

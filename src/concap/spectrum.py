@@ -6,6 +6,9 @@ many derivations the regex gives it.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
+The cross-check runs no root search: whether the string series converges
+at the evaluation point is one pivot test (``genfun.converges``), and the
+bound on the regex series' tail is one golden-section search.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from dataclasses import dataclass
 
 from .automata import system_dfa
 from .dsl import SystemDef
-from .genfun import DEFAULT_TOL, DIVERGENT, abscissa, bisect_root, eval_real
+from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
+REL_TOL = 1e-6  # relative slack of the cross-check's gap over the tail bound
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class SpectrumError(ValueError):
@@ -140,29 +145,6 @@ def enumerate_spectrum(
     )
 
 
-def iter_strings(system: SystemDef, max_weight: float, max_strings: int = 1_000_000):
-    """Yield the distinct accepted strings of weight <= ``max_weight`` in
-    weight order, as (string, weight) pairs.  For small-scale checks; the
-    spectrum itself never materializes strings."""
-    dfa = system_dfa(system)
-    weights = system.weights
-    counter = 0
-    tie = 0
-    heap: list[tuple[float, int, str, int]] = [(0.0, tie, "", dfa.start)]
-    while heap:
-        w, _, s, state = heapq.heappop(heap)
-        if state in dfa.accepting and s != "":
-            yield s, w
-            counter += 1
-            if counter >= max_strings:
-                return
-        for label, nxt in dfa.transitions[state].items():
-            w2 = w + weights[label]
-            if w2 <= max_weight + 1e-12:
-                tie += 1
-                heapq.heappush(heap, (w2, tie, s + label, nxt))
-
-
 def spectrum_from_counts(
     pairs: list[tuple[float, int]],
     weight_epsilon: float = DEFAULT_WEIGHT_EPSILON,
@@ -273,47 +255,53 @@ class CrossCheck:
 
 def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     """Upper bound on the tail beyond ``horizon`` at ``s`` of the series of
-    the system's regex: for any convergent probe point s' < s, the tail is
-    at most gf(s') * exp(-horizon * (s - s')).  The probe grid searches
-    (the series' own abscissa, s) for the tightest bound."""
+    the system's regex: for any convergent x <= s, the tail is at most
+    gf(x) * exp(-horizon * (s - x)).  The log of that bound is convex in x
+    where the series converges, and every divergent x lies left of the
+    optimum (gf decreases), so one golden-section search over [0, s], to
+    ``DEFAULT_TOL`` (relative beyond 1), finds it; the least bound seen,
+    x = s included, is returned."""
     expr, weights = system.expr, system.weights
 
-    def excess(x: float) -> float:
-        # -1/(1+v) rises to 0 as v grows to the divergence at the abscissa;
-        # -1/v would divide by a term that underflowed to 0.0
+    def log_bound(x: float) -> float:
         v = eval_real(expr, weights, x)
-        return 1.0 if v == DIVERGENT else -1.0 / (1.0 + v)
+        return (math.log(v) if v > 0.0 else -math.inf) - horizon * (s - x)
 
-    lo, hi, _ = bisect_root(excess, DEFAULT_TOL)
-    floor = 0.5 * (lo + hi)
-    best = math.inf
-    for t in range(1, 40):
-        sp_ = floor + (s - floor) * t / 40.0
-        v = eval_real(expr, weights, sp_)
-        if v == DIVERGENT:
-            continue
-        best = min(best, v * math.exp(-horizon * (s - sp_)))
-    return best
+    a, b = min(0.0, s), s  # a finite language may be checked at s < 0
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = log_bound(c), log_bound(d)
+    best = min(math.inf, log_bound(s), fc, fd)  # nan (at s = inf) never wins
+    while b - a > DEFAULT_TOL * max(1.0, b):  # relative past 1: floats stay apart
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = log_bound(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = log_bound(d)
+        best = min(best, fc, fd)
+    return math.exp(best)
 
 
-def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: float = 1e-6) -> CrossCheck:
+def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossCheck:
     """Compare the enumerated partial sum with the value of the series of
     the system's regex.
 
     The enumeration counts distinct strings; the regex's series counts
     derivations.  For an unambiguous regex the function value exceeds
     the complete partial sum by at most the series tail, so a gap larger
-    than the tail bound certifies that the regex is ambiguous (some string
-    is derived more than once).  So does a series of the regex that
-    diverges at an ``s`` above the capacity, where the string series
-    converges: value, difference and tail bound then read ``inf``.  Up to
-    the upper end of the capacity's bracket an unambiguous
-    regex can diverge too, so there divergence is a ``SpectrumError``.
+    than the tail bound (plus ``REL_TOL`` of the value) certifies that the
+    regex is ambiguous (some string is derived more than once).  So does a
+    series of the regex that diverges at an ``s`` where the string series
+    converges (``genfun.converges``): value, difference and tail bound then
+    read ``inf``.  Where the string series diverges, every regex's series
+    diverges with it, so there divergence is a ``SpectrumError``.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
     gf_value = eval_real(system.expr, system.weights, s)
-    if gf_value == DIVERGENT and s <= abscissa(system).bracket_hi:
+    if gf_value == DIVERGENT and not converges(system, s):
         raise SpectrumError(f"the series of the regex diverges at s={s}")
     partial = sp.partial_sum(s)
     if gf_value == DIVERGENT:
@@ -321,7 +309,7 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float, rel_tol: flo
         return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
     tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
     diff = gf_value - partial
-    ambiguous = diff > tail + rel_tol * gf_value
+    ambiguous = diff > tail + REL_TOL * gf_value
     return CrossCheck(diff, partial, gf_value, tail, ambiguous)
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from concap import genfun, spectrum
 from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, build_parser, main
 
 SBIN = "sym 0=1 1=1;\nexpr: (0|1)*\n"
@@ -311,7 +312,7 @@ def test_crosscheck_divergent_regex_series_is_ambiguous(capsys, tmp_path):
 
 def test_crosscheck_tail_bound_with_underflowed_series(capsys, tmp_path):
     # above ln 2 the series of (a|c)* b is exp(-100000 s) / (1 - 2 exp(-s)),
-    # which underflows to 0.0: the tail bound's root search must not divide by it
+    # which underflows to 0.0: the tail bound's search must not take its log
     path = tmp_path / "heavy.cs"
     path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|c)* b\n")
     code, out, err = run(
@@ -355,6 +356,45 @@ def test_crosscheck_ambiguous_verdict_ignores_coarse_tol(capsys, tmp_path):
     assert out.splitlines()[-1] == "ambiguous    yes"
 
 
+def test_crosscheck_above_capacity_ignores_coarse_tol(capsys, sbin_file):
+    # at --tol 0.5 the capacity's midpoint is 0.75 > 0.7, but 0.7 > ln 2
+    argv = ["crosscheck", "--system", sbin_file, "--s", "0.7", "--tol", "0.5", "--max-weight", "12"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "ambiguous    no"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("sym a=1 b=1 c=1;\nexpr: (a | b c)*\n", EXIT_OK),  # a prefix code: unambiguous
+    ("sym a=1;\nexpr: (a|a)*\n", EXIT_INVALID),
+])
+def test_crosscheck_runs_no_root_search(capsys, tmp_path, monkeypatch, text, code):
+    # convergence at --s is one pivot test and the tail bound one convex search
+    def no_root_search(*args, **kwargs):
+        raise AssertionError("root search on crosscheck's normal path")
+
+    for name in ("bisect_root", "abscissa"):
+        monkeypatch.setattr(genfun, name, no_root_search)
+    assert not {"bisect_root", "abscissa"} & vars(spectrum).keys()
+    path = tmp_path / "code.cs"
+    path.write_text(text)
+    argv = ["crosscheck", "--system", str(path), "--s", "1.0", "--max-weight", "12"]
+    got, out, _ = run(capsys, argv)
+    assert got == code
+    tail = float(next(l.split()[1] for l in out.splitlines() if l.startswith("tail_bound")))
+    assert 0.0 < tail < math.inf
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--tol", "1e-3"],
+    ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--units", "bits"],
+])
+def test_options_no_subcommand_reads_are_gone(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert "unrecognized arguments" in err
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 
@@ -369,7 +409,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
     path = tmp_path / "heavy.cs"
     path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
-    for s in ("0.5", str(math.log(2) - 1e-9)):
+    for s in ("0.5", str(math.log(2) - 1e-9), "-1000.0"):  # exp(1000) overflows
         code, out, err = run(
             capsys,
             ["crosscheck", "--system", str(path), "--s", s, "--max-weight", "12"],

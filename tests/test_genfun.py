@@ -16,10 +16,12 @@ from concap.genfun import (
     abscissa,
     bisect_root,
     capacity_jk,
+    converges,
     eval_real,
 )
 from concap.maxent import WeightedSupport, solve_rate
 
+from test_automata import SIZES
 from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
 
 LN2 = math.log(2)
@@ -165,6 +167,17 @@ def test_capacity_jk_agrees_with_abscissa(j, k):
     direct = capacity_jk(j, k, tol=tol)
     via_dfa = abscissa(build_jk_system(j, k), tol=tol).q
     assert abs(direct - via_dfa) <= 2 * tol
+
+
+@pytest.mark.parametrize(
+    "system",
+    [s for s, _, _ in SIZES] + [build_jk_system(j, k) for j in range(1, 9) for k in range(1, 9)],
+)
+def test_converges_above_the_bracket_and_not_below(system):
+    # the pivot test abscissa bisects on, read at the bracket's ends
+    result = abscissa(system)
+    assert converges(system, result.bracket_hi)
+    assert result.bracket_lo == 0.0 or not converges(system, result.bracket_lo)
 
 
 def test_capacity_jk_rejects_zero():

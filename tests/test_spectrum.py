@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
 
 from concap import build_jk_system, parse_system
+from concap.automata import matches
+from concap.dsl import SystemDef
+from concap.genfun import DEFAULT_TOL, bisect_root, eval_real
 from concap.spectrum import (
     DEFAULT_WEIGHT_EPSILON,
     SpectrumError,
@@ -13,18 +17,19 @@ from concap.spectrum import (
     density_check,
     enumerate_spectrum,
     format_spectrum,
+    gf_tail_bound,
     growth_rate_estimate,
-    iter_strings,
     spectrum_from_counts,
 )
 
 from conftest import (
+    all_binary_strings,
     brute_force_counts,
     c0_sequence,
     capacity_sequence,
     runlength_dp_counts,
-    runlength_ok,
 )
+from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
 
 LN2 = math.log(2)
 
@@ -44,11 +49,15 @@ def test_s11_two_per_length():
 
 
 def test_s22_fibonacci_growth():
-    sp = enumerate_spectrum(build_jk_system(2, 2), max_weight=20)
+    system = build_jk_system(2, 2)
+    sp = enumerate_spectrum(system, max_weight=20)
     # two exact oracles: the run-length DP at 20, the filter of all 2^n
     # strings at 14 (listing all 2^20 took seconds)
     assert sp.counts == list(runlength_dp_counts(2, 2, 20))
     assert sp.counts[:14] == list(brute_force_counts(2, 2, 14))
+    # each accepted string counted once: membership of every string up to 9
+    accepted = sum(matches(system, s) for n in range(1, 10) for s in all_binary_strings(n))
+    assert sp.cumulative[8] == accepted
     # growth ratio approaches the golden ratio
     ratio = sp.counts[-1] / sp.counts[-2]
     assert ratio == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-3)
@@ -58,21 +67,6 @@ def test_s22_fibonacci_growth():
 def test_jk_counts_match_predicate_filter(j, k):
     sp = enumerate_spectrum(build_jk_system(j, k), max_weight=14)
     assert sp.counts == list(brute_force_counts(j, k, 14))
-
-
-def test_enumeration_strings_distinct_and_accepted():
-    from concap.automata import matches
-
-    system = build_jk_system(2, 2)
-    seen = set()
-    for s, w in iter_strings(system, max_weight=9):
-        assert s not in seen
-        seen.add(s)
-        assert matches(system, s)
-        assert w == pytest.approx(len(s))
-        assert runlength_ok(s, 2, 2)
-    sp = enumerate_spectrum(system, max_weight=9)
-    assert len(seen) == sp.cumulative[-1]
 
 
 def test_noninteger_weights_binning():
@@ -263,6 +257,56 @@ def test_cross_check_divergent_just_below_capacity_is_error(sbin):
     sp = enumerate_spectrum(sbin, max_weight=12)
     with pytest.raises(SpectrumError):
         cross_check_gf(sp, sbin, math.nextafter(LN2, 0.0))
+
+
+@pytest.mark.parametrize("s", [0.7, 0.8, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("horizon", [1, 5, 20, 100])
+def test_tail_bound_covers_exact_sbin_tail(sbin, s, horizon):
+    r = 2.0 * math.exp(-s)  # (0|1)* has 2^n strings of weight n
+    assert r ** (horizon + 1) / (1.0 - r) <= gf_tail_bound(sbin, s, horizon) < math.inf
+
+
+def test_tail_bound_at_the_ends_of_the_axis(sbin):
+    # a finite language converges at every s: at s <= 0 the only x <= s
+    # searched is s itself, where the bound is the whole series
+    finite = parse_system("sym a=1 b=2;\nexpr: a b a | b")
+    for s in (0.0, -1.0):
+        value = eval_real(finite.expr, finite.weights, s)
+        assert gf_tail_bound(finite, s, 3.0) == pytest.approx(value, rel=1e-12)
+    assert gf_tail_bound(sbin, math.inf, 5.0) == math.inf  # not nan
+
+
+def grid_tail_bound(system, s, horizon):
+    """The reference the golden-section search replaced: 39 probes between
+    the regex series' abscissa (a root search to DEFAULT_TOL) and s."""
+    expr, weights = system.expr, system.weights
+
+    def excess(x):
+        v = eval_real(expr, weights, x)
+        return 1.0 if v == math.inf else -1.0 / (1.0 + v)
+
+    lo, hi, _ = bisect_root(excess, DEFAULT_TOL)
+    floor = 0.5 * (lo + hi)
+    best = math.inf
+    for t in range(1, 40):
+        x = floor + (s - floor) * t / 40.0
+        v = eval_real(expr, weights, x)
+        if v != math.inf:
+            best = min(best, v * math.exp(-horizon * (s - x)))
+    return best
+
+
+@seed(10)
+@settings(max_examples=120, deadline=None)
+@given(_regexes())
+def test_tail_bound_never_above_grid_bound(expr):
+    system = SystemDef(_DECLS, expr)
+    for s in (0.9, 1.7, 3.0):
+        if eval_real(expr, system.weights, s) == math.inf:
+            continue  # cross_check_gf reads no tail bound there
+        for horizon in (3.0, 10.0, 40.0):
+            bound = gf_tail_bound(system, s, horizon)
+            assert bound <= grid_tail_bound(system, s, horizon)
 
 
 def test_cross_check_rejects_incomplete(sbin):
