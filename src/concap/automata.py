@@ -126,28 +126,36 @@ class Dfa:
         return self.walk(labels, self.start) in self.accepting
 
 
-def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
-    start = _closure(nfa, frozenset([nfa.start]))
+def _bfs_numbering(start, step, labels: list[str]) -> tuple[list, list[dict[str, int]]]:
+    """The states reachable from ``start``, numbered in BFS order (the
+    start is 0) following ``labels`` in order, and their transition rows;
+    ``step(state, label)`` is the successor, or None for no transition."""
     index = {start: 0}
     order = [start]
-    transitions: list[dict[str, int]] = [{}]
-    pos = 0
-    while pos < len(order):
-        current = order[pos]
+    transitions: list[dict[str, int]] = []
+    for current in order:  # the list grows while it is read
+        row: dict[str, int] = {}
         for lab in labels:
-            targets = set()
-            for s in current:
-                targets.update(nfa.edges.get((s, lab), ()))
-            if not targets:
+            nxt = step(current, lab)
+            if nxt is None:
                 continue
-            nxt = _closure(nfa, frozenset(targets))
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
-                transitions.append({})
-            transitions[pos][lab] = index[nxt]
-        pos += 1
-    accepting = frozenset(i for st, i in index.items() if nfa.accept in st)
+            row[lab] = index[nxt]
+        transitions.append(row)
+    return order, transitions
+
+
+def determinize(nfa: Nfa, labels: list[str]) -> Dfa:
+    def step(current: frozenset[int], lab: str) -> frozenset[int] | None:
+        targets = set()
+        for s in current:
+            targets.update(nfa.edges.get((s, lab), ()))
+        return _closure(nfa, frozenset(targets)) if targets else None
+
+    order, transitions = _bfs_numbering(_closure(nfa, frozenset([nfa.start])), step, labels)
+    accepting = frozenset(i for i, st in enumerate(order) if nfa.accept in st)
     return Dfa(0, accepting, transitions)
 
 
@@ -157,8 +165,8 @@ def minimize(dfa: Dfa, labels: list[str]) -> Dfa:
 
     A missing transition goes to an implicit dead state, which is refined
     like any other and dropped from the result with every state equivalent
-    to it.  States are numbered in BFS order from the start (state 0),
-    following ``labels`` in order, as ``determinize`` numbers them.
+    to it.  States are numbered by ``_bfs_numbering``, as ``determinize``
+    numbers them.
     """
     dead = dfa.n_states
     # inverse[lab][t]: the states whose ``lab`` transition leads to t; the
@@ -201,26 +209,14 @@ def minimize(dfa: Dfa, labels: list[str]) -> Dfa:
                 queued.add(pair)
 
     dead_block = block_of[dead]
-    start = block_of[dfa.start]
-    if start == dead_block:
-        return Dfa(0, frozenset(), [{}])
-    index = {start: 0}
-    order = [start]
-    transitions: list[dict[str, int]] = []
-    for b in order:
-        row = dfa.transitions[next(iter(blocks[b]))]
-        out: dict[str, int] = {}
-        for lab in labels:
-            t = row.get(lab)
-            if t is None or block_of[t] == dead_block:
-                continue
-            target = block_of[t]
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            out[lab] = index[target]
-        transitions.append(out)
-    accepting = frozenset(i for i, b in enumerate(order) if next(iter(blocks[b])) in dfa.accepting)
+    member = [min(block) for block in blocks]  # min: only {dead} has no state with a row
+
+    def step(b: int, lab: str) -> int | None:
+        t = dfa.transitions[member[b]].get(lab)
+        return None if t is None or block_of[t] == dead_block else block_of[t]
+
+    order, transitions = _bfs_numbering(block_of[dfa.start], step, labels)
+    accepting = frozenset(i for i, b in enumerate(order) if member[b] in dfa.accepting)
     return Dfa(0, accepting, transitions)
 
 

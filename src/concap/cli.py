@@ -30,6 +30,11 @@ def _load_system(args) -> dsl.SystemDef:
     return dsl.load_system(args.system)
 
 
+def _read_support(path: str) -> tuple[maxent.WeightedSupport, maxent.Pmf | None]:
+    with open(path, encoding="utf-8") as fh:
+        return maxent.parse_support_file(fh.read())
+
+
 def _add_system_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--system", metavar="FILE", help="system definition file")
@@ -110,8 +115,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_maxent(args) -> int:
-    with open(args.support, encoding="utf-8") as fh:
-        support, _ = maxent.parse_support_file(fh.read())
+    support, _ = _read_support(args.support)
     result = maxent.solve_rate(support, tol=args.tol)
     p = maxent.maxentropic_pmf(support, result)
     print(f"rate        {_units_value(result.rate, args.units):.12f} {args.units}")
@@ -124,10 +128,9 @@ def cmd_maxent(args) -> int:
 
 def cmd_validate(args) -> int:
     system = _load_system(args)
-    with open(args.support, encoding="utf-8") as fh:
-        support, pmf = maxent.parse_support_file(fh.read())
-    if pmf is None:
-        pmf = maxent.maxentropic_pmf(support)
+    support, pmf = _read_support(args.support)
+    if pmf is None:  # the verdict reads only which blocks are positive: all of them
+        pmf = maxent.Pmf(support, (1.0 / len(support),) * len(support))
     report = maxent.validate_input_process(pmf, system, depth=args.depth)
     verdict = "VALID" if report.valid else "INVALID"
     print(f"verdict {verdict} depth={report.depth}")
@@ -141,8 +144,7 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     system = _load_system(args) if (args.system or args.jk) else None
     if args.support:
-        with open(args.support, encoding="utf-8") as fh:
-            support, pmf = maxent.parse_support_file(fh.read())
+        support, pmf = _read_support(args.support)
     elif args.jk:
         support, pmf = maxent.jk_phrase_support(*args.jk), None
     else:

@@ -63,9 +63,9 @@ def _least_pivot(edges: list[list[tuple[int, list[float]]]], s: float) -> float:
     the pivot that vanishes there comes close to 0, so the value is
     continuous there.  The DSL has no empty-set regex, so every state of
     the minimized DFA (``system_dfa``) is reachable and reaches acceptance:
-    every cycle counts.  Elimination runs from the last state in BFS order
-    down, touching only rows with an entry in the pivot column: repetition
-    chains stay cheap.
+    every cycle counts.  Elimination runs from the last state in the BFS
+    order of ``automata._bfs_numbering`` down, touching only rows with an
+    entry in the pivot column: repetition chains stay cheap.
     """
     rows: list[dict[int, float]] = []
     column_rows: list[set[int]] = [set() for _ in edges]

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import system_dfa
+from .automata import matches, system_dfa
 from .dsl import SystemDef, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
 
@@ -120,8 +120,6 @@ def maxentropic_pmf(support: WeightedSupport, solved: RateResult | None = None) 
     p(z) = exp(-w(z) * R).  ``solved``, the support's ``solve_rate``
     result if the caller has it, saves solving for R again."""
     result = solve_rate(support) if solved is None else solved
-    if result.degenerate:
-        return Pmf(support, (1.0,))
     probs = [math.exp(-w * result.rate) for w in support.weights]
     total = sum(probs)
     # the root already puts the sum within tol of 1; renormalize the dust
@@ -164,7 +162,6 @@ def validate_input_source(
     (``WeightedSupport`` is never empty): every string accepted by the
     system and supports pairwise disjoint, checked level by level and string
     by string in support order.  The verdict covers only the depth supplied."""
-    dfa = system_dfa(system)
     depth = len(supports)
     seen: dict[str, int] = {}
     for level, sup in enumerate(supports, start=1):
@@ -177,7 +174,7 @@ def validate_input_source(
                     reason=f"string {s!r} appears in supports {seen[s]} and {level}",
                 )
             seen[s] = level
-            if not dfa.accepts(split_labels(s, system.label_re)):
+            if not matches(system, s):
                 return ValidationReport(
                     False,
                     depth,
@@ -378,7 +375,7 @@ def sample_process(
     """Draw ``n_blocks`` IID blocks from the PMF and concatenate them.
 
     Reports the exact per-block entropy and mean weight alongside plug-in
-    empirical estimates from the observed block frequencies (no bias
+    estimates, the same figures of the observed block frequencies (no bias
     correction).  With a ``system``, membership of the concatenation is
     decided by walking the DFA one block at a time, each block read as its
     own label sequence.  Deterministic for a given seed.
@@ -389,14 +386,10 @@ def sample_process(
 
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(p.probs), size=n_blocks, p=np.asarray(p.probs))
-    counts = np.bincount(idx, minlength=len(p.probs))
+    counts = np.bincount(idx, minlength=len(p.probs)).tolist()
+    observed = Pmf(p.support, tuple(c / n_blocks for c in counts))
     order = idx.tolist()
     strings = p.support.strings
-    weights = np.asarray(p.support.weights)
-    freqs = counts / n_blocks
-    pos = freqs > 0
-    emp_entropy = float(-(freqs[pos] * np.log(freqs[pos])).sum())
-    emp_weight = float((freqs * weights).sum())
     accepted = None
     if system is not None:
         # a positive-probability block with no label sequence raises
@@ -417,18 +410,16 @@ def sample_process(
             if state is None:
                 break
         accepted = state in dfa.accepting
-    h = entropy(p)
-    mw = mean_weight(p)
     return SampleReport(
         blocks=strings,
         drawn=order,
         n_blocks=n_blocks,
-        entropy=h,
-        mean_weight=mw,
-        rate=h / mw,
-        empirical_entropy=emp_entropy,
-        empirical_mean_weight=emp_weight,
-        empirical_rate=emp_entropy / emp_weight,
+        entropy=entropy(p),
+        mean_weight=mean_weight(p),
+        rate=entropy_per_weight(p),
+        empirical_entropy=entropy(observed),
+        empirical_mean_weight=mean_weight(observed),
+        empirical_rate=entropy_per_weight(observed),
         accepted=accepted,
     )
 

@@ -80,14 +80,13 @@ def enumerate_spectrum(
     system: SystemDef,
     max_weight: float,
     max_strings: int = 10_000_000,
-    weight_epsilon: float = DEFAULT_WEIGHT_EPSILON,
 ) -> WeightSpectrum:
     """Count every distinct accepted string of weight <= ``max_weight``.
 
     Weight-ordered frontier search over the DFA: a bucket per distinct
     reached weight holds per-state path counts; buckets are expanded in
-    weight order and weights closer than ``weight_epsilon`` are merged into
-    one bin.  Counting on the DFA needs no explicit dedup.
+    weight order and weights closer than ``DEFAULT_WEIGHT_EPSILON`` are
+    merged into one bin.  Counting on the DFA needs no explicit dedup.
 
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
@@ -110,7 +109,7 @@ def enumerate_spectrum(
             continue  # already merged into an earlier bin
         states = buckets.pop(w)
         # merge bins within the binning tolerance
-        while heap and heap[0] - w <= weight_epsilon:
+        while heap and heap[0] - w <= DEFAULT_WEIGHT_EPSILON:
             w2 = heapq.heappop(heap)
             for state, n in buckets.pop(w2, {}).items():
                 states[state] = states.get(state, 0) + n
@@ -126,7 +125,7 @@ def enumerate_spectrum(
         for state, n in states.items():
             for label, nxt in dfa.transitions[state].items():
                 w2 = w + weights[label]
-                if w2 > max_weight + weight_epsilon:
+                if w2 > max_weight + DEFAULT_WEIGHT_EPSILON:
                     exhausted = False
                     continue
                 if w2 in buckets:
@@ -137,7 +136,7 @@ def enumerate_spectrum(
                 bucket[nxt] = bucket.get(nxt, 0) + n
     return WeightSpectrum(
         entries=tuple(entries),
-        weight_epsilon=weight_epsilon,
+        weight_epsilon=DEFAULT_WEIGHT_EPSILON,
         max_weight=max_weight,
         complete=complete,
         exhausted=exhausted,
@@ -260,7 +259,10 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     where the series converges, and every divergent x lies left of the
     optimum (gf decreases), so one golden-section search over [0, s], to
     ``DEFAULT_TOL`` (relative beyond 1), finds it; the least bound seen,
-    x = s included, is returned."""
+    x = s included, is returned.  At s = inf every term beyond the horizon
+    is 0, and so is the bound."""
+    if s == math.inf:
+        return 0.0
     expr, weights = system.expr, system.weights
 
     def log_bound(x: float) -> float:
@@ -270,7 +272,7 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     a, b = min(0.0, s), s  # a finite language may be checked at s < 0
     c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
     fc, fd = log_bound(c), log_bound(d)
-    best = min(math.inf, log_bound(s), fc, fd)  # nan (at s = inf) never wins
+    best = min(log_bound(s), fc, fd)
     while b - a > DEFAULT_TOL * max(1.0, b):  # relative past 1: floats stay apart
         if fc < fd:
             b, d, fd = d, c, fc

@@ -120,9 +120,10 @@ def test_capacity_same_as_on_subset_dfa(system):
 
 @pytest.mark.parametrize("system", [s for s, _, _ in SIZES])
 def test_start_is_zero_and_states_in_bfs_order(system):
-    dfa = system_dfa(system)
-    assert dfa.start == 0
-    assert bfs_order(dfa, labels_of(system)) == list(range(dfa.n_states))
+    # determinize and minimize number states through one routine
+    for dfa in (system_dfa(system), subset_dfa(system)):
+        assert dfa.start == 0
+        assert bfs_order(dfa, labels_of(system)) == list(range(dfa.n_states))
 
 
 @pytest.mark.parametrize("system", [s for s, _, n in SIZES if n <= 30])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from concap import genfun, spectrum
+from concap import genfun, maxent, spectrum
 from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, build_parser, main
 
 SBIN = "sym 0=1 1=1;\nexpr: (0|1)*\n"
@@ -190,6 +190,46 @@ def test_validate_empty_support_is_error(capsys, sbin_file, tmp_path):
     )
     assert code == EXIT_ERROR
     assert "nonempty" in err
+
+
+def test_validate_counts_a_block_whose_maxentropic_prob_underflows(capsys, tmp_path):
+    # p(ab) = exp(-1000 R) is 0.0 in floats, yet ab is listed: a·b = ab
+    system = tmp_path / "abc.cs"
+    system.write_text("sym a=1 b=1 c=1;\nexpr: (a|b|c)*\n")
+    sup = tmp_path / "heavy.sup"
+    sup.write_text("a 1\nb 1\nc 1\nab 1000\n")
+    argv = ["validate", "--system", str(system), "--support", str(sup), "--depth", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_INVALID
+    assert "witness ab\n" in out
+
+
+def test_validate_needs_no_rate(capsys, tmp_path):
+    # no float bracket holds the root of 2 exp(-1e-30 s) = 1
+    system = tmp_path / "ab.cs"
+    system.write_text("sym a=1 b=1;\nexpr: (a|b)*\n")
+    sup = tmp_path / "light.sup"
+    sup.write_text("a 1e-30\nb 1e-30\n")
+    argv = ["validate", "--system", str(system), "--support", str(sup), "--depth", "3"]
+    assert run(capsys, argv)[:2] == (EXIT_OK, "verdict VALID depth=3\n")
+
+
+@pytest.mark.parametrize("text, code", [
+    ("a 1\nb 1\n", EXIT_OK),
+    ("a 1\nab 2\nba 2\n", EXIT_INVALID),  # D5: a·ba = ab·a
+], ids=["valid", "d5"])
+def test_validate_runs_no_root_search(capsys, tmp_path, monkeypatch, text, code):
+    # without probabilities the verdict reads only the listed blocks
+    def no_root_search(*args, **kwargs):
+        raise AssertionError("root search in validate")
+
+    monkeypatch.setattr(maxent, "solve_rate", no_root_search)
+    system = tmp_path / "ab.cs"
+    system.write_text("sym a=1 b=1;\nexpr: (a|b)*\n")
+    sup = tmp_path / "blocks.sup"
+    sup.write_text(text)
+    argv = ["validate", "--system", str(system), "--support", str(sup), "--depth", "3"]
+    assert run(capsys, argv)[0] == code
 
 
 def test_simulate_jk_process(capsys):
@@ -383,6 +423,18 @@ def test_crosscheck_runs_no_root_search(capsys, tmp_path, monkeypatch, text, cod
     assert got == code
     tail = float(next(l.split()[1] for l in out.splitlines() if l.startswith("tail_bound")))
     assert 0.0 < tail < math.inf
+
+
+def test_crosscheck_at_s_inf_sees_the_empty_string_twice(capsys, tmp_path):
+    # at s = inf only the weight-0 terms remain, and the tail bound is 0:
+    # the regex derives the empty string twice, the language has it once
+    path = tmp_path / "eps2.cs"
+    path.write_text("sym a=1;\nexpr: eps | eps | a a*\n")
+    argv = ["crosscheck", "--system", str(path), "--s", "inf", "--max-weight", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_INVALID
+    assert "tail_bound   0\n" in out
+    assert "ambiguous    yes\n" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -273,7 +273,8 @@ def test_tail_bound_at_the_ends_of_the_axis(sbin):
     for s in (0.0, -1.0):
         value = eval_real(finite.expr, finite.weights, s)
         assert gf_tail_bound(finite, s, 3.0) == pytest.approx(value, rel=1e-12)
-    assert gf_tail_bound(sbin, math.inf, 5.0) == math.inf  # not nan
+    # at s = inf every term of positive weight, so the whole tail, is 0
+    assert gf_tail_bound(sbin, math.inf, 5.0) == 0.0
 
 
 def grid_tail_bound(system, s, horizon):
