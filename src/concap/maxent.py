@@ -228,8 +228,10 @@ def _first_rejected(blocks: list[str], system: SystemDef, depth: int) -> list[st
     within ``depth`` steps is accepting, no transition counting as a
     rejecting dead state.  Each state is expanded once, at the level it is
     first reached, trying the blocks in order, so each block is walked from
-    each state at most once.  A block is read as its label sequence on its
-    first walk; one with none raises ``DslError``.
+    each state at most once.  Each level reaches a state not reached before
+    or ends the search, so depth ``n_states`` decides every depth.  A block
+    is read as its label sequence on its first walk; one with none raises
+    ``DslError``.
     """
     dfa = system_dfa(system)
     labels: list[list[str] | None] = [None] * len(blocks)
@@ -376,9 +378,17 @@ def sample_process(
 
     Reports the exact per-block entropy and mean weight alongside plug-in
     estimates, the same figures of the observed block frequencies (no bias
-    correction).  With a ``system``, membership of the concatenation is
-    decided by walking the DFA one block at a time, each block read as its
-    own label sequence.  Deterministic for a given seed.
+    correction).  Deterministic for a given seed.
+
+    With a ``system``, every positive-probability block is read as its own
+    label sequence up front (one with none raises ``DslError``).  If the
+    closure of the start under block steps (``_first_rejected`` at depth
+    ``n_states``) holds only accepting states, every concatenation of
+    positive blocks is accepted and the draws are never walked.  The closure
+    walks each block from each state at most once, so it runs only when
+    that worst case, label count times states, is at most ``n_blocks``;
+    otherwise, and when the closure finds a rejected concatenation, the DFA
+    is walked one drawn block at a time.
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
@@ -399,17 +409,24 @@ def sample_process(
             for s, q in zip(strings, p.probs)
         ]
         dfa = system_dfa(system)
-        # block i's end state from each state it was drawn at, each walked once
-        steps: list[dict[int, int | None]] = [{} for _ in strings]
-        state: int | None = dfa.start
-        for i in order:
-            memo = steps[i]
-            if state not in memo:
-                memo[state] = dfa.walk(labels[i], state)
-            state = memo[state]
-            if state is None:
-                break
-        accepted = state in dfa.accepting
+        positive = [s for s, lab in zip(strings, labels) if lab is not None]
+        n_labels = sum(len(lab) for lab in labels if lab is not None)
+        accepted = (
+            n_labels * dfa.n_states <= n_blocks
+            and _first_rejected(positive, system, dfa.n_states) is None
+        )
+        if not accepted:
+            # block i's end state from each state it was drawn at, each walked once
+            steps: list[dict[int, int | None]] = [{} for _ in strings]
+            state: int | None = dfa.start
+            for i in order:
+                memo = steps[i]
+                if state not in memo:
+                    memo[state] = dfa.walk(labels[i], state)
+                state = memo[state]
+                if state is None:
+                    break
+            accepted = state in dfa.accepting
     return SampleReport(
         blocks=strings,
         drawn=order,

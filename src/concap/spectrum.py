@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .automata import system_dfa
-from .dsl import SystemDef
+from .dsl import Concat, Regex, Repeat, Star, SystemDef, Union
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
@@ -95,7 +95,15 @@ def enumerate_spectrum(
         raise SpectrumError("max_weight must be positive")
     dfa = system_dfa(system)
     weights = system.weights
-    includes_empty = dfa.start in dfa.accepting
+    accepting = dfa.accepting
+    includes_empty = dfa.start in accepting
+    # each state's (weight, next state) steps, read once
+    steps = [
+        tuple((weights[label], nxt) for label, nxt in row.items())
+        for row in dfa.transitions
+    ]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    cutoff = max_weight + DEFAULT_WEIGHT_EPSILON
 
     buckets: dict[float, dict[int, int]] = {0.0: {dfa.start: 1}}
     heap = [0.0]
@@ -104,16 +112,19 @@ def enumerate_spectrum(
     complete = True
     exhausted = True
     while heap:
-        w = heapq.heappop(heap)
-        if w not in buckets:
+        w = heappop(heap)
+        states = buckets.pop(w, None)
+        if states is None:
             continue  # already merged into an earlier bin
-        states = buckets.pop(w)
         # merge bins within the binning tolerance
         while heap and heap[0] - w <= DEFAULT_WEIGHT_EPSILON:
-            w2 = heapq.heappop(heap)
+            w2 = heappop(heap)
             for state, n in buckets.pop(w2, {}).items():
                 states[state] = states.get(state, 0) + n
-        accepted = sum(n for state, n in states.items() if state in dfa.accepting)
+        accepted = 0
+        for state, n in states.items():
+            if state in accepting:
+                accepted += n
         if w > 0 and accepted:
             if total + accepted > max_strings:
                 complete = False
@@ -123,16 +134,15 @@ def enumerate_spectrum(
             entries.append((w, accepted))
         # expand
         for state, n in states.items():
-            for label, nxt in dfa.transitions[state].items():
-                w2 = w + weights[label]
-                if w2 > max_weight + DEFAULT_WEIGHT_EPSILON:
+            for weight, nxt in steps[state]:
+                w2 = w + weight
+                if w2 > cutoff:
                     exhausted = False
                     continue
-                if w2 in buckets:
-                    bucket = buckets[w2]
-                else:
+                bucket = buckets.get(w2)
+                if bucket is None:
                     bucket = buckets[w2] = {}
-                    heapq.heappush(heap, w2)
+                    heappush(heap, w2)
                 bucket[nxt] = bucket.get(nxt, 0) + n
     return WeightSpectrum(
         entries=tuple(entries),
@@ -286,6 +296,18 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     return math.exp(best)
 
 
+def _has_star(expr: Regex) -> bool:
+    """Whether the regex has a star, and so infinitely many derivations."""
+    match expr:
+        case Star():
+            return True
+        case Union(l, r) | Concat(l, r):
+            return _has_star(l) or _has_star(r)
+        case Repeat(c, _, _):
+            return _has_star(c)
+    return False
+
+
 def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossCheck:
     """Compare the enumerated partial sum with the value of the series of
     the system's regex.
@@ -299,17 +321,28 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
     converges (``genfun.converges``): value, difference and tail bound then
     read ``inf``.  Where the string series diverges, every regex's series
     diverges with it, so there divergence is a ``SpectrumError``.
+
+    A regex without a star has finitely many derivations, so its value is
+    finite and an ``inf`` is an overflow, not divergence: that, and any term
+    beyond the float range (at ``s < 0`` terms grow with weight), is a
+    ``SpectrumError``.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
-    gf_value = eval_real(system.expr, system.weights, s)
-    if gf_value == DIVERGENT and not converges(system, s):
-        raise SpectrumError(f"the series of the regex diverges at s={s}")
-    partial = sp.partial_sum(s)
-    if gf_value == DIVERGENT:
-        # the regex has more derivations than the language has strings
-        return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
-    tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
+    expr, weights = system.expr, system.weights
+    try:
+        gf_value = eval_real(expr, weights, s)
+        if gf_value == DIVERGENT and not _has_star(expr):
+            raise OverflowError  # a finite sum whose float is inf
+        if gf_value == DIVERGENT and not converges(system, s):
+            raise SpectrumError(f"the series of the regex diverges at s={s}")
+        partial = sp.partial_sum(s)
+        if gf_value == DIVERGENT:
+            # the regex has more derivations than the language has strings
+            return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
+        tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
+    except OverflowError:
+        raise SpectrumError(f"the series at s={s} exceeds the float range") from None
     diff = gf_value - partial
     ambiguous = diff > tail + REL_TOL * gf_value
     return CrossCheck(diff, partial, gf_value, tail, ambiguous)

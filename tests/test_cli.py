@@ -437,6 +437,17 @@ def test_crosscheck_at_s_inf_sees_the_empty_string_twice(capsys, tmp_path):
     assert "ambiguous    yes\n" in out
 
 
+def test_crosscheck_overflow_of_an_unambiguous_repetition_is_error(capsys, tmp_path):
+    # (a|b){1,1100} derives each string once, but its value at s = 0.001
+    # exceeds the float range: an overflow, not divergence
+    path = tmp_path / "rep.cs"
+    path.write_text("sym a=1 b=1;\nexpr: (a|b){1,1100}\n")
+    argv = ["crosscheck", "--system", str(path), "--s", "0.001", "--max-weight", "8"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "exceeds the float range" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--tol", "1e-3"],
     ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--units", "bits"],

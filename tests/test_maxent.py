@@ -316,6 +316,60 @@ def test_sample_text_joined_only_when_read():
     assert "string" in vars(report)
 
 
+def _closure_spy(monkeypatch) -> list:
+    """Record what each ``_first_rejected`` call of ``sample_process`` returns."""
+    first_rejected, results = maxent._first_rejected, []
+
+    def spy(*args):
+        results.append(first_rejected(*args))
+        return results[-1]
+
+    monkeypatch.setattr(maxent, "_first_rejected", spy)
+    return results
+
+
+def test_sample_accepted_by_the_block_step_closure(monkeypatch):
+    # 17 states, 576 labels: the closure costs at most 9,792 walks of a label
+    system = build_jk_system(8, 8)
+    p = maxentropic_pmf(jk_phrase_support(8, 8))
+    closures = _closure_spy(monkeypatch)
+    report = sample_process(p, n_blocks=50_000, seed=5, system=system)
+    assert closures == [None]
+    assert report.accepted is True
+    assert report.accepted == matches(system, report.string)
+
+
+def test_sample_walked_when_the_closure_rejects(monkeypatch):
+    # (1,1) has 3 states and the pitfall support 4 labels: the closure runs
+    # from 12 blocks on and finds 0·0 rejected, so the draws are walked
+    system = build_jk_system(1, 1)
+    p = maxentropic_pmf(PITFALL)
+    closures = _closure_spy(monkeypatch)
+    one = sample_process(p, n_blocks=1, seed=0, system=system)
+    assert closures == []  # 12 > 1: the guard skips the closure
+    assert (one.string, one.accepted) == ("1", True)
+    # seed 1641 draws 01·0·1·0·1·0·1·0·1·0·1·0, an accepted alternation
+    twelve = sample_process(p, n_blocks=12, seed=1641, system=system)
+    assert closures == [["0", "0"]]
+    assert twelve.accepted is True
+    assert twelve.accepted == matches(system, twelve.string)
+    many = sample_process(p, n_blocks=1000, seed=0, system=system)
+    assert closures == [["0", "0"]] * 2
+    assert many.accepted is False
+    assert many.accepted == matches(system, many.string)
+
+
+def test_sample_walked_when_the_closure_costs_more_than_the_draws(monkeypatch):
+    # 81 states times 65,600 labels is far more than 1,000 blocks
+    system = build_jk_system(40, 40)
+    p = maxentropic_pmf(jk_phrase_support(40, 40))
+    closures = _closure_spy(monkeypatch)
+    report = sample_process(p, n_blocks=1000, seed=5, system=system)
+    assert closures == []
+    assert report.accepted is True
+    assert report.accepted == matches(system, report.string)
+
+
 def test_sample_process_single_deterministic_block():
     p = Pmf(WeightedSupport((("ab", 2.0),)), (1.0,))
     report = sample_process(p, n_blocks=1, seed=0)

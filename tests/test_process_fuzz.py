@@ -1,10 +1,12 @@
 """Random IID block processes checked against references written here.
 
 ``validate_input_process`` searches DFA states and dangling suffixes and
-never builds a concatenation, and ``sample_process`` walks the sampled
-blocks one at a time.  The references below instead build every
-concatenation of up to ``depth`` blocks with ``itertools.product``, record
-each of its factorizations, and test it from its start with ``matches``.
+never builds a concatenation, and ``sample_process`` accepts a sample
+outright when every state that block steps reach from the start accepts,
+and otherwise walks the sampled blocks one at a time.  The references below
+instead build every concatenation of up to ``depth`` blocks with
+``itertools.product``, record each of its factorizations, and test it from
+its start with ``matches``.
 """
 
 import itertools

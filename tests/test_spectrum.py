@@ -259,6 +259,30 @@ def test_cross_check_divergent_just_below_capacity_is_error(sbin):
         cross_check_gf(sp, sbin, math.nextafter(LN2, 0.0))
 
 
+@pytest.mark.parametrize("s", [-300.0, -1000.0])
+def test_cross_check_overflow_below_zero_is_error_not_ambiguity(s):
+    # a b a | b has two derivations, finite at every s; at -300 the product
+    # exp(300) exp(600) exp(300) is inf, at -1000 math.exp itself overflows
+    system = parse_system("sym a=1 b=2;\nexpr: a b a | b")
+    sp = enumerate_spectrum(system, 3)
+    assert not cross_check_gf(sp, system, -1.0).ambiguous
+    with pytest.raises(SpectrumError, match="exceeds the float range"):
+        cross_check_gf(sp, system, s)
+    # eps* derives every string infinitely often: divergence, not overflow
+    ambiguous = parse_system("sym a=1 b=2;\nexpr: eps* (a b a | b)")
+    assert cross_check_gf(enumerate_spectrum(ambiguous, 5), ambiguous, -1.0).ambiguous
+
+
+@pytest.mark.parametrize("s", [0.001, 0.0, -1.0])
+def test_cross_check_overflow_of_a_long_repetition_is_error_not_ambiguity(s):
+    # 2^1101 - 2 derivations, one per string: the value at 0 is no float
+    system = parse_system("sym a=1 b=1;\nexpr: (a|b){1,1100}")
+    sp = enumerate_spectrum(system, 8)
+    assert not cross_check_gf(sp, system, 1.0).ambiguous
+    with pytest.raises(SpectrumError, match="exceeds the float range"):
+        cross_check_gf(sp, system, s)
+
+
 @pytest.mark.parametrize("s", [0.7, 0.8, 1.0, 1.5, 3.0])
 @pytest.mark.parametrize("horizon", [1, 5, 20, 100])
 def test_tail_bound_covers_exact_sbin_tail(sbin, s, horizon):
