@@ -4,7 +4,10 @@ The sum of ``exp(-w*s)`` over a system's distinct strings (of weight
 ``w``) converges for real ``s`` above a threshold and diverges below it;
 that threshold, the abscissa of convergence, is the system's capacity.
 ``abscissa`` reads it off the DFA, on which every string is one path, by
-bisecting on the pivot test ``converges``.
+bisecting on the pivot test ``converges``: Gaussian elimination on
+I - A(s), planned once per search from the DFA's shape (``_pivot_plan``)
+and run at each trial ``s`` as a flat loop over float slots
+(``_least_pivot``).
 ``eval_real`` sums a regex's own series, one term per derivation, which
 equals the string series only if the regex is unambiguous: it is the
 ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import system_dfa
 from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union
@@ -51,11 +55,83 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
     raise TypeError(f"not a regex node: {expr!r}")
 
 
-def _least_pivot(edges: list[list[tuple[int, list[float]]]], s: float) -> float:
-    """The least pivot of Gaussian elimination on I - A(s), A(s)_ij summing
-    exp(-w*s) over the DFA's edges i -> j (``edges[i]`` lists each successor
-    j of state i with the weights of its edges); elimination stops at the
-    first pivot that is not positive (nan included) and returns it.
+class _PivotPlan(NamedTuple):
+    """Elimination on I - A(s) with every float slot fixed: ``_pivot_plan``
+    builds it, ``_least_pivot`` runs it at any ``s``."""
+
+    weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
+    groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
+    entries: tuple[tuple[float, int], ...]  # per slot: base and index of its term
+    steps: tuple  # per pivot: (diagonal slot, ((numerator slot, ((dst, src), ...)), ...))
+
+
+def _pivot_plan(system: SystemDef) -> _PivotPlan:
+    """Plan Gaussian elimination on I - A(s), A(s)_ij summing exp(-w*s)
+    over the edges i -> j of the system's DFA.  This is the symbolic phase
+    of sparse elimination: it reads only where the entries are, which is
+    the same at every ``s``, so a root search plans once and
+    ``_least_pivot`` runs the numeric phase at each trial point.
+
+    Every entry, fill-in included, gets a slot in one flat list.  An
+    initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
+    minus its term: one label's exp(-w*s), the sum of its labels' terms in
+    edge order, or 0.0 (term index -1).  Pivots run from the last state in
+    the BFS order of ``automata._bfs_numbering`` down, and each touches
+    only the rows with an entry in its column, so repetition chains stay
+    cheap.  A step is a pivot's diagonal slot and, per row it eliminates
+    from, the slot of that row's entry in the pivot column (the factor's
+    numerator) with the ``(dst, src)`` slot pairs of the row update.
+    """
+    weights = system.weights
+    transitions = system_dfa(system).transitions
+    used = {label for moves in transitions for label in moves}
+    labels = [d.label for d in system.alphabet if d.label in used]
+    index = {label: t for t, label in enumerate(labels)}
+    groups: list[tuple[int, ...]] = []
+    entries: list[tuple[float, int]] = []
+    rows: list[dict[int, int]] = []  # column -> slot
+    column_rows: list[set[int]] = [set() for _ in transitions]
+    for i, moves in enumerate(transitions):
+        targets: dict[int, list[int]] = {i: []}
+        for label, j in moves.items():
+            targets.setdefault(j, []).append(index[label])
+            column_rows[j].add(i)
+        row = {}
+        for j, terms in targets.items():
+            if len(terms) > 1:
+                groups.append(tuple(terms))
+                terms = [len(labels) + len(groups) - 1]
+            row[j] = len(entries)
+            entries.append((1.0 if j == i else 0.0, terms[0] if terms else -1))
+        rows.append(row)
+    steps = []
+    for k in range(len(rows) - 1, -1, -1):
+        pivot_row, updates = rows[k], []
+        for i in column_rows[k]:
+            if i < k:  # not row k itself, nor a row already eliminated
+                row = rows[i]
+                numerator = row.pop(k)
+                pairs = []
+                for j, src in pivot_row.items():
+                    if j < k:
+                        if j not in row:  # fill-in
+                            row[j] = len(entries)
+                            entries.append((0.0, -1))
+                            column_rows[j].add(i)
+                        pairs.append((row[j], src))
+                if pairs:
+                    updates.append((numerator, tuple(pairs)))
+        steps.append((pivot_row[k], tuple(updates)))
+    return _PivotPlan(
+        tuple(weights[label] for label in labels), tuple(groups), tuple(entries), tuple(steps)
+    )
+
+
+def _least_pivot(plan: _PivotPlan, s: float) -> float:
+    """The least pivot of the planned elimination on I - A(s), the numeric
+    phase: one exp(-w*s) per label, the slots' initial values, then a flat
+    loop of row updates.  Elimination stops at the first pivot that is not
+    positive (nan included) and returns it.
 
     The sum over DFA paths of exp(-w*s) converges iff the spectral radius
     of A(s) is below 1, iff I - A(s) is a nonsingular M-matrix, iff every
@@ -63,33 +139,23 @@ def _least_pivot(edges: list[list[tuple[int, list[float]]]], s: float) -> float:
     the pivot that vanishes there comes close to 0, so the value is
     continuous there.  The DSL has no empty-set regex, so every state of
     the minimized DFA (``system_dfa``) is reachable and reaches acceptance:
-    every cycle counts.  Elimination runs from the last state in the BFS
-    order of ``automata._bfs_numbering`` down, touching only rows with an
-    entry in the pivot column: repetition chains stay cheap.
+    every cycle counts.
     """
-    rows: list[dict[int, float]] = []
-    column_rows: list[set[int]] = [set() for _ in edges]
-    for i, targets in enumerate(edges):
-        row = {i: 1.0}
-        for j, ws in targets:
-            row[j] = row.get(j, 0.0) - sum(math.exp(-w * s) for w in ws)
-            column_rows[j].add(i)
-        rows.append(row)
+    terms = [math.exp(-w * s) for w in plan.weights]
+    terms += [sum([terms[t] for t in group]) for group in plan.groups]
+    terms.append(0.0)
+    vals = [base - terms[t] for base, t in plan.entries]
     least = math.inf
-    for k in range(len(rows) - 1, -1, -1):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
+    for diag, updates in plan.steps:
+        pivot = vals[diag]
         if not pivot > 0.0:
             return pivot
-        least = min(least, pivot)
-        for i in column_rows[k]:
-            if i < k:  # not row k itself, nor a row already eliminated
-                row = rows[i]
-                factor = row.pop(k) / pivot
-                for j, v in pivot_row.items():
-                    if j < k:
-                        row[j] = row.get(j, 0.0) - factor * v
-                        column_rows[j].add(i)
+        if pivot < least:
+            least = pivot
+        for numerator, pairs in updates:
+            factor = vals[numerator] / pivot
+            for dst, src in pairs:
+                vals[dst] -= factor * vals[src]
     return least
 
 
@@ -187,21 +253,10 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
     return lo, hi, tests
 
 
-def _edges(system: SystemDef) -> list[list[tuple[int, list[float]]]]:
-    """The system DFA's edges as ``_least_pivot`` reads them."""
-    weights, edges = system.weights, []
-    for transitions in system_dfa(system).transitions:
-        targets: dict[int, list[float]] = {}
-        for label, j in transitions.items():
-            targets.setdefault(j, []).append(weights[label])
-        edges.append(list(targets.items()))
-    return edges
-
-
 def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
     ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance."""
-    return _least_pivot(_edges(system), s) > 0.0
+    return _least_pivot(_pivot_plan(system), s) > 0.0
 
 
 def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
@@ -212,12 +267,12 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
     A series already convergent at 0 has finitely many terms (the DFA has
     no cycle) and is reported with ``finite_language`` set and capacity 0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    edges = _edges(system)
-    if _least_pivot(edges, 0.0) > 0.0:
+    plan = _pivot_plan(system)
+    if _least_pivot(plan, 0.0) > 0.0:
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
-    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(edges, s), tol)
+    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(plan, s), tol)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 
@@ -232,7 +287,7 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
 
     def lhs(s: float) -> float:

@@ -101,7 +101,7 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
     left side minus 1 guides ``bisect_root``; ``iterations`` counts its
     tests.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise MaxentError("tol must be positive")
     weights = support.weights
     if len(weights) == 1:

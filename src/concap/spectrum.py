@@ -91,7 +91,7 @@ def enumerate_spectrum(
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
     """
-    if max_weight <= 0:
+    if not max_weight > 0:
         raise SpectrumError("max_weight must be positive")
     dfa = system_dfa(system)
     weights = system.weights
@@ -234,7 +234,7 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     A finite-horizon check of an asymptotic property: a pass is evidence,
     not proof, and the constants are the caller's choice.
     """
-    if L < 0 or K < 0:
+    if not (L >= 0 and K >= 0):
         raise SpectrumError("L and K must be nonnegative")
     nus = sp.weights
     n_max = int(math.ceil(sp.horizon)) + 1

@@ -282,9 +282,17 @@ def test_simulate_without_support_is_error(capsys):
     ["capacity", "--jk", "2", "2", "--tol", "0"],
     ["jk-table", "--tol", "0"],
     ["capacity", "--jk", "0", "3"],
+    # nan passes a `<= 0` guard: it must not give a capacity, rate or spectrum
+    ["capacity", "--jk", "2", "2", "--tol", "nan"],
+    ["maxent", "--support", "PITFALL", "--tol", "nan"],
+    ["jk-table", "--tol", "nan"],
+    ["spectrum", "--jk", "2", "2", "--max-weight", "nan"],
+    ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--density-l", "nan"],
 ])
-def test_bad_numeric_arguments_are_errors(capsys, argv):
-    code, out, err = run(capsys, argv)
+def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
+    sup = tmp_path / "pitfall.sup"
+    sup.write_text("0 1\n1 1\n01 2\n")
+    code, out, err = run(capsys, [str(sup) if a == "PITFALL" else a for a in argv])
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in out + err

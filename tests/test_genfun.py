@@ -8,11 +8,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from concap import build_jk_system, genfun, maxent, parse_system
+from concap.automata import system_dfa
 from concap.dsl import EPSILON, SystemDef
 from concap.genfun import (
     DIVERGENT,
     MAX_ITERATIONS,
     SolverError,
+    _least_pivot,
+    _pivot_plan,
     abscissa,
     bisect_root,
     capacity_jk,
@@ -178,6 +181,139 @@ def test_converges_above_the_bracket_and_not_below(system):
     result = abscissa(system)
     assert converges(system, result.bracket_hi)
     assert result.bracket_lo == 0.0 or not converges(system, result.bracket_lo)
+
+
+# --- the planned pivot test against the dict-based elimination ------------
+
+
+def reference_edges(system):
+    """The system DFA's edges as ``reference_least_pivot`` reads them."""
+    weights, edges = system.weights, []
+    for transitions in system_dfa(system).transitions:
+        targets: dict[int, list[float]] = {}
+        for label, j in transitions.items():
+            targets.setdefault(j, []).append(weights[label])
+        edges.append(list(targets.items()))
+    return edges
+
+
+def reference_least_pivot(edges: list[list[tuple[int, list[float]]]], s: float) -> float:
+    """The reference: Gaussian elimination on I - A(s) with each row a dict,
+    one exp per edge, rebuilt at every ``s``; returns the least pivot, or
+    the first that is not positive."""
+    rows: list[dict[int, float]] = []
+    column_rows: list[set[int]] = [set() for _ in edges]
+    for i, targets in enumerate(edges):
+        row = {i: 1.0}
+        for j, ws in targets:
+            row[j] = row.get(j, 0.0) - sum(math.exp(-w * s) for w in ws)
+            column_rows[j].add(i)
+        rows.append(row)
+    least = math.inf
+    for k in range(len(rows) - 1, -1, -1):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot > 0.0:
+            return pivot
+        least = min(least, pivot)
+        for i in column_rows[k]:
+            if i < k:  # not row k itself, nor a row already eliminated
+                row = rows[i]
+                factor = row.pop(k) / pivot
+                for j, v in pivot_row.items():
+                    if j < k:
+                        row[j] = row.get(j, 0.0) - factor * v
+                        column_rows[j].add(i)
+    return least
+
+
+# 0, a tiny s, a grid in (0, 2), underflow of every exp, inf and nan;
+# below 0 the terms exceed 1, and at -1000 every exp overflows
+PIVOT_POINTS = (
+    [0.0, 1e-300] + [k / 32 for k in range(1, 64)]
+    + [700.0, math.inf, math.nan, -1.0, -1000.0, -math.inf]
+)
+
+
+def _outcome(f, *args):
+    """``f(*args)`` as a value comparable bit for bit (nan equal to nan),
+    or the type of the error it raised."""
+    try:
+        v = f(*args)
+    except OverflowError as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else (v, math.copysign(1.0, v))
+
+
+def assert_plan_matches_reference(system):
+    plan, edges = _pivot_plan(system), reference_edges(system)
+    for s in PIVOT_POINTS:
+        assert _outcome(_least_pivot, plan, s) == _outcome(reference_least_pivot, edges, s), s
+
+
+# systems on which elimination fills in entries, or with multi-label edges
+FILL_IN = [
+    parse_system(text)
+    for text in (
+        "sym 0=1 1=1.5;\nexpr: (0|1)* 0 1 1 0 (0|1)*",
+        "sym 0=1 1=1.5;\nexpr: (0|1)* 0 1 0 1 1",
+        "sym a=1 b=2 c=3;\nexpr: (a (b|c)* a | b c{1,3})*",
+        "sym a=1 b=2 c=3;\nexpr: ((a|b) (a|c){0,2} b)* (a|b|c)",
+        "sym a=1 b=2 c=1.5 d=1 e=2.5;\nexpr: (a c d e | b e)*",  # fill above the diagonal
+        "sym a=1 b=1.4142135623730951 c=2.5 d=3;\nexpr: (a|b|c)* d",  # three labels summed
+    )
+]
+
+
+def test_fill_in_systems_fill_in():
+    # so the comparison below also covers fill-in and summed label groups
+    plans = [_pivot_plan(system) for system in FILL_IN]
+    assert [(0.0, -1) in plan.entries for plan in plans] == [True, True, True, False, True, False]
+    assert [len(plan.groups) for plan in plans] == [1, 0, 1, 3, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [s for s, _, _ in SIZES]
+    + FILL_IN
+    + [build_jk_system(j, k) for j in range(1, 13) for k in range(1, 13)],
+)
+def test_planned_pivot_is_the_reference_elimination(system):
+    assert_plan_matches_reference(system)
+
+
+@seed(1401)
+@settings(max_examples=150, deadline=None)
+@given(_regexes())
+def test_planned_pivot_is_the_reference_elimination_on_random_regexes(expr):
+    # unions under stars give multi-label edges and self-loops, Repeat chains
+    assert_plan_matches_reference(SystemDef(_DECLS, expr))
+
+
+@pytest.mark.parametrize(
+    "system", [parse_system("sym a=1 b=1;\nexpr: (a{1,100} b)*"), build_jk_system(10, 10)]
+)
+def test_pivot_test_calls_exp_once_per_label(system):
+    # the dict-based elimination called exp once per edge: 200 and 40 times
+    plan = _pivot_plan(system)
+    calls = []
+    exp = math.exp
+
+    def counting(x):
+        calls.append(x)
+        return exp(x)
+
+    with mock.patch.object(genfun.math, "exp", counting):
+        _least_pivot(plan, 0.5)
+    assert 0 < len(calls) <= len(system.alphabet)
+
+
+def test_abscissa_plans_once():
+    system = build_jk_system(3, 7)
+    with mock.patch.object(genfun, "_pivot_plan", wraps=_pivot_plan) as spy:
+        result = abscissa(system)
+    assert spy.call_count == 1
+    assert result.iterations > 1
 
 
 def test_capacity_jk_rejects_zero():
