@@ -72,6 +72,7 @@ def cmd_spectrum(args) -> int:
     sp = spectrum.enumerate_spectrum(
         system, max_weight=args.max_weight, max_strings=args.max_strings
     )
+    density = spectrum.density_check(sp, args.density_l, args.density_k)
     text = spectrum.format_spectrum(sp)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -85,7 +86,6 @@ def cmd_spectrum(args) -> int:
         print(f"capacity_estimate     {cap:.6f} {args.units}")
         print(f"c0_estimate           {c0:.6f} {args.units}")
         print(f"growth_rate_estimate  {growth:.6f} {args.units}")
-    density = spectrum.density_check(sp, args.density_l, args.density_k)
     verdict = "satisfied" if density.satisfied else f"violated at n={density.worst_n}"
     print(f"density_check         L={density.L:g} K={density.K:g}: {verdict}")
     if not sp.complete:
@@ -169,14 +169,16 @@ def cmd_simulate(args) -> int:
 def cmd_jk_table(args) -> int:
     if args.jmax > 64 or args.kmax > 64:
         raise ValueError("table bounds must be <= 64")
-    header = "j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1))
-    print(header)
-    for j in range(1, args.jmax + 1):
-        row = [
+    rows = [
+        f"{j:<4d}" + " ".join(
             f"{_units_value(genfun.capacity_jk(j, k, tol=args.tol), args.units):8.5f}"
             for k in range(1, args.kmax + 1)
-        ]
-        print(f"{j:<4d}" + " ".join(row))
+        )
+        for j in range(1, args.jmax + 1)
+    ]
+    print("j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1)))
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 

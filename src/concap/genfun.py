@@ -5,9 +5,9 @@ The sum of ``exp(-w*s)`` over a system's distinct strings (of weight
 that threshold, the abscissa of convergence, is the system's capacity.
 ``abscissa`` reads it off the DFA, on which every string is one path, by
 bisecting on the pivot test ``converges``: Gaussian elimination on
-I - A(s), planned once per search from the DFA's shape (``_pivot_plan``)
-and run at each trial ``s`` as a flat loop over float slots
-(``_least_pivot``).
+I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
+and shared, like its DFA (callers must not modify it), and run at each
+trial ``s`` as a flat loop over float slots (``_least_pivot``).
 ``eval_real`` sums a regex's own series, one term per derivation, which
 equals the string series only if the regex is unambiguous: it is the
 ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
@@ -16,6 +16,7 @@ ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -65,12 +66,15 @@ class _PivotPlan(NamedTuple):
     steps: tuple  # per pivot: (diagonal slot, ((numerator slot, ((dst, src), ...)), ...))
 
 
+@functools.lru_cache(maxsize=256)
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
     """Plan Gaussian elimination on I - A(s), A(s)_ij summing exp(-w*s)
     over the edges i -> j of the system's DFA.  This is the symbolic phase
     of sparse elimination: it reads only where the entries are, which is
-    the same at every ``s``, so a root search plans once and
-    ``_least_pivot`` runs the numeric phase at each trial point.
+    the same at every ``s``, and ``_least_pivot`` runs the numeric phase at
+    each trial point.  The plan is a function of the system alone (its
+    weights included), so it is planned once per system and shared, like
+    its DFA; callers must not modify it.
 
     Every entry, fill-in included, gets a slot in one flat list.  An
     initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
@@ -255,7 +259,9 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
 
 def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
-    ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance."""
+    ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance.
+    The elimination is planned once per system and shared, like its DFA,
+    so a later call on the same system runs only the numeric phase."""
     return _least_pivot(_pivot_plan(system), s) > 0.0
 
 

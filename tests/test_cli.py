@@ -288,6 +288,9 @@ def test_simulate_without_support_is_error(capsys):
     ["jk-table", "--tol", "nan"],
     ["spectrum", "--jk", "2", "2", "--max-weight", "nan"],
     ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--density-l", "nan"],
+    # a budget of no strings is a bad argument, not an exceeded budget (exit 3)
+    ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--max-strings", "0"],
+    ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--max-strings", "-1"],
 ])
 def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
     sup = tmp_path / "pitfall.sup"
@@ -296,6 +299,31 @@ def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["jk-table", "--tol", "0"], "tol must be positive"),
+    (["jk-table", "--tol", "nan"], "tol must be positive"),
+    (["spectrum", "--jk", "2", "2", "--max-weight", "3", "--density-l", "-1"],
+     "L and K must be nonnegative"),
+    (["spectrum", "--jk", "2", "2", "--max-weight", "3", "--density-k", "nan"],
+     "L and K must be nonnegative"),
+    (["spectrum", "--jk", "2", "2", "--max-weight", "4", "--max-strings", "0"],
+     "max_strings must be positive"),
+    (["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--max-strings", "0"],
+     "max_strings must be positive"),
+])
+def test_argument_errors_print_nothing_to_stdout(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+def test_density_error_writes_no_output_file(capsys, tmp_path):
+    path = tmp_path / "spec.txt"
+    argv = ["spectrum", "--jk", "2", "2", "--max-weight", "3", "--density-l", "-1"]
+    code, out, _ = run(capsys, argv + ["--output", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert not path.exists()
 
 
 def test_capacity_of_an_ambiguous_regex(capsys, tmp_path):

@@ -316,6 +316,37 @@ def test_abscissa_plans_once():
     assert result.iterations > 1
 
 
+REPETITION = "sym a=1 b={};\nexpr: (a{{1,40}} b)*"
+
+
+def test_equal_systems_share_one_plan():
+    # parsed twice: equal, not identical, systems
+    first, second = (parse_system(REPETITION.format(1.5)) for _ in range(2))
+    assert first is not second
+    assert _pivot_plan(first) is _pivot_plan(second)
+
+
+def test_a_different_weight_gets_its_own_plan():
+    light, heavy = parse_system(REPETITION.format(1.5)), parse_system(REPETITION.format(2.5))
+    assert light.expr == heavy.expr
+    plans = _pivot_plan(light), _pivot_plan(heavy)
+    assert plans[0] is not plans[1]
+    assert [plan.weights for plan in plans] == [(1.0, 1.5), (1.0, 2.5)]
+    assert abscissa(light).q > abscissa(heavy).q
+
+
+def test_converges_after_abscissa_plans_nothing():
+    system = parse_system(REPETITION.format(1.25))
+    _pivot_plan.cache_clear()
+    with mock.patch.object(genfun, "system_dfa", wraps=system_dfa) as dfa_spy:
+        result = abscissa(system)
+        misses = _pivot_plan.cache_info().misses
+        assert converges(system, result.bracket_hi)
+        assert not converges(system, result.bracket_lo)
+    assert _pivot_plan.cache_info().misses == misses == 1
+    assert dfa_spy.call_count == 1  # the one plan read the DFA once
+
+
 def test_capacity_jk_rejects_zero():
     with pytest.raises(ValueError):
         capacity_jk(0, 1)

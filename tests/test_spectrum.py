@@ -94,6 +94,14 @@ def test_max_weight_must_be_positive(sbin):
         enumerate_spectrum(sbin, max_weight=0)
 
 
+@pytest.mark.parametrize("max_strings", [0, -1])
+def test_max_strings_must_be_positive(sbin, max_strings):
+    with pytest.raises(SpectrumError, match="max_strings must be positive"):
+        enumerate_spectrum(sbin, max_weight=4, max_strings=max_strings)
+    # one string is a budget: the empty string fills it
+    assert not enumerate_spectrum(sbin, max_weight=4, max_strings=1).complete
+
+
 # --- estimators ---------------------------------------------------------
 
 
