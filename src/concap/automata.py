@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union, split_labels
 
@@ -102,11 +102,14 @@ def _closure(nfa: Nfa, states: frozenset[int]) -> frozenset[int]:
 
 @dataclass
 class Dfa:
-    """Deterministic automaton over the label alphabet."""
+    """Deterministic automaton over the label alphabet.  ``derived`` holds
+    what other modules compute from it (``genfun``'s pivot plan), keyed by
+    their other inputs, so a result is shared exactly as long as its DFA."""
 
     start: int
     accepting: frozenset[int]
     transitions: list[dict[str, int]]  # state -> {label: state}
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -223,7 +226,7 @@ def minimize(dfa: Dfa, labels: list[str]) -> Dfa:
 @functools.lru_cache(maxsize=256)
 def system_dfa(system: SystemDef) -> Dfa:
     """The system's minimal DFA over its labels, built once per system and
-    shared: callers must not modify it."""
+    shared: callers must not modify it, beyond adding to ``derived``."""
     labels = [d.label for d in system.alphabet]
     return minimize(determinize(build_nfa(system.expr), labels), labels)
 

@@ -16,14 +16,13 @@ ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .automata import system_dfa
-from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union
+from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SymbolDecl, SystemDef, Union
 
 DIVERGENT = math.inf
 
@@ -57,8 +56,8 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
 
 
 class _PivotPlan(NamedTuple):
-    """Elimination on I - A(s) with every float slot fixed: ``_pivot_plan``
-    builds it, ``_least_pivot`` runs it at any ``s``."""
+    """Elimination on I - A(s) with every float slot fixed:
+    ``_plan_elimination`` builds it, ``_least_pivot`` runs it at any ``s``."""
 
     weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
@@ -66,15 +65,27 @@ class _PivotPlan(NamedTuple):
     steps: tuple  # per pivot: (diagonal slot, ((numerator slot, ((dst, src), ...)), ...))
 
 
-@functools.lru_cache(maxsize=256)
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
+    """The elimination plan of the system's pivot test, planned once per
+    system and shared, like its DFA: it is kept in the DFA's ``derived``,
+    keyed by the alphabet whose weights it holds.  Callers must not modify
+    it."""
+    dfa = system_dfa(system)
+    key = ("pivot_plan", system.alphabet)
+    plan = dfa.derived.get(key)
+    if plan is None:
+        plan = dfa.derived[key] = _plan_elimination(dfa.transitions, system.alphabet)
+    return plan
+
+
+def _plan_elimination(
+    transitions: list[dict[str, int]], alphabet: tuple[SymbolDecl, ...]
+) -> _PivotPlan:
     """Plan Gaussian elimination on I - A(s), A(s)_ij summing exp(-w*s)
-    over the edges i -> j of the system's DFA.  This is the symbolic phase
-    of sparse elimination: it reads only where the entries are, which is
-    the same at every ``s``, and ``_least_pivot`` runs the numeric phase at
-    each trial point.  The plan is a function of the system alone (its
-    weights included), so it is planned once per system and shared, like
-    its DFA; callers must not modify it.
+    over the edges i -> j of a DFA.  This is the symbolic phase of sparse
+    elimination: it reads only where the entries are, which is the same at
+    every ``s``, and ``_least_pivot`` runs the numeric phase at each trial
+    point.
 
     Every entry, fill-in included, gets a slot in one flat list.  An
     initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
@@ -86,10 +97,9 @@ def _pivot_plan(system: SystemDef) -> _PivotPlan:
     from, the slot of that row's entry in the pivot column (the factor's
     numerator) with the ``(dst, src)`` slot pairs of the row update.
     """
-    weights = system.weights
-    transitions = system_dfa(system).transitions
+    weights = {d.label: d.weight for d in alphabet}
     used = {label for moves in transitions for label in moves}
-    labels = [d.label for d in system.alphabet if d.label in used]
+    labels = [d.label for d in alphabet if d.label in used]
     index = {label: t for t, label in enumerate(labels)}
     groups: list[tuple[int, ...]] = []
     entries: list[tuple[float, int]] = []
@@ -260,8 +270,9 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
 def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
     ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance.
-    The elimination is planned once per system and shared, like its DFA,
-    so a later call on the same system runs only the numeric phase."""
+    The elimination is planned once per system and shared, like its DFA
+    (callers must not modify it), so a later call on the same system runs
+    only the numeric phase."""
     return _least_pivot(_pivot_plan(system), s) > 0.0
 
 

@@ -93,7 +93,7 @@ def enumerate_spectrum(
     """
     if not max_weight > 0:
         raise SpectrumError("max_weight must be positive")
-    if max_strings < 1:
+    if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
     weights = system.weights

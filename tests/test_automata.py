@@ -105,17 +105,12 @@ def test_minimized_sizes(system, raw, minimal):
 def assert_same_capacity(system, raw):
     """Capacity, both bracket ends, residual and finiteness are the same on
     the subset DFA: the printed digits cannot move.  The iteration count
-    may differ, since trial points follow the pivot values.  Plans are
-    cached per system, so the cache is cleared on both sides of the
-    patched call: the plan must come from ``raw``, and must not outlive it."""
+    may differ, since trial points follow the pivot values."""
     capacity = genfun.abscissa(system)
-    genfun._pivot_plan.cache_clear()
-    try:
-        with mock.patch.object(genfun, "system_dfa", lambda _: raw):
-            on_raw = genfun.abscissa(system)
-    finally:
-        genfun._pivot_plan.cache_clear()
-    assert dataclasses.replace(on_raw, iterations=0) == dataclasses.replace(capacity, iterations=0)
+    with mock.patch.object(genfun, "system_dfa", lambda _: raw):
+        assert dataclasses.replace(genfun.abscissa(system), iterations=0) == dataclasses.replace(
+            capacity, iterations=0
+        )
 
 
 @pytest.mark.parametrize("system", [s for s, _, _ in SIZES])

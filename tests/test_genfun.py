@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import time
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from concap import build_jk_system, genfun, maxent, parse_system
-from concap.automata import system_dfa
+from concap.automata import Dfa, system_dfa
 from concap.dsl import EPSILON, SystemDef
 from concap.genfun import (
     DIVERGENT,
@@ -333,18 +334,38 @@ def test_a_different_weight_gets_its_own_plan():
     assert plans[0] is not plans[1]
     assert [plan.weights for plan in plans] == [(1.0, 1.5), (1.0, 2.5)]
     assert abscissa(light).q > abscissa(heavy).q
+    # one DFA object for both systems still keeps a plan per weight
+    dfa = system_dfa(light)
+    copy = Dfa(dfa.start, dfa.accepting, dfa.transitions)
+    with mock.patch.object(genfun, "system_dfa", lambda _: copy):
+        assert [_pivot_plan(system).weights for system in (light, heavy)] == [(1.0, 1.5), (1.0, 2.5)]
 
 
 def test_converges_after_abscissa_plans_nothing():
     system = parse_system(REPETITION.format(1.25))
-    _pivot_plan.cache_clear()
-    with mock.patch.object(genfun, "system_dfa", wraps=system_dfa) as dfa_spy:
+    fresh = functools.lru_cache(system_dfa.__wrapped__)  # an empty DFA cache
+    with (
+        mock.patch.object(genfun, "system_dfa", wraps=fresh) as dfa_spy,
+        mock.patch.object(genfun, "_plan_elimination", wraps=genfun._plan_elimination) as plan_spy,
+    ):
         result = abscissa(system)
-        misses = _pivot_plan.cache_info().misses
         assert converges(system, result.bracket_hi)
         assert not converges(system, result.bracket_lo)
-    assert _pivot_plan.cache_info().misses == misses == 1
-    assert dfa_spy.call_count == 1  # the one plan read the DFA once
+    assert plan_spy.call_count == 1
+    assert fresh.cache_info().misses == 1  # one DFA, read by all three calls
+    assert dfa_spy.call_count == 3
+
+
+def test_the_plan_follows_the_dfa():
+    # a plan lives in its DFA: another DFA for the same system is planned anew
+    system = build_jk_system(3, 7)
+    shared = _pivot_plan(system)
+    dfa = system_dfa(system)
+    copy = Dfa(dfa.start, dfa.accepting, dfa.transitions)
+    with mock.patch.object(genfun, "system_dfa", lambda _: copy):
+        assert _pivot_plan(system) is not shared
+        assert _pivot_plan(system) == shared
+    assert _pivot_plan(system) is shared
 
 
 def test_capacity_jk_rejects_zero():

@@ -94,7 +94,7 @@ def test_max_weight_must_be_positive(sbin):
         enumerate_spectrum(sbin, max_weight=0)
 
 
-@pytest.mark.parametrize("max_strings", [0, -1])
+@pytest.mark.parametrize("max_strings", [0, -1, math.nan])
 def test_max_strings_must_be_positive(sbin, max_strings):
     with pytest.raises(SpectrumError, match="max_strings must be positive"):
         enumerate_spectrum(sbin, max_weight=4, max_strings=max_strings)
