@@ -105,6 +105,13 @@ class SystemDef:
                 raise DslError(clash)
         _check_symbols(self.expr, set(labels))
 
+    @cached_property
+    def _hash(self) -> int:  # the dataclass hash, over the whole regex tree, taken once
+        return hash((self.alphabet, self.expr, self.name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def weights(self) -> dict[str, float]:
         return {d.label: d.weight for d in self.alphabet}

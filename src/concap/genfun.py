@@ -31,10 +31,14 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
     """Evaluate a regex's series at real ``s``: a symbol of weight ``w`` gives
     exp(-w*s), union a sum, concatenation a product, star 1/(1-v) for v < 1
     (divergent for v >= 1), repetition a polynomial in v.  A product with a
-    divergent factor diverges even where the other underflowed to 0.0."""
+    divergent factor diverges even where the other underflowed to 0.0.  A
+    value beyond the float range (at ``s < 0``) reads ``inf`` too."""
     match expr:
         case Symbol(label):
-            return math.exp(-weights[label] * s)
+            try:
+                return math.exp(-weights[label] * s)
+            except OverflowError:  # at s < 0 a term may exceed the float range
+                return DIVERGENT
         case Epsilon():
             return 1.0
         case Union(l, r):

@@ -2,7 +2,8 @@
 
 Enumeration runs weight-ordered over the determinized automaton of the
 system, so every accepted string is counted exactly once regardless of how
-many derivations the regex gives it.  The resulting spectrum (distinct
+many derivations the regex gives it, and weights add exactly, so every
+entry's weight is the correctly rounded sum.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
@@ -13,11 +14,12 @@ bound on the regex series' tail is one golden-section search.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
-import io
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .automata import system_dfa
@@ -71,9 +73,13 @@ class WeightSpectrum:
 
     def partial_sum(self, s: float) -> float:
         """Truncated Dirichlet series sum N(nu) exp(-nu*s) over the spectrum,
-        each term as exp(ln N - nu*s): N may exceed the float range."""
+        each term as exp(ln N - nu*s): N may exceed the float range.  A sum
+        beyond the float range (at ``s < 0``) reads ``inf``."""
         total = 1.0 if self.includes_empty else 0.0
-        return total + sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
+        try:
+            return total + sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
+        except OverflowError:
+            return math.inf
 
 
 def enumerate_spectrum(
@@ -85,8 +91,15 @@ def enumerate_spectrum(
 
     Weight-ordered frontier search over the DFA: a bucket per distinct
     reached weight holds per-state path counts; buckets are expanded in
-    weight order and weights closer than ``DEFAULT_WEIGHT_EPSILON`` are
-    merged into one bin.  Counting on the DFA needs no explicit dedup.
+    weight order.  Counting on the DFA needs no explicit dedup.
+
+    Weights are exact: every label weight is an integer number of units of
+    1/scale, scale being the largest denominator of the weights' binary
+    fractions, so a weight reached along two paths is one bucket and a
+    row's weight is the correctly rounded exact sum.  Bins closer than
+    ``DEFAULT_WEIGHT_EPSILON`` are still merged into one (at the least
+    weight), which joins only weights that really differ, such as
+    0.1 + 0.2 and 0.3.  A label of weight ``inf`` is never taken.
 
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
@@ -96,56 +109,66 @@ def enumerate_spectrum(
     if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
-    weights = system.weights
     accepting = dfa.accepting
     includes_empty = dfa.start in accepting
-    # each state's (weight, next state) steps, read once
+    finite = [d for d in system.alphabet if d.weight < math.inf]
+    # the largest denominator, a power of two, so each weight is a whole number of units
+    scale = max((d.weight.as_integer_ratio()[1] for d in finite), default=1)
+
+    def units(x: float) -> int:
+        p, q = x.as_integer_ratio()
+        return p * scale // q  # x in units, rounded down
+
+    weights = {d.label: units(d.weight) for d in finite}
+    # each state's (weight, next state) steps in weight order, read once
     steps = [
-        tuple((weights[label], nxt) for label, nxt in row.items())
+        sorted((weights[label], nxt) for label, nxt in row.items() if label in weights)
         for row in dfa.transitions
     ]
     heappush, heappop = heapq.heappush, heapq.heappop
-    cutoff = max_weight + DEFAULT_WEIGHT_EPSILON
+    # ints, as every key: an int compared with a float costs the loop its gain.
+    # A weight beyond the float range is past the cutoff, even at max_weight inf.
+    cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
+    epsilon = units(DEFAULT_WEIGHT_EPSILON)
 
-    buckets: dict[float, dict[int, int]] = {0.0: {dfa.start: 1}}
-    heap = [0.0]
+    buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
+    heap = [0]
     entries: list[tuple[float, int]] = []
     total = 0
     complete = True
-    exhausted = True
+    # a step of weight inf is past every cutoff
+    exhausted = all(label in weights for row in dfa.transitions for label in row)
     while heap:
         w = heappop(heap)
-        states = buckets.pop(w, None)
-        if states is None:
-            continue  # already merged into an earlier bin
+        states = buckets.pop(w)
         # merge bins within the binning tolerance
-        while heap and heap[0] - w <= DEFAULT_WEIGHT_EPSILON:
-            w2 = heappop(heap)
-            for state, n in buckets.pop(w2, {}).items():
+        while heap and heap[0] - w <= epsilon:
+            for state, n in buckets.pop(heappop(heap)).items():
                 states[state] = states.get(state, 0) + n
         accepted = 0
         for state, n in states.items():
             if state in accepting:
                 accepted += n
-        if w > 0 and accepted:
+        if w and accepted:
             if total + accepted > max_strings:
                 complete = False
                 exhausted = False
                 break
             total += accepted
-            entries.append((w, accepted))
+            entries.append((w / scale, accepted))
         # expand
         for state, n in states.items():
             for weight, nxt in steps[state]:
                 w2 = w + weight
                 if w2 > cutoff:
                     exhausted = False
-                    continue
+                    break
                 bucket = buckets.get(w2)
                 if bucket is None:
-                    bucket = buckets[w2] = {}
+                    buckets[w2] = {nxt: n}
                     heappush(heap, w2)
-                bucket[nxt] = bucket.get(nxt, 0) + n
+                else:
+                    bucket[nxt] = bucket.get(nxt, 0) + n
     return WeightSpectrum(
         entries=tuple(entries),
         weight_epsilon=DEFAULT_WEIGHT_EPSILON,
@@ -214,8 +237,8 @@ def growth_rate_estimate(sp: WeightSpectrum) -> float:
     counts grow geometrically (finite automata do)."""
     _require(sp)
     cum = sp.cumulative
-    nus = sp.weights
-    return math.log(cum[-1] / cum[-2]) / (nus[-1] - nus[-2])
+    (nu1, _), (nu2, _) = sp.entries[-2:]
+    return math.log(cum[-1] / cum[-2]) / (nu2 - nu1)
 
 
 @dataclass(frozen=True)
@@ -240,12 +263,8 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
         raise SpectrumError("L and K must be nonnegative")
     nus = sp.weights
     n_max = int(math.ceil(sp.horizon)) + 1
-    k = 0
-    i = 0
     for n in range(1, n_max + 1):
-        while i < len(nus) and nus[i] < n:
-            i += 1
-        k = i  # 1-based index of the largest nu below n
+        k = bisect.bisect_left(nus, n)  # 1-based index of the largest nu below n
         if k > L * n**K:
             return DensityReport(False, L, K, n)
     return DensityReport(True, L, K, n_max)
@@ -339,6 +358,8 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
         if gf_value == DIVERGENT and not converges(system, s):
             raise SpectrumError(f"the series of the regex diverges at s={s}")
         partial = sp.partial_sum(s)
+        if partial == math.inf:
+            raise OverflowError  # a sum of finitely many finite terms
         if gf_value == DIVERGENT:
             # the regex has more derivations than the language has strings
             return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
@@ -355,13 +376,10 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
 
 
 def format_spectrum(sp: WeightSpectrum) -> str:
-    out = io.StringIO()
-    out.write(f"# weight_epsilon {sp.weight_epsilon:g}\n")
-    out.write(f"# max_weight {sp.max_weight:g}\n")
-    out.write(f"# complete {int(sp.complete)}\n")
-    out.write(f"# exhausted {int(sp.exhausted)}\n")
-    out.write(f"# includes_empty {int(sp.includes_empty)}\n")
-    for (nu, count), cum in zip(sp.entries, sp.cumulative):
-        out.write(f"{nu:.12g} {count} {cum}\n")
-    return out.getvalue()
-
+    head = (
+        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
+        f"# includes_empty {sp.includes_empty:d}\n"
+    )
+    rows = zip(sp.entries, sp.cumulative)
+    return "".join([head, *("%.12g %d %d\n" % (nu, count, cum) for (nu, count), cum in rows)])

@@ -148,6 +148,13 @@ def test_format_system_round_trip():
     assert again.weights == s.weights
 
 
+def test_equal_systems_hash_equal_and_share_their_dfa():
+    a, b = build_jk_system(10, 10), build_jk_system(10, 10)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert system_dfa(b) is system_dfa(a)  # a cache hit, not a second DFA
+    assert a != build_jk_system(10, 9) and a != parse_system(format_system(a), name="other")
+
+
 def test_repetition_printed_as_written():
     s = parse_system("sym a=1 b=1;\nexpr: (a{1,5} b)*")
     assert format_system(s) == "sym a=1 b=1;\nexpr: (a{1,5} b)*\n"

@@ -60,6 +60,12 @@ def test_eval_monotone_decreasing(sbin):
     assert all(v >= 0 for v in values)
 
 
+def test_eval_term_beyond_float_range_is_inf():
+    # exp(1000) is no float: the finite language's series reads inf, not an error
+    system = parse_system("sym a=1 b=2;\nexpr: a b a | b")
+    assert _eval(system, -1000.0) == math.inf
+
+
 def test_eval_divergent_factor_beats_underflow():
     # (a|a|c)* diverges at s=1 while exp(-100000) underflows to 0.0; the
     # product is divergent, not inf * 0.0 = nan

@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -167,6 +170,67 @@ def test_cumulative_strictly_increasing(sbin):
     assert sp.cumulative is cum  # summed once per spectrum
 
 
+def exact_free_spectrum(weights, max_weight):
+    """The spectrum of (a|b|...)* by exact arithmetic: per multiset of
+    letter counts, a multinomial number of strings of the Fraction sum."""
+    table = {}
+    ranges = [range(int(max_weight / w) + 1) for w in weights]
+    for counts in itertools.product(*ranges):
+        total = sum(n * Fraction(w) for n, w in zip(counts, weights))
+        if 0 < total <= max_weight:
+            strings = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+            table[total] = table.get(total, 0) + strings
+    return tuple((float(w), c) for w, c in sorted(table.items()))
+
+
+@pytest.mark.parametrize(
+    "decls,weights,max_weight",
+    [
+        ("a=1 b=1.4142135623730951", (1.0, math.sqrt(2)), 12.0),
+        ("a=1 b=1.7320508075688772 c=2.23606797749979", (1.0, math.sqrt(3), math.sqrt(5)), 8.0),
+    ],
+)
+def test_entry_weights_are_correctly_rounded_exact_sums(decls, weights, max_weight):
+    letters = " | ".join(d.split("=")[0] for d in decls.split())
+    system = parse_system(f"sym {decls};\nexpr: ({letters})*")
+    sp = enumerate_spectrum(system, max_weight)
+    assert sp.entries == exact_free_spectrum(weights, max_weight)
+
+
+def test_decimal_weights_print_the_rows_they_always_did():
+    # 0.1 + 0.2 and 0.3 differ in their exact binary sums and merge under
+    # the epsilon; the printed rows are pinned from the float-sum enumerator
+    system = parse_system("sym a=0.1 b=0.2 c=0.3;\nexpr: (a|b|c)*")
+    rows = format_spectrum(enumerate_spectrum(system, 1.0)).splitlines()[5:]
+    assert rows == [
+        "0.1 1 1", "0.2 2 3", "0.3 4 7", "0.4 7 14", "0.5 13 27",
+        "0.6 24 51", "0.7 44 95", "0.8 81 176", "0.9 149 325", "1 274 599",
+    ]
+
+
+def test_unbounded_weight_exhausts_a_finite_language():
+    sp = enumerate_spectrum(parse_system("sym a=1 b=2;\nexpr: a b a | b"), math.inf)
+    assert (sp.entries, sp.complete, sp.exhausted) == (((2.0, 1), (4.0, 1)), True, True)
+
+
+@pytest.mark.parametrize("max_weight", [5.0, math.inf])
+def test_label_of_infinite_weight_is_never_taken(max_weight):
+    system = parse_system("sym a=1 b=inf;\nexpr: (a|b)*")
+    sp = enumerate_spectrum(system, max_weight, max_strings=5)
+    assert sp.entries == tuple((float(n), 1) for n in range(1, 6))
+
+
+def test_jk_export_text_is_pinned():
+    text = format_spectrum(enumerate_spectrum(build_jk_system(2, 2), 18))
+    assert text == (
+        "# weight_epsilon 1e-09\n# max_weight 18\n# complete 1\n# exhausted 0\n"
+        "# includes_empty 0\n1 2 2\n2 4 6\n3 6 12\n4 10 22\n5 16 38\n6 26 64\n"
+        "7 42 106\n8 68 174\n9 110 284\n10 178 462\n11 288 750\n12 466 1216\n"
+        "13 754 1970\n14 1220 3190\n15 1974 5164\n16 3194 8358\n17 5168 13526\n"
+        "18 8362 21888\n"
+    )
+
+
 # --- density check ------------------------------------------------------
 
 
@@ -192,6 +256,34 @@ def test_density_trivial_single_entry():
     assert density_check(sp, L=1.0, K=2.0).satisfied
 
 
+def linear_density_check(sp, L, K):
+    """The density check as a walk over every entry, for each integer n."""
+    nus = sp.weights
+    n_max = int(math.ceil(sp.horizon)) + 1
+    i = 0
+    for n in range(1, n_max + 1):
+        while i < len(nus) and nus[i] < n:
+            i += 1
+        if i > L * n**K:
+            return (False, n)
+    return (True, n_max)
+
+
+def test_density_check_agrees_with_a_linear_walk():
+    rng = random.Random(20261018)
+    spectra = [
+        enumerate_spectrum(parse_system("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*"), 9.0),
+        enumerate_spectrum(build_jk_system(2, 3), 20),
+        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)], weight_epsilon=1e-12),
+        spectrum_from_counts([(0.25 * k, k) for k in range(1, 80)]),
+    ]
+    for _ in range(400):
+        sp = rng.choice(spectra)
+        L, K = rng.uniform(0.0, 20.0), rng.uniform(0.0, 3.0)
+        report = density_check(sp, L, K)
+        assert (report.satisfied, report.worst_n) == linear_density_check(sp, L, K)
+
+
 def test_partial_sum_of_counts_beyond_float_range():
     # D4: 2**1100 cannot be a float, but 2**1100 * exp(-1100) can
     sp = spectrum_from_counts([(1.0, 2), (1100.0, 2**1100)])
@@ -200,6 +292,11 @@ def test_partial_sum_of_counts_beyond_float_range():
 
 
 # --- cross-check / ambiguity detector -----------------------------------
+
+
+def test_partial_sum_beyond_float_range_is_inf():
+    system = parse_system("sym a=1 b=2;\nexpr: a b a | b")
+    assert enumerate_spectrum(system, 5).partial_sum(-1000.0) == math.inf
 
 
 def test_partial_sums_approach_gf_from_below(sbin):
