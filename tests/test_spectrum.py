@@ -215,9 +215,10 @@ def test_unbounded_weight_exhausts_a_finite_language():
 
 @pytest.mark.parametrize("max_weight", [5.0, math.inf])
 def test_label_of_infinite_weight_is_never_taken(max_weight):
-    system = parse_system("sym a=1 b=inf;\nexpr: (a|b)*")
-    sp = enumerate_spectrum(system, max_weight, max_strings=5)
+    system = parse_system("sym a=1 b=inf;\nexpr: a{1,5} (b | eps)")
+    sp = enumerate_spectrum(system, max_weight)
     assert sp.entries == tuple((float(n), 1) for n in range(1, 6))
+    assert sp.complete and not sp.exhausted  # the strings ending in b are left out
 
 
 def test_jk_export_text_is_pinned():
