@@ -142,18 +142,26 @@ def _label_clash(label: str, earlier: Iterable[str]) -> str | None:
     return None
 
 
-def _check_symbols(node: Regex, labels: set[str]) -> None:
-    match node:
-        case Symbol(label):
-            if label not in labels:
-                raise DslError(f"undeclared symbol {label!r}")
-        case Concat(l, r) | Union(l, r):
-            _check_symbols(l, labels)
-            _check_symbols(r, labels)
-        case Repeat(_, lo, hi) if not 0 <= lo <= hi:
-            raise DslError(f"bad repetition bounds {{{lo},{hi}}}")
-        case Star(c) | Repeat(c):
-            _check_symbols(c, labels)
+def _check_symbols(expr: Regex, labels: set[str]) -> None:
+    """Raise ``DslError`` at the first undeclared symbol or bad repetition
+    bounds, left to right.  The walk keeps its own stack, so a regex of any
+    depth is checked, and tests each node's exact type, which costs a
+    fraction of a ``match`` on class patterns."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Symbol:
+            if node.label not in labels:
+                raise DslError(f"undeclared symbol {node.label!r}")
+        elif kind is Concat or kind is Union:
+            stack += (node.right, node.left)
+        elif kind is Repeat:
+            if not 0 <= node.lo <= node.hi:
+                raise DslError(f"bad repetition bounds {{{node.lo},{node.hi}}}")
+            stack.append(node.child)
+        elif kind is Star:
+            stack.append(node.child)
 
 
 def label_regex(labels: Iterable[str]) -> re.Pattern[str]:

@@ -7,7 +7,8 @@ that threshold, the abscissa of convergence, is the system's capacity.
 bisecting on the pivot test ``converges``: Gaussian elimination on
 I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
 and shared, like its DFA (callers must not modify it), and run at each
-trial ``s`` as a flat loop over float slots (``_least_pivot``).
+trial ``s`` as a flat loop over float slots (``_least_pivot``) whose
+initial values take one subtraction per distinct kind of slot.
 ``eval_real`` sums a regex's own series, one term per derivation, which
 equals the string series only if the regex is unambiguous: it is the
 ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
@@ -65,7 +66,8 @@ class _PivotPlan(NamedTuple):
 
     weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
-    entries: tuple[tuple[float, int], ...]  # per slot: base and index of its term
+    kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the slots
+    slot_kinds: tuple[int, ...]  # per slot: the index of its pair in ``kinds``
     steps: tuple  # per pivot: (diagonal slot, ((numerator slot, ((dst, src), ...)), ...))
 
 
@@ -94,7 +96,9 @@ def _plan_elimination(
     Every entry, fill-in included, gets a slot in one flat list.  An
     initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
     minus its term: one label's exp(-w*s), the sum of its labels' terms in
-    edge order, or 0.0 (term index -1).  Pivots run from the last state in
+    edge order, or 0.0 (term index -1).  Few slots differ in that pair, so
+    the plan keeps the distinct pairs once (``kinds``) and, per slot, the
+    index of its pair (``slot_kinds``).  Pivots run from the last state in
     the BFS order of ``automata._bfs_numbering`` down, and each touches
     only the rows with an entry in its column, so repetition chains stay
     cheap.  A step is a pivot's diagonal slot and, per row it eliminates
@@ -106,7 +110,8 @@ def _plan_elimination(
     labels = [d.label for d in alphabet if d.label in used]
     index = {label: t for t, label in enumerate(labels)}
     groups: list[tuple[int, ...]] = []
-    entries: list[tuple[float, int]] = []
+    kinds: dict[tuple[float, int], int] = {}  # (base, term index) -> its index
+    slot_kinds: list[int] = []
     rows: list[dict[int, int]] = []  # column -> slot
     column_rows: list[set[int]] = [set() for _ in transitions]
     for i, moves in enumerate(transitions):
@@ -119,8 +124,9 @@ def _plan_elimination(
             if len(terms) > 1:
                 groups.append(tuple(terms))
                 terms = [len(labels) + len(groups) - 1]
-            row[j] = len(entries)
-            entries.append((1.0 if j == i else 0.0, terms[0] if terms else -1))
+            row[j] = len(slot_kinds)
+            kind = (1.0 if j == i else 0.0, terms[0] if terms else -1)
+            slot_kinds.append(kinds.setdefault(kind, len(kinds)))
         rows.append(row)
     steps = []
     for k in range(len(rows) - 1, -1, -1):
@@ -133,23 +139,28 @@ def _plan_elimination(
                 for j, src in pivot_row.items():
                     if j < k:
                         if j not in row:  # fill-in
-                            row[j] = len(entries)
-                            entries.append((0.0, -1))
+                            row[j] = len(slot_kinds)
+                            slot_kinds.append(kinds.setdefault((0.0, -1), len(kinds)))
                             column_rows[j].add(i)
                         pairs.append((row[j], src))
                 if pairs:
                     updates.append((numerator, tuple(pairs)))
         steps.append((pivot_row[k], tuple(updates)))
     return _PivotPlan(
-        tuple(weights[label] for label in labels), tuple(groups), tuple(entries), tuple(steps)
+        tuple(weights[label] for label in labels),
+        tuple(groups),
+        tuple(kinds),
+        tuple(slot_kinds),
+        tuple(steps),
     )
 
 
 def _least_pivot(plan: _PivotPlan, s: float) -> float:
     """The least pivot of the planned elimination on I - A(s), the numeric
-    phase: one exp(-w*s) per label, the slots' initial values, then a flat
-    loop of row updates.  Elimination stops at the first pivot that is not
-    positive (nan included) and returns it.
+    phase: one exp(-w*s) per label, one ``base - term`` per distinct kind of
+    slot, copied into the slots, then a flat loop of row updates.
+    Elimination stops at the first pivot that is not positive (nan
+    included) and returns it.
 
     The sum over DFA paths of exp(-w*s) converges iff the spectral radius
     of A(s) is below 1, iff I - A(s) is a nonsingular M-matrix, iff every
@@ -162,7 +173,8 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
     terms = [math.exp(-w * s) for w in plan.weights]
     terms += [sum([terms[t] for t in group]) for group in plan.groups]
     terms.append(0.0)
-    vals = [base - terms[t] for base, t in plan.entries]
+    values = [base - terms[t] for base, t in plan.kinds]
+    vals = list(map(values.__getitem__, plan.slot_kinds))
     least = math.inf
     for diag, updates in plan.steps:
         pivot = vals[diag]
@@ -220,10 +232,13 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
     that leaves the bracket at most 2^(n + SLACK - t) cells wide after t
     tests.  So where the sign of ``excess`` is monotone on the grid, the
     search ends in bisection's own cell after at most n + SLACK tests, and
-    near a smooth root after a few.  Returns ``(a, a + h, iterations)``,
-    counting the tests made after ``hi`` was found.  If ``tol`` is out of
-    reach (below the float spacing at the root, or beyond ``MAX_ITERATIONS``
-    halvings), ``SolverError`` carries the tightest bracket found.
+    near a smooth root after a few.  Up to 2^53 cells (53 halvings, 40 at
+    tol 1e-12) every grid point is a float; beyond, a trial point is
+    snapped to the nearest float strictly inside the bracket.  Returns
+    ``(a, a + h, iterations)``, counting the tests made after ``hi`` was
+    found.  If ``tol`` is out of reach (below the float spacing at the
+    root, or beyond ``MAX_ITERATIONS`` halvings), ``SolverError`` carries
+    the tightest bracket found.
     """
     hi, f_hi = 1.0, excess(1.0)
     f_half = math.nan  # excess at hi / 2 once tested; 0 never is
@@ -242,6 +257,7 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
     a, fa = (1 << (levels - 1), f_half) if grow and levels else (0, math.nan)
     b, fb = 1 << levels, f_hi
     budget, tests, kept = levels + SLACK, 0, 0
+    snap = levels > 53  # up to 2^53 cells every grid point is a float
     while b - a > 1 and tests < MAX_ITERATIONS:
         k = (a + b) // 2
         room = budget - tests - 1  # after this test the bracket spans <= 2^room cells
@@ -250,11 +266,11 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
             low, high = max(a + 1, b - (1 << room)), min(b - 1, a + (1 << room))
             if math.isfinite(guess) and low <= high:
                 k = min(max(round(guess), low), high)
-        # past 2^53 cells only some grid points are floats: take the nearest
-        first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
-        if first > last:
-            break  # no float lies strictly inside the bracket
-        k = min(max(int(float(k)), first), last)
+        if snap:  # past 2^53 cells only some grid points are floats: take the nearest
+            first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
+            if first > last:
+                break  # no float lies strictly inside the bracket
+            k = min(max(int(float(k)), first), last)
         f = excess(math.ldexp(k, scale))
         tests += 1
         if f < 0.0:

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .automata import system_dfa
+from .automata import minimize, system_dfa
 from .dsl import Concat, Regex, Repeat, Star, SystemDef, Union
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
@@ -99,7 +99,9 @@ def enumerate_spectrum(
     row's weight is the correctly rounded exact sum.  Bins closer than
     ``DEFAULT_WEIGHT_EPSILON`` are still merged into one (at the least
     weight), which joins only weights that really differ, such as
-    0.1 + 0.2 and 0.3.  A label of weight ``inf`` is never taken.
+    0.1 + 0.2 and 0.3.  A label of weight ``inf`` is never taken: the
+    search runs on the minimal DFA without those labels, in which every
+    state reaches acceptance, so it ends even at ``max_weight=inf``.
 
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
@@ -109,8 +111,7 @@ def enumerate_spectrum(
     if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
-    accepting = dfa.accepting
-    includes_empty = dfa.start in accepting
+    includes_empty = dfa.start in dfa.accepting
     finite = [d for d in system.alphabet if d.weight < math.inf]
     # the largest denominator, a power of two, so each weight is a whole number of units
     scale = max((d.weight.as_integer_ratio()[1] for d in finite), default=1)
@@ -120,11 +121,13 @@ def enumerate_spectrum(
         return p * scale // q  # x in units, rounded down
 
     weights = {d.label: units(d.weight) for d in finite}
+    # a step of weight inf is past every cutoff
+    exhausted = all(label in weights for row in dfa.transitions for label in row)
+    if not exhausted:  # the DFA of the strings without inf labels: every state reaches acceptance
+        dfa = minimize(dfa, list(weights))
+    accepting = dfa.accepting
     # each state's (weight, next state) steps in weight order, read once
-    steps = [
-        sorted((weights[label], nxt) for label, nxt in row.items() if label in weights)
-        for row in dfa.transitions
-    ]
+    steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
     heappush, heappop = heapq.heappush, heapq.heappop
     # ints, as every key: an int compared with a float costs the loop its gain.
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
@@ -136,8 +139,6 @@ def enumerate_spectrum(
     entries: list[tuple[float, int]] = []
     total = 0
     complete = True
-    # a step of weight inf is past every cutoff
-    exhausted = all(label in weights for row in dfa.transitions for label in row)
     while heap:
         w = heappop(heap)
         states = buckets.pop(w)
@@ -246,7 +247,7 @@ class DensityReport:
     satisfied: bool
     L: float
     K: float
-    worst_n: int  # first violating integer, or the last n checked
+    worst_n: int  # first violating integer, or ceil(horizon) + 1 if none
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -254,7 +255,9 @@ class DensityReport:
 
 def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     """Check the polynomial weight-density bound max_{nu_k < n} k <= L*n^K
-    for every integer n up to the horizon.
+    for every integer n up to the horizon.  The bound grows with n and k
+    steps up only at n = floor(nu) + 1, so only those n (and n = 1) can be
+    the first violation, and only they are checked.
 
     A finite-horizon check of an asymptotic property: a pass is evidence,
     not proof, and the constants are the caller's choice.
@@ -263,10 +266,14 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
         raise SpectrumError("L and K must be nonnegative")
     nus = sp.weights
     n_max = int(math.ceil(sp.horizon)) + 1
-    for n in range(1, n_max + 1):
+    n = 1
+    while n <= n_max:
         k = bisect.bisect_left(nus, n)  # 1-based index of the largest nu below n
         if k > L * n**K:
             return DensityReport(False, L, K, n)
+        if k == len(nus):
+            break
+        n = math.floor(nus[k]) + 1  # the next n with a larger k
     return DensityReport(True, L, K, n_max)
 
 

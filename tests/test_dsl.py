@@ -112,6 +112,50 @@ def test_error_carries_position():
     assert err.value.line == 2
 
 
+DEPTH = 1200  # beyond the interpreter's default recursion limit
+
+
+def _chain(leaf, depth=DEPTH):
+    """``leaf`` at the bottom of ``depth`` nested nodes of every kind."""
+    node = leaf
+    for i in range(depth):
+        sibling = Symbol("a")
+        node = (
+            Concat(node, sibling), Union(sibling, node), Star(node), Repeat(node, 0, 2)
+        )[i % 4]
+    return node
+
+
+@pytest.mark.parametrize(
+    "leaf, message",
+    [
+        (Symbol("x"), "undeclared symbol 'x'"),
+        (Repeat(Symbol("a"), 3, 2), "bad repetition bounds {3,2}"),
+        (Repeat(Symbol("a"), -1, 2), "bad repetition bounds {-1,2}"),
+    ],
+)
+def test_deep_faults_are_named(leaf, message):
+    with pytest.raises(DslError) as err:
+        SystemDef((SymbolDecl("a", 1.0),), _chain(leaf))
+    assert str(err.value) == message
+
+
+def test_first_fault_from_the_left_is_named():
+    expr = Concat(Union(Symbol("a"), Symbol("x")), Concat(Repeat(Symbol("a"), 2, 1), Symbol("y")))
+    with pytest.raises(DslError, match="'x'"):
+        SystemDef((SymbolDecl("a", 1.0),), expr)
+    with pytest.raises(DslError, match="bounds"):
+        SystemDef((SymbolDecl("a", 1.0), SymbolDecl("x", 1.0)), expr)
+
+
+def test_long_concatenation_is_accepted():
+    system = parse_system("sym a=1 b=2;\nexpr: " + " ".join(["a", "b"] * (DEPTH // 2)))
+    node, length = system.expr, 1
+    while isinstance(node, Concat):
+        node, length = node.left, length + 1
+    assert length == DEPTH
+
+
 # --- round trip ---------------------------------------------------------
 
 _LABELS = ("0", "1", "a")

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import random
 import time
 from unittest import mock
 
@@ -275,7 +276,8 @@ FILL_IN = [
 def test_fill_in_systems_fill_in():
     # so the comparison below also covers fill-in and summed label groups
     plans = [_pivot_plan(system) for system in FILL_IN]
-    assert [(0.0, -1) in plan.entries for plan in plans] == [True, True, True, False, True, False]
+    # a slot of base 0.0 and no term is a fill-in: the initial entries off the diagonal have terms
+    assert [(0.0, -1) in plan.kinds for plan in plans] == [True, True, True, False, True, False]
     assert [len(plan.groups) for plan in plans] == [1, 0, 1, 3, 0, 1]
 
 
@@ -521,3 +523,128 @@ def test_bisect_root_far_fewer_tests_than_bisection():
     # the capacity workload's saving: about 40 halvings at the default tol
     tests = [abscissa(build_jk_system(j, k)).iterations for j in range(1, 9) for k in range(1, 9)]
     assert sum(tests) / len(tests) < 15
+
+
+# --- bisect_root's trial points are the snapping search's ----------------
+
+
+def reference_bisect_root(excess, tol):
+    """The reference: ``bisect_root`` with every trial point snapped to the
+    nearest float inside the bracket, at any number of levels."""
+    hi, f_hi = 1.0, excess(1.0)
+    f_half = math.nan
+    grow = 0
+    while not f_hi < 0.0:
+        grow += 1
+        if grow > 60:
+            raise SolverError("no point above the root found", 0.0, 2.0 * hi)
+        hi, f_half, f_hi = 2.0 * hi, f_hi, excess(2.0 * hi)
+    n, h = 0, hi
+    while h > tol:
+        h *= 0.5
+        n += 1
+    levels = min(n, MAX_ITERATIONS, 1023)
+    scale = math.frexp(hi)[1] - 1 - levels
+    a, fa = (1 << (levels - 1), f_half) if grow and levels else (0, math.nan)
+    b, fb = 1 << levels, f_hi
+    budget, tests, kept = levels + genfun.SLACK, 0, 0
+    while b - a > 1 and tests < MAX_ITERATIONS:
+        k = (a + b) // 2
+        room = budget - tests - 1
+        if room >= 0 and fa != fb:
+            guess = a - fa * (b - a) / (fb - fa)
+            low, high = max(a + 1, b - (1 << room)), min(b - 1, a + (1 << room))
+            if math.isfinite(guess) and low <= high:
+                k = min(max(round(guess), low), high)
+        first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
+        if first > last:
+            break
+        k = min(max(int(float(k)), first), last)
+        f = excess(math.ldexp(k, scale))
+        tests += 1
+        if f < 0.0:
+            if kept == -1:
+                fa *= 1.0 - f / fb if f > fb else 0.5
+            b, fb, kept = k, f, -1
+        else:
+            if kept == 1:
+                fb *= 1.0 - f / fa if f < fa else 0.5
+            a, fa, kept = k, f, 1
+    lo, hi = math.ldexp(a, scale), math.ldexp(b, scale)
+    if b - a > 1 or n > levels:
+        raise SolverError("bisection did not reach tolerance", lo, hi)
+    return lo, hi, tests
+
+
+def _search(finder, excess, tol):
+    """The points ``finder`` tests and its result, or its error's bracket."""
+    points = []
+
+    def recording(s):
+        points.append(s)
+        return excess(s)
+
+    try:
+        outcome = finder(recording, tol)
+    except SolverError as err:
+        outcome = ("SolverError", err.bracket)
+    return points, outcome
+
+
+def assert_same_trial_points(module, solve):
+    """Every root search of ``solve()`` tests the reference's points and
+    ends in its bracket after as many tests; returns the number of searches."""
+    searches = []
+
+    def spy(excess, tol):
+        searches.append([_search(f, excess, tol) for f in (bisect_root, reference_bisect_root)])
+        return bisect_root(excess, tol)
+
+    with mock.patch.object(module, "bisect_root", spy):
+        try:
+            solve()
+        except SolverError:
+            pass
+    for (points, outcome), (ref_points, ref_outcome) in searches:
+        assert points == ref_points
+        assert outcome == ref_outcome
+    return len(searches)
+
+
+# 40 levels; 50; 54, where only some grid points are floats; and 57, out of reach
+TRIAL_TOLS = (1e-12, 1e-15, 6e-17, 1e-17)
+
+
+@pytest.mark.parametrize("tol", TRIAL_TOLS)
+def test_abscissa_trial_points_are_the_reference(tol):
+    for system, _, _ in SIZES:
+        assert assert_same_trial_points(genfun, lambda: abscissa(system, tol=tol)) == 1
+
+
+@pytest.mark.parametrize("tol", TRIAL_TOLS)
+def test_capacity_jk_trial_points_are_the_reference(tol):
+    searches = sum(
+        assert_same_trial_points(genfun, lambda: capacity_jk(j, k, tol=tol))
+        for j in range(1, 9)
+        for k in range(1, 9)
+    )
+    assert searches == 63  # every (j,k) but (1,1), whose root is 0 exactly
+
+
+@pytest.mark.parametrize("tol", TRIAL_TOLS)
+def test_solve_rate_trial_points_are_the_reference(tol):
+    rng = random.Random(1701)
+    for _ in range(40):
+        size = rng.randint(2, 30)
+        support = WeightedSupport(tuple((f"s{i}", rng.uniform(0.05, 40.0)) for i in range(size)))
+        assert assert_same_trial_points(maxent, lambda: solve_rate(support, tol=tol)) == 1
+
+
+def test_trial_tols_cover_the_snapping_search_and_its_error():
+    # a root in [0, 1] takes 54 levels at 6e-17, past 2^53 cells: every grid
+    # point below 0.5 is a float, above it only every other one
+    lo, hi, _ = bisect_root(lambda s: 0.3 - s, 6e-17)
+    assert hi - lo < 6e-17
+    for root, tol in ((LN2, 6e-17), (0.3, 1e-17)):
+        with pytest.raises(SolverError):
+            bisect_root(lambda s: root - s, tol)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,30 @@ def test_label_of_infinite_weight_is_never_taken(max_weight):
     assert sp.complete and not sp.exhausted  # the strings ending in b are left out
 
 
+def _returns_within(seconds, call):
+    """``call()``'s result, or a failure if it has not returned in time."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no result after {seconds} s"
+    return result[0]
+
+
+@pytest.mark.parametrize(
+    "text, entries",
+    [
+        ("sym a=1 b=inf;\nexpr: a* b", ()),  # every string needs the label b
+        ("sym a=1 b=inf c=2;\nexpr: a* b | c", ((2.0, 1),)),
+        ("sym a=1 b=inf c=2;\nexpr: (a* b | c) a{0,2}", ((2.0, 1), (3.0, 1), (4.0, 1))),
+    ],
+)
+def test_inf_labels_on_every_long_string_end_at_max_weight_inf(text, entries):
+    # the a chain reaches acceptance only through b: it is never expanded
+    sp = _returns_within(10, lambda: enumerate_spectrum(parse_system(text), math.inf))
+    assert (sp.entries, sp.complete, sp.exhausted) == (entries, True, False)
+
+
 def test_jk_export_text_is_pinned():
     text = format_spectrum(enumerate_spectrum(build_jk_system(2, 2), 18))
     assert text == (
@@ -277,6 +302,8 @@ def test_density_check_agrees_with_a_linear_walk():
         enumerate_spectrum(build_jk_system(2, 3), 20),
         spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)], weight_epsilon=1e-12),
         spectrum_from_counts([(0.25 * k, k) for k in range(1, 80)]),
+        # 30 entries over 30,001 integers n: k steps up at every 1,000th
+        enumerate_spectrum(parse_system("sym a=1000;\nexpr: a*"), 30_000),
     ]
     for _ in range(400):
         sp = rng.choice(spectra)
