@@ -1,7 +1,7 @@
 """Textual definition language for weighted constrained systems.
 
-A system is declared as a symbol alphabet with positive real weights plus a
-regular expression over those symbols::
+A system is declared as a symbol alphabet with finite positive real weights
+plus a regular expression over those symbols::
 
     # at most two consecutive 0s or 1s
     sym 0=1 1=1;
@@ -16,6 +16,7 @@ tighter than concatenation, concatenation tighter than union.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -84,8 +85,8 @@ class SymbolDecl:
     def __post_init__(self):
         if not self.label:
             raise DslError("symbol label must be nonempty")
-        if not self.weight > 0:
-            raise DslError(f"symbol {self.label!r} has nonpositive weight {self.weight}")
+        if not 0 < self.weight < math.inf:  # nan fails too
+            raise DslError(f"weight of {self.label!r} must be finite and positive, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -281,12 +282,11 @@ class _Parser:
             self.expect("=")
             wtok = self.next()
             try:
-                weight = float(wtok.text)
+                decls.append(SymbolDecl(label, float(wtok.text)))
+            except DslError as exc:  # SymbolDecl's weight check, placed at the token
+                raise DslError(str(exc), wtok.line, wtok.col) from None
             except ValueError:
                 raise DslError(f"bad weight {wtok.text!r}", wtok.line, wtok.col) from None
-            if not weight > 0:
-                raise DslError(f"weight of {label!r} must be positive", wtok.line, wtok.col)
-            decls.append(SymbolDecl(label, weight))
 
     # --- regex, precedence: union < concat < star/repeat
 

@@ -30,7 +30,7 @@ class MaxentError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedSupport:
-    """Finite set of distinct strings with positive weights."""
+    """Finite set of distinct strings with finite positive weights."""
 
     items: tuple[tuple[str, float], ...]
 
@@ -41,8 +41,8 @@ class WeightedSupport:
         if len(set(strings)) != len(strings):
             dup = next(s for s in strings if strings.count(s) > 1)
             raise MaxentError(f"duplicate string {dup!r} in support")
-        if any(w <= 0 for _, w in self.items):
-            raise MaxentError("weights must be positive")
+        if bad := [(s, w) for s, w in self.items if not 0 < w < math.inf]:  # nan fails too
+            raise MaxentError("weight of %r must be finite and positive, got %s" % bad[0])
 
     @property
     def strings(self) -> list[str]:
@@ -70,9 +70,10 @@ class Pmf:
     def __post_init__(self):
         if len(self.probs) != len(self.support):
             raise MaxentError("probs and support differ in length")
-        if any(p < 0 or p > 1 + 1e-12 for p in self.probs):
-            raise MaxentError("probabilities must lie in [0, 1]")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        for string, p in zip(self.support.strings, self.probs):
+            if not 0 <= p <= 1 + 1e-12:  # nan fails too
+                raise MaxentError(f"probability of {string!r} must lie in [0, 1], got {p}")
+        if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise MaxentError(f"probabilities sum to {sum(self.probs)}, not 1")
 
     def positive_items(self) -> list[tuple[str, float, float]]:

@@ -1,9 +1,9 @@
 """Brute-force weight spectrum of a constrained system.
 
-Enumeration runs weight-ordered over the determinized automaton of the
-system, so every accepted string is counted exactly once regardless of how
-many derivations the regex gives it, and weights add exactly, so every
-entry's weight is the correctly rounded sum.  The resulting spectrum (distinct
+Enumeration runs weight-ordered over the minimal automaton of the system, so
+every accepted string is counted once however many derivations the regex
+gives it, and its finite positive weights add exactly, so every entry's
+weight is the correctly rounded sum.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .automata import minimize, system_dfa
+from .automata import system_dfa
 from .dsl import Concat, Regex, Repeat, Star, SystemDef, Union
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
@@ -99,9 +99,9 @@ def enumerate_spectrum(
     row's weight is the correctly rounded exact sum.  Bins closer than
     ``DEFAULT_WEIGHT_EPSILON`` are still merged into one (at the least
     weight), which joins only weights that really differ, such as
-    0.1 + 0.2 and 0.3.  A label of weight ``inf`` is never taken: the
-    search runs on the minimal DFA without those labels, in which every
-    state reaches acceptance, so it ends even at ``max_weight=inf``.
+    0.1 + 0.2 and 0.3.  Every label weight is finite and positive
+    (``SymbolDecl``) and every state of the minimal DFA reaches acceptance,
+    so a finite language ends the search even at ``max_weight=inf``.
 
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
@@ -112,19 +112,14 @@ def enumerate_spectrum(
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
     includes_empty = dfa.start in dfa.accepting
-    finite = [d for d in system.alphabet if d.weight < math.inf]
     # the largest denominator, a power of two, so each weight is a whole number of units
-    scale = max((d.weight.as_integer_ratio()[1] for d in finite), default=1)
+    scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
 
     def units(x: float) -> int:
         p, q = x.as_integer_ratio()
         return p * scale // q  # x in units, rounded down
 
-    weights = {d.label: units(d.weight) for d in finite}
-    # a step of weight inf is past every cutoff
-    exhausted = all(label in weights for row in dfa.transitions for label in row)
-    if not exhausted:  # the DFA of the strings without inf labels: every state reaches acceptance
-        dfa = minimize(dfa, list(weights))
+    weights = {d.label: units(d.weight) for d in system.alphabet}
     accepting = dfa.accepting
     # each state's (weight, next state) steps in weight order, read once
     steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
@@ -138,7 +133,7 @@ def enumerate_spectrum(
     heap = [0]
     entries: list[tuple[float, int]] = []
     total = 0
-    complete = True
+    complete = exhausted = True
     while heap:
         w = heappop(heap)
         states = buckets.pop(w)
@@ -152,8 +147,7 @@ def enumerate_spectrum(
                 accepted += n
         if w and accepted:
             if total + accepted > max_strings:
-                complete = False
-                exhausted = False
+                complete = exhausted = False
                 break
             total += accepted
             entries.append((w / scale, accepted))
@@ -187,12 +181,12 @@ def spectrum_from_counts(
 ) -> WeightSpectrum:
     """Build a spectrum from externally computed (weight, count) pairs,
     e.g. a predicate-filter oracle or a synthetic test case."""
+    if bad := [(nu, c) for nu, c in pairs if not (0 < nu < math.inf and c >= 1)]:  # nan fails
+        raise SpectrumError(f"pair {bad[0]}: weights must be finite and positive, counts >= 1")
     pairs = sorted(pairs)
     for (a, _), (b, _) in zip(pairs, pairs[1:]):
         if b - a <= weight_epsilon:
             raise SpectrumError(f"weights {a} and {b} closer than epsilon")
-    if any(nu <= 0 or c < 1 for nu, c in pairs):
-        raise SpectrumError("weights must be positive and counts >= 1")
     return WeightSpectrum(
         entries=tuple(pairs),
         weight_epsilon=weight_epsilon,
@@ -269,7 +263,11 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     n = 1
     while n <= n_max:
         k = bisect.bisect_left(nus, n)  # 1-based index of the largest nu below n
-        if k > L * n**K:
+        try:
+            bound = L * n**K if L > 0 else 0.0  # not 0 * inf = nan at K = inf
+        except OverflowError:  # n**K beyond the float range
+            bound = math.inf
+        if k > bound:
             return DensityReport(False, L, K, n)
         if k == len(nus):
             break

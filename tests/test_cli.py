@@ -568,3 +568,38 @@ def test_validate_rejected_block_before_unlabelled_one_is_invalid(capsys, tmp_pa
     code, out, _ = run(capsys, ["validate", "--system", str(system), "--support", str(support)])
     assert code == EXIT_INVALID
     assert "witness cc" in out
+
+
+@pytest.mark.parametrize("command, system, support, message", [
+    # with a positive weight on ab the verdict is INVALID (a·b = ab): nan must not drop it
+    ("validate", "sym a=1 b=1;\nexpr: (a|b)*\n", "a 1 0.5\nab 2 nan\nb 1 0.5\n",
+     "probability of 'ab' must lie in [0, 1], got nan"),
+    ("simulate", None, "a 1\nb 2\nc inf\n", "weight of 'c' must be finite and positive, got inf"),
+    ("maxent", None, "a 1\nb nan\n", "weight of 'b' must be finite and positive, got nan"),
+])
+def test_support_value_that_is_not_finite_is_an_error(capsys, tmp_path, command, system, support, message):
+    path = tmp_path / "bad.sup"
+    path.write_text(support)
+    argv = [command, "--support", str(path)]
+    if system is not None:
+        (tmp_path / "ab.cs").write_text(system)
+        argv += ["--system", str(tmp_path / "ab.cs"), "--depth", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("weight", ["inf", "1e999"])
+def test_symbol_weight_of_inf_is_an_error_with_location(capsys, tmp_path, weight):
+    path = tmp_path / "inflabel.cs"
+    path.write_text(f"sym a=1 b={weight};\nexpr: (a|b)*\n")
+    for argv in (["capacity"], ["spectrum", "--max-weight", "inf"]):
+        code, out, err = run(capsys, argv + ["--system", str(path)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: weight of 'b' must be finite and positive, got inf (line 1, column 11)\n"
+
+
+def test_density_bound_beyond_the_float_range_is_satisfied(capsys):
+    argv = ["spectrum", "--jk", "2", "2", "--max-weight", "10", "--density-k", "400"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "density_check         L=1 K=400: satisfied"

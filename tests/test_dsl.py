@@ -112,6 +112,20 @@ def test_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("weight, value", [("inf", "inf"), ("1e999", "inf"), ("nan", "nan")])
+def test_weight_that_is_not_finite_is_an_error_at_its_token(weight, value):
+    with pytest.raises(DslError) as err:
+        parse_system(f"sym a=1\n  b={weight};\nexpr: (a|b)*")
+    assert (err.value.line, err.value.col) == (2, 5)
+    assert f"weight of 'b' must be finite and positive, got {value}" in str(err.value)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
+def test_symbol_decl_takes_only_finite_positive_weights(weight):
+    with pytest.raises(DslError, match="finite and positive"):
+        SymbolDecl("a", weight)
+
+
 DEPTH = 1200  # beyond the interpreter's default recursion limit
 
 

@@ -73,6 +73,24 @@ def test_support_validation():
         WeightedSupport((("a", 0.0),))
 
 
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0])
+def test_support_weight_must_be_finite_and_positive(weight):
+    with pytest.raises(MaxentError, match=f"weight of 'b' must be finite and positive, got {weight}"):
+        WeightedSupport((("a", 1.0), ("b", weight)))
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan, 0.5), (math.nan,) * 3])
+def test_pmf_rejects_a_nan_probability(probs):
+    support = WeightedSupport(PITFALL.items[: len(probs)])
+    with pytest.raises(MaxentError, match="got nan"):
+        Pmf(support, probs)
+
+
+def test_pmf_rejects_a_sum_that_is_not_1():
+    with pytest.raises(MaxentError, match="sum to 0.75, not 1"):
+        Pmf(PITFALL, (0.25, 0.25, 0.25))
+
+
 def test_maxentropic_pmf_uniform_on_equal_weights():
     p = maxentropic_pmf(BITS)
     assert p.probs == pytest.approx((0.5, 0.5), abs=1e-12)

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from concap.dsl import SystemDef
 from concap.genfun import DEFAULT_TOL, bisect_root, eval_real
 from concap.spectrum import (
     DEFAULT_WEIGHT_EPSILON,
+    DensityReport,
     SpectrumError,
     WeightSpectrum,
     c0_estimate,
@@ -214,36 +214,15 @@ def test_unbounded_weight_exhausts_a_finite_language():
     assert (sp.entries, sp.complete, sp.exhausted) == (((2.0, 1), (4.0, 1)), True, True)
 
 
-@pytest.mark.parametrize("max_weight", [5.0, math.inf])
-def test_label_of_infinite_weight_is_never_taken(max_weight):
-    system = parse_system("sym a=1 b=inf;\nexpr: a{1,5} (b | eps)")
-    sp = enumerate_spectrum(system, max_weight)
-    assert sp.entries == tuple((float(n), 1) for n in range(1, 6))
-    assert sp.complete and not sp.exhausted  # the strings ending in b are left out
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
+def test_spectrum_from_counts_rejects_a_weight_that_is_not_finite_and_positive(weight):
+    with pytest.raises(SpectrumError, match="finite and positive"):
+        spectrum_from_counts([(weight, 2), (1.0, 3)])
 
 
-def _returns_within(seconds, call):
-    """``call()``'s result, or a failure if it has not returned in time."""
-    result = []
-    worker = threading.Thread(target=lambda: result.append(call()), daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), f"no result after {seconds} s"
-    return result[0]
-
-
-@pytest.mark.parametrize(
-    "text, entries",
-    [
-        ("sym a=1 b=inf;\nexpr: a* b", ()),  # every string needs the label b
-        ("sym a=1 b=inf c=2;\nexpr: a* b | c", ((2.0, 1),)),
-        ("sym a=1 b=inf c=2;\nexpr: (a* b | c) a{0,2}", ((2.0, 1), (3.0, 1), (4.0, 1))),
-    ],
-)
-def test_inf_labels_on_every_long_string_end_at_max_weight_inf(text, entries):
-    # the a chain reaches acceptance only through b: it is never expanded
-    sp = _returns_within(10, lambda: enumerate_spectrum(parse_system(text), math.inf))
-    assert (sp.entries, sp.complete, sp.exhausted) == (entries, True, False)
+def test_spectrum_from_counts_rejects_a_count_below_1():
+    with pytest.raises(SpectrumError, match="counts >= 1"):
+        spectrum_from_counts([(1.0, 0)])
 
 
 def test_jk_export_text_is_pinned():
@@ -290,7 +269,11 @@ def linear_density_check(sp, L, K):
     for n in range(1, n_max + 1):
         while i < len(nus) and nus[i] < n:
             i += 1
-        if i > L * n**K:
+        try:
+            bound = L * n**K if L > 0 else 0.0
+        except OverflowError:
+            bound = math.inf
+        if i > bound:
             return (False, n)
     return (True, n_max)
 
@@ -305,11 +288,24 @@ def test_density_check_agrees_with_a_linear_walk():
         # 30 entries over 30,001 integers n: k steps up at every 1,000th
         enumerate_spectrum(parse_system("sym a=1000;\nexpr: a*"), 30_000),
     ]
-    for _ in range(400):
+    for i in range(400):
         sp = rng.choice(spectra)
-        L, K = rng.uniform(0.0, 20.0), rng.uniform(0.0, 3.0)
+        # every 8th at K = 400, where n**K leaves the float range from n = 6 on
+        L, K = rng.uniform(0.0, 20.0), 400.0 if i % 8 == 0 else rng.uniform(0.0, 3.0)
         report = density_check(sp, L, K)
         assert (report.satisfied, report.worst_n) == linear_density_check(sp, L, K)
+
+
+def test_density_bound_beyond_the_float_range():
+    # 11**400 is no float: for L > 0 the bound is inf
+    sp = enumerate_spectrum(build_jk_system(2, 2), 10)
+    assert density_check(sp, 1.0, 400.0) == DensityReport(True, 1.0, 400.0, 11)
+    # at L = 0 the bound is 0 for every K, inf included (not 0 * 2**inf = nan)
+    assert density_check(sp, 0.0, math.inf) == DensityReport(False, 0.0, math.inf, 2)
+    # the first n with k > 0 is 8, and 8**400 is no float: at L = 0 the bound is 0
+    sp = spectrum_from_counts([(7.5, 1), (9.0, 2)])
+    assert density_check(sp, 1.0, 400.0) == DensityReport(True, 1.0, 400.0, 10)
+    assert density_check(sp, 0.0, 400.0) == DensityReport(False, 0.0, 400.0, 8)
 
 
 def test_partial_sum_of_counts_beyond_float_range():
