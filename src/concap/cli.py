@@ -169,6 +169,8 @@ def cmd_simulate(args) -> int:
 def cmd_jk_table(args) -> int:
     if args.jmax > 64 or args.kmax > 64:
         raise ValueError("table bounds must be <= 64")
+    if args.jmax < 1 or args.kmax < 1:
+        raise ValueError("table bounds must be >= 1")
     rows = [
         f"{j:<4d}" + " ".join(
             f"{_units_value(genfun.capacity_jk(j, k, tol=args.tol), args.units):8.5f}"
@@ -253,10 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, genfun.SolverError, OSError) as exc:
-        # ValueError covers DslError, MaxentError, SpectrumError and bad
-        # arguments such as --tol 0 or --jmax 65
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, genfun.SolverError, OSError, RecursionError) as exc:
+        # ValueError covers DslError, MaxentError, SpectrumError and bad arguments
+        message = "the regex is nested too deeply" if isinstance(exc, RecursionError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -11,8 +11,9 @@ trial ``s`` as a flat loop over float slots (``_least_pivot``) whose
 initial values take one subtraction per distinct kind of slot.
 ``eval_real`` sums a regex's own series, one term per derivation, which
 equals the string series only if the regex is unambiguous: it is the
-ambiguity witness of ``spectrum.cross_check_gf``.  Divergence is
-``math.inf``, never an error.
+ambiguity witness of ``spectrum.cross_check_gf``.  ``math.inf`` means
+divergence and nothing else; a finite value beyond the float range is an
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -28,35 +29,42 @@ from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SymbolDecl, Syste
 DIVERGENT = math.inf
 
 
+def _finite(value: float, *inputs: float) -> float:
+    """``value``, or ``OverflowError`` if it is inf while no input diverged."""
+    if value == DIVERGENT and DIVERGENT not in inputs:
+        raise OverflowError("a finite series value exceeds the float range")
+    return value
+
+
 def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
     """Evaluate a regex's series at real ``s``: a symbol of weight ``w`` gives
     exp(-w*s), union a sum, concatenation a product, star 1/(1-v) for v < 1
-    (divergent for v >= 1), repetition a polynomial in v.  A product with a
-    divergent factor diverges even where the other underflowed to 0.0.  A
-    value beyond the float range (at ``s < 0``) reads ``inf`` too."""
+    (divergent for v >= 1), repetition a polynomial in v.  ``inf`` is
+    divergence only, and a product with a divergent factor diverges even
+    where the other underflowed to 0.0.  A finite value beyond the float
+    range raises ``OverflowError`` where it arises, even if another part
+    diverges: in floats it cannot be told from one that a tiny factor would
+    bring back into range."""
     match expr:
         case Symbol(label):
-            try:
-                return math.exp(-weights[label] * s)
-            except OverflowError:  # at s < 0 a term may exceed the float range
-                return DIVERGENT
+            return _finite(math.exp(-weights[label] * s))  # exp raises, but exp(inf) is inf
         case Epsilon():
             return 1.0
         case Union(l, r):
-            return eval_real(l, weights, s) + eval_real(r, weights, s)
+            left, right = eval_real(l, weights, s), eval_real(r, weights, s)
+            return _finite(left + right, left, right)
         case Concat(l, r):
             left, right = eval_real(l, weights, s), eval_real(r, weights, s)
-            return DIVERGENT if DIVERGENT in (left, right) else left * right
+            return DIVERGENT if DIVERGENT in (left, right) else _finite(left * right)
         case Star(c):
             v = eval_real(c, weights, s)
             return 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
         case Repeat(c, lo, hi):
-            # v^lo (1 + ... + v^(hi-lo)) by Horner: an overflow reads inf, not an error
-            v = eval_real(c, weights, s)
+            v = eval_real(c, weights, s)  # v^lo (1 + ... + v^(hi-lo)) by Horner
             total = 1.0
             for k in range(hi - 1, -1, -1):
                 total = total * v + (k >= lo)
-            return total
+            return _finite(total, v)
     raise TypeError(f"not a regex node: {expr!r}")
 
 

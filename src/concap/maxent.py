@@ -476,26 +476,28 @@ def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
 # Interchange format: `string weight prob` per line (prob optional)
 
 
+def _number(field: str, name: str, lineno: int) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise MaxentError(f"line {lineno}: {name} {field!r} is not a number") from None
+
+
 def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
-    items = []
-    probs = []
-    has_probs = None
+    items, probs = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise MaxentError(f"line {lineno}: expected 'string weight [prob]'")
-        if has_probs is None:
-            has_probs = len(parts) == 3
-        elif has_probs != (len(parts) == 3):
+        if items and (len(parts) == 3) != bool(probs):  # as many columns as the first line
             raise MaxentError(f"line {lineno}: inconsistent column count")
-        items.append((parts[0], float(parts[1])))
+        items.append((parts[0], _number(parts[1], "weight", lineno)))
         if len(parts) == 3:
-            probs.append(float(parts[2]))
+            probs.append(_number(parts[2], "probability", lineno))
     support = WeightedSupport(tuple(items))
-    return support, (Pmf(support, tuple(probs)) if has_probs else None)
+    return support, (Pmf(support, tuple(probs)) if probs else None)
 
 
 def format_pmf(p: Pmf) -> str:

@@ -9,7 +9,9 @@ estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
 The cross-check runs no root search: whether the string series converges
 at the evaluation point is one pivot test (``genfun.converges``), and the
-bound on the regex series' tail is one golden-section search.
+bound on the regex series' tail is one golden-section search.  As in
+``genfun``, ``inf`` means divergence only: a sum beyond the float range
+raises ``OverflowError``, a ``SpectrumError`` in the cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .automata import system_dfa
-from .dsl import Concat, Regex, Repeat, Star, SystemDef, Union
+from .dsl import SystemDef
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
@@ -74,12 +76,12 @@ class WeightSpectrum:
     def partial_sum(self, s: float) -> float:
         """Truncated Dirichlet series sum N(nu) exp(-nu*s) over the spectrum,
         each term as exp(ln N - nu*s): N may exceed the float range.  A sum
-        beyond the float range (at ``s < 0``) reads ``inf``."""
+        beyond the float range (at ``s < 0``) raises ``OverflowError``."""
         total = 1.0 if self.includes_empty else 0.0
-        try:
-            return total + sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
-        except OverflowError:
-            return math.inf
+        total += sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
+        if total == math.inf:  # finite terms may add up past it, and exp(inf) is inf
+            raise OverflowError("the partial sum exceeds the float range")
+        return total
 
 
 def enumerate_spectrum(
@@ -295,14 +297,17 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     where the series converges, and every divergent x lies left of the
     optimum (gf decreases), so one golden-section search over [0, s], to
     ``DEFAULT_TOL`` (relative beyond 1), finds it; the least bound seen,
-    x = s included, is returned.  At s = inf every term beyond the horizon
-    is 0, and so is the bound."""
+    x = s included, is returned, an x where gf leaves the float range giving
+    none.  At s = inf every term beyond the horizon is 0, and so is the bound."""
     if s == math.inf:
         return 0.0
     expr, weights = system.expr, system.weights
 
     def log_bound(x: float) -> float:
-        v = eval_real(expr, weights, x)
+        try:
+            v = eval_real(expr, weights, x)
+        except OverflowError:
+            return math.inf
         return (math.log(v) if v > 0.0 else -math.inf) - horizon * (s - x)
 
     a, b = min(0.0, s), s  # a finite language may be checked at s < 0
@@ -322,18 +327,6 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     return math.exp(best)
 
 
-def _has_star(expr: Regex) -> bool:
-    """Whether the regex has a star, and so infinitely many derivations."""
-    match expr:
-        case Star():
-            return True
-        case Union(l, r) | Concat(l, r):
-            return _has_star(l) or _has_star(r)
-        case Repeat(c, _, _):
-            return _has_star(c)
-    return False
-
-
 def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossCheck:
     """Compare the enumerated partial sum with the value of the series of
     the system's regex.
@@ -348,23 +341,17 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
     read ``inf``.  Where the string series diverges, every regex's series
     diverges with it, so there divergence is a ``SpectrumError``.
 
-    A regex without a star has finitely many derivations, so its value is
-    finite and an ``inf`` is an overflow, not divergence: that, and any term
-    beyond the float range (at ``s < 0`` terms grow with weight), is a
-    ``SpectrumError``.
+    A value or partial sum beyond the float range (from many derivations,
+    or at ``s < 0``, where terms grow with weight) proves nothing either
+    way and is a ``SpectrumError`` too.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
-    expr, weights = system.expr, system.weights
     try:
-        gf_value = eval_real(expr, weights, s)
-        if gf_value == DIVERGENT and not _has_star(expr):
-            raise OverflowError  # a finite sum whose float is inf
+        gf_value = eval_real(system.expr, system.weights, s)
         if gf_value == DIVERGENT and not converges(system, s):
             raise SpectrumError(f"the series of the regex diverges at s={s}")
         partial = sp.partial_sum(s)
-        if partial == math.inf:
-            raise OverflowError  # a sum of finitely many finite terms
         if gf_value == DIVERGENT:
             # the regex has more derivations than the language has strings
             return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)

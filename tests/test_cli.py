@@ -312,6 +312,9 @@ def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
      "max_strings must be positive"),
     (["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--max-strings", "0"],
      "max_strings must be positive"),
+    # an empty table used to print its header row and exit 0
+    (["jk-table", "--jmax", "0"], "table bounds must be >= 1"),
+    (["jk-table", "--kmax", "0"], "table bounds must be >= 1"),
 ])
 def test_argument_errors_print_nothing_to_stdout(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -484,6 +487,29 @@ def test_crosscheck_overflow_of_an_unambiguous_repetition_is_error(capsys, tmp_p
     assert "exceeds the float range" in err
 
 
+@pytest.mark.parametrize("text", [
+    "sym a=1 b=1 c=1;\nexpr: (a|b){1,1100} c*\n",
+    "sym a=1 b=1 z=1000000;\nexpr: ((a|b){1,1100} z)*\n",
+])
+def test_crosscheck_overflow_of_a_starred_regex_is_error(capsys, tmp_path, text):
+    path = tmp_path / "rep.cs"
+    path.write_text(text)
+    argv = ["crosscheck", "--system", str(path), "--s", "0.001", "--max-weight", "8"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_ERROR, "", "error: the series at s=0.001 exceeds the float range\n")
+
+
+def test_crosscheck_starred_repetition_in_float_range(capsys, tmp_path):
+    path = tmp_path / "rep.cs"
+    path.write_text("sym a=1 b=1 c=1;\nexpr: (a|b){1,1100} c*\n")
+    code, out, _ = run(capsys, ["crosscheck", "--system", str(path), "--s", "2", "--max-weight", "8"])
+    assert code == EXIT_OK
+    assert out == (
+        "partial_sum  0.429188377\ngf_value     0.429209725\ndifference   2.13e-05\n"
+        "tail_bound   0.00104\nambiguous    no\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--tol", "1e-3"],
     ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--units", "bits"],
@@ -576,6 +602,9 @@ def test_validate_rejected_block_before_unlabelled_one_is_invalid(capsys, tmp_pa
      "probability of 'ab' must lie in [0, 1], got nan"),
     ("simulate", None, "a 1\nb 2\nc inf\n", "weight of 'c' must be finite and positive, got inf"),
     ("maxent", None, "a 1\nb nan\n", "weight of 'b' must be finite and positive, got nan"),
+    # a field that is no number names its line and field, like the file's other errors
+    ("maxent", None, "a 1\nb x\n", "line 2: weight 'x' is not a number"),
+    ("maxent", None, "a 1 0.5\nb 1 half\n", "line 2: probability 'half' is not a number"),
 ])
 def test_support_value_that_is_not_finite_is_an_error(capsys, tmp_path, command, system, support, message):
     path = tmp_path / "bad.sup"
@@ -603,3 +632,25 @@ def test_density_bound_beyond_the_float_range_is_satisfied(capsys):
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "density_check         L=1 K=400: satisfied"
+
+
+def _concatenation(n):
+    labels = [f"s{i:04d}" for i in range(n)]  # prefix-free
+    return f"sym {' '.join(f'{x}=1' for x in labels)};\nexpr: {' '.join(labels)}\n"
+
+
+def _prefix_code(n):
+    words = [format(i, "011b").replace("0", "a ").replace("1", "b ") for i in range(n)]
+    return f"sym a=1 b=2;\nexpr: ({' | '.join(w.strip() for w in words)})*\n"
+
+
+@pytest.mark.parametrize("text", [_concatenation(1200), _prefix_code(1200)], ids=["concat", "code"])
+@pytest.mark.parametrize("command", [
+    ["capacity"], ["spectrum", "--max-weight", "3"], ["crosscheck", "--s", "1", "--max-weight", "3"],
+], ids=["capacity", "spectrum", "crosscheck"])
+def test_regex_nested_too_deeply_is_one_error_line(capsys, tmp_path, text, command):
+    # the regex tree is walked recursively: past the recursion limit it is an error, not a traceback
+    path = tmp_path / "deep.cs"
+    path.write_text(text)
+    code, out, err = run(capsys, command + ["--system", str(path)])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: the regex is nested too deeply\n")

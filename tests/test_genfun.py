@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from concap import build_jk_system, genfun, maxent, parse_system
 from concap.automata import Dfa, system_dfa
-from concap.dsl import EPSILON, SystemDef
+from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SystemDef, Union
 from concap.genfun import (
     DIVERGENT,
     MAX_ITERATIONS,
@@ -61,10 +61,30 @@ def test_eval_monotone_decreasing(sbin):
     assert all(v >= 0 for v in values)
 
 
-def test_eval_term_beyond_float_range_is_inf():
-    # exp(1000) is no float: the finite language's series reads inf, not an error
+def test_eval_term_beyond_float_range_raises():
+    # the finite language's series is finite at every s, so a value beyond
+    # the float range is an overflow, never inf: exp(1000) is no float, and
+    # at -300 each term is one but exp(300) exp(600) exp(300) is not
     system = parse_system("sym a=1 b=2;\nexpr: a b a | b")
-    assert _eval(system, -1000.0) == math.inf
+    for s in (-1000.0, -300.0, -math.inf):
+        with pytest.raises(OverflowError):
+            _eval(system, s)
+    # each branch of a | a is a float at -709.5 (1.35e308), their sum is not
+    with pytest.raises(OverflowError):
+        _eval(parse_system("sym a=1;\nexpr: a | a"), -709.5)
+
+
+@pytest.mark.parametrize("text", [
+    "sym a=1 b=1 c=1;\nexpr: (a|b){1,1100} c*",  # 2^1100 times a convergent star
+    "sym a=1 b=1 z=1000000;\nexpr: ((a|b){1,1100} z)*",  # exp(-1000) brings it back
+    "sym a=1 b=1;\nexpr: eps* (a|b){1,1100}",  # an overflow wins over divergence
+    "sym a=1 b=1;\nexpr: (a|b){1,1100} | eps*",
+    # ambiguous, but its value overflows before the star sees it: no verdict
+    "sym a=1;\nexpr: ((a|a){1,1100})*",
+])
+def test_eval_overflow_is_an_error_not_divergence(text):
+    with pytest.raises(OverflowError):
+        _eval(parse_system(text), 0.001)
 
 
 def test_eval_divergent_factor_beats_underflow():
@@ -648,3 +668,68 @@ def test_trial_tols_cover_the_snapping_search_and_its_error():
     for root, tol in ((LN2, 6e-17), (0.3, 1e-17)):
         with pytest.raises(SolverError):
             bisect_root(lambda s: root - s, tol)
+
+
+# --- property: eval_real against a log-domain reference -----------------
+
+_WEIGHTS = {d.label: d.weight for d in _DECLS}
+_LOG_MAX = math.log(1.7976931348623157e308)
+
+
+def _log_add(x, y):
+    if math.inf in (x, y):
+        return math.inf
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_series(expr, s, peaks, margins):
+    """The log of a regex's series at ``s``, inf where it diverges, in logs
+    so that no value leaves the float range.  Each finite node's log value
+    goes into ``peaks``, and each star child's distance below log 1 = 0
+    into ``margins``."""
+    match expr:
+        case Symbol(label):
+            v = -_WEIGHTS[label] * s
+        case Epsilon():
+            v = 0.0
+        case Union(l, r):
+            v = _log_add(_log_series(l, s, peaks, margins), _log_series(r, s, peaks, margins))
+        case Concat(l, r):
+            v = _log_series(l, s, peaks, margins) + _log_series(r, s, peaks, margins)
+        case Star(c):
+            u = _log_series(c, s, peaks, margins)
+            margins.append(-u)
+            v = math.inf if u >= 0.0 else -math.log(-math.expm1(u))
+        case Repeat(c, lo, hi):
+            u = _log_series(c, s, peaks, margins)
+            if u == math.inf:
+                v = math.inf if hi else 0.0
+            else:
+                v = functools.reduce(_log_add, [k * u for k in range(lo, hi + 1)])
+    if v < math.inf:
+        peaks.append(v)
+    return v
+
+
+@seed(19)
+@settings(max_examples=400, deadline=None)
+@given(_regexes(), st.floats(-400.0, 10.0))
+def test_eval_real_agrees_with_a_log_domain_reference(expr, s):
+    peaks, margins = [], []
+    reference = _log_series(expr, s, peaks, margins)
+    if any(0.0 < m < 1e-6 for m in margins):
+        # a star child within 1e-6 of 1: 1/(1 - v) turns the child's rounding
+        # error into more than 1e-9 of the value, and within an ulp of 1 into
+        # divergence (0* at s = 1e-308, whose v = exp(-s) is 1.0 in floats)
+        return
+    try:
+        value = eval_real(expr, _WEIGHTS, s)
+    except OverflowError:
+        assert max(peaks) > _LOG_MAX - 1e-6  # some node's value is no float
+        return
+    if value == math.inf:
+        assert reference == math.inf  # inf is divergence only
+    else:
+        assert reference < math.inf
+        assert math.isclose(value, math.exp(reference), rel_tol=1e-9, abs_tol=1e-300)

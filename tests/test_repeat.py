@@ -151,9 +151,11 @@ def test_series_abscissa_is_finite():
     assert series_abscissa(system.expr, system.weights) == pytest.approx(math.log(2), abs=1e-9)
 
 
-def test_repetition_series_overflows_to_inf():
+def test_repetition_series_overflow_raises():
+    # 3^1000 derivations: a finite value beyond the float range, not divergence
     system = parse_system("sym a=1 b=1 c=1;\nexpr: (a|b|c){1,1000}")
-    assert eval_real(system.expr, system.weights, 0.01) == math.inf
+    with pytest.raises(OverflowError):
+        eval_real(system.expr, system.weights, 0.01)
 
 
 def test_repetition_bounds_checked_outside_the_parser():

@@ -318,9 +318,14 @@ def test_partial_sum_of_counts_beyond_float_range():
 # --- cross-check / ambiguity detector -----------------------------------
 
 
-def test_partial_sum_beyond_float_range_is_inf():
+def test_partial_sum_beyond_float_range_raises():
     system = parse_system("sym a=1 b=2;\nexpr: a b a | b")
-    assert enumerate_spectrum(system, 5).partial_sum(-1000.0) == math.inf
+    with pytest.raises(OverflowError):
+        enumerate_spectrum(system, 5).partial_sum(-1000.0)
+    # two terms that are floats, but not their sum
+    sp = spectrum_from_counts([(1.0, 2**1023), (2.0, 2**1023)])
+    with pytest.raises(OverflowError):
+        sp.partial_sum(0.0)
 
 
 def test_partial_sums_approach_gf_from_below(sbin):
@@ -410,6 +415,30 @@ def test_cross_check_overflow_of_a_long_repetition_is_error_not_ambiguity(s):
     assert not cross_check_gf(sp, system, 1.0).ambiguous
     with pytest.raises(SpectrumError, match="exceeds the float range"):
         cross_check_gf(sp, system, s)
+
+
+@pytest.mark.parametrize("text", [
+    "sym a=1 b=1 c=1;\nexpr: (a|b){1,1100} c*",
+    # capacity 0.000745: at 0.001 the language converges, and exp(-1000000)
+    # would bring each 2^1100 back into range, were it a float
+    "sym a=1 b=1 z=1000000;\nexpr: ((a|b){1,1100} z)*",
+])
+def test_cross_check_overflow_of_a_starred_regex_is_error_not_ambiguity(text):
+    # both regexes are unambiguous: inf here would claim a proof of ambiguity
+    system = parse_system(text)
+    sp = enumerate_spectrum(system, 8)
+    with pytest.raises(SpectrumError, match="exceeds the float range"):
+        cross_check_gf(sp, system, 0.001)
+
+
+def test_cross_check_tail_bound_skips_overflowed_trial_points():
+    # the value at 0.1 is a float (1 + exp(-100000) 2^1100 ...), and the
+    # bound's search runs toward x = 0, into the x below about 0.048 where
+    # (a|b){1,1100} is not: those points give no bound, not an error
+    system = parse_system("sym a=1 b=1 z=1000000;\nexpr: ((a|b){1,1100} z)*")
+    check = cross_check_gf(enumerate_spectrum(system, 8), system, 0.1)
+    assert not check.ambiguous
+    assert check.tail_bound == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("s", [0.7, 0.8, 1.0, 1.5, 3.0])
