@@ -18,6 +18,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 
 from .automata import matches, system_dfa
 from .dsl import SystemDef, split_labels
@@ -100,16 +102,16 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
     two or more items the root is unique and positive; a single item makes
     the maximization degenerate (one string, entropy 0) and R is 0.  The
     left side minus 1 guides ``bisect_root``; ``iterations`` counts its
-    tests.
+    tests.  Each term is exp((-w) * s), summed in support order by C loops.
     """
     if not tol > 0:
         raise MaxentError("tol must be positive")
-    weights = support.weights
-    if len(weights) == 1:
+    if len(support) == 1:
         return RateResult(0.0, 0.0, 0, degenerate=True)
+    negated = [-w for w in support.weights]
 
     def f(s: float) -> float:
-        return sum(math.exp(-w * s) for w in weights) - 1.0
+        return sum(map(math.exp, map(mul, negated, repeat(s)))) - 1.0
 
     lo, hi, iterations = bisect_root(f, tol)
     rate = 0.5 * (lo + hi)
@@ -128,8 +130,9 @@ def maxentropic_pmf(support: WeightedSupport, solved: RateResult | None = None) 
 
 
 def entropy(p: Pmf) -> float:
-    """Entropy in nats; zero-probability items contribute nothing."""
-    return -sum(q * math.log(q) for q in p.probs if q > 0)
+    """Entropy in nats; zero-probability items contribute nothing, and a
+    one-point PMF has entropy +0.0."""
+    return sum(-q * math.log(q) for q in p.probs if q > 0)
 
 
 def mean_weight(p: Pmf) -> float:
@@ -379,7 +382,10 @@ def sample_process(
 
     Reports the exact per-block entropy and mean weight alongside plug-in
     estimates, the same figures of the observed block frequencies (no bias
-    correction).  Deterministic for a given seed.
+    correction).  Deterministic for a given seed: draw i is the number of
+    points of the normalized cumulative probabilities at or below the i-th
+    ``Generator.random`` uniform of ``numpy.random.default_rng(seed)``, the
+    indices numpy's ``Generator.choice`` draws (see ``_draw_indices``).
 
     With a ``system``, every positive-probability block is read as its own
     label sequence up front (one with none raises ``DslError``).  If the
@@ -393,10 +399,11 @@ def sample_process(
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
+    if seed < 0:
+        raise MaxentError(f"seed must be >= 0, got {seed}")
     import numpy as np  # only sampling needs it: importing concap stays fast
 
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(p.probs), size=n_blocks, p=np.asarray(p.probs))
+    idx = _draw_indices(np.random.default_rng(seed), np.asarray(p.probs), n_blocks)
     counts = np.bincount(idx, minlength=len(p.probs)).tolist()
     observed = Pmf(p.support, tuple(c / n_blocks for c in counts))
     order = idx.tolist()
@@ -440,6 +447,48 @@ def sample_process(
         empirical_rate=entropy_per_weight(observed),
         accepted=accepted,
     )
+
+
+def _draw_indices(rng, probs, n: int):
+    """The ``n`` indices ``rng.choice(len(probs), size=n, p=probs)`` draws.
+
+    numpy's rule: with ``cdf = probs.cumsum() / probs.cumsum()[-1]`` and
+    ``u = rng.random(n)``, draw i is the number of points of ``cdf`` at or
+    below ``u[i]``.  ``Pmf``'s checks on ``probs`` are stricter than
+    ``choice``'s, which this skips.
+
+    Rather than binary-search every draw, a guide table (Chen & Asau, 1974)
+    cuts [0, 1) into 2^k equal cells: a draw in a cell with no point inside
+    it takes the count at the cell's left end, and only the draws in cells
+    that hold a point are searched.  The table has about 16 cells per item,
+    so few of them hold a point, but at most n/4, so that building it costs
+    little next to the draws; below 2 cells per item every draw is searched.
+    """
+    import numpy as np
+
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    m = len(cdf)
+    k = min((16 * m - 1).bit_length(), int(n).bit_length() - 3)  # n may be a numpy integer
+    if k < (2 * m - 1).bit_length():
+        return cdf.searchsorted(u, side="right")
+    cells = 1 << k
+    # scaling by a power of two is exact, so each comparison below is one
+    # numpy makes; cell g is then [g, g + 1) and the floor of u its index
+    cdf *= cells
+    u *= cells
+    edges = np.arange(cells + 1, dtype=float)
+    left = cdf.searchsorted(edges[:-1], side="right")  # points at or below g
+    inside = cdf.searchsorted(edges[1:], side="left") != left  # a point in (g, g + 1)
+    cell = u.astype(np.intp)
+    hit = np.flatnonzero(inside[cell])
+    searched = cdf.searchsorted(u[hit], side="right")
+    # the counts overwrite the spent uniforms; mode "clip" never acts on a
+    # cell index and, unlike "raise", writes ``out`` in place
+    idx = left.take(cell, out=u.view(np.int64), mode="clip")
+    idx[hit] = searched
+    return idx
 
 
 # ---------------------------------------------------------------------------

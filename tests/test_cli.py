@@ -254,6 +254,18 @@ def test_simulate_reproducible(capsys, tmp_path):
     assert (tmp_path / "x.txt").read_text() == text1
 
 
+@pytest.mark.parametrize("text", ["a 1\n", "a 1 1\nb 1 0\n"])
+def test_simulate_one_point_process_prints_positive_zero_rates(capsys, tmp_path, text):
+    path = tmp_path / "one.sup"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["simulate", "--support", str(path), "--blocks", "10"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1:3] == [
+        "exact_rate       0.000000000 nats",
+        "empirical_rate   0.000000000 nats",
+    ]
+
+
 def test_jk_table_symmetric_row(capsys):
     code, out, _ = run(capsys, ["jk-table", "--jmax", "3", "--kmax", "3"])
     assert code == EXIT_OK
@@ -315,6 +327,8 @@ def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
     # an empty table used to print its header row and exit 0
     (["jk-table", "--jmax", "0"], "table bounds must be >= 1"),
     (["jk-table", "--kmax", "0"], "table bounds must be >= 1"),
+    # numpy's own message named no argument
+    (["simulate", "--jk", "2", "2", "--blocks", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_argument_errors_print_nothing_to_stdout(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -1,15 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from concap import build_jk_system, maxent, parse_system
 from concap.automata import Dfa, matches, system_dfa
-from concap.genfun import capacity_jk
+from concap.genfun import bisect_root, capacity_jk
 from concap.maxent import (
     MaxentError,
     Pmf,
     WeightedSupport,
+    entropy,
     entropy_per_weight,
     format_pmf,
     jk_phrase_support,
@@ -56,6 +60,54 @@ def test_solve_rate_jk_phrases_equals_capacity():
         ("011", 3.0),
     ]
     assert solve_rate(support).rate == pytest.approx(capacity_jk(2, 2), abs=2e-12)
+
+
+def _rate_supports() -> list[WeightedSupport]:
+    """(j,k) phrase supports of 2 to 900 items, and 40 random supports of 8
+    to 400 items with weights in [0.5, 6]."""
+    supports = [jk_phrase_support(j, k) for j in (1, 2, 5, 12, 30) for k in (2, 8, 30)]
+    rng = random.Random(2001)
+    for _ in range(40):
+        size = rng.randint(8, 400)
+        supports.append(WeightedSupport(tuple(
+            (f"s{i}", round(rng.uniform(0.5, 6.0), 6)) for i in range(size)
+        )))
+    return supports
+
+
+@pytest.mark.parametrize("support", _rate_supports(), ids=len)
+def test_solve_rate_tests_the_values_of_the_generator_sum(monkeypatch, support):
+    # every trial point, value, bracket and iteration count is that of the
+    # per-item generator sum the rate equation was first written with
+    weights = support.weights
+
+    def reference(s):
+        return sum(math.exp(-w * s) for w in weights) - 1.0
+
+    calls = []
+
+    def recording(excess, tol):
+        def traced(s):
+            calls.append((s, excess(s)))
+            return calls[-1][1]
+
+        calls.append(bisect_root(traced, tol))
+        return calls[-1]
+
+    monkeypatch.setattr(maxent, "bisect_root", recording)
+    result = solve_rate(support)
+    expected = []
+
+    def traced_reference(s):
+        expected.append((s, reference(s)))
+        return expected[-1][1]
+
+    expected.append(bisect_root(traced_reference, maxent.DEFAULT_TOL))
+    lo, hi, iterations = expected[-1]
+    assert calls == expected
+    assert (result.rate, result.residual, result.iterations) == (
+        0.5 * (lo + hi), abs(reference(0.5 * (lo + hi))), iterations
+    )
 
 
 def test_solve_rate_degenerate_single_item():
@@ -115,6 +167,25 @@ def test_entropy_per_weight_examples():
     )
     deterministic = Pmf(PITFALL, (1.0, 0.0, 0.0))
     assert entropy_per_weight(deterministic) == 0.0
+
+
+@pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0), (0.0, 1.0, 0.0)])
+def test_entropy_of_a_one_point_pmf_is_positive_zero(probs):
+    support = WeightedSupport(tuple((f"s{i}", 1.0) for i in range(len(probs))))
+    h = entropy(Pmf(support, probs))
+    assert (h, math.copysign(1.0, h)) == (0.0, 1.0)
+    report = sample_process(Pmf(support, probs), n_blocks=10, seed=0)
+    for value in (report.rate, report.empirical_entropy, report.empirical_rate):
+        assert math.copysign(1.0, value) == 1.0
+
+
+def test_entropy_equals_the_negated_sum():
+    rng = random.Random(7)
+    for _ in range(200):
+        w = [rng.random() ** 3 for _ in range(rng.randint(2, 50))]
+        p = Pmf(WeightedSupport(tuple((f"s{i}", 1.0) for i in range(len(w)))),
+                tuple(x / sum(w) for x in w))
+        assert entropy(p) == -sum(q * math.log(q) for q in p.probs if q > 0)
 
 
 def test_maxentropic_rate_equality_random_supports():
@@ -326,6 +397,11 @@ def test_sample_process_deterministic_given_seed():
     assert c.string != a.string
 
 
+def test_sample_process_takes_numpy_integers():
+    p = maxentropic_pmf(PITFALL)
+    assert sample_process(p, np.int64(1000), np.int64(3)) == sample_process(p, 1000, 3)
+
+
 def test_sample_text_joined_only_when_read():
     report = sample_process(maxentropic_pmf(PITFALL), n_blocks=1000, seed=3)
     assert "string" not in vars(report)
@@ -386,6 +462,93 @@ def test_sample_walked_when_the_closure_costs_more_than_the_draws(monkeypatch):
     assert closures == []
     assert report.accepted is True
     assert report.accepted == matches(system, report.string)
+
+
+def test_sample_process_rejects_a_negative_seed():
+    with pytest.raises(MaxentError, match=r"^seed must be >= 0, got -1$"):
+        sample_process(maxentropic_pmf(BITS), n_blocks=3, seed=-1)
+
+
+@st.composite
+def choice_cases(draw):
+    """(p, n, seed) for ``Generator.choice``: 1 to 2,000 items, uniform,
+    random, geometric (down to ratios whose tail underflows to 0) or one
+    spike over a dust of tiny items, with zeros first, last or in runs, and
+    scaled to sum to 1 or 1 +- 1e-10."""
+    m = round(2000 ** draw(st.floats(0.0, 1.0)))  # log-uniform, 1 to 2,000
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "random", "geometric", "spike"]))
+    if shape == "uniform":
+        w = np.ones(m)
+    elif shape == "random":
+        w = gen.random(m)
+    elif shape == "geometric":
+        w = draw(st.floats(1e-3, 0.999)) ** np.arange(m)
+    else:
+        w = gen.random(m) * 1e-12
+        w[gen.integers(m)] = 1.0
+    zeros = draw(st.sampled_from(["none", "first", "last", "runs"]))
+    z = draw(st.integers(1, m))
+    if zeros == "first":
+        w[:z - 1] = 0.0
+    elif zeros == "last":
+        w[m - z + 1:] = 0.0
+    elif zeros == "runs":
+        for start in gen.integers(m, size=gen.integers(1, 20)):
+            w[start:start + gen.integers(1, 50)] = 0.0
+    if not w.any():
+        w[gen.integers(m)] = 1.0
+    p = w / w.sum() * (1.0 + draw(st.sampled_from([0.0, 1e-10, -1e-10])))
+    n = round(200_000 ** draw(st.floats(0.0, 1.0)))
+    return p, n, draw(st.integers(0, 2**32 - 1))
+
+
+@seed(2020)
+@settings(max_examples=300, deadline=None)
+@given(choice_cases())
+def test_draw_indices_equal_generator_choice(case):
+    p, n, rng_seed = case
+    expected = np.random.default_rng(rng_seed).choice(len(p), size=n, p=p)
+    drawn = maxent._draw_indices(np.random.default_rng(rng_seed), p, n)
+    assert np.array_equal(drawn, expected)
+
+
+class _Uniforms:
+    """A generator whose ``random`` returns the uniforms it was given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("probs", [
+    (0.25, 0.75),  # a cdf point on a cell edge
+    (0.5, 0.5),
+    (0.125,) * 8,
+    (0.0, 0.25, 0.0, 0.75, 0.0),
+    (1.0,),
+    (0.3, 0.7),  # cdf points inside cells
+    (0.1,) * 10,
+    (0.25, 0.75 - 1e-10),  # renormalized: no draw past the last item
+    (0.25, 0.75 + 1e-10),
+])
+@pytest.mark.parametrize("n", [16, 300, 70_000])
+def test_draw_indices_at_cell_edges_and_cdf_points(probs, n):
+    # uniforms on, just below and just above every multiple of 1/512 (the
+    # edges of every table these sizes build) and every cdf point, and the
+    # largest uniform below 1
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    points = np.concatenate([np.arange(512) / 512, cdf[cdf < 1.0]])
+    u = np.concatenate([
+        points, np.nextafter(points[1:], 0.0), np.nextafter(points, 1.0), [1.0 - 2.0**-53]
+    ])
+    u = np.resize(u, n)
+    drawn = maxent._draw_indices(_Uniforms(u), np.asarray(probs), n)
+    assert np.array_equal(drawn, cdf.searchsorted(u, side="right"))
 
 
 def test_sample_process_single_deterministic_block():
