@@ -385,7 +385,9 @@ def sample_process(
     correction).  Deterministic for a given seed: draw i is the number of
     points of the normalized cumulative probabilities at or below the i-th
     ``Generator.random`` uniform of ``numpy.random.default_rng(seed)``, the
-    indices numpy's ``Generator.choice`` draws (see ``_draw_indices``).
+    indices numpy's ``Generator.choice`` draws (see ``_draw_indices``).  A
+    negative integer seed raises ``MaxentError``; any other seed goes to
+    ``default_rng`` as it is.
 
     With a ``system``, every positive-probability block is read as its own
     label sequence up front (one with none raises ``DslError``).  If the
@@ -399,11 +401,12 @@ def sample_process(
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
-    if seed < 0:
-        raise MaxentError(f"seed must be >= 0, got {seed}")
     import numpy as np  # only sampling needs it: importing concap stays fast
 
-    idx = _draw_indices(np.random.default_rng(seed), np.asarray(p.probs), n_blocks)
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise MaxentError(f"seed must be >= 0, got {seed}")
+    probs = np.asarray(p.probs, dtype=float)  # Pmf takes integer probabilities too
+    idx = _draw_indices(np.random.default_rng(seed), probs, n_blocks)
     counts = np.bincount(idx, minlength=len(p.probs)).tolist()
     observed = Pmf(p.support, tuple(c / n_blocks for c in counts))
     order = idx.tolist()
@@ -461,8 +464,8 @@ def _draw_indices(rng, probs, n: int):
     cuts [0, 1) into 2^k equal cells: a draw in a cell with no point inside
     it takes the count at the cell's left end, and only the draws in cells
     that hold a point are searched.  The table has about 16 cells per item,
-    so few of them hold a point, but at most n/4, so that building it costs
-    little next to the draws; below 2 cells per item every draw is searched.
+    so few of them hold a point, but at most n/4 (and at least one), so that
+    building it costs little next to the draws.
     """
     import numpy as np
 
@@ -470,9 +473,7 @@ def _draw_indices(rng, probs, n: int):
     cdf /= cdf[-1]
     u = rng.random(n)
     m = len(cdf)
-    k = min((16 * m - 1).bit_length(), int(n).bit_length() - 3)  # n may be a numpy integer
-    if k < (2 * m - 1).bit_length():
-        return cdf.searchsorted(u, side="right")
+    k = max(0, min((16 * m - 1).bit_length(), int(n).bit_length() - 3))  # n may be a numpy integer
     cells = 1 << k
     # scaling by a power of two is exact, so each comparison below is one
     # numpy makes; cell g is then [g, g + 1) and the floor of u its index

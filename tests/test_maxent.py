@@ -169,7 +169,7 @@ def test_entropy_per_weight_examples():
     assert entropy_per_weight(deterministic) == 0.0
 
 
-@pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0), (0.0, 1.0, 0.0)])
+@pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0), (0.0, 1.0, 0.0), (1, 0), (0, 1, 0)])
 def test_entropy_of_a_one_point_pmf_is_positive_zero(probs):
     support = WeightedSupport(tuple((f"s{i}", 1.0) for i in range(len(probs))))
     h = entropy(Pmf(support, probs))
@@ -402,6 +402,28 @@ def test_sample_process_takes_numpy_integers():
     assert sample_process(p, np.int64(1000), np.int64(3)) == sample_process(p, 1000, 3)
 
 
+@pytest.mark.parametrize("probs", [(1, 0), (0, 1, 0), (0, 1, 0, 0)])
+def test_sample_process_takes_integer_probabilities(probs):
+    support = WeightedSupport(tuple((f"s{i}", 1.0) for i in range(len(probs))))
+    report = sample_process(Pmf(support, probs), n_blocks=100, seed=0)
+    expected = np.random.default_rng(0).choice(len(probs), size=100, p=probs)
+    assert report.drawn == expected.tolist()
+    as_floats = Pmf(support, tuple(float(q) for q in probs))
+    assert report == sample_process(as_floats, n_blocks=100, seed=0)
+
+
+@pytest.mark.parametrize("seed", [
+    None, [3, 1, 4], np.random.SeedSequence(5), np.uint64(2**63),
+], ids=["none", "list", "seedsequence", "uint64"])
+def test_sample_process_passes_other_seeds_to_numpy(seed):
+    p = maxentropic_pmf(PITFALL)
+    report = sample_process(p, n_blocks=100, seed=seed)
+    assert len(report.drawn) == 100
+    if seed is not None:
+        expected = np.random.default_rng(seed).choice(len(p.probs), size=100, p=p.probs)
+        assert report.drawn == expected.tolist()
+
+
 def test_sample_text_joined_only_when_read():
     report = sample_process(maxentropic_pmf(PITFALL), n_blocks=1000, seed=3)
     assert "string" not in vars(report)
@@ -464,9 +486,10 @@ def test_sample_walked_when_the_closure_costs_more_than_the_draws(monkeypatch):
     assert report.accepted == matches(system, report.string)
 
 
-def test_sample_process_rejects_a_negative_seed():
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)], ids=["int", "int64"])
+def test_sample_process_rejects_a_negative_seed(seed):
     with pytest.raises(MaxentError, match=r"^seed must be >= 0, got -1$"):
-        sample_process(maxentropic_pmf(BITS), n_blocks=3, seed=-1)
+        sample_process(maxentropic_pmf(BITS), n_blocks=3, seed=seed)
 
 
 @st.composite
