@@ -14,7 +14,8 @@ import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, Union, split_labels
+from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SystemDef, children, preorder
+from .dsl import Union, split_labels
 
 
 @dataclass
@@ -30,62 +31,52 @@ class Nfa:
 def build_nfa(expr: Regex) -> Nfa:
     edges: dict[tuple[int, str], list[int]] = {}
     eps: dict[int, list[int]] = {}
-    counter = [0]
-
-    def new_state() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+    n_states = 0
+    parts: list[tuple[int, int]] = []  # (entry, exit) per subtree, left on top
 
     def add_eps(a: int, b: int) -> None:
         eps.setdefault(a, []).append(b)
 
-    def walk(node: Regex) -> tuple[int, int]:
-        match node:
-            case Symbol(label):
-                a, b = new_state(), new_state()
-                edges.setdefault((a, label), []).append(b)
-                return a, b
-            case Epsilon():
-                a, b = new_state(), new_state()
-                add_eps(a, b)
-                return a, b
-            case Concat(l, r):
-                la, lb = walk(l)
-                ra, rb = walk(r)
-                add_eps(lb, ra)
-                return la, rb
-            case Union(l, r):
-                la, lb = walk(l)
-                ra, rb = walk(r)
-                a, b = new_state(), new_state()
-                add_eps(a, la)
-                add_eps(a, ra)
-                add_eps(lb, b)
-                add_eps(rb, b)
-                return a, b
-            case Star(c):
-                ca, cb = walk(c)
-                a, b = new_state(), new_state()
-                add_eps(a, ca)
-                add_eps(a, b)
-                add_eps(cb, ca)
-                add_eps(cb, b)
-                return a, b
-            case Repeat(c, lo, hi):
-                # hi copies in a chain, an eps-edge to the exit after each count >= lo
-                ends = [new_state()]
-                for _ in range(hi):
-                    ca, cb = walk(c)
-                    add_eps(ends[-1], ca)
-                    ends.append(cb)
-                b = new_state()
-                for end in ends[lo:]:
-                    add_eps(end, b)
-                return ends[0], b
-        raise TypeError(f"not a regex node: {node!r}")
+    def below(node: Regex) -> tuple[Regex, ...]:  # a Repeat's child once per copy
+        return (node.child,) * node.hi if type(node) is Repeat else children(node)
 
-    start, accept = walk(expr)
-    return Nfa(start, accept, edges, eps, counter[0])
+    for node in reversed(preorder(expr, below)):
+        kind = type(node)
+        if kind is Concat:
+            (la, lb), (ra, rb) = parts.pop(), parts.pop()
+            add_eps(lb, ra)
+            parts.append((la, rb))
+            continue
+        a, b = n_states, n_states + 1
+        n_states += 2
+        if kind is Symbol:
+            edges.setdefault((a, node.label), []).append(b)
+        elif kind is Epsilon:
+            add_eps(a, b)
+        elif kind is Union:
+            (la, lb), (ra, rb) = parts.pop(), parts.pop()
+            add_eps(a, la)
+            add_eps(a, ra)
+            add_eps(lb, b)
+            add_eps(rb, b)
+        elif kind is Star:
+            ca, cb = parts.pop()
+            add_eps(a, ca)
+            add_eps(a, b)
+            add_eps(cb, ca)
+            add_eps(cb, b)
+        else:
+            # hi copies in a chain from a, an eps-edge to b after each count >= lo
+            ends = [a]
+            for _ in range(node.hi):
+                ca, cb = parts.pop()
+                add_eps(ends[-1], ca)
+                ends.append(cb)
+            for end in ends[node.lo:]:
+                add_eps(end, b)
+        parts.append((a, b))
+    start, accept = parts.pop()
+    return Nfa(start, accept, edges, eps, n_states)
 
 
 def _closure(nfa: Nfa, states: frozenset[int]) -> frozenset[int]:

@@ -255,10 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, genfun.SolverError, OSError, RecursionError) as exc:
+    except (ValueError, genfun.SolverError, OSError) as exc:
         # ValueError covers DslError, MaxentError, SpectrumError and bad arguments
-        message = "the regex is nested too deeply" if isinstance(exc, RecursionError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

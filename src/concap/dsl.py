@@ -11,7 +11,9 @@ Supported regex syntax: juxtaposition for concatenation, ``|`` for union,
 postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
 and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
 of n copies of ``a``, printed back as written).  Postfix operators bind
-tighter than concatenation, concatenation tighter than union.
+tighter than concatenation, concatenation tighter than union.  Every walk
+over a regex tree reads ``preorder``, which keeps its own stack, so a tree
+as deep as a long regex is walked like any other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -77,6 +79,31 @@ Regex = Symbol | Epsilon | Concat | Union | Star | Repeat
 EPSILON = Epsilon()
 
 
+def children(node: Regex) -> tuple[Regex, ...]:
+    """A regex node's children, left to right."""
+    kind = type(node)
+    if kind is Symbol or kind is Epsilon:
+        return ()
+    if kind is Concat or kind is Union:
+        return node.left, node.right
+    if kind is Star or kind is Repeat:
+        return (node.child,)
+    raise TypeError(f"not a regex node: {node!r}")
+
+
+def preorder(expr: Regex, below=children) -> list[Regex]:
+    """Every node under ``expr``, each before the nodes ``below`` it lists,
+    left to right, walked with a stack of its own.  Read from the end, the
+    list reaches each node after its children, its leftmost child last."""
+    order: list[Regex] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += below(node)[::-1]
+    return order
+
+
 @dataclass(frozen=True)
 class SymbolDecl:
     label: str
@@ -93,9 +120,10 @@ class SymbolDecl:
 class SystemDef:
     """A named alphabet-plus-regex constraint definition. Immutable."""
 
-    alphabet: tuple[SymbolDecl, ...]
-    expr: Regex
-    name: str = ""
+    alphabet: tuple[SymbolDecl, ...] = field(compare=False)
+    expr: Regex = field(compare=False)
+    name: str = field(default="", compare=False)
+    _key: tuple = field(init=False, repr=False)  # all that is compared: flat, never recursed
 
     def __post_init__(self):
         if not self.alphabet:
@@ -104,14 +132,22 @@ class SystemDef:
         for i, label in enumerate(labels):
             if clash := _label_clash(label, labels[:i]):
                 raise DslError(clash)
-        _check_symbols(self.expr, set(labels))
-
-    @cached_property
-    def _hash(self) -> int:  # the dataclass hash, over the whole regex tree, taken once
-        return hash((self.alphabet, self.expr, self.name))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # the first undeclared symbol or bad bounds from the left is the error
+        declared = set(labels)
+        tokens: list = []
+        for node in preorder(self.expr):
+            kind = type(node)
+            if kind is Symbol:
+                if node.label not in declared:
+                    raise DslError(f"undeclared symbol {node.label!r}")
+                tokens.append(node.label)
+            elif kind is Repeat:
+                if not 0 <= node.lo <= node.hi:
+                    raise DslError(f"bad repetition bounds {{{node.lo},{node.hi}}}")
+                tokens.append((node.lo, node.hi))
+            else:
+                tokens.append(kind)  # a class: no label is equal to it
+        object.__setattr__(self, "_key", (self.alphabet, tuple(tokens), self.name))
 
     @property
     def weights(self) -> dict[str, float]:
@@ -141,28 +177,6 @@ def _label_clash(label: str, earlier: Iterable[str]) -> str | None:
             a, b = sorted((label, other), key=len)
             return f"label {a!r} is a prefix of label {b!r}; labels must be prefix-free"
     return None
-
-
-def _check_symbols(expr: Regex, labels: set[str]) -> None:
-    """Raise ``DslError`` at the first undeclared symbol or bad repetition
-    bounds, left to right.  The walk keeps its own stack, so a regex of any
-    depth is checked, and tests each node's exact type, which costs a
-    fraction of a ``match`` on class patterns."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Symbol:
-            if node.label not in labels:
-                raise DslError(f"undeclared symbol {node.label!r}")
-        elif kind is Concat or kind is Union:
-            stack += (node.right, node.left)
-        elif kind is Repeat:
-            if not 0 <= node.lo <= node.hi:
-                raise DslError(f"bad repetition bounds {{{node.lo},{node.hi}}}")
-            stack.append(node.child)
-        elif kind is Star:
-            stack.append(node.child)
 
 
 def label_regex(labels: Iterable[str]) -> re.Pattern[str]:
@@ -257,7 +271,11 @@ class _Parser:
         if not decls:
             raise DslError("no symbols declared", colon.line, colon.col)
         labels = {d.label for d in decls}
-        expr = self._parse_union(labels)
+        try:
+            expr = self._parse_union(labels)
+        except RecursionError:  # the descent recurses on parentheses only, ~250 levels
+            tok = self.peek() or self.toks[-1]
+            raise DslError("parentheses nested too deeply", tok.line, tok.col) from None
         trailing = self.peek()
         if trailing is not None and trailing.text != ";":
             raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
@@ -393,25 +411,28 @@ def build_jk_system(j: int, k: int) -> SystemDef:
 # Pretty-printing (round-trips through parse_system)
 
 
-def format_regex(node: Regex, _prec: int = 0) -> str:
-    match node:
-        case Symbol(label):
-            s, prec = label, 3
-        case Epsilon():
-            s, prec = "eps", 3
-        case Union(l, r):
-            s, prec = f"{format_regex(l, 0)} | {format_regex(r, 1)}", 0
-        case Concat(l, r):
-            s, prec = f"{format_regex(l, 1)} {format_regex(r, 2)}", 1
-        case Star(c):
-            s, prec = f"{format_regex(c, 2)}*", 2
-        case Repeat(c, lo, hi):
-            s, prec = f"{format_regex(c, 2)}{{{lo},{hi}}}", 2
-        case _:
-            raise TypeError(f"not a regex node: {node!r}")
-    if prec < _prec:
-        s = f"({s})"
-    return s
+def format_regex(expr: Regex) -> str:
+    parts: list[tuple[str, int]] = []  # (text, precedence) per subtree, left on top
+
+    def operand(prec: int) -> str:
+        text, own = parts.pop()
+        return f"({text})" if own < prec else text
+
+    for node in reversed(preorder(expr)):
+        kind = type(node)
+        if kind is Symbol:
+            parts.append((node.label, 3))
+        elif kind is Epsilon:
+            parts.append(("eps", 3))
+        elif kind is Union:
+            parts.append((f"{operand(0)} | {operand(1)}", 0))
+        elif kind is Concat:
+            parts.append((f"{operand(1)} {operand(2)}", 1))
+        elif kind is Star:
+            parts.append((f"{operand(2)}*", 2))
+        else:
+            parts.append((f"{operand(2)}{{{node.lo},{node.hi}}}", 2))
+    return parts[0][0]
 
 
 def format_system(system: SystemDef) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .automata import system_dfa
-from .dsl import Concat, Epsilon, Regex, Repeat, Star, Symbol, SymbolDecl, SystemDef, Union
+from .dsl import Concat, Epsilon, Regex, Star, Symbol, SymbolDecl, SystemDef, Union, preorder
 
 DIVERGENT = math.inf
 
@@ -45,27 +45,29 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
     range raises ``OverflowError`` where it arises, even if another part
     diverges: in floats it cannot be told from one that a tiny factor would
     bring back into range."""
-    match expr:
-        case Symbol(label):
-            return _finite(math.exp(-weights[label] * s))  # exp raises, but exp(inf) is inf
-        case Epsilon():
-            return 1.0
-        case Union(l, r):
-            left, right = eval_real(l, weights, s), eval_real(r, weights, s)
-            return _finite(left + right, left, right)
-        case Concat(l, r):
-            left, right = eval_real(l, weights, s), eval_real(r, weights, s)
-            return DIVERGENT if DIVERGENT in (left, right) else _finite(left * right)
-        case Star(c):
-            v = eval_real(c, weights, s)
-            return 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
-        case Repeat(c, lo, hi):
-            v = eval_real(c, weights, s)  # v^lo (1 + ... + v^(hi-lo)) by Horner
+    values: list[float] = []  # per subtree, left on top
+    for node in reversed(preorder(expr)):
+        kind = type(node)
+        if kind is Symbol:  # exp raises, but exp(inf) is inf
+            values.append(_finite(math.exp(-weights[node.label] * s)))
+        elif kind is Epsilon:
+            values.append(1.0)
+        elif kind is Union:
+            left, right = values.pop(), values.pop()
+            values.append(_finite(left + right, left, right))
+        elif kind is Concat:
+            left, right = values.pop(), values.pop()
+            values.append(DIVERGENT if DIVERGENT in (left, right) else _finite(left * right))
+        elif kind is Star:
+            v = values.pop()
+            values.append(1.0 / (1.0 - v) if v < 1.0 else DIVERGENT)
+        else:
+            v = values.pop()  # v^lo (1 + ... + v^(hi-lo)) by Horner
             total = 1.0
-            for k in range(hi - 1, -1, -1):
-                total = total * v + (k >= lo)
-            return _finite(total, v)
-    raise TypeError(f"not a regex node: {expr!r}")
+            for k in range(node.hi - 1, -1, -1):
+                total = total * v + (k >= node.lo)
+            values.append(_finite(total, v))
+    return values[0]
 
 
 class _PivotPlan(NamedTuple):

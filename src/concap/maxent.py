@@ -438,16 +438,18 @@ def sample_process(
                 if state is None:
                     break
             accepted = state in dfa.accepting
+    h, m = entropy(p), mean_weight(p)
+    observed_h, observed_m = entropy(observed), mean_weight(observed)
     return SampleReport(
         blocks=strings,
         drawn=order,
         n_blocks=n_blocks,
-        entropy=entropy(p),
-        mean_weight=mean_weight(p),
-        rate=entropy_per_weight(p),
-        empirical_entropy=entropy(observed),
-        empirical_mean_weight=mean_weight(observed),
-        empirical_rate=entropy_per_weight(observed),
+        entropy=h,
+        mean_weight=m,
+        rate=h / m,  # entropy_per_weight, from the figures above
+        empirical_entropy=observed_h,
+        empirical_mean_weight=observed_m,
+        empirical_rate=observed_h / observed_m,
         accepted=accepted,
     )
 

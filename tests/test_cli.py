@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -649,22 +650,58 @@ def test_density_bound_beyond_the_float_range_is_satisfied(capsys):
 
 
 def _concatenation(n):
-    labels = [f"s{i:04d}" for i in range(n)]  # prefix-free
-    return f"sym {' '.join(f'{x}=1' for x in labels)};\nexpr: {' '.join(labels)}\n"
+    # two labels: label checks and determinizing cost O(labels^2), not O(n^2)
+    return "sym a=1 b=1;\nexpr: " + " ".join(["a", "b"] * (n // 2)) + "\n"
 
 
-def _prefix_code(n):
-    words = [format(i, "011b").replace("0", "a ").replace("1", "b ") for i in range(n)]
-    return f"sym a=1 b=2;\nexpr: ({' | '.join(w.strip() for w in words)})*\n"
-
-
-@pytest.mark.parametrize("text", [_concatenation(1200), _prefix_code(1200)], ids=["concat", "code"])
-@pytest.mark.parametrize("command", [
-    ["capacity"], ["spectrum", "--max-weight", "3"], ["crosscheck", "--s", "1", "--max-weight", "3"],
-], ids=["capacity", "spectrum", "crosscheck"])
-def test_regex_nested_too_deeply_is_one_error_line(capsys, tmp_path, text, command):
-    # the regex tree is walked recursively: past the recursion limit it is an error, not a traceback
-    path = tmp_path / "deep.cs"
+def _long_regex(capsys, tmp_path, text, argv):
+    path = tmp_path / "long.cs"
     path.write_text(text)
-    code, out, err = run(capsys, command + ["--system", str(path)])
-    assert (code, out, err) == (EXIT_ERROR, "", "error: the regex is nested too deeply\n")
+    return run(capsys, argv + ["--system", str(path)])
+
+
+# a regex tree is as deep as the regex is long: every walk over it keeps its own stack
+
+
+def test_long_concatenation_capacity(capsys, tmp_path):
+    code, out, err = _long_regex(capsys, tmp_path, _concatenation(20_000), ["capacity"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "capacity    0.000000000000 nats" in out
+    assert out.endswith("note        finite language; capacity reported as 0\n")
+
+
+def test_long_concatenation_spectrum(capsys, tmp_path):
+    argv = ["spectrum", "--max-weight", "inf"]
+    code, out, err = _long_regex(capsys, tmp_path, _concatenation(20_000), argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert {"# exhausted 1", "20000 1 1"} <= set(out.splitlines())
+
+
+def test_long_concatenation_crosscheck(capsys, tmp_path):
+    # not exhausted at weight 3: the tail bound evaluates the regex's series
+    argv = ["crosscheck", "--s", "0.001", "--max-weight", "3"]
+    code, out, err = _long_regex(capsys, tmp_path, _concatenation(2_000), argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "partial_sum  0.000000000", "gf_value     0.135335283", "difference   0.135",
+        "tail_bound   0.135", "ambiguous    no",
+    ]
+
+
+def test_jk_phrase_code_as_a_regex(capsys, tmp_path):
+    # the 576 phrases 0^b 1^a of the (24,24) code, a union as deep as it is wide
+    words = [" ".join("0" * b + "1" * a) for b in range(1, 25) for a in range(1, 25)]
+    text = f"sym 0=1 1=1;\nexpr: ({' | '.join(words)})*\n"
+    code, out, err = _long_regex(capsys, tmp_path, text, ["capacity"])
+    assert (code, err) == (EXIT_OK, "")
+    bracket = next(line for line in out.splitlines() if line.startswith("bracket"))
+    lo, hi = map(float, bracket.split(None, 1)[1].strip("[]").split(","))
+    assert lo <= genfun.capacity_jk(24, 24) <= hi
+
+
+def test_parentheses_nested_too_deeply_is_one_error_line(capsys, tmp_path):
+    # the parser alone still recurses, on parentheses; it names where it stopped
+    text = "sym a=1;\nexpr: " + "(" * 300 + "a" + ")" * 300 + "\n"
+    code, out, err = _long_regex(capsys, tmp_path, text, ["capacity"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert re.fullmatch(r"error: parentheses nested too deeply \(line 2, column \d+\)\n", err)

@@ -170,6 +170,17 @@ def test_long_concatenation_is_accepted():
     assert length == DEPTH
 
 
+def test_parentheses_nested_too_deeply_are_a_located_error():
+    # the descent recurses on parentheses only; past the recursion limit it
+    # stops with the position of the token it reached
+    def nested(depth):
+        return "sym a=1;\nexpr: " + "(" * depth + "a" + ")" * depth
+
+    assert parse_system(nested(200)).expr == Symbol("a")
+    with pytest.raises(DslError, match=r"^parentheses nested too deeply \(line 2, column \d+\)$"):
+        parse_system(nested(300))
+
+
 # --- round trip ---------------------------------------------------------
 
 _LABELS = ("0", "1", "a")
@@ -186,6 +197,9 @@ def _regexes(depth):
             st.tuples(inner, inner).map(lambda t: Concat(*t)),
             st.tuples(inner, inner).map(lambda t: Union(*t)),
             inner.map(Star),
+            st.tuples(inner, st.integers(0, 2), st.integers(0, 2)).map(
+                lambda t: Repeat(t[0], t[1], t[1] + t[2])
+            ),
         ),
         max_leaves=depth,
     )

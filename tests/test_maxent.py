@@ -19,6 +19,7 @@ from concap.maxent import (
     jk_phrase_support,
     jk_source_supports,
     maxentropic_pmf,
+    mean_weight,
     parse_support_file,
     rate_bound,
     sample_process,
@@ -377,6 +378,20 @@ def test_sample_process_bits_rate():
     assert report.rate == pytest.approx(LN2, abs=1e-12)
     assert report.empirical_rate == pytest.approx(LN2, abs=0.01)
     assert len(report.string) == 100_000
+
+
+def test_sample_process_rates_are_entropy_per_weight():
+    # each rate is the quotient of the entropy and mean weight reported beside it
+    p = maxentropic_pmf(jk_phrase_support(8, 8))
+    report = sample_process(p, n_blocks=5_000, seed=3)
+    counts = [report.drawn.count(i) for i in range(len(p.probs))]
+    observed = Pmf(p.support, tuple(c / 5_000 for c in counts))
+    assert (report.entropy, report.mean_weight, report.rate) == (
+        entropy(p), mean_weight(p), entropy_per_weight(p)
+    )
+    assert (report.empirical_entropy, report.empirical_mean_weight, report.empirical_rate) == (
+        entropy(observed), mean_weight(observed), entropy_per_weight(observed)
+    )
 
 
 def test_sample_process_jk22():
