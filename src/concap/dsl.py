@@ -149,6 +149,10 @@ class SystemDef:
                 tokens.append(kind)  # a class: no label is equal to it
         object.__setattr__(self, "_key", (self.alphabet, tuple(tokens), self.name))
 
+    def __repr__(self) -> str:
+        # the regex as printed text: the node dataclasses' own repr recurses
+        return f"SystemDef(alphabet={self.alphabet!r}, expr={format_regex(self.expr)!r}, name={self.name!r})"
+
     @property
     def weights(self) -> dict[str, float]:
         return {d.label: d.weight for d in self.alphabet}

@@ -3,7 +3,11 @@
 Enumeration runs weight-ordered over the minimal automaton of the system, so
 every accepted string is counted once however many derivations the regex
 gives it, and its finite positive weights add exactly, so every entry's
-weight is the correctly rounded sum.  The resulting spectrum (distinct
+weight is the correctly rounded sum.  Every automaton is searched with a
+heap of weight buckets, except one of a single state with loops (the full
+shift, Shannon's unconstrained channel with unequal symbol weights): its
+rows are a merge of shifted copies of its own row weights, which gives the
+same rows at a lower cost per row.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
@@ -93,7 +97,12 @@ def enumerate_spectrum(
 
     Weight-ordered frontier search over the DFA: a bucket per distinct
     reached weight holds per-state path counts; buckets are expanded in
-    weight order.  Counting on the DFA needs no explicit dedup.
+    weight order.  Counting on the DFA needs no explicit dedup.  A minimal
+    DFA of one state with loops accepts every string over the loop labels
+    (the full shift): there the rows are made by merging the row weights
+    shifted by each loop weight, one read index per loop (Dijkstra's merge
+    for Hamming numbers), with no heap or bucket.  It gives the same rows,
+    flags and truncation as the bucket search, at a lower cost per row.
 
     Weights are exact: every label weight is an integer number of units of
     1/scale, scale being the largest denominator of the weights' binary
@@ -122,50 +131,79 @@ def enumerate_spectrum(
         return p * scale // q  # x in units, rounded down
 
     weights = {d.label: units(d.weight) for d in system.alphabet}
-    accepting = dfa.accepting
     # each state's (weight, next state) steps in weight order, read once
     steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
-    heappush, heappop = heapq.heappush, heapq.heappop
     # ints, as every key: an int compared with a float costs the loop its gain.
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
     cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
     epsilon = units(DEFAULT_WEIGHT_EPSILON)
-
-    buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
-    heap = [0]
-    entries: list[tuple[float, int]] = []
     total = 0
     complete = exhausted = True
-    while heap:
-        w = heappop(heap)
-        states = buckets.pop(w)
-        # merge bins within the binning tolerance
-        while heap and heap[0] - w <= epsilon:
-            for state, n in buckets.pop(heappop(heap)).items():
-                states[state] = states.get(state, 0) + n
-        accepted = 0
-        for state, n in states.items():
-            if state in accepting:
-                accepted += n
-        if w and accepted:
-            if total + accepted > max_strings:
-                complete = exhausted = False
+    if dfa.n_states == 1 and steps[0]:  # the full shift over the loop labels
+        # Each row weight plus each loop weight is one of the heap loop's
+        # bins: loop j's pending bins are W[idx[j]:] + shifts[j], the least
+        # being heads[j], and every bin within epsilon of the least of all
+        # joins its row, as the heap loop merges them.  A loop gives a row
+        # at most one bin: two would need two rows within epsilon, hence a
+        # loop weight within epsilon, and then the rows step by the least
+        # loop weight and each loop's bins come one per row.
+        shifts = [weight for weight, _ in steps[0]]
+        W, C = [0], [1]  # row weights in units and counts, the empty string first
+        idx = [0] * len(shifts)
+        heads = shifts[:]
+        while (w := min(heads)) <= cutoff:
+            top = w + epsilon if w + epsilon < cutoff else cutoff
+            W.append(w)  # first: a loop that reads the row before reads this one next
+            count = 0
+            for j, v in enumerate(heads):
+                if v <= top:
+                    i = idx[j]
+                    count += C[i]
+                    idx[j] = i + 1
+                    heads[j] = W[i + 1] + shifts[j]
+            total += count
+            if total > max_strings:
+                complete = False
                 break
-            total += accepted
-            entries.append((w / scale, accepted))
-        # expand
-        for state, n in states.items():
-            for weight, nxt in steps[state]:
-                w2 = w + weight
-                if w2 > cutoff:
-                    exhausted = False
+            C.append(count)
+        entries = [(w / scale, c) for w, c in zip(W[1:], C[1:])]
+        exhausted = False  # every row has a loop: only the cutoff or the budget ends it
+    else:  # the heap of buckets, one per distinct reached weight
+        accepting = dfa.accepting
+        heappush, heappop = heapq.heappush, heapq.heappop
+        buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
+        heap = [0]
+        entries = []
+        while heap:
+            w = heappop(heap)
+            states = buckets.pop(w)
+            # merge bins within the binning tolerance
+            while heap and heap[0] - w <= epsilon:
+                for state, n in buckets.pop(heappop(heap)).items():
+                    states[state] = states.get(state, 0) + n
+            accepted = 0
+            for state, n in states.items():
+                if state in accepting:
+                    accepted += n
+            if w and accepted:
+                if total + accepted > max_strings:
+                    complete = exhausted = False
                     break
-                bucket = buckets.get(w2)
-                if bucket is None:
-                    buckets[w2] = {nxt: n}
-                    heappush(heap, w2)
-                else:
-                    bucket[nxt] = bucket.get(nxt, 0) + n
+                total += accepted
+                entries.append((w / scale, accepted))
+            # expand
+            for state, n in states.items():
+                for weight, nxt in steps[state]:
+                    w2 = w + weight
+                    if w2 > cutoff:
+                        exhausted = False
+                        break
+                    bucket = buckets.get(w2)
+                    if bucket is None:
+                        buckets[w2] = {nxt: n}
+                        heappush(heap, w2)
+                    else:
+                        bucket[nxt] = bucket.get(nxt, 0) + n
     return WeightSpectrum(
         entries=tuple(entries),
         weight_epsilon=DEFAULT_WEIGHT_EPSILON,
@@ -253,7 +291,8 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     """Check the polynomial weight-density bound max_{nu_k < n} k <= L*n^K
     for every integer n up to the horizon.  The bound grows with n and k
     steps up only at n = floor(nu) + 1, so only those n (and n = 1) can be
-    the first violation, and only they are checked.
+    the first violation, and only they are checked, up to the first n where
+    the bound reaches the number of entries, which no k exceeds.
 
     A finite-horizon check of an asymptotic property: a pass is evidence,
     not proof, and the constants are the caller's choice.
@@ -271,7 +310,7 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
             bound = math.inf
         if k > bound:
             return DensityReport(False, L, K, n)
-        if k == len(nus):
+        if bound >= len(nus):  # the bound only grows, and k never passes len(nus)
             break
         n = math.floor(nus[k]) + 1  # the next n with a larger k
     return DensityReport(True, L, K, n_max)

@@ -227,6 +227,17 @@ def test_equal_systems_hash_equal_and_share_their_dfa():
     assert a != build_jk_system(10, 9) and a != parse_system(format_system(a), name="other")
 
 
+def test_repr_prints_the_regex_as_text():
+    s = parse_system("sym a=1 b=2;\nexpr: (a|b)* a{1,3}", name="x")
+    assert repr(s) == (
+        "SystemDef(alphabet=(SymbolDecl(label='a', weight=1.0), SymbolDecl(label='b', weight=2.0)),"
+        " expr='(a | b)* a{1,3}', name='x')"
+    )
+    # 2,000 symbols: a tree 2,000 levels deep, which the nodes' own repr recurses through
+    long = parse_system("sym a=1 b=1;\nexpr:" + " a b" * 1000)
+    assert repr(long).endswith(f"expr='{' '.join(['a b'] * 1000)}', name='')")
+
+
 def test_repetition_printed_as_written():
     s = parse_system("sym a=1 b=1;\nexpr: (a{1,5} b)*")
     assert format_system(s) == "sym a=1 b=1;\nexpr: (a{1,5} b)*\n"

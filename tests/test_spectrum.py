@@ -1,13 +1,15 @@
+import bisect
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 
-from concap import build_jk_system, parse_system
-from concap.automata import matches
+from concap import build_jk_system, parse_system, spectrum
+from concap.automata import matches, system_dfa
 from concap.dsl import SystemDef
 from concap.genfun import DEFAULT_TOL, bisect_root, eval_real
 from concap.spectrum import (
@@ -33,6 +35,7 @@ from conftest import (
     capacity_sequence,
     runlength_dp_counts,
 )
+from test_automata import subset_dfa
 from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
 
 LN2 = math.log(2)
@@ -214,6 +217,74 @@ def test_unbounded_weight_exhausts_a_finite_language():
     assert (sp.entries, sp.complete, sp.exhausted) == (((2.0, 1), (4.0, 1)), True, True)
 
 
+# --- one-state systems: the merge against the bucket heap ----------------
+
+
+def heap_loop_spectrum(system, max_weight, max_strings=10_000_000):
+    """The spectrum from the bucket heap, reached by handing the enumerator
+    the unminimized subset DFA, which has more than one state."""
+    raw = subset_dfa(system)
+    assert raw.n_states > 1
+    with mock.patch.object(spectrum, "system_dfa", lambda _: raw):
+        return enumerate_spectrum(system, max_weight, max_strings)
+
+
+def assert_same_as_heap_loop(system, max_weight, max_strings=10_000_000):
+    assert system_dfa(system).n_states == 1
+    merged = enumerate_spectrum(system, max_weight, max_strings)
+    assert merged == heap_loop_spectrum(system, max_weight, max_strings)  # field by field
+    return merged
+
+
+@pytest.mark.parametrize(
+    "decls,expr,max_weight,max_strings",
+    [
+        # 0.1 + 0.2 and 0.3 differ in their exact sums and merge under the epsilon
+        ("a=0.1 b=0.2 c=0.3", "(a|b|c)*", 1.5, 10_000_000),
+        # two loops of one weight: their bins are the same
+        ("a=1 b=1.4142135623730951 c=1", "(a|b|c)*", 9.0, 10_000_000),
+        # below the epsilon: the rows step by 1e-10, each joining the bins of several loops
+        ("a=1e-10 b=3e-10 c=1", "(a|b|c)*", 3.0, 20_000),
+        ("a=1e-10", "a*", 1.0, 3_000),
+        # the cutoff, 1 + 1e-10, parts the bins 1 and 1 + 2**-31: only the first is counted
+        ("a=1 b=1.0000000004656613", "(a|b)*", 0.9999999991, 10_000_000),
+        # the budget ends the enumeration, at a finite weight and at inf
+        ("a=1 b=1.4142135623730951", "(a|b)*", 30.0, 1_000),
+        ("a=1 b=1.7320508075688772 c=2.23606797749979", "(a|b|c)*", math.inf, 10_000),
+        ("a=0.7", "a*", 10.0, 10_000_000),
+        ("a=0.7", "a*", math.inf, 12),
+        # other spellings of a full shift
+        ("a=1 b=1.4142135623730951", "(a* b)* a*", 12.0, 10_000_000),
+        ("a=0.3 b=0.5", "((a|b)(a|b)|a|b)*", 6.0, 10_000_000),
+    ],
+)
+def test_full_shift_same_as_heap_loop(decls, expr, max_weight, max_strings):
+    sp = assert_same_as_heap_loop(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight, max_strings)
+    assert sp.includes_empty and not sp.exhausted
+    assert sp.complete == (max_strings == 10_000_000)
+
+
+def test_full_shift_same_as_heap_loop_seeded():
+    rng = random.Random(22)
+    pool = [0.1, 0.2, 0.3, 0.7, 1.0, 1e-10, 5e-10, 1e-9, 2e-9, math.sqrt(2), math.sqrt(3), 1 / 3]
+    forms = ["({})*", "({})* ({}|eps)", "(({})*)*"]
+    for _ in range(100):
+        k = rng.randint(1, 4)
+        labels = "abcd"[:k]
+        ws = [rng.choice(pool) if rng.random() < 0.6 else rng.uniform(0.01, 3.0) for _ in labels]
+        decls = " ".join(f"{label}={w!r}" for label, w in zip(labels, ws))
+        union = "|".join(labels)
+        expr = rng.choice(forms).format(union, union)
+        max_weight = rng.choice([rng.uniform(0.05, 8.0), math.inf])
+        max_strings = rng.choice([50, 1_000, 10_000])
+        assert_same_as_heap_loop(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight, max_strings)
+
+
+def test_one_state_without_loops_keeps_its_result():
+    sp = enumerate_spectrum(parse_system("sym a=1;\nexpr: eps"), math.inf)
+    assert sp == WeightSpectrum((), DEFAULT_WEIGHT_EPSILON, math.inf, True, True, True)
+
+
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
 def test_spectrum_from_counts_rejects_a_weight_that_is_not_finite_and_positive(weight):
     with pytest.raises(SpectrumError, match="finite and positive"):
@@ -294,6 +365,50 @@ def test_density_check_agrees_with_a_linear_walk():
         L, K = rng.uniform(0.0, 20.0), 400.0 if i % 8 == 0 else rng.uniform(0.0, 3.0)
         report = density_check(sp, L, K)
         assert (report.satisfied, report.worst_n) == linear_density_check(sp, L, K)
+
+
+def density_check_to_the_horizon(sp, L, K):
+    """The density check as it was before it stopped early: every n where
+    k steps up, up to the horizon."""
+    nus = sp.weights
+    n_max = int(math.ceil(sp.horizon)) + 1
+    n = 1
+    while n <= n_max:
+        k = bisect.bisect_left(nus, n)
+        try:
+            bound = L * n**K if L > 0 else 0.0
+        except OverflowError:
+            bound = math.inf
+        if k > bound:
+            return DensityReport(False, L, K, n)
+        if k == len(nus):
+            break
+        n = math.floor(nus[k]) + 1
+    return DensityReport(True, L, K, n_max)
+
+
+def test_density_check_that_stops_early_agrees_with_one_to_the_horizon():
+    rng = random.Random(22)
+    spectra = [
+        spectrum_from_counts([]),  # empty
+        spectrum_from_counts([(0.5, 3)]),
+        spectrum_from_counts([(0.5, 1), (1.5, 1), (2.5, 1)]),
+        enumerate_spectrum(build_jk_system(4, 3), 200, 10**100),  # an entry at each integer
+        enumerate_spectrum(parse_system("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*"), 12.0),
+        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)], weight_epsilon=1e-12),
+        spectrum_from_counts([(0.01 * k, 1) for k in range(1, 500)]),  # 100 entries per n
+    ]
+    for _ in range(600):
+        sp = rng.choice(spectra)
+        L = rng.choice([0.0, 1.0, rng.uniform(0.0, 4.0), rng.uniform(0.0, 20.0), rng.uniform(20.0, 1000.0)])
+        K = rng.choice([0.0, math.inf, 400.0, rng.uniform(0.0, 3.0)])
+        assert density_check(sp, L, K) == density_check_to_the_horizon(sp, L, K)
+    # each kind of verdict occurs: a violation, and a pass before and at the horizon
+    assert not density_check(spectra[6], 50.0, 0.0)
+    assert density_check(spectra[0], 0.0, 0.0) == DensityReport(True, 0.0, 0.0, 1)
+    assert density_check(spectra[3], 1.0, math.inf) == DensityReport(True, 1.0, math.inf, 201)
+    # a bound between 2 and 3 entries does not end the check: n = 3 violates it
+    assert density_check(spectra[2], 2.5, 0.0) == DensityReport(False, 2.5, 0.0, 3)
 
 
 def test_density_bound_beyond_the_float_range():
