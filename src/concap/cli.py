@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     _add_units(p)
     p.add_argument("--max-weight", type=float, required=True)
-    p.add_argument("--max-strings", type=int, default=10_000_000)
+    p.add_argument("--max-strings", type=int, default=spectrum.DEFAULT_MAX_STRINGS)
     p.add_argument("--density-l", type=float, default=1.0)
     p.add_argument("--density-k", type=float, default=2.0)
     p.add_argument("--output", metavar="FILE")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=genfun.DEFAULT_TOL)
     p.add_argument("--s", type=float, required=True, help="evaluation point")
     p.add_argument("--max-weight", type=float, required=True)
-    p.add_argument("--max-strings", type=int, default=10_000_000)
+    p.add_argument("--max-strings", type=int, default=spectrum.DEFAULT_MAX_STRINGS)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("maxent", help="maxentropic rate and PMF of a support file")

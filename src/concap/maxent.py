@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import mul
 
-from .automata import matches, system_dfa
+from .automata import Dfa, matches, system_dfa
 from .dsl import SystemDef, split_labels
 from .genfun import DEFAULT_TOL, bisect_root
 
@@ -77,14 +77,6 @@ class Pmf:
                 raise MaxentError(f"probability of {string!r} must lie in [0, 1], got {p}")
         if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise MaxentError(f"probabilities sum to {sum(self.probs)}, not 1")
-
-    def positive_items(self) -> list[tuple[str, float, float]]:
-        """(string, weight, prob) triples restricted to positive probability."""
-        return [
-            (s, w, p)
-            for (s, w), p in zip(self.support.items, self.probs)
-            if p > 0
-        ]
 
 
 @dataclass(frozen=True)
@@ -201,11 +193,14 @@ def validate_input_process(p: Pmf, system: SystemDef, depth: int) -> ValidationR
     the number of states and ``depth``.  A string fails at the number of
     blocks after which it is rejected or has its second factorization; the
     witness fails at the lowest such number, a rejection winning a tie.
+    Every positive block is read as labels first; one with none raises
+    ``DslError``.
     """
     if depth < 1:
         raise MaxentError("depth must be >= 1")
-    blocks = sorted(s for s, _, _ in p.positive_items())
-    rejected = _first_rejected(blocks, system, depth)
+    blocks = sorted(s for s, q in zip(p.support.strings, p.probs) if q > 0)
+    labels = [split_labels(s, system.label_re) for s in blocks]
+    rejected = _first_rejected(system_dfa(system), blocks, labels, depth)
     collision = _first_collision(blocks, depth if rejected is None else len(rejected) - 1)
     if collision is not None:
         x, y = sorted(collision, key=lambda f: (len(f), f))
@@ -223,9 +218,11 @@ def validate_input_process(p: Pmf, system: SystemDef, depth: int) -> ValidationR
     return ValidationReport(True, depth)
 
 
-def _first_rejected(blocks: list[str], system: SystemDef, depth: int) -> list[str] | None:
+def _first_rejected(
+    dfa: Dfa, blocks: list[str], labels: list[list[str]], depth: int
+) -> list[str] | None:
     """A shortest sequence of at most ``depth`` blocks whose concatenation
-    the system rejects, or None.
+    the DFA rejects, or None; ``labels[i]`` is block i read as labels.
 
     Breadth-first over the DFA states that block steps reach from the
     start: every such concatenation is accepted iff every state reached
@@ -233,30 +230,25 @@ def _first_rejected(blocks: list[str], system: SystemDef, depth: int) -> list[st
     rejecting dead state.  Each state is expanded once, at the level it is
     first reached, trying the blocks in order, so each block is walked from
     each state at most once.  Each level reaches a state not reached before
-    or ends the search, so depth ``n_states`` decides every depth.  A block
-    is read as its label sequence on its first walk; one with none raises
-    ``DslError``.
+    or ends the search, so depth ``n_states`` decides every depth.  A state
+    carries its block path as a pair (path before, last block), never copied.
     """
-    dfa = system_dfa(system)
-    labels: list[list[str] | None] = [None] * len(blocks)
-    parent: dict[int, tuple[int, str] | None] = {dfa.start: None}
-    frontier = [dfa.start]
+    frontier: list[tuple[int, tuple]] = [(dfa.start, ())]
+    seen = {dfa.start}
     for _ in range(depth):
         reached = []
-        for q in frontier:
-            for i, block in enumerate(blocks):
-                if labels[i] is None:
-                    labels[i] = split_labels(block, system.label_re)
-                t = dfa.walk(labels[i], q)
+        for q, path in frontier:
+            for block, lab in zip(blocks, labels):
+                t = dfa.walk(lab, q)
                 if t not in dfa.accepting:
-                    path = [block]
-                    while parent[q] is not None:
-                        q, b = parent[q]
-                        path.append(b)
-                    return path[::-1]
-                if t not in parent:
-                    parent[t] = (q, block)
-                    reached.append(t)
+                    found = [block]
+                    while path:
+                        path, block = path
+                        found.append(block)
+                    return found[::-1]
+                if t not in seen:
+                    seen.add(t)
+                    reached.append((t, (path, block)))
         frontier = reached
     return None
 
@@ -415,16 +407,11 @@ def sample_process(
     if system is not None:
         # a positive-probability block with no label sequence raises
         # DslError; zero-probability ones are never drawn
-        labels = [
-            split_labels(s, system.label_re) if q > 0 else None
-            for s, q in zip(strings, p.probs)
-        ]
+        labels = {s: split_labels(s, system.label_re) for s, q in zip(strings, p.probs) if q > 0}
         dfa = system_dfa(system)
-        positive = [s for s, lab in zip(strings, labels) if lab is not None]
-        n_labels = sum(len(lab) for lab in labels if lab is not None)
         accepted = (
-            n_labels * dfa.n_states <= n_blocks
-            and _first_rejected(positive, system, dfa.n_states) is None
+            sum(map(len, labels.values())) * dfa.n_states <= n_blocks
+            and _first_rejected(dfa, list(labels), list(labels.values()), dfa.n_states) is None
         )
         if not accepted:
             # block i's end state from each state it was drawn at, each walked once
@@ -433,7 +420,7 @@ def sample_process(
             for i in order:
                 memo = steps[i]
                 if state not in memo:
-                    memo[state] = dfa.walk(labels[i], state)
+                    memo[state] = dfa.walk(labels[strings[i]], state)
                 state = memo[state]
                 if state is None:
                     break

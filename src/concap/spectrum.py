@@ -33,6 +33,7 @@ from .dsl import SystemDef
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
+DEFAULT_MAX_STRINGS = 10_000_000  # enumeration budget of enumerate_spectrum and the CLI
 REL_TOL = 1e-6  # relative slack of the cross-check's gap over the tail bound
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,7 +92,7 @@ class WeightSpectrum:
 def enumerate_spectrum(
     system: SystemDef,
     max_weight: float,
-    max_strings: int = 10_000_000,
+    max_strings: int = DEFAULT_MAX_STRINGS,
 ) -> WeightSpectrum:
     """Count every distinct accepted string of weight <= ``max_weight``.
 

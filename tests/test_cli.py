@@ -599,16 +599,24 @@ def test_block_that_is_no_label_sequence_is_error(capsys, tmp_path, command):
     assert "no label starts at position 0 (character 'a')" in err
 
 
-def test_validate_rejected_block_before_unlabelled_one_is_invalid(capsys, tmp_path):
-    # blocks are checked in support order: "cc" (a label sequence the
-    # system rejects) comes before "x" (no label sequence) and decides
-    system = tmp_path / "ab.cs"
-    system.write_text("sym ab=1 c=1;\nexpr: (ab|c) (ab)*\n")
-    support = tmp_path / "mixed.sup"
-    support.write_text("x 1 0.5\ncc 2 0.5\n")
-    code, out, _ = run(capsys, ["validate", "--system", str(system), "--support", str(support)])
-    assert code == EXIT_INVALID
-    assert "witness cc" in out
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("system, support, char", [
+    # every positive block is read as labels before any search, so the
+    # block with no label sequence is an error whichever block sorts first:
+    # a rejected one (a, cc) or an accepted one (b)
+    ("sym a=1 b=1;\nexpr: b*\n", "a 1\nzz 1\n", "z"),
+    ("sym a=1 b=1;\nexpr: b*\n", "b 1\nzz 1\n", "z"),
+    ("sym ab=1 c=1;\nexpr: (ab|c) (ab)*\n", "x 1 0.5\ncc 2 0.5\n", "x"),
+], ids=["a-zz", "b-zz", "x-cc"])
+def test_block_that_is_no_label_sequence_is_error_whichever_sorts_first(
+    capsys, tmp_path, command, system, support, char
+):
+    (tmp_path / "sys.cs").write_text(system)
+    (tmp_path / "blocks.sup").write_text(support)
+    argv = [command, "--system", str(tmp_path / "sys.cs"), "--support", str(tmp_path / "blocks.sup")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: no label starts at position 0 (character {char!r})\n"
 
 
 @pytest.mark.parametrize("command, system, support, message", [

@@ -648,11 +648,17 @@ def test_each_block_is_walked_from_a_state_at_most_once(monkeypatch):
     assert report.accepted == matches(system, report.string)
 
 
-def test_blocks_are_split_on_their_first_walk(monkeypatch):
-    # the first block, a, is rejected at once: no other block is split
-    system = parse_system("sym a=1 b=1;\nexpr: (a{1,1000} b)*")
-    blocks = (("a", 1.0),) + tuple(("a" * k + "b", k + 1.0) for k in range(1, 1000))
-    p = Pmf(WeightedSupport(blocks), (1 / len(blocks),) * len(blocks))
+@pytest.mark.parametrize("jk, call", [
+    ((2, 2), lambda p, system: validate_input_process(p, system, depth=3)),
+    ((1, 1), lambda p, system: validate_input_process(p, system, depth=3)),
+    ((2, 2), lambda p, system: sample_process(p, n_blocks=1000, seed=5, system=system)),
+    ((1, 1), lambda p, system: sample_process(p, n_blocks=1000, seed=5, system=system)),
+], ids=["validate", "validate-rejected", "simulate-closure", "simulate-walked"])
+def test_each_positive_block_is_read_once(monkeypatch, jk, call):
+    # 0011 has probability 0 and is never read; under (1,1) the first
+    # block in sorted order, 001, is rejected and the others are read too
+    support = jk_phrase_support(2, 2)
+    p = Pmf(support, (0.25, 0.5, 0.25, 0.0))
     split, calls = maxent.split_labels, []
 
     def counting(s, label_re):
@@ -660,6 +666,5 @@ def test_blocks_are_split_on_their_first_walk(monkeypatch):
         return split(s, label_re)
 
     monkeypatch.setattr(maxent, "split_labels", counting)
-    report = validate_input_process(p, system, depth=1)
-    assert (report.valid, report.witness) == (False, "a")
-    assert calls == ["a"]
+    call(p, build_jk_system(*jk))
+    assert sorted(calls) == ["001", "01", "011"]

@@ -18,11 +18,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from concap import build_jk_system, parse_system
-from concap.automata import matches
-from concap.dsl import DslError
+from concap.automata import matches, system_dfa
+from concap.dsl import DslError, split_labels
 from concap.maxent import (
     Pmf,
     WeightedSupport,
+    _first_rejected,
     sample_process,
     validate_input_process,
 )
@@ -56,14 +57,11 @@ def reference_failures(p, system, depth):
     """Every string that fails as a concatenation of at most ``depth``
     positive-probability blocks, mapped to the number of blocks after which
     it fails: its fewest if the system rejects it, else its second-fewest if
-    it has two factorizations.  The blocks are first checked in sorted
-    order, so a block with no label sequence raises ``DslError`` unless an
-    earlier block is rejected; then every rejected block fails at 1."""
+    it has two factorizations.  The blocks are first read in sorted order,
+    so the first with no label sequence raises ``DslError``."""
     blocks = sorted(s for s, q in zip(p.support.strings, p.probs) if q > 0)
     for s in blocks:
-        if not matches(system, s):
-            labelled = [b for b in blocks if is_label_sequence(system, b)]
-            return {b: 1 for b in labelled if not matches(system, b)}
+        split_labels(s, system.label_re)
     factorizations = defaultdict(list)
     for n in range(1, depth + 1):
         for t in itertools.product(blocks, repeat=n):
@@ -75,6 +73,34 @@ def reference_failures(p, system, depth):
         elif len(counts) > 1:
             failures[s] = counts[1]
     return failures
+
+
+def parent_pointer_first_rejected(blocks, system, depth):
+    """Reference for ``_first_rejected``: the same breadth-first search,
+    with a parent map from which the path is rebuilt once a rejection is
+    found, and each block read as labels on its first walk."""
+    dfa = system_dfa(system)
+    labels = [None] * len(blocks)
+    parent = {dfa.start: None}
+    frontier = [dfa.start]
+    for _ in range(depth):
+        reached = []
+        for q in frontier:
+            for i, block in enumerate(blocks):
+                if labels[i] is None:
+                    labels[i] = split_labels(block, system.label_re)
+                t = dfa.walk(labels[i], q)
+                if t not in dfa.accepting:
+                    path = [block]
+                    while parent[q] is not None:
+                        q, b = parent[q]
+                        path.append(b)
+                    return path[::-1]
+                if t not in parent:
+                    parent[t] = (q, block)
+                    reached.append(t)
+        frontier = reached
+    return None
 
 
 def outcome(fn, *args):
@@ -110,6 +136,19 @@ def test_validate_input_process_equals_reference(process, depth):
             assert re.search(rf"\b{failures[w]}\b", report.reason)
         else:
             assert report.reason == f"string {w!r} in support {failures[w]} is not accepted"
+
+
+@seed(7)
+@settings(max_examples=300, deadline=None)
+@given(processes(), st.sampled_from([1, 2, 3, 4, "n_states"]))
+def test_first_rejected_same_path_as_parent_pointers(process, depth):
+    system, p = process
+    blocks = [s for s in p.support.strings if is_label_sequence(system, s)]
+    dfa = system_dfa(system)
+    depth = dfa.n_states if depth == "n_states" else depth
+    labels = [split_labels(s, system.label_re) for s in blocks]
+    expected = parent_pointer_first_rejected(blocks, system, depth)
+    assert _first_rejected(dfa, blocks, labels, depth) == expected
 
 
 @seed(6)
