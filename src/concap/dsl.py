@@ -50,25 +50,42 @@ class Epsilon:
     pass
 
 
-@dataclass(frozen=True)
-class Concat:
+class _Interior:
+    """Equality, hash and repr of a node with children, each by one flat
+    walk of its tree (``_regex_key``, ``format_regex``): those a dataclass
+    generates recurse, and a long regex is deeper than the recursion limit."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _regex_key(self) == _regex_key(other)
+
+    def __hash__(self):
+        return hash(_regex_key(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_regex(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Concat(_Interior):
     left: "Regex"
     right: "Regex"
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Interior):
     left: "Regex"
     right: "Regex"
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False, repr=False)
+class Star(_Interior):
     child: "Regex"
 
 
-@dataclass(frozen=True)
-class Repeat:  # child{lo,hi}: child from lo to hi times
+@dataclass(frozen=True, eq=False, repr=False)
+class Repeat(_Interior):  # child{lo,hi}: child from lo to hi times
     child: "Regex"
     lo: int
     hi: int
@@ -104,6 +121,24 @@ def preorder(expr: Regex, below=children) -> list[Regex]:
     return order
 
 
+def _regex_key(expr: Regex) -> tuple:
+    """The regex as a flat tuple that stands for its tree in comparisons:
+    each node's token in preorder, a symbol's label, a repetition's bounds
+    (lo, hi), any other node's class, which no label or bounds equal.  Each
+    kind of node has a fixed number of children, so equal keys are equal
+    trees."""
+    tokens: list = []
+    for node in preorder(expr):
+        kind = type(node)
+        if kind is Symbol:
+            tokens.append(node.label)
+        elif kind is Repeat:
+            tokens.append((node.lo, node.hi))
+        else:
+            tokens.append(kind)
+    return tuple(tokens)
+
+
 @dataclass(frozen=True)
 class SymbolDecl:
     label: str
@@ -134,23 +169,19 @@ class SystemDef:
                 raise DslError(clash)
         # the first undeclared symbol or bad bounds from the left is the error
         declared = set(labels)
-        tokens: list = []
-        for node in preorder(self.expr):
-            kind = type(node)
-            if kind is Symbol:
-                if node.label not in declared:
-                    raise DslError(f"undeclared symbol {node.label!r}")
-                tokens.append(node.label)
-            elif kind is Repeat:
-                if not 0 <= node.lo <= node.hi:
-                    raise DslError(f"bad repetition bounds {{{node.lo},{node.hi}}}")
-                tokens.append((node.lo, node.hi))
-            else:
-                tokens.append(kind)  # a class: no label is equal to it
-        object.__setattr__(self, "_key", (self.alphabet, tuple(tokens), self.name))
+        tokens = _regex_key(self.expr)
+        for token in tokens:
+            kind = type(token)
+            if kind is tuple:
+                lo, hi = token
+                if not 0 <= lo <= hi:
+                    raise DslError(f"bad repetition bounds {{{lo},{hi}}}")
+            elif kind is not type and token not in declared:  # a label, not a node's class
+                raise DslError(f"undeclared symbol {token!r}")
+        object.__setattr__(self, "_key", (self.alphabet, tokens, self.name))
 
     def __repr__(self) -> str:
-        # the regex as printed text: the node dataclasses' own repr recurses
+        # the regex as the text it parses from
         return f"SystemDef(alphabet={self.alphabet!r}, expr={format_regex(self.expr)!r}, name={self.name!r})"
 
     @property

@@ -7,7 +7,11 @@ weight is the correctly rounded sum.  Every automaton is searched with a
 heap of weight buckets, except one of a single state with loops (the full
 shift, Shannon's unconstrained channel with unequal symbol weights): its
 rows are a merge of shifted copies of its own row weights, which gives the
-same rows at a lower cost per row.  The resulting spectrum (distinct
+same rows at a lower cost per row.  Neither search makes a Python object
+per row: the rows' exact weights become floats in one pass at the end, and
+the export formats every row with one format string.  Rows are more than
+``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that the automaton
+reads is a ``SpectrumError``.  The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
@@ -27,6 +31,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter, mul, truediv
 
 from .automata import system_dfa
 from .dsl import SystemDef
@@ -36,6 +41,7 @@ DEFAULT_WEIGHT_EPSILON = 1e-9
 DEFAULT_MAX_STRINGS = 10_000_000  # enumeration budget of enumerate_spectrum and the CLI
 REL_TOL = 1e-6  # relative slack of the cross-check's gap over the tail bound
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NU, _COUNT = itemgetter(0), itemgetter(1)  # the fields of a spectrum entry
 
 
 class SpectrumError(ValueError):
@@ -70,7 +76,7 @@ class WeightSpectrum:
     @functools.cached_property
     def cumulative(self) -> tuple[int, ...]:
         """Running totals of the counts, summed once per spectrum."""
-        return tuple(itertools.accumulate(c for _, c in self.entries))
+        return tuple(itertools.accumulate(map(_COUNT, self.entries)))
 
     @property
     def horizon(self) -> float:
@@ -107,13 +113,20 @@ def enumerate_spectrum(
 
     Weights are exact: every label weight is an integer number of units of
     1/scale, scale being the largest denominator of the weights' binary
-    fractions, so a weight reached along two paths is one bucket and a
-    row's weight is the correctly rounded exact sum.  Bins closer than
-    ``DEFAULT_WEIGHT_EPSILON`` are still merged into one (at the least
-    weight), which joins only weights that really differ, such as
-    0.1 + 0.2 and 0.3.  Every label weight is finite and positive
-    (``SymbolDecl``) and every state of the minimal DFA reaches acceptance,
-    so a finite language ends the search even at ``max_weight=inf``.
+    fractions, so a weight reached along two paths is one bucket.  Both
+    searches keep each row's weight in units and turn all rows into floats
+    at the end, each the correctly rounded exact sum: the product with
+    1/scale, a power of two, rounds only once (a subnormal product needs
+    fewer than 2**52 units, which are exact floats), so it is used unless
+    the units of the last row exceed the float range, and then each row is
+    divided exactly.  Bins closer than ``DEFAULT_WEIGHT_EPSILON`` are still
+    merged into one (at the least weight), which joins only weights that
+    really differ, such as 0.1 + 0.2 and 0.3.  So rows are more than the
+    epsilon apart, which a label within the epsilon would break: one that
+    the DFA reads raises ``SpectrumError`` (a declared label it never reads
+    is allowed).  Every label weight is finite and positive (``SymbolDecl``)
+    and every state of the minimal DFA reaches acceptance, so a finite
+    language ends the search even at ``max_weight=inf``.
 
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
@@ -138,6 +151,13 @@ def enumerate_spectrum(
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
     cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
     epsilon = units(DEFAULT_WEIGHT_EPSILON)
+    read = set().union(*dfa.transitions)  # the labels on the DFA's edges
+    for d in system.alphabet:
+        if d.label in read and weights[d.label] <= epsilon:  # exact: both are whole units
+            raise SpectrumError(
+                f"label {d.label!r} weighs {d.weight:g}, not above the weight epsilon "
+                f"{DEFAULT_WEIGHT_EPSILON:g}"
+            )
     total = 0
     complete = exhausted = True
     if dfa.n_states == 1 and steps[0]:  # the full shift over the loop labels
@@ -145,19 +165,19 @@ def enumerate_spectrum(
         # bins: loop j's pending bins are W[idx[j]:] + shifts[j], the least
         # being heads[j], and every bin within epsilon of the least of all
         # joins its row, as the heap loop merges them.  A loop gives a row
-        # at most one bin: two would need two rows within epsilon, hence a
-        # loop weight within epsilon, and then the rows step by the least
-        # loop weight and each loop's bins come one per row.
+        # at most one bin: two would need two rows within epsilon, and rows
+        # are more than epsilon apart, as no loop weighs that little.
         shifts = [weight for weight, _ in steps[0]]
         W, C = [0], [1]  # row weights in units and counts, the empty string first
+        loops = range(len(shifts))
         idx = [0] * len(shifts)
         heads = shifts[:]
         while (w := min(heads)) <= cutoff:
             top = w + epsilon if w + epsilon < cutoff else cutoff
             W.append(w)  # first: a loop that reads the row before reads this one next
             count = 0
-            for j, v in enumerate(heads):
-                if v <= top:
+            for j in loops:
+                if heads[j] <= top:
                     i = idx[j]
                     count += C[i]
                     idx[j] = i + 1
@@ -167,14 +187,14 @@ def enumerate_spectrum(
                 complete = False
                 break
             C.append(count)
-        entries = [(w / scale, c) for w, c in zip(W[1:], C[1:])]
+        W, C = W[1:len(C)], C[1:]
         exhausted = False  # every row has a loop: only the cutoff or the budget ends it
     else:  # the heap of buckets, one per distinct reached weight
         accepting = dfa.accepting
         heappush, heappop = heapq.heappush, heapq.heappop
         buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
         heap = [0]
-        entries = []
+        W, C = [], []  # row weights in units and counts
         while heap:
             w = heappop(heap)
             states = buckets.pop(w)
@@ -191,7 +211,8 @@ def enumerate_spectrum(
                     complete = exhausted = False
                     break
                 total += accepted
-                entries.append((w / scale, accepted))
+                W.append(w)
+                C.append(accepted)
             # expand
             for state, n in states.items():
                 for weight, nxt in steps[state]:
@@ -205,8 +226,12 @@ def enumerate_spectrum(
                         heappush(heap, w2)
                     else:
                         bucket[nxt] = bucket.get(nxt, 0) + n
+    try:  # every row at once, in C loops: see the docstring for why both are exact
+        entries = tuple(zip(map(mul, W, itertools.repeat(1 / scale)), C))
+    except OverflowError:  # the last row has more units than a float holds
+        entries = tuple(zip(map(truediv, W, itertools.repeat(scale)), C))
     return WeightSpectrum(
-        entries=tuple(entries),
+        entries=entries,
         weight_epsilon=DEFAULT_WEIGHT_EPSILON,
         max_weight=max_weight,
         complete=complete,
@@ -293,27 +318,28 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     for every integer n up to the horizon.  The bound grows with n and k
     steps up only at n = floor(nu) + 1, so only those n (and n = 1) can be
     the first violation, and only they are checked, up to the first n where
-    the bound reaches the number of entries, which no k exceeds.
+    the bound reaches the number of entries, which no k exceeds.  Each k is
+    a bisection of the entries by weight, with no list of weights built.
 
     A finite-horizon check of an asymptotic property: a pass is evidence,
     not proof, and the constants are the caller's choice.
     """
     if not (L >= 0 and K >= 0):
         raise SpectrumError("L and K must be nonnegative")
-    nus = sp.weights
+    entries = sp.entries
     n_max = int(math.ceil(sp.horizon)) + 1
     n = 1
     while n <= n_max:
-        k = bisect.bisect_left(nus, n)  # 1-based index of the largest nu below n
+        k = bisect.bisect_left(entries, n, key=_NU)  # 1-based index of the largest nu below n
         try:
             bound = L * n**K if L > 0 else 0.0  # not 0 * inf = nan at K = inf
         except OverflowError:  # n**K beyond the float range
             bound = math.inf
         if k > bound:
             return DensityReport(False, L, K, n)
-        if bound >= len(nus):  # the bound only grows, and k never passes len(nus)
+        if bound >= len(entries):  # the bound only grows, and k never passes len(entries)
             break
-        n = math.floor(nus[k]) + 1  # the next n with a larger k
+        n = math.floor(entries[k][0]) + 1  # the next n with a larger k
     return DensityReport(True, L, K, n_max)
 
 
@@ -408,10 +434,14 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
 
 
 def format_spectrum(sp: WeightSpectrum) -> str:
+    """The export text: the header lines, then a ``%.12g %d %d`` row of
+    weight, count and cumulative count per entry, all rows made by one
+    format string applied to their fields in one flat tuple."""
     head = (
         f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
-    rows = zip(sp.entries, sp.cumulative)
-    return "".join([head, *("%.12g %d %d\n" % (nu, count, cum) for (nu, count), cum in rows)])
+    entries = sp.entries
+    rows = zip(map(_NU, entries), map(_COUNT, entries), sp.cumulative)
+    return head + "%.12g %d %d\n" * len(entries) % tuple(itertools.chain.from_iterable(rows))

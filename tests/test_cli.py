@@ -83,6 +83,27 @@ def test_spectrum_budget_exit_code(capsys, sbin_file):
     assert "budget exceeded" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--max-weight", "2", "--max-strings", "4"],
+    ["crosscheck", "--s", "60", "--max-weight", "2"],
+])
+def test_a_label_within_the_weight_epsilon_is_an_error(capsys, tmp_path, argv):
+    # else the rows 1, 1 + 1e-17, ... print as one weight, 1, and growth_rate_estimate divides by 0
+    path = tmp_path / "light.cs"
+    path.write_text("sym a=1 b=1e-17;\nexpr: a b*\n")
+    code, out, err = run(capsys, [*argv, "--system", str(path)])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: label 'b' weighs 1e-17, not above the weight epsilon 1e-09\n")
+
+
+def test_spectrum_of_a_row_past_the_float_range_in_units(capsys, tmp_path):
+    # b sets the unit to 2**-1074, so the row 1 is 2**1074 units: no float holds it
+    path = tmp_path / "tiny.cs"
+    path.write_text("sym a=1 b=5e-324;\nexpr: a\n")
+    code, out, err = run(capsys, ["spectrum", "--system", str(path), "--max-weight", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[5:] == ["1 1 1", "density_check         L=1 K=2: satisfied"]
+
+
 def test_crosscheck_ambiguous_flagged(capsys, tmp_path):
     amb = tmp_path / "amb.cs"
     amb.write_text("sym a=1;\nexpr: (a|a)*\n")

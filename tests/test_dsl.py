@@ -154,6 +154,33 @@ def test_deep_faults_are_named(leaf, message):
     assert str(err.value) == message
 
 
+def test_deep_nodes_compare_hash_and_print_without_recursing():
+    a, b = _chain(Symbol("b")), _chain(Symbol("b"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _chain(Symbol("c")) and a != _chain(Repeat(Symbol("b"), 0, 1))
+    assert a != _chain(Symbol("b"), DEPTH - 1)
+    assert repr(a) == f"Repeat({format_regex(a)!r})"
+    # a 2,000-symbol concatenation parsed twice
+    long, again = (parse_system("sym a=1 b=1;\nexpr:" + " a b" * 1000).expr for _ in range(2))
+    assert long == again and hash(long) == hash(again) and len({long, again}) == 1
+    assert repr(long) == f"Concat({' '.join(['a b'] * 1000)!r})"
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Concat(Symbol("a"), Symbol("b")), Union(Symbol("a"), Symbol("b"))),
+        (Star(Symbol("a")), Repeat(Symbol("a"), 0, 1)),
+        (Repeat(Symbol("a"), 0, 1), Repeat(Symbol("a"), 0, 2)),
+        (Concat(Symbol("a"), Concat(Symbol("b"), Symbol("c"))), Concat(Concat(Symbol("a"), Symbol("b")), Symbol("c"))),
+        (Union(Epsilon(), Symbol("a")), Union(Symbol("a"), Epsilon())),
+        (Star(Symbol("a")), Symbol("a")),
+    ],
+)
+def test_different_trees_differ(x, y):
+    assert x != y and y != x and x == x and hash(x) == hash(type(x)(*vars(x).values()))
+
+
 def test_first_fault_from_the_left_is_named():
     expr = Concat(Union(Symbol("a"), Symbol("x")), Concat(Repeat(Symbol("a"), 2, 1), Symbol("y")))
     with pytest.raises(DslError, match="'x'"):

@@ -1,7 +1,9 @@
 import bisect
+import heapq
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -217,6 +219,123 @@ def test_unbounded_weight_exhausts_a_finite_language():
     assert (sp.entries, sp.complete, sp.exhausted) == (((2.0, 1), (4.0, 1)), True, True)
 
 
+# --- rows: one exact conversion at the end, one format -------------------
+
+
+def fraction_rows(system, max_weight, max_strings=10_000_000):
+    """Each row's exact weight in units of 1/scale and its count, from a
+    bucket search on Fractions, with the cutoff, epsilon and budget of
+    ``enumerate_spectrum``; and whether the budget held."""
+    dfa = system_dfa(system)
+    scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
+    weights = {d.label: Fraction(d.weight) for d in system.alphabet}
+    eps = Fraction(DEFAULT_WEIGHT_EPSILON)
+    cutoff = Fraction(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
+    buckets = {Fraction(0): {dfa.start: 1}}
+    heap = [Fraction(0)]
+    rows, total = [], 0
+    while heap:
+        w = heapq.heappop(heap)
+        states = buckets.pop(w)
+        while heap and heap[0] - w <= eps:
+            for state, n in buckets.pop(heapq.heappop(heap)).items():
+                states[state] = states.get(state, 0) + n
+        accepted = sum(n for state, n in states.items() if state in dfa.accepting)
+        if w and accepted:
+            if total + accepted > max_strings:
+                return rows, False
+            total += accepted
+            units = w * scale
+            assert units.denominator == 1
+            rows.append((units.numerator, scale, accepted))
+        for state, n in states.items():
+            for label, nxt in dfa.transitions[state].items():
+                if (w2 := w + weights[label]) <= cutoff:
+                    if w2 not in buckets:
+                        buckets[w2] = {}
+                        heapq.heappush(heap, w2)
+                    buckets[w2][nxt] = buckets[w2].get(nxt, 0) + n
+    return rows, True
+
+
+def assert_rows_divide_exactly(system, max_weight, max_strings=10_000_000):
+    """Every row's weight is its units over scale by one true division."""
+    rows, complete = fraction_rows(system, max_weight, max_strings)
+    sp = enumerate_spectrum(system, max_weight, max_strings)
+    assert sp.entries == tuple((units / scale, count) for units, scale, count in rows)
+    assert sp.complete == complete
+    return rows, complete
+
+
+def test_row_weights_are_one_true_division_seeded():
+    rng = random.Random(25)
+    pool = [0.1, 0.3, 0.7, 1.0, 2.0, 1 / 3, math.sqrt(2), math.pi, 2e-9, 1e-3, 1e3, 12345.678]
+    forms = ["({0}|{1} {2})*", "{0} ({1}|{2})*", "({0} {1}* | {2})*", "({0}|{1}|{2}){{1,6}}", "({0}|{1}|{2})*"]
+    largest, flags = 0, set()
+    for _ in range(40):
+        ws = [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.01, 5.0) for _ in "abc"]
+        decls = " ".join(f"{label}={w!r}" for label, w in zip("abc", ws))
+        expr = rng.choice(forms).format(*"abc")
+        max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
+        max_strings = rng.choice([30, 300, 1_000])
+        system = parse_system(f"sym {decls};\nexpr: {expr}")
+        rows, complete = assert_rows_divide_exactly(system, max_weight, max_strings)
+        largest = max([largest] + [units for units, _, _ in rows])
+        flags.add(complete)
+    assert largest > 2**53  # beyond the integers a float holds exactly
+    assert flags == {True, False}  # truncated spectra and whole ones
+
+
+@pytest.mark.parametrize(
+    "decls,expr,max_weight",
+    [
+        # the units of a, 2**1074, are beyond the float range: only division is exact
+        ("a=1 b=5e-324", "a", 2.0),
+        ("a=1e300 b=0.1", "a | b b", math.inf),
+        ("a=1e300 b=0.1", "(a | b)*", 0.35),  # a is read, but no row reaches it
+        # scale 2**1022: a weight of 4 is 2**1024 units, past the float range,
+        # and the float below 4 is the largest float of units
+        ("a=4 b=2.2250738585072014e-308", "a", math.inf),
+        ("a=3.9999999999999996 b=2.2250738585072014e-308", "a", math.inf),
+        ("a=2 b=2.2250738585072014e-308", "a{1,2}", math.inf),  # only the last row is past it
+    ],
+)
+def test_row_weights_beyond_the_float_range_in_units_divide_exactly(decls, expr, max_weight):
+    assert_rows_divide_exactly(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight)
+
+
+def reference_format_spectrum(sp):
+    """The export text with a tuple and a string per row."""
+    head = (
+        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
+        f"# includes_empty {sp.includes_empty:d}\n"
+    )
+    rows = zip(sp.entries, sp.cumulative)
+    return "".join([head, *("%.12g %d %d\n" % (nu, count, cum) for (nu, count), cum in rows)])
+
+
+@pytest.mark.parametrize(
+    "text,max_weight,max_strings",
+    [
+        ("sym a=1;\nexpr: eps", math.inf, 10),  # no row
+        ("sym a=1;\nexpr: a", 0.5, 10),  # no row below the cutoff
+        ("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*", 30.0, 1_000),  # truncated
+        ("sym a=0.1 b=0.2 c=0.3;\nexpr: (a|b|c)*", 4.0, 10_000_000),  # counts past 2**64
+        ("sym a=1e300 b=0.1;\nexpr: a | b b", math.inf, 10),
+        ("sym a=1 b=5e-324;\nexpr: a", 2.0, 10),
+    ],
+)
+def test_format_spectrum_is_the_per_row_format(text, max_weight, max_strings):
+    sp = enumerate_spectrum(parse_system(text), max_weight, max_strings)
+    assert format_spectrum(sp) == reference_format_spectrum(sp)
+
+
+def test_format_spectrum_of_a_built_spectrum():
+    sp = spectrum_from_counts([(0.5, 3), (1e-300, 1), (1e300, 2**70)], includes_empty=True)
+    assert format_spectrum(sp) == reference_format_spectrum(sp)
+
+
 # --- one-state systems: the merge against the bucket heap ----------------
 
 
@@ -243,9 +362,9 @@ def assert_same_as_heap_loop(system, max_weight, max_strings=10_000_000):
         ("a=0.1 b=0.2 c=0.3", "(a|b|c)*", 1.5, 10_000_000),
         # two loops of one weight: their bins are the same
         ("a=1 b=1.4142135623730951 c=1", "(a|b|c)*", 9.0, 10_000_000),
-        # below the epsilon: the rows step by 1e-10, each joining the bins of several loops
-        ("a=1e-10 b=3e-10 c=1", "(a|b|c)*", 3.0, 20_000),
-        ("a=1e-10", "a*", 1.0, 3_000),
+        # just above the epsilon: 3e-9 - 2e-9 is within it, so the bins of two loops join
+        ("a=2e-09 b=3e-09 c=1", "(a|b|c)*", 3.0, 20_000),
+        ("a=1.5e-09", "a*", 1.0, 3_000),
         # the cutoff, 1 + 1e-10, parts the bins 1 and 1 + 2**-31: only the first is counted
         ("a=1 b=1.0000000004656613", "(a|b)*", 0.9999999991, 10_000_000),
         # the budget ends the enumeration, at a finite weight and at inf
@@ -277,7 +396,49 @@ def test_full_shift_same_as_heap_loop_seeded():
         expr = rng.choice(forms).format(union, union)
         max_weight = rng.choice([rng.uniform(0.05, 8.0), math.inf])
         max_strings = rng.choice([50, 1_000, 10_000])
-        assert_same_as_heap_loop(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight, max_strings)
+        system = parse_system(f"sym {decls};\nexpr: {expr}")
+        if min(ws) <= DEFAULT_WEIGHT_EPSILON:  # every label is a loop
+            for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
+                with pytest.raises(SpectrumError, match="not above the weight epsilon"):
+                    enumerate_(system, max_weight, max_strings)
+        else:
+            assert_same_as_heap_loop(system, max_weight, max_strings)
+
+
+@pytest.mark.parametrize(
+    "decls,expr,label",
+    [
+        # the rows 1, 1 + 1e-17, ... are one float: nu stopped increasing
+        ("a=1 b=1e-17", "a b*", "b"),
+        ("a=1e-10 b=3e-10 c=1", "(a|b|c)*", "a"),
+        ("a=1 b=1e-10", "(a|b)*", "b"),
+        ("a=1e-09", "a*", "a"),  # at the epsilon itself
+        ("a=1 b=2e-10", "(a b)*", "b"),
+    ],
+)
+def test_a_label_within_epsilon_on_a_dfa_edge_is_rejected(decls, expr, label):
+    system = parse_system(f"sym {decls};\nexpr: {expr}")
+    weight = system.weights[label]
+    message = f"label '{label}' weighs {weight:g}, not above the weight epsilon 1e-09"
+    for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
+        with pytest.raises(SpectrumError) as err:
+            enumerate_(system, 2.0, 4)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "decls,expr,entries",
+    [
+        ("a=1 b=1e-17", "a", ((1.0, 1),)),  # b is declared, never read
+        ("a=1 b=5e-324", "a", ((1.0, 1),)),
+        ("a=1 b=1e-10", "a b{0,0}", ((1.0, 1),)),  # in the regex, on no edge of the DFA
+        # the least weight above the epsilon
+        ("a=1.0000000000000002e-09", "a{1,2}", ((1.0000000000000002e-09, 1), (2.0000000000000004e-09, 1))),
+    ],
+)
+def test_a_label_within_epsilon_that_the_dfa_never_reads_is_allowed(decls, expr, entries):
+    sp = enumerate_spectrum(parse_system(f"sym {decls};\nexpr: {expr}"), 2.0)
+    assert sp.entries == entries
 
 
 def test_one_state_without_loops_keeps_its_result():
