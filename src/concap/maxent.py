@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import mul
+from itertools import chain, repeat
+from operator import itemgetter, mul, truediv
 
 from .automata import Dfa, matches, system_dfa
 from .dsl import SystemDef, split_labels
@@ -28,6 +28,9 @@ from .genfun import DEFAULT_TOL, bisect_root
 
 class MaxentError(ValueError):
     pass
+
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)  # a support item's string and weight
 
 
 @dataclass(frozen=True)
@@ -39,20 +42,21 @@ class WeightedSupport:
     def __post_init__(self):
         if not self.items:
             raise MaxentError("support must be nonempty")
-        strings = [s for s, _ in self.items]
+        strings = self.strings
         if len(set(strings)) != len(strings):
             dup = next(s for s in strings if strings.count(s) > 1)
             raise MaxentError(f"duplicate string {dup!r} in support")
-        if bad := [(s, w) for s, w in self.items if not 0 < w < math.inf]:  # nan fails too
+        # nan fails too; 0.0, not 0: a float against a float is the fast comparison
+        if bad := [(s, w) for s, w in self.items if not 0.0 < w < math.inf]:
             raise MaxentError("weight of %r must be finite and positive, got %s" % bad[0])
 
     @property
     def strings(self) -> list[str]:
-        return [s for s, _ in self.items]
+        return list(map(_FIRST, self.items))
 
     @property
     def weights(self) -> list[float]:
-        return [w for _, w in self.items]
+        return list(map(_SECOND, self.items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -72,9 +76,11 @@ class Pmf:
     def __post_init__(self):
         if len(self.probs) != len(self.support):
             raise MaxentError("probs and support differ in length")
-        for string, p in zip(self.support.strings, self.probs):
-            if not 0 <= p <= 1 + 1e-12:  # nan fails too
-                raise MaxentError(f"probability of {string!r} must lie in [0, 1], got {p}")
+        # nan fails too; the loop only names the first offender
+        if [p for p in self.probs if not 0.0 <= p <= 1 + 1e-12]:
+            for string, p in zip(self.support.strings, self.probs):
+                if not 0.0 <= p <= 1 + 1e-12:
+                    raise MaxentError(f"probability of {string!r} must lie in [0, 1], got {p}")
         if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise MaxentError(f"probabilities sum to {sum(self.probs)}, not 1")
 
@@ -113,12 +119,13 @@ def solve_rate(support: WeightedSupport, tol: float = DEFAULT_TOL) -> RateResult
 def maxentropic_pmf(support: WeightedSupport, solved: RateResult | None = None) -> Pmf:
     """The unique entropy-per-weight-maximizing distribution
     p(z) = exp(-w(z) * R).  ``solved``, the support's ``solve_rate``
-    result if the caller has it, saves solving for R again."""
+    result if the caller has it, saves solving for R again.  Every item is
+    computed by C loops, as exp(w * -R) divided by the sum of them all."""
     result = solve_rate(support) if solved is None else solved
-    probs = [math.exp(-w * result.rate) for w in support.weights]
-    total = sum(probs)
+    # w * -R is (-w) * R exactly: negation is exact and rounding is symmetric
+    probs = list(map(math.exp, map(mul, support.weights, repeat(-result.rate))))
     # the root already puts the sum within tol of 1; renormalize the dust
-    return Pmf(support, tuple(p / total for p in probs))
+    return Pmf(support, tuple(map(truediv, probs, repeat(sum(probs)))))
 
 
 def entropy(p: Pmf) -> float:
@@ -348,8 +355,13 @@ def rate_bound(supports: list[WeightedSupport]) -> RateBound:
 
 @dataclass(frozen=True)
 class SampleReport:
+    """What ``sample_process`` drew and measured.  ``drawn``, the sampled
+    blocks' indices, and ``string``, their concatenation, are made when
+    first read, from the index array the report keeps (no field compares
+    or prints it)."""
+
     blocks: list[str]  # the support's strings
-    drawn: list[int]  # the sampled blocks' indices; ``string`` joins them when read
+    _indices: object = field(compare=False, repr=False)  # the draws, a numpy integer array
     n_blocks: int
     entropy: float  # exact per-block entropy of the PMF, nats
     mean_weight: float  # exact per-block average weight
@@ -358,6 +370,10 @@ class SampleReport:
     empirical_mean_weight: float
     empirical_rate: float
     accepted: bool | None  # membership of the concatenation, if a system was given
+
+    @cached_property
+    def drawn(self) -> list[int]:
+        return self._indices.tolist()
 
     @cached_property
     def string(self) -> str:
@@ -390,6 +406,10 @@ def sample_process(
     that worst case, label count times states, is at most ``n_blocks``;
     otherwise, and when the closure finds a rejected concatenation, the DFA
     is walked one drawn block at a time.
+
+    The report keeps the draws as the numpy index array: ``drawn``, their
+    list, and ``string``, their concatenation, are made only when read, so
+    a caller that reads neither converts no draw to a Python object.
     """
     if n_blocks < 1:
         raise MaxentError("n_blocks must be >= 1")
@@ -400,8 +420,7 @@ def sample_process(
     probs = np.asarray(p.probs, dtype=float)  # Pmf takes integer probabilities too
     idx = _draw_indices(np.random.default_rng(seed), probs, n_blocks)
     counts = np.bincount(idx, minlength=len(p.probs)).tolist()
-    observed = Pmf(p.support, tuple(c / n_blocks for c in counts))
-    order = idx.tolist()
+    observed = Pmf(p.support, tuple(map(truediv, counts, repeat(n_blocks))))
     strings = p.support.strings
     accepted = None
     if system is not None:
@@ -417,7 +436,7 @@ def sample_process(
             # block i's end state from each state it was drawn at, each walked once
             steps: list[dict[int, int | None]] = [{} for _ in strings]
             state: int | None = dfa.start
-            for i in order:
+            for i in idx.tolist():
                 memo = steps[i]
                 if state not in memo:
                     memo[state] = dfa.walk(labels[strings[i]], state)
@@ -429,7 +448,7 @@ def sample_process(
     observed_h, observed_m = entropy(observed), mean_weight(observed)
     return SampleReport(
         blocks=strings,
-        drawn=order,
+        _indices=idx,
         n_blocks=n_blocks,
         entropy=h,
         mean_weight=m,
@@ -523,8 +542,28 @@ def _number(field: str, name: str, lineno: int) -> float:
 
 
 def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
+    """Read the interchange format: one ``string weight [prob]`` item per
+    line of ``text.splitlines()``, ``#`` starting a comment to the end of
+    its line, and lines with no field skipped.  Every line has as many
+    fields as the first.  A valid file is read a pass per column, in C
+    loops: the fields of every line, their widths, then each numeric column
+    through ``float``.  When one of these fails, a loop over the lines
+    raises the error of the first bad line."""
+    lines = text.splitlines()
+    uncommented = map(_FIRST, map(str.partition, lines, repeat("#"))) if "#" in text else lines
+    rows = list(filter(None, map(str.split, uncommented)))
+    widths = set(map(len, rows))
+    if widths == {2} or widths == {3}:
+        strings, *columns = zip(*rows)
+        try:
+            weights, *probs = [tuple(map(float, column)) for column in columns]
+        except ValueError:
+            pass  # the loop below names the line
+        else:
+            support = WeightedSupport(tuple(zip(strings, weights)))
+            return support, (Pmf(support, probs[0]) if probs else None)
     items, probs = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue
@@ -540,6 +579,8 @@ def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
 
 
 def format_pmf(p: Pmf) -> str:
-    return "".join(
-        f"{s} {w:.12g} {q:.12g}\n" for (s, w), q in zip(p.support.items, p.probs)
-    )
+    """The interchange text of a PMF: a ``%s %.12g %.12g`` line of string,
+    weight and probability per item, all lines made by one format string
+    applied to their fields in one flat tuple."""
+    rows = zip(p.support.strings, p.support.weights, p.probs)
+    return "%s %.12g %.12g\n" * len(p.probs) % tuple(chain.from_iterable(rows))

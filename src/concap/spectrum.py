@@ -11,7 +11,8 @@ same rows at a lower cost per row.  Neither search makes a Python object
 per row: the rows' exact weights become floats in one pass at the end, and
 the export formats every row with one format string.  Rows are more than
 ``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that the automaton
-reads is a ``SpectrumError``.  The resulting spectrum (distinct
+reads is a ``SpectrumError``, and so are two rows that round to one float.
+The resulting spectrum (distinct
 weights with distinct-string counts) feeds finite-horizon capacity
 estimators and a partial-sum cross-check against the regex's own series
 (one term per derivation), which doubles as the regex ambiguity detector.
@@ -124,7 +125,12 @@ def enumerate_spectrum(
     really differ, such as 0.1 + 0.2 and 0.3.  So rows are more than the
     epsilon apart, which a label within the epsilon would break: one that
     the DFA reads raises ``SpectrumError`` (a declared label it never reads
-    is allowed).  Every label weight is finite and positive (``SymbolDecl``)
+    is allowed).  Rows that far apart can still round to one float where
+    the float's ulp exceeds the epsilon (``a b*`` with ``a=1e8`` and
+    ``b=2e-9``): that raises ``SpectrumError`` naming the weight, so the
+    row weights stay strictly increasing.  Only a spectrum whose last row
+    is past that point, 2**24, is scanned for such rows.
+    Every label weight is finite and positive (``SymbolDecl``)
     and every state of the minimal DFA reaches acceptance, so a finite
     language ends the search even at ``max_weight=inf``.
 
@@ -230,6 +236,14 @@ def enumerate_spectrum(
         entries = tuple(zip(map(mul, W, itertools.repeat(1 / scale)), C))
     except OverflowError:  # the last row has more units than a float holds
         entries = tuple(zip(map(truediv, W, itertools.repeat(scale)), C))
+    # rows more than epsilon apart can round to one float only where its ulp exceeds epsilon
+    if entries and math.ulp(entries[-1][0]) > DEFAULT_WEIGHT_EPSILON:
+        for (a, _), (b, _) in zip(entries, entries[1:]):
+            if a == b:
+                raise SpectrumError(
+                    f"rows more than the weight epsilon {DEFAULT_WEIGHT_EPSILON:g} apart "
+                    f"round to one float weight, {a:.12g}"
+                )
     return WeightSpectrum(
         entries=entries,
         weight_epsilon=DEFAULT_WEIGHT_EPSILON,

@@ -95,6 +95,19 @@ def test_a_label_within_the_weight_epsilon_is_an_error(capsys, tmp_path, argv):
     assert (code, out, err) == (EXIT_ERROR, "", "error: label 'b' weighs 1e-17, not above the weight epsilon 1e-09\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--max-weight", "100000001", "--max-strings", "3"],
+    ["crosscheck", "--s", "1", "--max-weight", "100000001", "--max-strings", "3"],
+])
+def test_rows_that_round_to_one_float_are_an_error(capsys, tmp_path, argv):
+    # else spectrum prints three rows of 100000000 and growth_rate_estimate divides by 0
+    path = tmp_path / "collide.cs"
+    path.write_text("sym a=100000000 b=2e-09;\nexpr: a b*\n")
+    code, out, err = run(capsys, [*argv, "--system", str(path)])
+    message = "error: rows more than the weight epsilon 1e-09 apart round to one float weight, 100000000\n"
+    assert (code, out, err) == (EXIT_ERROR, "", message)
+
+
 def test_spectrum_of_a_row_past_the_float_range_in_units(capsys, tmp_path):
     # b sets the unit to 2**-1074, so the row 1 is 2**1074 units: no float holds it
     path = tmp_path / "tiny.cs"

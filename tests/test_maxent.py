@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from concap.genfun import bisect_root, capacity_jk
 from concap.maxent import (
     MaxentError,
     Pmf,
+    SampleReport,
     WeightedSupport,
     entropy,
     entropy_per_weight,
@@ -447,6 +450,23 @@ def test_sample_text_joined_only_when_read():
     assert "string" in vars(report)
 
 
+def test_sample_draws_stay_an_array_until_read():
+    assert "drawn" not in {f.name for f in fields(SampleReport)}
+    p = maxentropic_pmf(PITFALL)
+    report = sample_process(p, n_blocks=2000, seed=11)
+    assert "drawn" not in vars(report) and "array" not in repr(report)
+    expected = np.random.default_rng(11).choice(3, size=2000, p=p.probs).tolist()
+    assert report.drawn == expected
+    assert report.string == "".join([p.support.strings[i] for i in expected])
+    assert report == sample_process(p, n_blocks=2000, seed=11)
+    # (1,1) accepts no 00 or 11: the closure finds one, and the draws are walked
+    system = build_jk_system(1, 1)
+    rejected = sample_process(p, n_blocks=2000, seed=11, system=system)
+    assert rejected.accepted is False
+    assert not matches(system, rejected.string)
+    assert rejected.drawn == expected
+
+
 def _closure_spy(monkeypatch) -> list:
     """Record what each ``_first_rejected`` call of ``sample_process`` returns."""
     first_rejected, results = maxent._first_rejected, []
@@ -617,6 +637,166 @@ def test_support_file_without_probs():
 def test_support_file_bad_columns():
     with pytest.raises(MaxentError):
         parse_support_file("0 1 0.5\n1 1\n")
+
+
+def _line_parser(text: str):
+    """The support-file reader as one loop over the lines, kept as the
+    reference for ``parse_support_file``."""
+    items, probs = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) not in (2, 3):
+            raise MaxentError(f"line {lineno}: expected 'string weight [prob]'")
+        if items and (len(parts) == 3) != bool(probs):
+            raise MaxentError(f"line {lineno}: inconsistent column count")
+        for name, field in zip(("weight", "probability"), parts[1:]):
+            try:
+                float(field)
+            except ValueError:
+                raise MaxentError(f"line {lineno}: {name} {field!r} is not a number") from None
+        items.append((parts[0], float(parts[1])))
+        if len(parts) == 3:
+            probs.append(float(parts[2]))
+    support = WeightedSupport(tuple(items))
+    return support, (Pmf(support, tuple(probs)) if probs else None)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MaxentError as exc:
+        return str(exc)
+
+
+# every line break of str.splitlines, and whitespace that is not one
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " \n", "\t\n"]
+GAPS = [" ", "\t", "  ", " \x1f", "\xa0"]
+COMMENTS = ["#", " # tail", "# 5", "#c 1 0", "#a b\x0bc d", "# x\x0c0 1", "# z 2", " #\r\n", "# 9\u20289 9 9"]
+WEIGHTS = ["1", "2.5", "0.25", "1e-3", "3", "7"] * 3 + ["inf", "nan", "1e999", "-1", "0", "x", "0x1", "1_0"]
+PROBS = ["0"] * 12 + ["0.0", "-0", "nan", "inf", "1e999", "x", "2", "-1"]
+
+
+@st.composite
+def support_files(draw):
+    """Support files, mostly valid, with every field width, comments and line break."""
+    width, lines = draw(st.sampled_from([2, 3])), []
+    for i in range(draw(st.integers(0, 8))):
+        n = width if draw(st.integers(0, 7)) else draw(st.sampled_from([0, 1, 2, 3, 4]))
+        first = not any(line.split("#")[0].split() for line in lines)
+        fields = [f"s{i}", draw(st.sampled_from(WEIGHTS)), "1" if first else draw(st.sampled_from(PROBS)), "z"]
+        gaps = draw(st.lists(st.sampled_from(GAPS), min_size=n, max_size=n))
+        line = "".join(g + f for g, f in zip(gaps, fields[:n]))  # n = 0: a blank line
+        if not draw(st.integers(0, 3)):
+            line += draw(st.sampled_from(COMMENTS))
+        lines.append(line + draw(st.sampled_from(BREAKS)))
+    return "".join(lines)
+
+
+@seed(2601)
+@settings(max_examples=600, deadline=None)
+@given(support_files())
+def test_support_file_read_by_column_as_by_line(text):
+    assert _outcome(parse_support_file, text) == _outcome(_line_parser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "# only a comment\n\n",
+    "a 1\r\nb 2\r\n",
+    "a 1 0.5 # a\x0bb 1 0.5\n",  # the comment ends at \x0b: b is an item
+    "a 1 0.5\x0cb 1 0.5 ",
+    "a 1 # c\x0cb\n",  # b alone on its line
+    "#c 1\na 1\n",
+    "a\t1\t0.5\nb 1\t0.5",
+    "a 1\nb 2 0.5\n",
+    "a 1 0.5\nb 2\n",
+    "a\nb 1\n",
+    "a 1 2 3\n",
+    "a 1\nb x\nc y\n",
+    "a 1\nb 1\nc 2 3\nd x\n",  # the bad number comes first
+    "a 1 0.5\nb 1 inf\n",
+    "a 1\nb nan\n",
+    "a 1e999\n",
+    "a 1\na 2\n",
+])
+def test_support_file_read_by_column_cases(text):
+    assert _outcome(parse_support_file, text) == _outcome(_line_parser, text)
+
+
+def _row_formatter(p: Pmf) -> str:
+    """``format_pmf`` one f-string per item, kept as its reference."""
+    return "".join(f"{s} {w:.12g} {q:.12g}\n" for (s, w), q in zip(p.support.items, p.probs))
+
+
+@pytest.mark.parametrize("p", [
+    maxentropic_pmf(PITFALL),
+    maxentropic_pmf(jk_phrase_support(8, 8)),
+    Pmf(WeightedSupport((("a", 1), ("b", 2.5), ("c", 1e-300))), (1, 0, 0)),
+    Pmf(WeightedSupport((("a", 3), ("bb", 1e20))), (0.5, 0.5)),
+    Pmf(WeightedSupport((("x", 1.0),)), (1.0,)),
+])
+def test_format_pmf_as_one_row_per_item(p):
+    assert format_pmf(p) == _row_formatter(p)
+
+
+def _weight_check(items):
+    """The weight check of ``WeightedSupport``, item by item, kept as its reference."""
+    for s, w in items:
+        if not 0 < w < math.inf:
+            return "weight of %r must be finite and positive, got %s" % (s, w)
+    return None
+
+
+def _prob_check(support, probs):
+    """The checks of ``Pmf``, item by item, kept as their reference."""
+    for s, q in zip(support.strings, probs):
+        if not 0 <= q <= 1 + 1e-12:
+            return f"probability of {s!r} must lie in [0, 1], got {q}"
+    if not abs(sum(probs) - 1.0) <= 1e-9:
+        return f"probabilities sum to {sum(probs)}, not 1"
+    return None
+
+
+def _error(make, *args):
+    try:
+        make(*args)
+    except MaxentError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -1.0, 1, 1 + 1e-13, 1.5, 2, 5e-324, 1e308,
+    Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3), Fraction(0),
+])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_range_checks_name_the_first_offender(value, at):
+    weights = [1.0, 2.0, 0.5]
+    weights[at] = value
+    items = tuple(zip("abc", weights))
+    assert _error(WeightedSupport, items) == _weight_check(items)
+    for probs in ([0.5, 0.5, 0.0], [0.5, 0.5, math.nan], [0.0, 1.0, 0.0]):
+        probs[at] = value  # a later nan, if any, is not named
+        assert _error(Pmf, PITFALL, tuple(probs)) == _prob_check(PITFALL, probs)
+
+
+def test_range_checks_pass_fraction_probabilities():
+    p = Pmf(PITFALL, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    assert p.probs == (0.5, 0.25, 0.25)
+    assert format_pmf(p) == "0 1 0.5\n1 1 0.25\n01 2 0.25\n"
+
+
+@seed(2602)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.05, 60.0), min_size=2, max_size=40))
+def test_maxentropic_pmf_as_one_item_at_a_time(weights):
+    support = WeightedSupport(tuple((f"s{i}", w) for i, w in enumerate(weights)))
+    solved = solve_rate(support)
+    probs = [math.exp(-w * solved.rate) for w in weights]
+    total = sum(probs)
+    assert maxentropic_pmf(support, solved).probs == tuple(q / total for q in probs)
 
 
 def test_each_block_is_walked_from_a_state_at_most_once(monkeypatch):

@@ -427,6 +427,30 @@ def test_a_label_within_epsilon_on_a_dfa_edge_is_rejected(decls, expr, label):
 
 
 @pytest.mark.parametrize(
+    "decls,expr,max_weight,weight",
+    [
+        # 1e8 + 2e-9 and 1e8 + 4e-9 are more than the epsilon apart and both round to 1e8
+        ("a=100000000 b=2e-09", "a b*", 100000001.0, "100000000"),
+        # the full shift: a b is 2e8 + 2**-26, halfway between the floats 2e8 and 2e8 + 2**-25
+        (f"a=100000000 b={math.nextafter(1e8, math.inf)!r}", "(a|b)*", 200000001.0, "200000000"),
+    ],
+)
+def test_rows_that_round_to_one_float_are_rejected(decls, expr, max_weight, weight):
+    system = parse_system(f"sym {decls};\nexpr: {expr}")
+    message = f"rows more than the weight epsilon 1e-09 apart round to one float weight, {weight}"
+    for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
+        with pytest.raises(SpectrumError) as err:
+            enumerate_(system, max_weight, 100)
+        assert str(err.value) == message
+
+
+def test_rows_past_the_epsilon_ulp_that_keep_their_floats_are_allowed():
+    # the ulp of 1e8 exceeds the epsilon, so the rows are scanned, and all differ
+    sp = enumerate_spectrum(parse_system("sym a=100000000 b=1;\nexpr: a b*"), 100000003.0)
+    assert sp.entries == ((1e8, 1), (1e8 + 1, 1), (1e8 + 2, 1), (1e8 + 3, 1))
+
+
+@pytest.mark.parametrize(
     "decls,expr,entries",
     [
         ("a=1 b=1e-17", "a", ((1.0, 1),)),  # b is declared, never read
