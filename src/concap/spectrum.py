@@ -3,19 +3,22 @@
 Enumeration runs weight-ordered over the minimal automaton of the system, so
 every accepted string is counted once however many derivations the regex
 gives it, and its finite positive weights add exactly, so every entry's
-weight is the correctly rounded sum.  Every automaton is searched with a
-heap of weight buckets, except one of a single state with loops (the full
-shift, Shannon's unconstrained channel with unequal symbol weights): its
-rows are a merge of shifted copies of its own row weights, which gives the
-same rows at a lower cost per row.  Neither search makes a Python object
-per row: the rows' exact weights become floats in one pass at the end, and
-the export formats every row with one format string.  Rows are more than
-``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that the automaton
-reads is a ``SpectrumError``, and so are two rows that round to one float.
-The resulting spectrum (distinct
-weights with distinct-string counts) feeds finite-horizon capacity
-estimators and a partial-sum cross-check against the regex's own series
-(one term per derivation), which doubles as the regex ambiguity detector.
+weight is the correctly rounded sum.  Three searches give the same rows:
+where every label that the automaton reads has one weight (Shannon's (j,k)
+run-length systems, every unit-weight system), rows are string lengths, and
+the counts are pushed from each length to the next, as Shannon counts
+N_q(t) = sum over p->q of N_p(t-1); a single state whose loops differ in
+weight (the full shift, Shannon's unconstrained channel with unequal symbol
+weights) merges shifted copies of its own row weights; every other
+automaton is searched with a heap of weight buckets.  No search makes a
+Python object per row: the rows' exact weights become floats in one pass at
+the end, and the export formats every row with one format string.  Rows
+are more than ``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that
+the automaton reads is a ``SpectrumError``, and so are two rows that round
+to one float.  The resulting spectrum (distinct weights with
+distinct-string counts) feeds finite-horizon capacity estimators and a
+partial-sum cross-check against the regex's own series (one term per
+derivation), which doubles as the regex ambiguity detector.
 The cross-check runs no root search: whether the string series converges
 at the evaluation point is one pivot test (``genfun.converges``), and the
 bound on the regex series' tail is one golden-section search.  As in
@@ -34,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from operator import itemgetter, mul, truediv
 
-from .automata import system_dfa
+from .automata import Dfa, system_dfa
 from .dsl import SystemDef
 from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
 
@@ -103,19 +106,27 @@ def enumerate_spectrum(
 ) -> WeightSpectrum:
     """Count every distinct accepted string of weight <= ``max_weight``.
 
-    Weight-ordered frontier search over the DFA: a bucket per distinct
-    reached weight holds per-state path counts; buckets are expanded in
-    weight order.  Counting on the DFA needs no explicit dedup.  A minimal
-    DFA of one state with loops accepts every string over the loop labels
-    (the full shift): there the rows are made by merging the row weights
-    shifted by each loop weight, one read index per loop (Dijkstra's merge
-    for Hamming numbers), with no heap or bucket.  It gives the same rows,
-    flags and truncation as the bucket search, at a lower cost per row.
+    Counting on the minimal DFA needs no explicit dedup.  One of three
+    searches makes the rows; each gives the same rows, flags and truncation
+    as the heap search, and the first two need no heap or bucket:
+
+    - ``_level_rows``, when every label the DFA reads has one weight u (the
+      (j,k) systems and every unit-weight system): the rows are the string
+      lengths times u, so weight order is length order, and each length's
+      per-state counts are pushed along the edges into the next length's,
+      as Shannon counts N_q(t) = sum over p->q of N_p(t-1);
+    - ``_merge_rows``, for a DFA of one state with loops of unequal weights
+      (the full shift): the rows are a merge of the row weights shifted by
+      each loop weight, one read index per loop (Dijkstra's merge for
+      Hamming numbers);
+    - ``_heap_rows``, for every other DFA: a bucket per distinct reached
+      weight holds per-state path counts, and buckets are expanded in
+      weight order.
 
     Weights are exact: every label weight is an integer number of units of
     1/scale, scale being the largest denominator of the weights' binary
-    fractions, so a weight reached along two paths is one bucket.  Both
-    searches keep each row's weight in units and turn all rows into floats
+    fractions, so a weight reached along two paths is one bucket.  Every
+    search keeps each row's weight in units, and all rows turn into floats
     at the end, each the correctly rounded exact sum: the product with
     1/scale, a power of two, rounds only once (a subnormal product needs
     fewer than 2**52 units, which are exact floats), so it is used unless
@@ -142,7 +153,6 @@ def enumerate_spectrum(
     if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
-    includes_empty = dfa.start in dfa.accepting
     # the largest denominator, a power of two, so each weight is a whole number of units
     scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
 
@@ -164,74 +174,13 @@ def enumerate_spectrum(
                 f"label {d.label!r} weighs {d.weight:g}, not above the weight epsilon "
                 f"{DEFAULT_WEIGHT_EPSILON:g}"
             )
-    total = 0
-    complete = exhausted = True
-    if dfa.n_states == 1 and steps[0]:  # the full shift over the loop labels
-        # Each row weight plus each loop weight is one of the heap loop's
-        # bins: loop j's pending bins are W[idx[j]:] + shifts[j], the least
-        # being heads[j], and every bin within epsilon of the least of all
-        # joins its row, as the heap loop merges them.  A loop gives a row
-        # at most one bin: two would need two rows within epsilon, and rows
-        # are more than epsilon apart, as no loop weighs that little.
-        shifts = [weight for weight, _ in steps[0]]
-        W, C = [0], [1]  # row weights in units and counts, the empty string first
-        loops = range(len(shifts))
-        idx = [0] * len(shifts)
-        heads = shifts[:]
-        while (w := min(heads)) <= cutoff:
-            top = w + epsilon if w + epsilon < cutoff else cutoff
-            W.append(w)  # first: a loop that reads the row before reads this one next
-            count = 0
-            for j in loops:
-                if heads[j] <= top:
-                    i = idx[j]
-                    count += C[i]
-                    idx[j] = i + 1
-                    heads[j] = W[i + 1] + shifts[j]
-            total += count
-            if total > max_strings:
-                complete = False
-                break
-            C.append(count)
-        W, C = W[1:len(C)], C[1:]
-        exhausted = False  # every row has a loop: only the cutoff or the budget ends it
-    else:  # the heap of buckets, one per distinct reached weight
-        accepting = dfa.accepting
-        heappush, heappop = heapq.heappush, heapq.heappop
-        buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
-        heap = [0]
-        W, C = [], []  # row weights in units and counts
-        while heap:
-            w = heappop(heap)
-            states = buckets.pop(w)
-            # merge bins within the binning tolerance
-            while heap and heap[0] - w <= epsilon:
-                for state, n in buckets.pop(heappop(heap)).items():
-                    states[state] = states.get(state, 0) + n
-            accepted = 0
-            for state, n in states.items():
-                if state in accepting:
-                    accepted += n
-            if w and accepted:
-                if total + accepted > max_strings:
-                    complete = exhausted = False
-                    break
-                total += accepted
-                W.append(w)
-                C.append(accepted)
-            # expand
-            for state, n in states.items():
-                for weight, nxt in steps[state]:
-                    w2 = w + weight
-                    if w2 > cutoff:
-                        exhausted = False
-                        break
-                    bucket = buckets.get(w2)
-                    if bucket is None:
-                        buckets[w2] = {nxt: n}
-                        heappush(heap, w2)
-                    else:
-                        bucket[nxt] = bucket.get(nxt, 0) + n
+    if len({weights[label] for label in read}) == 1:
+        search = _level_rows
+    elif dfa.n_states == 1 and steps[0]:  # the full shift, its loops of unequal weights
+        search = _merge_rows
+    else:
+        search = _heap_rows
+    W, C, complete, exhausted = search(dfa, steps, cutoff, epsilon, max_strings)
     try:  # every row at once, in C loops: see the docstring for why both are exact
         entries = tuple(zip(map(mul, W, itertools.repeat(1 / scale)), C))
     except OverflowError:  # the last row has more units than a float holds
@@ -250,8 +199,132 @@ def enumerate_spectrum(
         max_weight=max_weight,
         complete=complete,
         exhausted=exhausted,
-        includes_empty=includes_empty,
+        includes_empty=dfa.start in dfa.accepting,
     )
+
+
+# The three searches of enumerate_spectrum share one signature: the DFA, each
+# state's (weight, next state) steps in weight order, and the cutoff, epsilon
+# and budget, all in units.  Each returns the row weights in units, the row
+# counts, and the complete and exhausted flags.
+_Steps = list[list[tuple[int, int]]]
+_Rows = tuple[list[int], list[int], bool, bool]
+
+
+def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
+    """Every label read weighs u, more than epsilon: the rows are the
+    lengths t times u, no two within epsilon.  Two per-state count lists,
+    for lengths t and t + 1, are reused; each state reached at length t
+    pushes its count along its edges, and a state is listed as reached at
+    t + 1 at its first count (and as a hit if it accepts, so a length with
+    no accepting state sums none)."""
+    u = next(weight for row in steps for weight, _ in row)
+    accepting = dfa.accepting
+    counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
+    counts[dfa.start] = 1
+    reached = [dfa.start]
+    W, C = [], []  # row weights in units and counts
+    w = total = 0
+    while reached:
+        w += u
+        if w > cutoff:  # exhausted unless a reached state has an edge
+            return W, C, True, not any(map(steps.__getitem__, reached))
+        level, hits = [], []
+        for state in reached:
+            n = counts[state]
+            counts[state] = 0
+            for _, nxt in steps[state]:
+                if pushed[nxt]:
+                    pushed[nxt] += n
+                else:
+                    pushed[nxt] = n
+                    level.append(nxt)
+                    if nxt in accepting:
+                        hits.append(nxt)
+        if hits:
+            total += (accepted := sum(map(pushed.__getitem__, hits)))
+            if total > max_strings:
+                return W, C, False, False
+            W.append(w)
+            C.append(accepted)
+        counts, pushed, reached = pushed, counts, level
+    return W, C, True, True
+
+
+def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
+    """One state with loops.  Each row weight plus each loop weight is one
+    of the heap search's bins: loop j's pending bins are W[idx[j]:] +
+    shifts[j], the least being heads[j], and every bin within epsilon of the
+    least of all joins its row, as the heap search merges them.  A loop gives
+    a row at most one bin: two would need two rows within epsilon, and rows
+    are more than epsilon apart, as no loop weighs that little."""
+    shifts = [weight for weight, _ in steps[0]]
+    W, C = [0], [1]  # row weights in units and counts, the empty string first
+    loops = range(len(shifts))
+    idx = [0] * len(shifts)
+    heads = shifts[:]
+    total = 0
+    complete = True
+    while (w := min(heads)) <= cutoff:
+        top = w + epsilon if w + epsilon < cutoff else cutoff
+        W.append(w)  # first: a loop that reads the row before reads this one next
+        count = 0
+        for j in loops:
+            if heads[j] <= top:
+                i = idx[j]
+                count += C[i]
+                idx[j] = i + 1
+                heads[j] = W[i + 1] + shifts[j]
+        total += count
+        if total > max_strings:
+            complete = False
+            break
+        C.append(count)
+    # every row has a loop: only the cutoff or the budget ends it, never exhaustion
+    return W[1:len(C)], C[1:], complete, False
+
+
+def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
+    """A heap of buckets, one per distinct reached weight, each holding
+    per-state path counts; a bucket within epsilon of the least joins it."""
+    accepting = dfa.accepting
+    heappush, heappop = heapq.heappush, heapq.heappop
+    buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
+    heap = [0]
+    W, C = [], []  # row weights in units and counts
+    total = 0
+    exhausted = True
+    while heap:
+        w = heappop(heap)
+        states = buckets.pop(w)
+        # merge bins within the binning tolerance
+        while heap and heap[0] - w <= epsilon:
+            for state, n in buckets.pop(heappop(heap)).items():
+                states[state] = states.get(state, 0) + n
+        accepted = 0
+        for state, n in states.items():
+            if state in accepting:
+                accepted += n
+        if w and accepted:
+            if total + accepted > max_strings:
+                return W, C, False, False
+            total += accepted
+            W.append(w)
+            C.append(accepted)
+        # expand
+        for state, n in states.items():
+            for weight, nxt in steps[state]:
+                w2 = w + weight
+                if w2 > cutoff:
+                    exhausted = False
+                    break
+                bucket = buckets.get(w2)
+                if bucket is None:
+                    buckets[w2] = {nxt: n}
+                    heappush(heap, w2)
+                else:
+                    bucket[nxt] = bucket.get(nxt, 0) + n
+    return W, C, True, exhausted
 
 
 def spectrum_from_counts(

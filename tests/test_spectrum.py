@@ -37,7 +37,6 @@ from conftest import (
     capacity_sequence,
     runlength_dp_counts,
 )
-from test_automata import subset_dfa
 from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
 
 LN2 = math.log(2)
@@ -225,7 +224,8 @@ def test_unbounded_weight_exhausts_a_finite_language():
 def fraction_rows(system, max_weight, max_strings=10_000_000):
     """Each row's exact weight in units of 1/scale and its count, from a
     bucket search on Fractions, with the cutoff, epsilon and budget of
-    ``enumerate_spectrum``; and whether the budget held."""
+    ``enumerate_spectrum``; whether the budget held; and whether the
+    language ended below the cutoff."""
     dfa = system_dfa(system)
     scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
     weights = {d.label: Fraction(d.weight) for d in system.alphabet}
@@ -233,7 +233,7 @@ def fraction_rows(system, max_weight, max_strings=10_000_000):
     cutoff = Fraction(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
     buckets = {Fraction(0): {dfa.start: 1}}
     heap = [Fraction(0)]
-    rows, total = [], 0
+    rows, total, exhausted = [], 0, True
     while heap:
         w = heapq.heappop(heap)
         states = buckets.pop(w)
@@ -243,28 +243,30 @@ def fraction_rows(system, max_weight, max_strings=10_000_000):
         accepted = sum(n for state, n in states.items() if state in dfa.accepting)
         if w and accepted:
             if total + accepted > max_strings:
-                return rows, False
+                return rows, False, False
             total += accepted
             units = w * scale
             assert units.denominator == 1
             rows.append((units.numerator, scale, accepted))
         for state, n in states.items():
             for label, nxt in dfa.transitions[state].items():
-                if (w2 := w + weights[label]) <= cutoff:
-                    if w2 not in buckets:
-                        buckets[w2] = {}
-                        heapq.heappush(heap, w2)
-                    buckets[w2][nxt] = buckets[w2].get(nxt, 0) + n
-    return rows, True
+                if (w2 := w + weights[label]) > cutoff:
+                    exhausted = False
+                    continue
+                if w2 not in buckets:
+                    buckets[w2] = {}
+                    heapq.heappush(heap, w2)
+                buckets[w2][nxt] = buckets[w2].get(nxt, 0) + n
+    return rows, True, exhausted
 
 
 def assert_rows_divide_exactly(system, max_weight, max_strings=10_000_000):
     """Every row's weight is its units over scale by one true division."""
-    rows, complete = fraction_rows(system, max_weight, max_strings)
+    rows, complete, exhausted = fraction_rows(system, max_weight, max_strings)
     sp = enumerate_spectrum(system, max_weight, max_strings)
     assert sp.entries == tuple((units / scale, count) for units, scale, count in rows)
-    assert sp.complete == complete
-    return rows, complete
+    assert (sp.complete, sp.exhausted) == (complete, exhausted)
+    return rows, complete, exhausted
 
 
 def test_row_weights_are_one_true_division_seeded():
@@ -279,7 +281,7 @@ def test_row_weights_are_one_true_division_seeded():
         max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
         max_strings = rng.choice([30, 300, 1_000])
         system = parse_system(f"sym {decls};\nexpr: {expr}")
-        rows, complete = assert_rows_divide_exactly(system, max_weight, max_strings)
+        rows, complete, _ = assert_rows_divide_exactly(system, max_weight, max_strings)
         largest = max([largest] + [units for units, _, _ in rows])
         flags.add(complete)
     assert largest > 2**53  # beyond the integers a float holds exactly
@@ -336,15 +338,14 @@ def test_format_spectrum_of_a_built_spectrum():
     assert format_spectrum(sp) == reference_format_spectrum(sp)
 
 
-# --- one-state systems: the merge against the bucket heap ----------------
+# --- the merge and level searches against the bucket heap ---------------
 
 
 def heap_loop_spectrum(system, max_weight, max_strings=10_000_000):
-    """The spectrum from the bucket heap, reached by handing the enumerator
-    the unminimized subset DFA, which has more than one state."""
-    raw = subset_dfa(system)
-    assert raw.n_states > 1
-    with mock.patch.object(spectrum, "system_dfa", lambda _: raw):
+    """The spectrum from the bucket heap, whatever the automaton: the level
+    and merge searches share its signature, and it stands in for both."""
+    heap = spectrum._heap_rows
+    with mock.patch.multiple(spectrum, _level_rows=heap, _merge_rows=heap):
         return enumerate_spectrum(system, max_weight, max_strings)
 
 
@@ -405,6 +406,64 @@ def test_full_shift_same_as_heap_loop_seeded():
             assert_same_as_heap_loop(system, max_weight, max_strings)
 
 
+def random_regex(rng, depth):
+    """A regex over a, b and c with eps, unions, stars and repetitions."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["a", "b", "c", "eps"])
+    x, y = random_regex(rng, depth - 1), random_regex(rng, depth - 1)
+    lo = rng.randint(0, 2)
+    return rng.choice([f"({x} {y})", f"({x}|{y})", f"({x})*", f"({x}){{{lo},{lo + rng.randint(0, 3)}}}"])
+
+
+def test_equal_weights_match_the_fraction_search_seeded():
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(300):
+        w = rng.choice([1.0, 0.5, 0.1, 3.0, 1.5e-9])
+        system = parse_system(f"sym a={w!r} b={w!r} c={w!r};\nexpr: {random_regex(rng, 4)}")
+        max_weight = rng.choice([rng.uniform(0.5, 12.0) * w, math.inf])
+        max_strings = rng.choice([20, 500] + [10_000_000] * (max_weight < math.inf))
+        with mock.patch.object(spectrum, "_level_rows", wraps=spectrum._level_rows) as level:
+            _, complete, exhausted = assert_rows_divide_exactly(system, max_weight, max_strings)
+        dfa = system_dfa(system)
+        assert level.call_count == bool(set().union(*dfa.transitions))  # eps reads no label
+        if dfa.n_states > 1:
+            seen.add((max_weight == math.inf, complete, exhausted))
+    # (at inf, complete, exhausted): every flag a multi-state automaton can give
+    assert seen == {
+        (False, True, False), (False, True, True), (False, False, False),
+        (True, True, True), (True, False, False),
+    }
+
+
+@pytest.mark.parametrize(
+    "expr,first_row",
+    [("a{2000,2000}", (2000.0, 1)), ("a{800,800} (a|b)*", (800.0, 1)), ("(a{1,1000} b)*", (2.0, 1))],
+)
+def test_sparse_chains_same_as_heap_loop(expr, first_row):
+    system = parse_system(f"sym a=1 b=1;\nexpr: {expr}")
+    sp = enumerate_spectrum(system, math.inf, 10_000_000)
+    assert sp == heap_loop_spectrum(system, math.inf, 10_000_000)
+    assert sp.entries[0] == first_row
+
+
+@pytest.mark.parametrize(
+    "decls,expr,level",
+    [
+        ("a=1 b=1", "(a b a | b)*", True),
+        ("a=1 b=2", "(a a)* a", True),  # b is declared, never read
+        ("a=1 b=2", "a* b", False),
+        ("a=1 b=2", "(a|b)*", False),  # the full shift of unequal loops is merged
+    ],
+)
+def test_the_level_search_is_taken_exactly_for_one_weight_read(decls, expr, level):
+    system = parse_system(f"sym {decls};\nexpr: {expr}")
+    with mock.patch.object(spectrum, "_level_rows", wraps=spectrum._level_rows) as spy:
+        sp = enumerate_spectrum(system, 8.0)
+    assert spy.called == level
+    assert sp == heap_loop_spectrum(system, 8.0)
+
+
 @pytest.mark.parametrize(
     "decls,expr,label",
     [
@@ -414,6 +473,9 @@ def test_full_shift_same_as_heap_loop_seeded():
         ("a=1 b=1e-10", "(a|b)*", "b"),
         ("a=1e-09", "a*", "a"),  # at the epsilon itself
         ("a=1 b=2e-10", "(a b)*", "b"),
+        # one weight on every edge, at and below the epsilon
+        ("a=1e-09 b=1e-09", "(a b | b)* a", "a"),
+        ("a=5e-10 b=5e-10", "(a b | b)* a", "a"),
     ],
 )
 def test_a_label_within_epsilon_on_a_dfa_edge_is_rejected(decls, expr, label):
