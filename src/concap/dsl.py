@@ -12,8 +12,9 @@ postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
 and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
 of n copies of ``a``, printed back as written).  Postfix operators bind
 tighter than concatenation, concatenation tighter than union.  Every walk
-over a regex tree reads ``preorder``, which keeps its own stack, so a tree
-as deep as a long regex is walked like any other.
+over a regex tree reads ``preorder``, which keeps its own stack, and the
+parser keeps one too, a level per open parenthesis, so a tree as deep as a
+long or deeply nested regex is read and walked like any other.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 
 class DslError(ValueError):
@@ -305,12 +306,7 @@ class _Parser:
             raise DslError(f"expected ':' after 'expr', got {colon.text!r}", colon.line, colon.col)
         if not decls:
             raise DslError("no symbols declared", colon.line, colon.col)
-        labels = {d.label for d in decls}
-        try:
-            expr = self._parse_union(labels)
-        except RecursionError:  # the descent recurses on parentheses only, ~250 levels
-            tok = self.peek() or self.toks[-1]
-            raise DslError("parentheses nested too deeply", tok.line, tok.col) from None
+        expr = self._parse_union({d.label for d in decls})
         trailing = self.peek()
         if trailing is not None and trailing.text != ";":
             raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
@@ -344,30 +340,35 @@ class _Parser:
     # --- regex, precedence: union < concat < star/repeat
 
     def _parse_union(self, labels: set[str]) -> Regex:
-        node = self._parse_concat(labels)
-        while (tok := self.peek()) is not None and tok.text == "|":
-            self.next()
-            node = Union(node, self._parse_concat(labels))
-        return node
-
-    def _parse_concat(self, labels: set[str]) -> Regex:
-        node = self._parse_postfix(labels)
-        while (tok := self.peek()) is not None and tok.text not in ("|", ")", ";", ",", "}"):
-            node = Concat(node, self._parse_postfix(labels))
-        return node
-
-    def _parse_postfix(self, labels: set[str]) -> Regex:
-        node = self._parse_atom(labels)
-        while (tok := self.peek()) is not None:
-            if tok.text == "*":
-                self.next()
-                node = Star(node)
-            elif tok.text == "{":
-                self.next()
-                node = self._parse_repeat(node)
-            else:
-                break
-        return node
+        """The regex from here to its end, read in one loop with a stack of
+        its own: per open parenthesis, the union and the concatenation
+        before it.  Unions and concatenations fold to the left."""
+        stack: list[tuple[Regex | None, Regex | None]] = []
+        union = concat = None
+        while True:
+            tok = self.next()
+            if tok.text == "(":
+                stack.append((union, concat))
+                union = concat = None
+                continue
+            node = self._parse_atom(tok, labels)
+            while True:
+                while (tok := self.peek()) is not None and tok.text in ("*", "{"):
+                    self.next()
+                    node = Star(node) if tok.text == "*" else self._parse_repeat(node)
+                concat = node if concat is None else Concat(concat, node)
+                if tok is not None and tok.text not in ("|", ")", ";", ",", "}"):
+                    break  # the next factor
+                union = concat if union is None else Union(union, concat)
+                if tok is not None and tok.text == "|":
+                    self.next()
+                    concat = None
+                    break  # the next alternative
+                if not stack:
+                    return union
+                self.expect(")")
+                node = union
+                union, concat = stack.pop()
 
     def _parse_repeat(self, node: Regex) -> Regex:
         lo_tok = self.next()
@@ -382,12 +383,7 @@ class _Parser:
             raise DslError(f"bad repetition bounds {{{lo},{hi}}}", lo_tok.line, lo_tok.col)
         return Repeat(node, lo, hi)
 
-    def _parse_atom(self, labels: set[str]) -> Regex:
-        tok = self.next()
-        if tok.text == "(":
-            node = self._parse_union(labels)
-            self.expect(")")
-            return node
+    def _parse_atom(self, tok: _Token, labels: set[str]) -> Regex:
         if tok.text == "eps":
             return EPSILON
         word = tok.text
@@ -400,10 +396,7 @@ class _Parser:
             parts = split_labels(word, label_regex(labels))
         except DslError:
             raise DslError(f"undeclared symbol {word!r}", tok.line, tok.col) from None
-        node: Regex = Symbol(parts[0])
-        for lab in parts[1:]:
-            node = Concat(node, Symbol(lab))
-        return node
+        return reduce(Concat, map(Symbol, parts))
 
 
 def parse_system(text: str, name: str = "") -> SystemDef:

@@ -303,13 +303,11 @@ def _first_collision(
             seen.add(key)
             by_length[max(len(ahead), len(behind))].append((d, ahead, behind))
 
-    chain: list[str] = []  # earlier blocks, each a prefix of the next and of v
     for v in blocks:
-        while chain and not v.startswith(chain[-1]):
-            chain.pop()
-        for u in chain:
+        for u in continuations(v):  # the blocks that are a prefix of v, shortest first
+            if len(u) == len(v):
+                break
             push(v[len(u):], (v,), (u,))
-        chain.append(v)
     for k in range(1, depth + 1):
         found = None
         for d, ahead, behind in by_length[k]:  # the list grows while it is read
@@ -562,20 +560,17 @@ def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
         else:
             support = WeightedSupport(tuple(zip(strings, weights)))
             return support, (Pmf(support, probs[0]) if probs else None)
-    items, probs = [], []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue
         if len(parts) not in (2, 3):
             raise MaxentError(f"line {lineno}: expected 'string weight [prob]'")
-        if items and (len(parts) == 3) != bool(probs):  # as many columns as the first line
+        if len(parts) != len(rows[0]):  # as many columns as the first line
             raise MaxentError(f"line {lineno}: inconsistent column count")
-        items.append((parts[0], _number(parts[1], "weight", lineno)))
-        if len(parts) == 3:
-            probs.append(_number(parts[2], "probability", lineno))
-    support = WeightedSupport(tuple(items))
-    return support, (Pmf(support, tuple(probs)) if probs else None)
+        for field, name in zip(parts[1:], ("weight", "probability")):
+            _number(field, name, lineno)
+    raise MaxentError("support must be nonempty")  # no line has a field
 
 
 def format_pmf(p: Pmf) -> str:

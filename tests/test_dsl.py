@@ -106,6 +106,30 @@ def test_structured_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("sym a=1;\nexpr: (a;", "expected ')', got ';'", 2, 9),
+        ("sym a=1;\nexpr: (a | a a,", "expected ')', got ','", 2, 15),
+        ("sym a=1;\nexpr: a | *", "unexpected token '*'", 2, 11),
+        ("sym a=1;\nexpr: a (}", "unexpected token '}'", 2, 10),
+        ("sym a=1;\nexpr a", "expected ':' after 'expr', got 'a'", 2, 6),
+        ("foo a=1;", "expected 'sym' or 'expr', got 'foo'", 1, 1),
+        ("sym a=1;\n= a", "expected 'sym' or 'expr', got '='", 2, 1),
+        ("sym a=1;\nsym ;\nexpr: a", "empty 'sym' declaration", 2, 5),
+        ("sym a-1=1;\nexpr: a", "bad symbol label 'a-1'", 1, 5),
+        ("sym (=1;", "bad symbol label '('", 1, 5),
+        ("sym a=1;\nexpr: a{x,2}", "repetition bounds must be integers", 2, 9),
+        ("sym a=1;\nexpr: a{1,1.5}", "repetition bounds must be integers", 2, 9),
+    ],
+)
+def test_parse_errors_are_named_at_their_token(text, message, line, col):
+    with pytest.raises(DslError) as err:
+        parse_system(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_error_carries_position():
     with pytest.raises(DslError) as err:
         parse_system("sym a=1;\nexpr: b*")
@@ -124,6 +148,15 @@ def test_weight_that_is_not_finite_is_an_error_at_its_token(weight, value):
 def test_symbol_decl_takes_only_finite_positive_weights(weight):
     with pytest.raises(DslError, match="finite and positive"):
         SymbolDecl("a", weight)
+
+
+def test_symbol_decl_and_system_def_refuse_empty_parts():
+    with pytest.raises(DslError) as err:
+        SymbolDecl("", 1.0)
+    assert str(err.value) == "symbol label must be nonempty"
+    with pytest.raises(DslError) as err:
+        SystemDef((), Symbol("a"))
+    assert str(err.value) == "alphabet must be nonempty"
 
 
 DEPTH = 1200  # beyond the interpreter's default recursion limit
@@ -197,15 +230,10 @@ def test_long_concatenation_is_accepted():
     assert length == DEPTH
 
 
-def test_parentheses_nested_too_deeply_are_a_located_error():
-    # the descent recurses on parentheses only; past the recursion limit it
-    # stops with the position of the token it reached
-    def nested(depth):
-        return "sym a=1;\nexpr: " + "(" * depth + "a" + ")" * depth
-
-    assert parse_system(nested(200)).expr == Symbol("a")
-    with pytest.raises(DslError, match=r"^parentheses nested too deeply \(line 2, column \d+\)$"):
-        parse_system(nested(300))
+def test_parentheses_nested_deeply_are_read():
+    # the parser keeps its own stack, a level per open parenthesis
+    text = "sym a=1;\nexpr: " + "(" * 10_000 + "a" + ")" * 10_000
+    assert parse_system(text).expr == Symbol("a")
 
 
 # --- round trip ---------------------------------------------------------
@@ -245,6 +273,24 @@ def test_format_system_round_trip():
     again = parse_system(format_system(s))
     assert again.expr == s.expr
     assert again.weights == s.weights
+
+
+@pytest.mark.parametrize(
+    "grow",
+    [
+        lambda node: Concat(Symbol("b"), node),
+        lambda node: Union(Symbol("b"), node),
+        lambda node: Concat(Symbol("b"), Star(Union(Symbol("x"), node))),
+    ],
+    ids=["concat", "union", "star_of_union"],
+)
+def test_deep_right_nested_system_round_trip(grow):
+    # printed with a parenthesis per level, 3,000 levels deep
+    node = Symbol("a")
+    for _ in range(3000):
+        node = grow(node)
+    system = SystemDef((SymbolDecl("a", 1.0), SymbolDecl("b", 2.0), SymbolDecl("x", 1.5)), node)
+    assert parse_system(format_system(system)) == system
 
 
 def test_equal_systems_hash_equal_and_share_their_dfa():

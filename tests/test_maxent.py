@@ -147,6 +147,26 @@ def test_pmf_rejects_a_sum_that_is_not_1():
         Pmf(PITFALL, (0.25, 0.25, 0.25))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Pmf(PITFALL, (0.5, 0.5)), "probs and support differ in length"),
+        (
+            lambda: validate_input_process(maxentropic_pmf(BITS), build_jk_system(2, 2), depth=0),
+            "depth must be >= 1",
+        ),
+        (lambda: rate_bound([]), "no supports given"),
+        (lambda: sample_process(maxentropic_pmf(BITS), n_blocks=0, seed=0), "n_blocks must be >= 1"),
+        (lambda: jk_phrase_support(0, 1), "j and k must be >= 1"),
+    ],
+    ids=["pmf", "validate", "rate_bound", "sample", "jk_phrases"],
+)
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(MaxentError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_maxentropic_pmf_uniform_on_equal_weights():
     p = maxentropic_pmf(BITS)
     assert p.probs == pytest.approx((0.5, 0.5), abs=1e-12)

@@ -543,6 +543,12 @@ def test_spectrum_from_counts_rejects_a_count_below_1():
         spectrum_from_counts([(1.0, 0)])
 
 
+def test_spectrum_from_counts_rejects_weights_within_epsilon():
+    with pytest.raises(SpectrumError) as err:
+        spectrum_from_counts([(2.0, 1), (1.0, 3), (1.0 + 1e-10, 2)])
+    assert str(err.value) == "weights 1.0 and 1.0000000001 closer than epsilon"
+
+
 def test_jk_export_text_is_pinned():
     text = format_spectrum(enumerate_spectrum(build_jk_system(2, 2), 18))
     assert text == (

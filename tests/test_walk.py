@@ -1,22 +1,27 @@
-"""The one walk over a regex tree (``dsl.preorder``) against the recursive
-walks it replaced.
+"""The walks over a regex that keep their own stack (``dsl.preorder`` and
+the parser's loop) against the recursive walks they replaced.
 
 ``eval_real``, ``format_regex`` and ``build_nfa`` once recursed over the
-tree, and so failed on a regex a few hundred symbols long.  Their recursive
-forms are kept here as references: on trees of ordinary depth the walks
-must agree with them exactly.  ``SystemDef`` compares and hashes a flat key
-that the same walk builds; it must agree with comparing the trees.
+tree, and so failed on a regex a few hundred symbols long; the parser's
+recursive descent refused parentheses nested a few hundred deep.  Their
+recursive forms are kept here as references: on trees and texts of
+ordinary depth the walks must agree with them exactly, errors included.
+``SystemDef`` compares and hashes a flat key that the same walk builds; it
+must agree with comparing the trees.
 """
 
 import copy
 import math
+import re
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from concap.automata import Nfa, build_nfa, determinize, minimize, system_dfa
 from concap.dsl import (
+    EPSILON,
     Concat,
+    DslError,
     Epsilon,
     Repeat,
     Star,
@@ -24,8 +29,12 @@ from concap.dsl import (
     SymbolDecl,
     SystemDef,
     Union,
+    _Parser,
+    _tokenize,
     format_regex,
+    label_regex,
     preorder,
+    split_labels,
 )
 from concap.genfun import DIVERGENT, _finite, abscissa, eval_real
 
@@ -141,6 +150,59 @@ def recursive_build_nfa(expr):
     return Nfa(start, accept, edges, eps, counter[0])
 
 
+class RecursiveParser(_Parser):
+    """The parser with its regex read by recursive descent, a method per
+    level of precedence: four frames per open parenthesis."""
+
+    def _parse_union(self, labels):
+        node = self._parse_concat(labels)
+        while (tok := self.peek()) is not None and tok.text == "|":
+            self.next()
+            node = Union(node, self._parse_concat(labels))
+        return node
+
+    def _parse_concat(self, labels):
+        node = self._parse_postfix(labels)
+        while (tok := self.peek()) is not None and tok.text not in ("|", ")", ";", ",", "}"):
+            node = Concat(node, self._parse_postfix(labels))
+        return node
+
+    def _parse_postfix(self, labels):
+        node = self._parse_group_or_atom(labels)
+        while (tok := self.peek()) is not None:
+            if tok.text == "*":
+                self.next()
+                node = Star(node)
+            elif tok.text == "{":
+                self.next()
+                node = self._parse_repeat(node)
+            else:
+                break
+        return node
+
+    def _parse_group_or_atom(self, labels):
+        tok = self.next()
+        if tok.text == "(":
+            node = self._parse_union(labels)
+            self.expect(")")
+            return node
+        if tok.text == "eps":
+            return EPSILON
+        word = tok.text
+        if not re.fullmatch(r"[A-Za-z0-9_]+", word):
+            raise DslError(f"unexpected token {word!r}", tok.line, tok.col)
+        if word in labels:
+            return Symbol(word)
+        try:
+            parts = split_labels(word, label_regex(labels))
+        except DslError:
+            raise DslError(f"undeclared symbol {word!r}", tok.line, tok.col) from None
+        node = Symbol(parts[0])
+        for lab in parts[1:]:
+            node = Concat(node, Symbol(lab))
+        return node
+
+
 # --- the walk -------------------------------------------------------------
 
 
@@ -186,6 +248,46 @@ def test_build_nfa_gives_the_recursive_construction_minimal_dfa(expr):
     dfa = minimize(determinize(nfa, LABELS), LABELS)
     ref_dfa = minimize(determinize(reference, LABELS), LABELS)
     assert (dfa.transitions, dfa.accepting) == (ref_dfa.transitions, ref_dfa.accepting)
+
+
+# --- the parser -----------------------------------------------------------
+
+_HEADER = "sym a=1 b=2 c=1.5;\nexpr:"
+_TOKENS = "a b ab ba c eps ( ) | * { } , 0 1 2 ; x - :".split()
+
+
+def _parsed(parser, text):
+    """The system a parser reads from ``text``, or its error's message,
+    line and column."""
+    try:
+        return parser(_tokenize(text)).parse_system("")
+    except DslError as exc:
+        return str(exc), exc.line, exc.col
+
+
+_SEPARATORS = st.sampled_from([" ", "", "\n"])
+# random tokens, and printed regexes with one character replaced
+_BODIES = st.one_of(
+    st.lists(st.tuples(_SEPARATORS, st.sampled_from(_TOKENS)), max_size=12).map(
+        lambda parts: "".join(sep + tok for sep, tok in parts)
+    ),
+    st.builds(
+        lambda text, i, new: text[:i] + new + text[i + 1:],
+        _regexes(12).map(lambda expr: format_regex(expr).replace("0", "b").replace("1", "c")),
+        st.integers(0, 80),
+        st.sampled_from(_TOKENS + [""]),
+    ),
+)
+
+
+@seed(28)
+@settings(max_examples=2000, deadline=None)
+@given(_BODIES)
+def test_parser_equals_the_recursive_descent(body):
+    # mostly malformed: each reads the same tree, or fails with the same
+    # first error at the same place
+    text = _HEADER + body
+    assert _parsed(_Parser, text) == _parsed(RecursiveParser, text)
 
 
 # --- identity -------------------------------------------------------------
