@@ -97,7 +97,7 @@ def cmd_spectrum(args) -> int:
 def cmd_crosscheck(args) -> int:
     system = _load_system(args)
     if args.s <= 0.0 or not genfun.converges(system, args.s):  # capacity >= 0
-        q = genfun.abscissa(system, tol=args.tol)
+        q = genfun.abscissa(system)
         raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
     sp = spectrum.enumerate_spectrum(
         system, max_weight=args.max_weight, max_strings=args.max_strings
@@ -171,16 +171,12 @@ def cmd_jk_table(args) -> int:
         raise ValueError("table bounds must be <= 64")
     if args.jmax < 1 or args.kmax < 1:
         raise ValueError("table bounds must be >= 1")
-    rows = [
-        f"{j:<4d}" + " ".join(
-            f"{_units_value(genfun.capacity_jk(j, k, tol=args.tol), args.units):8.5f}"
-            for k in range(1, args.kmax + 1)
-        )
-        for j in range(1, args.jmax + 1)
-    ]
     print("j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1)))
-    for row in rows:
-        print(row)
+    for j in range(1, args.jmax + 1):
+        print(f"{j:<4d}" + " ".join(
+            f"{_units_value(genfun.capacity_jk(j, k), args.units):8.5f}"
+            for k in range(1, args.kmax + 1)
+        ))
     return EXIT_OK
 
 
@@ -210,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="partial-sum vs generating-function check")
     _add_system_args(p)
-    p.add_argument("--tol", type=float, default=genfun.DEFAULT_TOL)
     p.add_argument("--s", type=float, required=True, help="evaluation point")
     p.add_argument("--max-weight", type=float, required=True)
     p.add_argument("--max-strings", type=int, default=spectrum.DEFAULT_MAX_STRINGS)
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jk-table", help="capacity grid over (j,k)")
     p.add_argument("--jmax", type=int, default=8)
     p.add_argument("--kmax", type=int, default=8)
-    _add_common(p)
+    _add_units(p)
     p.set_defaults(func=cmd_jk_table)
 
     return parser

@@ -11,10 +11,11 @@ Supported regex syntax: juxtaposition for concatenation, ``|`` for union,
 postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
 and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
 of n copies of ``a``, printed back as written).  Postfix operators bind
-tighter than concatenation, concatenation tighter than union.  Every walk
-over a regex tree reads ``preorder``, which keeps its own stack, and the
-parser keeps one too, a level per open parenthesis, so a tree as deep as a
-long or deeply nested regex is read and walked like any other.
+tighter than concatenation, concatenation tighter than union.  The
+expression runs to the end of the text.  Every walk over a regex tree reads
+``preorder``, which keeps its own stack, and the parser keeps one too, a
+level per open parenthesis, so a tree as deep as a long or deeply nested
+regex is read and walked like any other.
 """
 
 from __future__ import annotations
@@ -216,13 +217,14 @@ def _label_clash(label: str, earlier: Iterable[str]) -> str | None:
 
 
 def label_regex(labels: Iterable[str]) -> re.Pattern[str]:
-    """Regex matching the longest of ``labels`` that starts at a position."""
-    return re.compile("|".join(map(re.escape, sorted(labels, key=len, reverse=True))))
+    """Regex matching the one of ``labels``, which are prefix-free, that
+    starts at a position."""
+    return re.compile("|".join(map(re.escape, labels)))
 
 
 def split_labels(s: str, label_re: re.Pattern[str]) -> list[str]:
     """Segment a plain string into labels, taking at each position the
-    longest label that ``label_re`` (from ``label_regex``) matches there.
+    label that ``label_re`` (from ``label_regex``) matches there.
 
     A ``SystemDef``'s labels are prefix-free, so at most one of them starts
     at any position and this is the string's only segmentation.  A string
@@ -307,8 +309,7 @@ class _Parser:
         if not decls:
             raise DslError("no symbols declared", colon.line, colon.col)
         expr = self._parse_union({d.label for d in decls})
-        trailing = self.peek()
-        if trailing is not None and trailing.text != ";":
+        if (trailing := self.peek()) is not None:  # the expression runs to the end
             raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
         return SystemDef(alphabet=tuple(decls), expr=expr, name=name)
 
@@ -386,16 +387,15 @@ class _Parser:
     def _parse_atom(self, tok: _Token, labels: set[str]) -> Regex:
         if tok.text == "eps":
             return EPSILON
-        word = tok.text
-        if not re.fullmatch(r"[A-Za-z0-9_]+", word):
-            raise DslError(f"unexpected token {word!r}", tok.line, tok.col)
         # a bare word is one label, or a juxtaposition of labels ("01")
+        word = tok.text
         if word in labels:
             return Symbol(word)
         try:
             parts = split_labels(word, label_regex(labels))
         except DslError:
-            raise DslError(f"undeclared symbol {word!r}", tok.line, tok.col) from None
+            kind = "undeclared symbol" if re.fullmatch(r"[A-Za-z0-9_]+", word) else "unexpected token"
+            raise DslError(f"{kind} {word!r}", tok.line, tok.col) from None
         return reduce(Concat, map(Symbol, parts))
 
 
@@ -464,5 +464,8 @@ def format_regex(expr: Regex) -> str:
 
 
 def format_system(system: SystemDef) -> str:
-    decls = " ".join(f"{d.label}={d.weight:g}" for d in system.alphabet)
+    # each weight as the shortest text that reads back as the same float
+    decls = " ".join(
+        f"{d.label}={repr(float(d.weight)).removesuffix('.0')}" for d in system.alphabet
+    )
     return f"sym {decls};\nexpr: {format_regex(system.expr)}\n"

@@ -326,12 +326,12 @@ def test_simulate_without_support_is_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["capacity", "--jk", "2", "2", "--tol", "0"],
-    ["jk-table", "--tol", "0"],
+    ["jk-table", "--kmax", "65"],
     ["capacity", "--jk", "0", "3"],
-    # nan passes a `<= 0` guard: it must not give a capacity, rate or spectrum
+    # nan passes a `<= 0` guard: it must not give a capacity, rate, spectrum or check
     ["capacity", "--jk", "2", "2", "--tol", "nan"],
     ["maxent", "--support", "PITFALL", "--tol", "nan"],
-    ["jk-table", "--tol", "nan"],
+    ["crosscheck", "--jk", "2", "2", "--s", "nan", "--max-weight", "4"],
     ["spectrum", "--jk", "2", "2", "--max-weight", "nan"],
     ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--density-l", "nan"],
     # a budget of no strings is a bad argument, not an exceeded budget (exit 3)
@@ -348,8 +348,8 @@ def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["jk-table", "--tol", "0"], "tol must be positive"),
-    (["jk-table", "--tol", "nan"], "tol must be positive"),
+    (["jk-table", "--kmax", "65"], "table bounds must be <= 64"),
+    (["jk-table", "--jmax", "0", "--kmax", "65"], "table bounds must be <= 64"),
     (["spectrum", "--jk", "2", "2", "--max-weight", "3", "--density-l", "-1"],
      "L and K must be nonnegative"),
     (["spectrum", "--jk", "2", "2", "--max-weight", "3", "--density-k", "nan"],
@@ -472,20 +472,20 @@ def test_bad_command_line_exits_1_and_help_0(capsys):
         assert out.startswith("usage: concap")
 
 
-def test_crosscheck_ambiguous_verdict_ignores_coarse_tol(capsys, tmp_path):
-    # at --tol 0.5 the bracket is [0.5, 1.0]; s=0.9 is still above the
-    # capacity ln 2, so the divergent regex series still proves ambiguity
+def test_crosscheck_ambiguous_verdict_above_capacity(capsys, tmp_path):
+    # s=0.9 is above the capacity ln 2, and the regex series diverges
+    # there, which proves ambiguity
     path = tmp_path / "heavy.cs"
     path.write_text("sym a=1 c=1 b=100000;\nexpr: (a|a|c)* b\n")
-    argv = ["crosscheck", "--system", str(path), "--s", "0.9", "--tol", "0.5", "--max-weight", "12"]
+    argv = ["crosscheck", "--system", str(path), "--s", "0.9", "--max-weight", "12"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_INVALID
     assert out.splitlines()[-1] == "ambiguous    yes"
 
 
-def test_crosscheck_above_capacity_ignores_coarse_tol(capsys, sbin_file):
-    # at --tol 0.5 the capacity's midpoint is 0.75 > 0.7, but 0.7 > ln 2
-    argv = ["crosscheck", "--system", sbin_file, "--s", "0.7", "--tol", "0.5", "--max-weight", "12"]
+def test_crosscheck_just_above_capacity(capsys, sbin_file):
+    # 0.7 is above the capacity ln 2 = 0.693..., though not by much
+    argv = ["crosscheck", "--system", sbin_file, "--s", "0.7", "--max-weight", "12"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "ambiguous    no"
@@ -561,10 +561,14 @@ def test_crosscheck_starred_repetition_in_float_range(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--jk", "2", "2", "--max-weight", "4", "--tol", "1e-3"],
     ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--units", "bits"],
+    # the capacity in crosscheck's error and jk-table's 5 decimals are exact at the default
+    ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4", "--tol", "1e-6"],
+    ["jk-table", "--tol", "0"],
+    ["jk-table", "--tol", "nan"],
 ])
 def test_options_no_subcommand_reads_are_gone(capsys, argv):
-    code, _, err = run(capsys, argv)
-    assert code == EXIT_ERROR
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
     assert "unrecognized arguments" in err
 
 

@@ -121,6 +121,10 @@ def test_structured_errors(text, fragment):
         ("sym (=1;", "bad symbol label '('", 1, 5),
         ("sym a=1;\nexpr: a{x,2}", "repetition bounds must be integers", 2, 9),
         ("sym a=1;\nexpr: a{1,1.5}", "repetition bounds must be integers", 2, 9),
+        # the expression runs to the end of the text: a ';' after it is no end mark
+        ("sym a=1;\nexpr: a;", "unexpected token ';'", 2, 8),
+        ("sym a=1;\nexpr: a; sym b=2;", "unexpected token ';'", 2, 8),
+        ("sym a=1;\nexpr: a; expr: b", "unexpected token ';'", 2, 8),
     ],
 )
 def test_parse_errors_are_named_at_their_token(text, message, line, col):
@@ -309,6 +313,16 @@ def test_repr_prints_the_regex_as_text():
     # 2,000 symbols: a tree 2,000 levels deep, which the nodes' own repr recurses through
     long = parse_system("sym a=1 b=1;\nexpr:" + " a b" * 1000)
     assert repr(long).endswith(f"expr='{' '.join(['a b'] * 1000)}', name='')")
+
+
+@pytest.mark.parametrize("weight, text", [
+    (math.sqrt(2), "1.4142135623730951"), (1e-7, "1e-07"), (123456789.0, "123456789"),
+    (1e300, "1e+300"),
+])
+def test_format_system_prints_each_weight_exactly(weight, text):
+    s = SystemDef((SymbolDecl("a", 1.0), SymbolDecl("b", weight)), Star(Symbol("b")))
+    assert format_system(s) == f"sym a=1 b={text};\nexpr: b*\n"
+    assert parse_system(format_system(s)) == s
 
 
 def test_repetition_printed_as_written():
