@@ -301,9 +301,7 @@ class _Parser:
                 break
             else:
                 raise DslError(f"expected 'sym' or 'expr', got {tok.text!r}", tok.line, tok.col)
-        colon = self.next()
-        # 'expr:' arrives as two tokens only if ':' survives tokenization;
-        # the token regex lumps ':' into \S
+        colon = self.next()  # ':' is a token of its own (\S), and never part of a regex
         if colon.text != ":":
             raise DslError(f"expected ':' after 'expr', got {colon.text!r}", colon.line, colon.col)
         if not decls:
@@ -387,6 +385,8 @@ class _Parser:
     def _parse_atom(self, tok: _Token, labels: set[str]) -> Regex:
         if tok.text == "eps":
             return EPSILON
+        if tok.text == "expr" and getattr(self.peek(), "text", "") == ":":
+            raise DslError("duplicate 'expr:' clause", tok.line, tok.col)
         # a bare word is one label, or a juxtaposition of labels ("01")
         word = tok.text
         if word in labels:

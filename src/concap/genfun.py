@@ -300,10 +300,14 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
 def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
     ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance.
+    At s <= 0 no term is below 1, so the series converges there only for a
+    finite language, and the test runs at 0; a nan ``s`` is a ValueError.
     The elimination is planned once per system and shared, like its DFA
     (callers must not modify it), so a later call on the same system runs
     only the numeric phase."""
-    return _least_pivot(_pivot_plan(system), s) > 0.0
+    if math.isnan(s):
+        raise ValueError(f"s must be a number, got {s}")
+    return _least_pivot(_pivot_plan(system), max(s, 0.0)) > 0.0
 
 
 def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:

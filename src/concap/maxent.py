@@ -2,14 +2,14 @@
 
 Given a finite support of weighted strings, the largest achievable entropy
 per average weight is the positive root R of sum(exp(-w*s)) = 1, attained
-uniquely by the distribution p(z) = exp(-w(z)*R).  This module solves for
-R, builds that distribution, validates candidate input sources against a
+uniquely by the distribution p(z) = exp(-w(z)*R).  This module solves for R,
+builds that distribution, validates candidate input sources against a
 constrained system (disjoint supports, membership), validates IID block
-processes (every concatenation of at most a given number of blocks
-accepted, and none with two factorizations into blocks, decided by a
-search over DFA states and a depth-bounded Sardinas-Patterson test),
-bounds achievable rates, and samples processes to estimate entropy rates
-empirically.
+processes (every concatenation of at most a given number of blocks accepted,
+none with two factorizations into blocks: a search over DFA states and a
+Sardinas-Patterson test that skips a node with an earlier one's dangling
+suffix and count difference, its collisions coming later), bounds achievable
+rates, and samples processes to estimate entropy rates empirically.
 """
 
 from __future__ import annotations
@@ -196,12 +196,11 @@ def validate_input_process(p: Pmf, system: SystemDef, depth: int) -> ValidationR
 
     No concatenation is built: membership is a search over DFA states
     (``_first_rejected``) and collisions a depth-bounded Sardinas-Patterson
-    search (``_first_collision``), both polynomial in the number of blocks,
-    the number of states and ``depth``.  A string fails at the number of
-    blocks after which it is rejected or has its second factorization; the
-    witness fails at the lowest such number, a rejection winning a tie.
-    Every positive block is read as labels first; one with none raises
-    ``DslError``.
+    search (``_first_collision``), each ending at a level that reaches
+    nothing new.  A string fails at the number of blocks after which it is
+    rejected or has its second factorization; the witness fails at the
+    lowest such number, a rejection winning a tie.  Every positive block is
+    read as labels first; one with none raises ``DslError``.
     """
     if depth < 1:
         raise MaxentError("depth must be >= 1")
@@ -225,6 +224,15 @@ def validate_input_process(p: Pmf, system: SystemDef, depth: int) -> ValidationR
     return ValidationReport(True, depth)
 
 
+def _unlink(pair: tuple) -> list[str]:
+    """The blocks of a linked pair (path before, last block), in order."""
+    found = []
+    while pair:
+        pair, block = pair
+        found.append(block)
+    return found[::-1]
+
+
 def _first_rejected(
     dfa: Dfa, blocks: list[str], labels: list[list[str]], depth: int
 ) -> list[str] | None:
@@ -236,9 +244,9 @@ def _first_rejected(
     within ``depth`` steps is accepting, no transition counting as a
     rejecting dead state.  Each state is expanded once, at the level it is
     first reached, trying the blocks in order, so each block is walked from
-    each state at most once.  Each level reaches a state not reached before
-    or ends the search, so depth ``n_states`` decides every depth.  A state
-    carries its block path as a pair (path before, last block), never copied.
+    each state at most once.  The search ends at a level that reaches no new
+    state, by ``n_states`` levels at most.  A state carries its block path
+    as a linked pair (path before, last block), never copied.
     """
     frontier: list[tuple[int, tuple]] = [(dfa.start, ())]
     seen = {dfa.start}
@@ -248,21 +256,16 @@ def _first_rejected(
             for block, lab in zip(blocks, labels):
                 t = dfa.walk(lab, q)
                 if t not in dfa.accepting:
-                    found = [block]
-                    while path:
-                        path, block = path
-                        found.append(block)
-                    return found[::-1]
+                    return _unlink((path, block))
                 if t not in seen:
                     seen.add(t)
                     reached.append((t, (path, block)))
-        frontier = reached
+        if not (frontier := reached):
+            break
     return None
 
 
-def _first_collision(
-    blocks: list[str], depth: int
-) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+def _first_collision(blocks: list[str], depth: int) -> tuple[list[str], list[str]] | None:
     """Two different sequences of at most ``depth`` blocks with the same
     concatenation, the longer of the two as short as possible, or None.
 
@@ -270,10 +273,15 @@ def _first_collision(
     ``depth``.  A node is a pair of block sequences whose first blocks
     differ, the one ahead spelling the one behind plus a dangling suffix
     ``d``.  A node grows by a block appended to the one behind: a block
-    equal to ``d`` closes a collision, a prefix of ``d`` leaves the rest of
-    ``d`` dangling, and a block that ``d`` is a proper prefix of puts the
-    one behind ahead.  Nodes are told apart by ``d`` and the two lengths and
-    are searched in order of the longer length.  ``blocks`` is sorted.
+    equal to ``d`` closes a collision (a node with nothing dangling, read
+    like the others), a prefix of ``d`` leaves the rest of ``d`` dangling,
+    and a block that ``d`` is a proper prefix of puts the one behind ahead.
+    So a node's level, the longer count, stays or grows by 1: two lists hold
+    levels k and k + 1, read in order.  A node's key is ``d`` and its count
+    difference, ahead minus behind; a later node of a key has both counts
+    larger by some t, so its collisions come t levels after the first's.  It
+    is skipped, and the search ends when a level reaches no new key,
+    whatever ``depth``.  ``blocks`` is sorted.
     """
     if depth < 2:  # a collision needs two blocks on one side
         return None
@@ -291,40 +299,34 @@ def _first_collision(
             yield blocks[i]
             i += 1
 
-    # by_length[k]: the nodes whose longer sequence has k blocks
-    by_length: list[list[tuple[str, tuple[str, ...], tuple[str, ...]]]] = [
-        [] for _ in range(depth + 1)
-    ]
-    seen: set[tuple[str, int, int]] = set()
-
-    def push(d: str, ahead: tuple[str, ...], behind: tuple[str, ...]) -> None:
-        key = (d, len(ahead), len(behind))
-        if key not in seen:
-            seen.add(key)
-            by_length[max(len(ahead), len(behind))].append((d, ahead, behind))
-
+    least: dict[tuple[str, int], int] = {}  # (d, count difference): least level
+    frontier = []  # level k: (d, count difference, ahead, behind), each side a linked pair
     for v in blocks:
         for u in continuations(v):  # the blocks that are a prefix of v, shortest first
             if len(u) == len(v):
                 break
-            push(v[len(u):], (v,), (u,))
-    for k in range(1, depth + 1):
-        found = None
-        for d, ahead, behind in by_length[k]:  # the list grows while it is read
-            if len(behind) == depth:
+            if (v[len(u):], 0) not in least:
+                least[v[len(u):], 0] = 1
+                frontier.append((v[len(u):], 0, ((), v), ((), u)))
+    k = 1
+    while frontier:
+        reached = []  # level k + 1
+        for d, diff, ahead, behind in frontier:  # the list grows while it is read
+            if not d:  # the first collision of the least level
+                return _unlink(behind), _unlink(ahead)
+            if least[d, diff] < k or diff <= 0 and k == depth:  # skipped, or behind is full
                 continue
+            # behind has k - max(diff, 0) blocks: one more keeps level k iff diff > 0
+            level, nodes = (k, frontier) if diff > 0 else (k + 1, reached)
             for c in continuations(d):
-                grown = behind + (c,)
-                if c == d:
-                    if len(grown) <= k:
-                        return ahead, grown
-                    found = found or (ahead, grown)
-                elif len(c) < len(d):
-                    push(d[len(c):], ahead, grown)
-                else:
-                    push(c[len(d):], grown, ahead)
-        if found:
-            return found
+                if len(c) < len(d):
+                    node = (d[len(c):], diff - 1, ahead, (behind, c))
+                else:  # behind goes ahead; at c == d nothing dangles: a collision
+                    node = (c[len(d):], 1 - diff, (behind, c), ahead)
+                if least.get(node[:2], level + 1) > level:
+                    least[node[:2]] = level
+                    nodes.append(node)
+        frontier, k = reached, k + 1
     return None
 
 
@@ -509,11 +511,9 @@ def jk_phrase_support(j: int, k: int) -> WeightedSupport:
     equals the (j,k) capacity."""
     if j < 1 or k < 1:
         raise MaxentError("j and k must be >= 1")
-    items = []
-    for b in range(1, k + 1):
-        for a in range(1, j + 1):
-            items.append(("0" * b + "1" * a, float(a + b)))
-    return WeightedSupport(tuple(items))
+    return WeightedSupport(
+        tuple(("0" * b + "1" * a, float(a + b)) for b in range(1, k + 1) for a in range(1, j + 1))
+    )
 
 
 def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
@@ -530,13 +530,6 @@ def jk_source_supports(j: int, k: int, depth: int) -> list[WeightedSupport]:
 
 # ---------------------------------------------------------------------------
 # Interchange format: `string weight prob` per line (prob optional)
-
-
-def _number(field: str, name: str, lineno: int) -> float:
-    try:
-        return float(field)
-    except ValueError:
-        raise MaxentError(f"line {lineno}: {name} {field!r} is not a number") from None
 
 
 def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
@@ -569,7 +562,10 @@ def parse_support_file(text: str) -> tuple[WeightedSupport, Pmf | None]:
         if len(parts) != len(rows[0]):  # as many columns as the first line
             raise MaxentError(f"line {lineno}: inconsistent column count")
         for field, name in zip(parts[1:], ("weight", "probability")):
-            _number(field, name, lineno)
+            try:
+                float(field)
+            except ValueError:
+                raise MaxentError(f"line {lineno}: {name} {field!r} is not a number") from None
     raise MaxentError("support must be nonempty")  # no line has a field
 
 

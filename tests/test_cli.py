@@ -363,6 +363,9 @@ def test_bad_numeric_arguments_are_errors(capsys, tmp_path, argv):
     (["jk-table", "--kmax", "0"], "table bounds must be >= 1"),
     # numpy's own message named no argument
     (["simulate", "--jk", "2", "2", "--blocks", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # nan has no place relative to the capacity: no divergence region is claimed
+    (["crosscheck", "--jk", "2", "2", "--s", "nan", "--max-weight", "4"],
+     "s must be a number, got nan"),
 ])
 def test_argument_errors_print_nothing_to_stdout(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -749,3 +752,12 @@ def test_parentheses_nested_deeply_give_a_result(capsys, tmp_path):
     code, out, err = _long_regex(capsys, tmp_path, text, ["capacity"])
     assert (code, err) == (EXIT_OK, "")
     assert out.endswith("note        finite language; capacity reported as 0\n")
+
+
+def test_duplicate_expr_clause_is_named(capsys, tmp_path):
+    path = tmp_path / "dup.cs"
+    path.write_text("sym a=1;\nexpr: a\nexpr: b\n")
+    code, out, err = run(capsys, ["capacity", "--system", str(path)])
+    assert (code, out, err) == (
+        EXIT_ERROR, "", "error: duplicate 'expr:' clause (line 3, column 1)\n"
+    )

@@ -125,6 +125,11 @@ def test_structured_errors(text, fragment):
         ("sym a=1;\nexpr: a;", "unexpected token ';'", 2, 8),
         ("sym a=1;\nexpr: a; sym b=2;", "unexpected token ';'", 2, 8),
         ("sym a=1;\nexpr: a; expr: b", "unexpected token ';'", 2, 8),
+        # 'expr' then ':' can only start a clause: ':' is never part of a regex
+        ("sym a=1;\nexpr: a\nexpr: b", "duplicate 'expr:' clause", 3, 1),
+        ("sym a=1;\nexpr: a |\nexpr: a", "duplicate 'expr:' clause", 3, 1),
+        ("sym a=1;\nexpr: (a\n expr: a)", "duplicate 'expr:' clause", 3, 2),
+        ("sym expr=1;\nexpr: expr\nexpr: expr", "duplicate 'expr:' clause", 3, 1),
     ],
 )
 def test_parse_errors_are_named_at_their_token(text, message, line, col):
@@ -431,3 +436,8 @@ def test_walk_continues_from_any_state():
     assert dfa.walk(["ab", "c"], dfa.start) == dfa.walk(["c"], after_ab)
     assert dfa.walk(["ab"], after_ab) is None  # ab ab has no transition
     assert dfa.walk([], after_ab) == after_ab
+
+
+def test_a_symbol_named_expr_is_read_as_a_symbol():
+    s = parse_system("sym expr=1 a=2;\nexpr: expr a* expr")
+    assert s.expr == Concat(Concat(Symbol("expr"), Star(Symbol("a"))), Symbol("expr"))

@@ -211,6 +211,21 @@ def test_converges_above_the_bracket_and_not_below(system):
     assert result.bracket_lo == 0.0 or not converges(system, result.bracket_lo)
 
 
+@pytest.mark.parametrize("s", [0.0, -0.0, -1.0, -1000.0, -1e308, -math.inf])
+def test_converges_at_or_below_zero_only_for_a_finite_language(s):
+    # no term is below 1 there; exp(1000) used to raise OverflowError
+    assert not converges(parse_system("sym 0=1 1=1;\nexpr: (0|1)*"), s)
+    assert not converges(build_jk_system(2, 2), s)
+    assert converges(parse_system("sym a=1 b=2;\nexpr: a b a | b"), s)
+    assert converges(parse_system("sym a=1;\nexpr: eps"), s)
+
+
+def test_converges_at_nan_is_an_error():
+    for system in (build_jk_system(2, 2), parse_system("sym a=1;\nexpr: a")):
+        with pytest.raises(ValueError, match=r"^s must be a number, got nan$"):
+            converges(system, math.nan)
+
+
 # --- the planned pivot test against the dict-based elimination ------------
 
 

@@ -11,6 +11,8 @@ its start with ``matches``.
 
 import itertools
 import re
+import threading
+from bisect import bisect_right
 from collections import defaultdict
 
 import pytest
@@ -22,8 +24,11 @@ from concap.automata import matches, system_dfa
 from concap.dsl import DslError, split_labels
 from concap.maxent import (
     Pmf,
+    ValidationReport,
     WeightedSupport,
+    _first_collision,
     _first_rejected,
+    jk_phrase_support,
     sample_process,
     validate_input_process,
 )
@@ -103,6 +108,68 @@ def parent_pointer_first_rejected(blocks, system, depth):
     return None
 
 
+def reference_first_collision(blocks, depth):
+    """Reference for ``_first_collision``: the same Sardinas-Patterson
+    search with a list of nodes for every level up to ``depth``, nodes told
+    apart by the dangling suffix and both block counts, and both sequences
+    copied at every step."""
+    if depth < 2:
+        return None
+    members = set(blocks)
+    lengths = sorted({len(b) for b in blocks})
+
+    def continuations(d):
+        for n in lengths:
+            if n > len(d):
+                break
+            if d[:n] in members:
+                yield d[:n]
+        i = bisect_right(blocks, d)
+        while i < len(blocks) and blocks[i].startswith(d):
+            yield blocks[i]
+            i += 1
+
+    by_length = [[] for _ in range(depth + 1)]
+    seen = set()
+
+    def push(d, ahead, behind):
+        key = (d, len(ahead), len(behind))
+        if key not in seen:
+            seen.add(key)
+            by_length[max(len(ahead), len(behind))].append((d, ahead, behind))
+
+    for v in blocks:
+        for u in continuations(v):
+            if len(u) == len(v):
+                break
+            push(v[len(u):], (v,), (u,))
+    for k in range(1, depth + 1):
+        found = None
+        for d, ahead, behind in by_length[k]:
+            if len(behind) == depth:
+                continue
+            for c in continuations(d):
+                grown = behind + (c,)
+                if c == d:
+                    if len(grown) <= k:
+                        return ahead, grown
+                    found = found or (ahead, grown)
+                elif len(c) < len(d):
+                    push(d[len(c):], ahead, grown)
+                else:
+                    push(c[len(d):], grown, ahead)
+        if found:
+            return found
+    return None
+
+
+def same_collision(blocks, depth):
+    got = _first_collision(blocks, depth)
+    return (got if got is None else tuple(map(tuple, got))) == reference_first_collision(
+        blocks, depth
+    )
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -163,3 +230,64 @@ def test_sample_process_accepted_equals_matches(process, n_blocks, rng_seed):
         return
     report = sample_process(p, n_blocks, rng_seed, system)
     assert report.accepted == matches(system, report.string)
+
+
+@st.composite
+def codes(draw):
+    letters = "abc"[: draw(st.integers(1, 3))]
+    block = st.text(letters, min_size=1, max_size=4)
+    return sorted(draw(st.lists(block, min_size=1, max_size=8, unique=True)))
+
+
+@seed(8)
+@settings(max_examples=3000, deadline=None)
+@given(codes(), st.integers(1, 12))
+def test_first_collision_same_pair_as_the_reference(blocks, depth):
+    assert same_collision(blocks, depth)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_phrase_codes_have_no_collision_like_the_reference(j):
+    for k in range(1, 9):
+        blocks = sorted(jk_phrase_support(j, k).strings)
+        for depth in range(2, 7):
+            assert _first_collision(blocks, depth) is None
+            assert same_collision(blocks, depth)
+
+
+@pytest.mark.parametrize("blocks, collides", [
+    (["0", "01", "11"], False),  # uniquely decodable, with an unbounded delay
+    (["xyz", "y", "yx", "zx"], False),  # its count difference grows by one each cycle
+    (["a", "ab", "ba"], True),
+    (["0", "01", "10"], True),
+    (["a", "aaab", "babb", "bbaaa"], True),  # first at seven blocks on one side
+])
+def test_hand_made_codes_give_the_reference_pair(blocks, collides):
+    for depth in range(1, 41):
+        assert same_collision(blocks, depth)
+    assert (_first_collision(blocks, 40) is not None) == collides
+
+
+def test_a_collision_seven_blocks_deep_is_found_at_depth_seven():
+    blocks = ["a", "aaab", "babb", "bbaaa"]
+    assert _first_collision(blocks, 6) is None
+    pair = (["aaab", "a", "bbaaa"], ["a", "a", "a", "babb", "a", "a", "a"])
+    assert _first_collision(blocks, 7) == _first_collision(blocks, 10**9) == pair
+
+
+@pytest.mark.parametrize("system, blocks", [
+    (parse_system("sym 0=1 1=1;\nexpr: (0|1)*"), ["0", "01", "11"]),
+    (build_jk_system(2, 2), jk_phrase_support(2, 2).strings),
+])
+def test_validate_at_depth_1e9_ends_when_nothing_new_is_reached(system, blocks):
+    # both searches reach nothing new after a few levels; neither may run on to the depth
+    support = WeightedSupport(tuple((b, float(len(b))) for b in blocks))
+    p = Pmf(support, (1 / len(blocks),) * len(blocks))
+    reports = []
+    worker = threading.Thread(
+        target=lambda: reports.append(validate_input_process(p, system, 10**9)), daemon=True
+    )
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert reports == [ValidationReport(True, 10**9)]

@@ -753,6 +753,13 @@ def test_cross_check_divergent_regex_series_above_capacity_is_ambiguous():
         cross_check_gf(sp, system, 0.5)  # below ln 2 the language diverges too
 
 
+def test_cross_check_at_nan_is_an_error_not_divergence(sbin):
+    # the regex's series reads nan as divergent; the pivot test refuses nan
+    sp = enumerate_spectrum(sbin, max_weight=8)
+    with pytest.raises(ValueError, match=r"^s must be a number, got nan$"):
+        cross_check_gf(sp, sbin, math.nan)
+
+
 def test_cross_check_divergent_just_below_capacity_is_error(sbin):
     # the bisection midpoint lies below ln 2 here, and (0|1)* is unambiguous:
     # its series diverges just below ln 2, which proves nothing
