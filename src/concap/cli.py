@@ -182,12 +182,14 @@ def cmd_jk_table(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process and shared."""
+    """The CLI's argument parser, built once per process and shared.  Its
+    ``commands`` maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="concap",
         description="Capacity and maxentropic input processes of weighted constrained systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("capacity", help="abscissa-of-convergence capacity of a system")
     _add_system_args(p)
@@ -243,9 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` if None), parsed once by its
+    command's parser; the top-level parser reads it only to report a missing
+    or unknown command or a left-over argument, with the top-level usage."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:
+            args, left = command.parse_known_args(argv[1:])
+        if command is None or left:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a bad command line, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:

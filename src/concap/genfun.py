@@ -78,7 +78,7 @@ class _PivotPlan(NamedTuple):
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
     kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the slots
     slot_kinds: tuple[int, ...]  # per slot: the index of its pair in ``kinds``
-    steps: tuple  # per pivot: (diagonal slot, ((numerator slot, ((dst, src), ...)), ...))
+    steps: tuple  # per pivot: (diagonal slot, ((numerator slot, dst, src), ...))
 
 
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
@@ -111,9 +111,10 @@ def _plan_elimination(
     index of its pair (``slot_kinds``).  Pivots run from the last state in
     the BFS order of ``automata._bfs_numbering`` down, and each touches
     only the rows with an entry in its column, so repetition chains stay
-    cheap.  A step is a pivot's diagonal slot and, per row it eliminates
-    from, the slot of that row's entry in the pivot column (the factor's
-    numerator) with the ``(dst, src)`` slot pairs of the row update.
+    cheap.  A step is a pivot's diagonal slot and one flat run of
+    ``(numerator, dst, src)`` slot triples, one per entry updated in the
+    rows it eliminates from: the numerator is that row's entry in the pivot
+    column, ``dst`` its entry in column j and ``src`` the pivot row's.
     """
     weights = {d.label: d.weight for d in alphabet}
     used = {label for moves in transitions for label in moves}
@@ -145,16 +146,13 @@ def _plan_elimination(
             if i < k:  # not row k itself, nor a row already eliminated
                 row = rows[i]
                 numerator = row.pop(k)
-                pairs = []
                 for j, src in pivot_row.items():
                     if j < k:
                         if j not in row:  # fill-in
                             row[j] = len(slot_kinds)
                             slot_kinds.append(kinds.setdefault((0.0, -1), len(kinds)))
                             column_rows[j].add(i)
-                        pairs.append((row[j], src))
-                if pairs:
-                    updates.append((numerator, tuple(pairs)))
+                        updates.append((numerator, row[j], src))
         steps.append((pivot_row[k], tuple(updates)))
     return _PivotPlan(
         tuple(weights[label] for label in labels),
@@ -168,7 +166,12 @@ def _plan_elimination(
 def _least_pivot(plan: _PivotPlan, s: float) -> float:
     """The least pivot of the planned elimination on I - A(s), the numeric
     phase: one exp(-w*s) per label, one ``base - term`` per distinct kind of
-    slot, copied into the slots, then a flat loop of row updates.
+    slot, copied into the slots, then per pivot a flat loop of
+    ``vals[dst] -= vals[numerator] / pivot * vals[src]``.  No triple writes
+    a numerator slot (those lie in the pivot column, every ``dst`` left of
+    it), so every triple of a row divides to the same float, the row's factor.
+    The loop assumes about one triple per row, as on (j,k), repetition and
+    small prefix-code systems; a row of many triples divides once each.
     Elimination stops at the first pivot that is not positive (nan
     included) and returns it.
 
@@ -192,10 +195,8 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
             return pivot
         if pivot < least:
             least = pivot
-        for numerator, pairs in updates:
-            factor = vals[numerator] / pivot
-            for dst, src in pairs:
-                vals[dst] -= factor * vals[src]
+        for numerator, dst, src in updates:
+            vals[dst] -= vals[numerator] / pivot * vals[src]
     return least
 
 

@@ -1,7 +1,11 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -761,3 +765,129 @@ def test_duplicate_expr_clause_is_named(capsys, tmp_path):
     assert (code, out, err) == (
         EXIT_ERROR, "", "error: duplicate 'expr:' clause (line 3, column 1)\n"
     )
+
+
+# --- one parse per command line, with the same messages as the top-level parse ---
+
+
+def reference_main(argv=None):
+    """``main`` as it was when the top-level parser read every command line
+    and handed the rest to the command's parser."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    try:
+        return args.func(args)
+    except (ValueError, genfun.SolverError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_FILES = {
+    "sbin.cs": SBIN,
+    "amb.cs": "sym a=1 b=1;\nexpr: (a|b)* (a|b)*\n",
+    "phrases.sup": "01 2\n011 3\n001 3\n0011 4\n",
+    "pitfall.pmf": PITFALL_PMF,
+}
+
+
+def readme_command_lines():
+    """The command lines of the ``sh`` block of the README's CLI section,
+    without ``concap``."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(line[0] == "concap" for line in lines)
+    return [line[1:] for line in lines]
+
+
+SPECTRUM = ["spectrum", "--jk", "2", "2", "--max-weight", "4"]
+CROSSCHECK = ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4"]
+COMMANDS = ["capacity", "spectrum", "crosscheck", "maxent", "validate", "simulate", "jk-table"]
+COMMAND_LINES = (
+    [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--jk", "2", "2"], ["-x"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [["capacity", "--jk", "2", "2", "-h"], ["jk-table", "-h", "--tol", "1"]]
+    # missing required options, a short --jk, bad types and choices
+    + [["capacity"], ["spectrum", "--jk", "2", "2"], ["maxent"], ["validate", "--jk", "2", "2"]]
+    + [["capacity", "--jk", "2"], ["capacity", "--jk", "2", "x"], ["jk-table", "--jmax", "two"]]
+    + [["capacity", "--jk", "2", "2", "--units", "furlongs"]]
+    + [["capacity", "--jk", "2", "2", "--system", "sbin.cs"]]
+    # abbreviated options, and an option given twice
+    + [["capacity", "--j", "2", "2"], ["maxent", "--supp", "phrases.sup"]]
+    + [["capacity", "--jk", "2", "2", "--u", "bits"], ["capacity", "--jk", "1", "1", "--jk", "2", "2"]]
+    # arguments left over, before or after the command
+    + [["jk-table", "--tol", "1"], CROSSCHECK + ["--units", "bits"], ["capacity", "--jk", "2", "2", "pos"]]
+    + [SPECTRUM + ["--tol", "1e-3"], ["jk-table", "--", "x"], ["--jk", "2", "2", "capacity"]]
+    + [["capacity", "--jk", "2", "2", "--", "extra"], ["capacity", "capacity", "--jk", "2", "2"]]
+    # errors after a clean parse, and the `--x=v` spelling
+    + [["jk-table", "--kmax", "65"], CROSSCHECK[:5] + ["--s=nan", "--max-weight", "4"]]
+)
+
+
+def _run_in(capsys, directory, entry, argv):
+    """(exit code, stdout, stderr, files written) of ``entry(argv)`` run in
+    ``directory``, the README's input files in place."""
+    for name, text in README_FILES.items():
+        (directory / name).write_text(text)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        code = entry(argv)
+    finally:
+        os.chdir(cwd)
+    out = capsys.readouterr()
+    written = {p.name: p.read_text() for p in directory.iterdir() if p.name not in README_FILES}
+    return code, out.out, out.err, written
+
+
+def assert_main_answers_as_the_top_level_parse(capsys, tmp_path, argv):
+    ours, theirs = tmp_path / "main", tmp_path / "reference"
+    ours.mkdir()
+    theirs.mkdir()
+    assert _run_in(capsys, ours, main, list(argv)) == _run_in(capsys, theirs, reference_main, list(argv))
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=lambda argv: " ".join(argv) or "nothing")
+def test_main_answers_as_the_top_level_parse(capsys, tmp_path, argv):
+    assert_main_answers_as_the_top_level_parse(capsys, tmp_path, argv)
+
+
+README_LINES = 8  # read when the tests run, so a README edit fails them and nothing else
+
+
+@pytest.mark.parametrize("index", range(README_LINES))
+def test_a_readme_command_line_answers_as_the_top_level_parse(capsys, tmp_path, index):
+    assert_main_answers_as_the_top_level_parse(capsys, tmp_path, readme_command_lines()[index])
+
+
+def test_the_readme_command_lines_are_covered():
+    lines = readme_command_lines()
+    assert len(lines) == README_LINES and {line[0] for line in lines} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["capacity", "--jk", "2", "2"], ["jk-table", "--tol", "1"], []])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["concap", *argv])
+    expected = (reference_main(None), *capsys.readouterr())
+    assert run(capsys, None) == expected
+    assert ("capacity    0.481211825060 nats" in expected[1]) == bool(argv[:1] == ["capacity"])
+
+
+@pytest.mark.parametrize("argv, top_parses", [
+    (["capacity", "--jk", "2", "2"], 0),
+    (["capacity", "--jk", "2"], 0),  # the command's own error
+    (["capacity", "--jk", "2", "2", "pos"], 1),  # reported by the top-level parser
+])
+def test_a_command_line_is_parsed_by_its_command(capsys, argv, top_parses):
+    parser = build_parser()
+    command = parser.commands["capacity"]
+    with (
+        mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as top,
+        mock.patch.object(command, "parse_known_args", wraps=command.parse_known_args) as sub,
+    ):
+        run(capsys, argv)
+    assert (top.call_count, sub.call_count) == (top_parses, 1 + top_parses)
