@@ -79,7 +79,7 @@ def cmd_spectrum(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if len(sp.entries) >= 2:
+    if len(sp.weights) >= 2:
         cap = _units_value(spectrum.capacity_estimate(sp), args.units)
         c0 = _units_value(spectrum.c0_estimate(sp), args.units)
         growth = _units_value(spectrum.growth_rate_estimate(sp), args.units)

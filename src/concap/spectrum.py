@@ -7,12 +7,15 @@ weight is the correctly rounded sum.  Three searches give the same rows:
 where every label that the automaton reads has one weight (Shannon's (j,k)
 run-length systems, every unit-weight system), rows are string lengths, and
 the counts are pushed from each length to the next, as Shannon counts
-N_q(t) = sum over p->q of N_p(t-1); a single state whose loops differ in
-weight (the full shift, Shannon's unconstrained channel with unequal symbol
-weights) merges shifted copies of its own row weights; every other
-automaton is searched with a heap of weight buckets.  No search makes a
-Python object per row: the rows' exact weights become floats in one pass at
-the end, and the export formats every row with one format string.  Rows
+N_q(t) = sum over p->q of N_p(t-1); a single state with one to four loops
+that differ in weight (the full shift, Shannon's unconstrained channel with
+unequal symbol weights) merges shifted copies of its own row weights, each
+loop's read position held in local variables; every other automaton, the
+full shift of five or more loops included, is searched with a heap of
+weight buckets.  No search makes a Python object per row: the rows stay two
+columns, weights and counts, from the search to the export, the exact
+weights become floats in one pass at the end, and the export formats every
+row with one format string.  Rows
 are more than ``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that
 the automaton reads is a ``SpectrumError``, and so are two rows that round
 to one float.  The resulting spectrum (distinct weights with
@@ -35,7 +38,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter, mul, truediv
+from operator import mul, truediv
 
 from .automata import Dfa, system_dfa
 from .dsl import SystemDef
@@ -45,7 +48,6 @@ DEFAULT_WEIGHT_EPSILON = 1e-9
 DEFAULT_MAX_STRINGS = 10_000_000  # enumeration budget of enumerate_spectrum and the CLI
 REL_TOL = 1e-6  # relative slack of the cross-check's gap over the tail bound
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_NU, _COUNT = itemgetter(0), itemgetter(1)  # the fields of a spectrum entry
 
 
 class SpectrumError(ValueError):
@@ -54,46 +56,43 @@ class SpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSpectrum:
-    """Ordered distinct weights with distinct-string counts.
+    """Ordered distinct weights with distinct-string counts, kept as two
+    columns: row i is ``(weights[i], counts[i])``.
 
     Only the provably complete part of an enumeration is stored: if the
-    string budget was hit, entries stop at the last weight for which every
+    string budget was hit, rows stop at the last weight for which every
     string was counted, and ``complete`` is False.  ``exhausted`` means the
     whole language was enumerated (finite language below the cutoff).
     """
 
-    entries: tuple[tuple[float, int], ...]  # (nu, count), nu strictly increasing
+    weights: tuple[float, ...]  # strictly increasing
+    counts: tuple[int, ...]
     weight_epsilon: float
     max_weight: float
     complete: bool
     exhausted: bool
     includes_empty: bool  # the empty string (weight 0) is in the language
 
-    @property
-    def weights(self) -> list[float]:
-        return [nu for nu, _ in self.entries]
-
-    @property
-    def counts(self) -> list[int]:
-        return [c for _, c in self.entries]
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        """The rows as (nu, count) pairs, built on first read."""
+        return tuple(zip(self.weights, self.counts))
 
     @functools.cached_property
     def cumulative(self) -> tuple[int, ...]:
         """Running totals of the counts, summed once per spectrum."""
-        return tuple(itertools.accumulate(map(_COUNT, self.entries)))
+        return tuple(itertools.accumulate(self.counts))
 
     @property
     def horizon(self) -> float:
-        if not self.entries:
-            return 0.0
-        return self.entries[-1][0]
+        return self.weights[-1] if self.weights else 0.0
 
     def partial_sum(self, s: float) -> float:
         """Truncated Dirichlet series sum N(nu) exp(-nu*s) over the spectrum,
         each term as exp(ln N - nu*s): N may exceed the float range.  A sum
         beyond the float range (at ``s < 0``) raises ``OverflowError``."""
         total = 1.0 if self.includes_empty else 0.0
-        total += sum(math.exp(math.log(c) - nu * s) for nu, c in self.entries)
+        total += sum(math.exp(math.log(c) - nu * s) for nu, c in zip(self.weights, self.counts))
         if total == math.inf:  # finite terms may add up past it, and exp(inf) is inf
             raise OverflowError("the partial sum exceeds the float range")
         return total
@@ -115,13 +114,13 @@ def enumerate_spectrum(
       lengths times u, so weight order is length order, and each length's
       per-state counts are pushed along the edges into the next length's,
       as Shannon counts N_q(t) = sum over p->q of N_p(t-1);
-    - ``_merge_rows``, for a DFA of one state with loops of unequal weights
-      (the full shift): the rows are a merge of the row weights shifted by
-      each loop weight, one read index per loop (Dijkstra's merge for
-      Hamming numbers);
-    - ``_heap_rows``, for every other DFA: a bucket per distinct reached
-      weight holds per-state path counts, and buckets are expanded in
-      weight order.
+    - ``_merge_rows``, for a DFA of one state with one to four loops of
+      unequal weights (the full shift): the rows are a merge of the row
+      weights shifted by each loop weight, one read index per loop
+      (Dijkstra's merge for Hamming numbers), each loop held in locals;
+    - ``_heap_rows``, for every other DFA, the full shift of five or more
+      loops included: a bucket per distinct reached weight holds per-state
+      path counts, and buckets are expanded in weight order.
 
     Weights are exact: every label weight is an integer number of units of
     1/scale, scale being the largest denominator of the weights' binary
@@ -176,25 +175,26 @@ def enumerate_spectrum(
             )
     if len({weights[label] for label in read}) == 1:
         search = _level_rows
-    elif dfa.n_states == 1 and steps[0]:  # the full shift, its loops of unequal weights
+    elif dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
         search = _merge_rows
     else:
         search = _heap_rows
     W, C, complete, exhausted = search(dfa, steps, cutoff, epsilon, max_strings)
     try:  # every row at once, in C loops: see the docstring for why both are exact
-        entries = tuple(zip(map(mul, W, itertools.repeat(1 / scale)), C))
+        nus = tuple(map(mul, W, itertools.repeat(1 / scale)))
     except OverflowError:  # the last row has more units than a float holds
-        entries = tuple(zip(map(truediv, W, itertools.repeat(scale)), C))
+        nus = tuple(map(truediv, W, itertools.repeat(scale)))
     # rows more than epsilon apart can round to one float only where its ulp exceeds epsilon
-    if entries and math.ulp(entries[-1][0]) > DEFAULT_WEIGHT_EPSILON:
-        for (a, _), (b, _) in zip(entries, entries[1:]):
+    if nus and math.ulp(nus[-1]) > DEFAULT_WEIGHT_EPSILON:
+        for a, b in zip(nus, nus[1:]):
             if a == b:
                 raise SpectrumError(
                     f"rows more than the weight epsilon {DEFAULT_WEIGHT_EPSILON:g} apart "
                     f"round to one float weight, {a:.12g}"
                 )
     return WeightSpectrum(
-        entries=entries,
+        weights=nus,
+        counts=tuple(C),
         weight_epsilon=DEFAULT_WEIGHT_EPSILON,
         max_weight=max_weight,
         complete=complete,
@@ -252,34 +252,55 @@ def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings:
 
 
 def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
-    """One state with loops.  Each row weight plus each loop weight is one
-    of the heap search's bins: loop j's pending bins are W[idx[j]:] +
-    shifts[j], the least being heads[j], and every bin within epsilon of the
+    """One state with one to four loops.  Each row weight plus each loop
+    weight is one of the heap search's bins: loop j's pending bins are
+    W[ij:] + sj, the least being hj, and every bin within epsilon of the
     least of all joins its row, as the heap search merges them.  A loop gives
     a row at most one bin: two would need two rows within epsilon, and rows
-    are more than epsilon apart, as no loop weighs that little."""
-    shifts = [weight for weight, _ in steps[0]]
+    are more than epsilon apart, as no loop weighs that little.  Each loop's
+    head, read index and shift are locals; an absent loop's shift is past
+    the cutoff, so it never gives a bin."""
+    s0, s1, s2, s3 = [weight for weight, _ in steps[0]] + [cutoff + 1] * (4 - len(steps[0]))
+    h0, h1, h2, h3 = s0, s1, s2, s3
+    i0 = i1 = i2 = i3 = 0
     W, C = [0], [1]  # row weights in units and counts, the empty string first
-    loops = range(len(shifts))
-    idx = [0] * len(shifts)
-    heads = shifts[:]
+    append_w, append_c = W.append, C.append
     total = 0
     complete = True
-    while (w := min(heads)) <= cutoff:
+    while True:
+        w = h0
+        if h1 < w:
+            w = h1
+        if h2 < w:
+            w = h2
+        if h3 < w:
+            w = h3
+        if w > cutoff:
+            break
         top = w + epsilon if w + epsilon < cutoff else cutoff
-        W.append(w)  # first: a loop that reads the row before reads this one next
+        append_w(w)  # first: a loop that reads the row before reads this one next
         count = 0
-        for j in loops:
-            if heads[j] <= top:
-                i = idx[j]
-                count += C[i]
-                idx[j] = i + 1
-                heads[j] = W[i + 1] + shifts[j]
+        if h0 <= top:
+            count = C[i0]
+            i0 += 1
+            h0 = W[i0] + s0
+        if h1 <= top:
+            count += C[i1]
+            i1 += 1
+            h1 = W[i1] + s1
+        if h2 <= top:
+            count += C[i2]
+            i2 += 1
+            h2 = W[i2] + s2
+        if h3 <= top:
+            count += C[i3]
+            i3 += 1
+            h3 = W[i3] + s3
         total += count
         if total > max_strings:
             complete = False
             break
-        C.append(count)
+        append_c(count)
     # every row has a loop: only the cutoff or the budget ends it, never exhaustion
     return W[1:len(C)], C[1:], complete, False
 
@@ -341,7 +362,8 @@ def spectrum_from_counts(
         if b - a <= weight_epsilon:
             raise SpectrumError(f"weights {a} and {b} closer than epsilon")
     return WeightSpectrum(
-        entries=tuple(pairs),
+        weights=tuple(nu for nu, _ in pairs),
+        counts=tuple(c for _, c in pairs),
         weight_epsilon=weight_epsilon,
         max_weight=pairs[-1][0] if pairs else 0.0,
         complete=True,
@@ -355,7 +377,7 @@ def spectrum_from_counts(
 
 
 def _require(sp: WeightSpectrum) -> None:
-    if len(sp.entries) < 2:
+    if len(sp.weights) < 2:
         raise SpectrumError("need at least 2 spectrum entries")
 
 
@@ -374,8 +396,7 @@ def capacity_estimate(sp: WeightSpectrum) -> float:
 def c0_estimate(sp: WeightSpectrum) -> float:
     """Finite-horizon estimate of the per-weight log count at the horizon."""
     _require(sp)
-    nu, c = sp.entries[-1]
-    return math.log(c) / nu
+    return math.log(sp.counts[-1]) / sp.weights[-1]
 
 
 def growth_rate_estimate(sp: WeightSpectrum) -> float:
@@ -385,7 +406,7 @@ def growth_rate_estimate(sp: WeightSpectrum) -> float:
     counts grow geometrically (finite automata do)."""
     _require(sp)
     cum = sp.cumulative
-    (nu1, _), (nu2, _) = sp.entries[-2:]
+    nu1, nu2 = sp.weights[-2:]
     return math.log(cum[-1] / cum[-2]) / (nu2 - nu1)
 
 
@@ -405,28 +426,28 @@ def density_check(sp: WeightSpectrum, L: float, K: float) -> DensityReport:
     for every integer n up to the horizon.  The bound grows with n and k
     steps up only at n = floor(nu) + 1, so only those n (and n = 1) can be
     the first violation, and only they are checked, up to the first n where
-    the bound reaches the number of entries, which no k exceeds.  Each k is
-    a bisection of the entries by weight, with no list of weights built.
+    the bound reaches the number of rows, which no k exceeds.  Each k is a
+    bisection of the row weights.
 
     A finite-horizon check of an asymptotic property: a pass is evidence,
     not proof, and the constants are the caller's choice.
     """
     if not (L >= 0 and K >= 0):
         raise SpectrumError("L and K must be nonnegative")
-    entries = sp.entries
+    nus = sp.weights
     n_max = int(math.ceil(sp.horizon)) + 1
     n = 1
     while n <= n_max:
-        k = bisect.bisect_left(entries, n, key=_NU)  # 1-based index of the largest nu below n
+        k = bisect.bisect_left(nus, n)  # 1-based index of the largest nu below n
         try:
             bound = L * n**K if L > 0 else 0.0  # not 0 * inf = nan at K = inf
         except OverflowError:  # n**K beyond the float range
             bound = math.inf
         if k > bound:
             return DensityReport(False, L, K, n)
-        if bound >= len(entries):  # the bound only grows, and k never passes len(entries)
+        if bound >= len(nus):  # the bound only grows, and k never passes len(nus)
             break
-        n = math.floor(entries[k][0]) + 1  # the next n with a larger k
+        n = math.floor(nus[k]) + 1  # the next n with a larger k
     return DensityReport(True, L, K, n_max)
 
 
@@ -522,13 +543,12 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
 
 def format_spectrum(sp: WeightSpectrum) -> str:
     """The export text: the header lines, then a ``%.12g %d %d`` row of
-    weight, count and cumulative count per entry, all rows made by one
-    format string applied to their fields in one flat tuple."""
+    weight, count and cumulative count per row, all rows made by one
+    format string applied to the three columns in one flat tuple."""
     head = (
         f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
-    entries = sp.entries
-    rows = zip(map(_NU, entries), map(_COUNT, entries), sp.cumulative)
-    return head + "%.12g %d %d\n" * len(entries) % tuple(itertools.chain.from_iterable(rows))
+    rows = zip(sp.weights, sp.counts, sp.cumulative)
+    return head + "%.12g %d %d\n" * len(sp.weights) % tuple(itertools.chain.from_iterable(rows))

@@ -2,6 +2,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from concap import build_jk_system, parse_system, spectrum
-from concap.automata import matches, system_dfa
+from concap.automata import Dfa, matches, system_dfa
 from concap.dsl import SystemDef
 from concap.genfun import DEFAULT_TOL, bisect_root, eval_real
 from concap.spectrum import (
@@ -44,15 +45,15 @@ LN2 = math.log(2)
 
 def test_sbin_counts_are_powers_of_two(sbin):
     sp = enumerate_spectrum(sbin, max_weight=10)
-    assert sp.weights == list(map(float, range(1, 11)))
-    assert sp.counts == [2**n for n in range(1, 11)]
+    assert sp.weights == tuple(map(float, range(1, 11)))
+    assert sp.counts == tuple(2**n for n in range(1, 11))
     assert sp.complete and not sp.exhausted
     assert sp.includes_empty
 
 
 def test_s11_two_per_length():
     sp = enumerate_spectrum(build_jk_system(1, 1), max_weight=10)
-    assert sp.counts == [2] * 10
+    assert sp.counts == (2,) * 10
     assert not sp.includes_empty
 
 
@@ -61,8 +62,8 @@ def test_s22_fibonacci_growth():
     sp = enumerate_spectrum(system, max_weight=20)
     # two exact oracles: the run-length DP at 20, the filter of all 2^n
     # strings at 14 (listing all 2^20 took seconds)
-    assert sp.counts == list(runlength_dp_counts(2, 2, 20))
-    assert sp.counts[:14] == list(brute_force_counts(2, 2, 14))
+    assert sp.counts == tuple(runlength_dp_counts(2, 2, 20))
+    assert sp.counts[:14] == tuple(brute_force_counts(2, 2, 14))
     # each accepted string counted once: membership of every string up to 9
     accepted = sum(matches(system, s) for n in range(1, 10) for s in all_binary_strings(n))
     assert sp.cumulative[8] == accepted
@@ -74,7 +75,7 @@ def test_s22_fibonacci_growth():
 @pytest.mark.parametrize("j,k", [(1, 2), (2, 3), (3, 3)])
 def test_jk_counts_match_predicate_filter(j, k):
     sp = enumerate_spectrum(build_jk_system(j, k), max_weight=14)
-    assert sp.counts == list(brute_force_counts(j, k, 14))
+    assert sp.counts == tuple(brute_force_counts(j, k, 14))
 
 
 def test_noninteger_weights_binning():
@@ -94,7 +95,7 @@ def test_budget_truncation_flags_incomplete(sbin):
     sp = enumerate_spectrum(sbin, max_weight=20, max_strings=100)
     assert not sp.complete
     # entries stop at the last fully counted weight: 2+4+...+2^5 = 62 <= 100
-    assert sp.counts == [2, 4, 8, 16, 32]
+    assert sp.counts == (2, 4, 8, 16, 32)
 
 
 def test_max_weight_must_be_positive(sbin):
@@ -338,6 +339,38 @@ def test_format_spectrum_of_a_built_spectrum():
     assert format_spectrum(sp) == reference_format_spectrum(sp)
 
 
+def entries_format_spectrum(sp):
+    """The export text as it was made from the (nu, count) pairs."""
+    head = (
+        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
+        f"# includes_empty {sp.includes_empty:d}\n"
+    )
+    nu, count = operator.itemgetter(0), operator.itemgetter(1)
+    rows = zip(map(nu, sp.entries), map(count, sp.entries), sp.cumulative)
+    return head + "%.12g %d %d\n" * len(sp.entries) % tuple(itertools.chain.from_iterable(rows))
+
+
+def test_rows_kept_as_columns_read_as_the_pairs_did():
+    roots = " ".join(f"{label}={math.sqrt(p)!r}" for label, p in zip("abcde", (2, 3, 5, 7, 11)))
+    spectra = [
+        enumerate_spectrum(parse_system("sym a=1 b=2 c=3 d=4;\nexpr: (a|b|c|d)*"), 6.0),
+        enumerate_spectrum(parse_system(f"sym {roots};\nexpr: (a|b|c|d|e)*"), 9.0),  # the heap
+        enumerate_spectrum(parse_system("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*"), 30.0, 1_000),
+        enumerate_spectrum(build_jk_system(2, 2), 18),
+        enumerate_spectrum(parse_system("sym a=1;\nexpr: eps"), math.inf),
+        spectrum_from_counts([(0.5, 3), (1e-300, 1), (1e300, 2**70)], includes_empty=True),
+    ]
+    for sp in spectra:
+        assert sp.entries == tuple(zip(sp.weights, sp.counts))
+        assert sp.cumulative == tuple(itertools.accumulate(c for _, c in sp.entries))
+        for s in (0.5, 1.0, 3.0):
+            pairs = 1.0 if sp.includes_empty else 0.0
+            pairs += sum(math.exp(math.log(c) - nu * s) for nu, c in sp.entries)
+            assert sp.partial_sum(s) == pairs
+        assert format_spectrum(sp) == entries_format_spectrum(sp)
+
+
 # --- the merge and level searches against the bucket heap ---------------
 
 
@@ -404,6 +437,81 @@ def test_full_shift_same_as_heap_loop_seeded():
                     enumerate_(system, max_weight, max_strings)
         else:
             assert_same_as_heap_loop(system, max_weight, max_strings)
+
+
+def reference_merge_rows(dfa, steps, cutoff, epsilon, max_strings):
+    """The full-shift merge with a list of heads and read indices, for any
+    number of loops: the kernel before each loop was held in locals."""
+    shifts = [weight for weight, _ in steps[0]]
+    W, C = [0], [1]
+    loops = range(len(shifts))
+    idx = [0] * len(shifts)
+    heads = shifts[:]
+    total = 0
+    complete = True
+    while (w := min(heads)) <= cutoff:
+        top = w + epsilon if w + epsilon < cutoff else cutoff
+        W.append(w)
+        count = 0
+        for j in loops:
+            if heads[j] <= top:
+                i = idx[j]
+                count += C[i]
+                idx[j] = i + 1
+                heads[j] = W[i + 1] + shifts[j]
+        total += count
+        if total > max_strings:
+            complete = False
+            break
+        C.append(count)
+    return W[1:len(C)], C[1:], complete, False
+
+
+def full_shift_args(weights, max_weight, max_strings):
+    """The arguments ``enumerate_spectrum`` passes its search for the full
+    shift over loops of these weights: all weights in units of 1/scale."""
+    scale = max(w.as_integer_ratio()[1] for w in weights)
+
+    def units(x):
+        p, q = x.as_integer_ratio()
+        return p * scale // q
+
+    cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
+    steps = [sorted((units(w), 0) for w in weights)]
+    return Dfa(0, frozenset({0}), [{}]), steps, cutoff, units(DEFAULT_WEIGHT_EPSILON), max_strings
+
+
+def test_merge_kernel_and_heap_match_the_reference_merge_seeded():
+    rng = random.Random(32)
+    pools = [
+        [1.0, 1.5, 2.0],  # a lattice: many bins of one weight
+        [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13)],
+        [1.0, 1.0000000001, math.sqrt(2)],  # bins within the epsilon join
+    ]
+    flags = set()
+    for i in range(300):
+        k = 1 + i % 4 if i < 240 else rng.randint(5, 6)
+        weights = [rng.choice(pools[i % 3]) for _ in range(k)]
+        # a cutoff 5e-11 past a whole weight parts its row from the bins just above it
+        max_weight = rng.choice([rng.uniform(0.5, 25.0), math.inf, rng.randint(1, 12) - 9.5e-10])
+        max_strings = rng.choice([1, 10, int(10 ** rng.uniform(1, 5)), 10**5])
+        args = full_shift_args(weights, max_weight, max_strings)
+        search = spectrum._merge_rows if k <= 4 else spectrum._heap_rows
+        rows = reference_merge_rows(*args)
+        assert search(*args) == rows, (weights, max_weight, max_strings)
+        flags.add(rows[2])
+    assert flags == {True, False}  # the cutoff ends some searches, the budget others
+
+
+@pytest.mark.parametrize("n_loops,merged", [(1, False), (2, True), (4, True), (5, False), (6, False)])
+def test_the_merge_is_taken_for_two_to_four_loops_of_unequal_weights(n_loops, merged):
+    labels = "abcdef"[:n_loops]
+    decls = " ".join(f"{label}={n}" for n, label in enumerate(labels, 1))
+    system = parse_system(f"sym {decls};\nexpr: ({'|'.join(labels)})*")
+    with mock.patch.object(spectrum, "_merge_rows", wraps=spectrum._merge_rows) as spy:
+        sp = enumerate_spectrum(system, 12.0)
+    assert spy.called == merged
+    assert sp == heap_loop_spectrum(system, 12.0)
 
 
 def random_regex(rng, depth):
@@ -529,7 +637,7 @@ def test_a_label_within_epsilon_that_the_dfa_never_reads_is_allowed(decls, expr,
 
 def test_one_state_without_loops_keeps_its_result():
     sp = enumerate_spectrum(parse_system("sym a=1;\nexpr: eps"), math.inf)
-    assert sp == WeightSpectrum((), DEFAULT_WEIGHT_EPSILON, math.inf, True, True, True)
+    assert sp == WeightSpectrum((), (), DEFAULT_WEIGHT_EPSILON, math.inf, True, True, True)
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
@@ -879,7 +987,7 @@ def test_cross_check_rejects_incomplete(sbin):
 def parse_spectrum(text: str) -> WeightSpectrum:
     """Read back what ``format_spectrum`` writes."""
     meta = {}
-    entries = []
+    weights, counts = [], []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -889,11 +997,13 @@ def parse_spectrum(text: str) -> WeightSpectrum:
             meta[key] = value
             continue
         nu, count, _ = line.split()
-        entries.append((float(nu), int(count)))
+        weights.append(float(nu))
+        counts.append(int(count))
     return WeightSpectrum(
-        entries=tuple(entries),
+        weights=tuple(weights),
+        counts=tuple(counts),
         weight_epsilon=float(meta.get("weight_epsilon", DEFAULT_WEIGHT_EPSILON)),
-        max_weight=float(meta.get("max_weight", entries[-1][0] if entries else 0.0)),
+        max_weight=float(meta.get("max_weight", weights[-1] if weights else 0.0)),
         complete=bool(int(meta.get("complete", 1))),
         exhausted=bool(int(meta.get("exhausted", 0))),
         includes_empty=bool(int(meta.get("includes_empty", 0))),
