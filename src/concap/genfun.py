@@ -7,9 +7,12 @@ that threshold, the abscissa of convergence, is the system's capacity.
 bisecting on the pivot test ``converges``: Gaussian elimination on
 I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
 and shared, like its DFA (callers must not modify it), and run at each
-trial ``s`` as a flat loop over float slots (``_least_pivot``) whose
-initial values take one subtraction per distinct kind of slot.
-``eval_real`` sums a regex's own series, one term per derivation, which
+trial ``s`` as one flat loop over float slots (``_least_pivot``), one
+step per update, whose initial values take one subtraction per distinct
+kind of slot.  ``capacity_jk`` solves the (j,k) characteristic equation
+in closed form, at a cost per trial point independent of j and k.
+``series`` compiles a regex's own series, one term per derivation, to a
+flat program that runs at any ``s`` (``eval_real`` runs it once); it
 equals the string series only if the regex is unambiguous: it is the
 ambiguity witness of ``spectrum.cross_check_gf``.  ``math.inf`` means
 divergence and nothing else; a finite value beyond the float range is an
@@ -36,38 +39,77 @@ def _finite(value: float, *inputs: float) -> float:
     return value
 
 
-def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
-    """Evaluate a regex's series at real ``s``: a symbol of weight ``w`` gives
-    exp(-w*s), union a sum, concatenation a product, star 1/(1-v) for v < 1
-    (divergent for v >= 1), repetition a polynomial in v.  ``inf`` is
-    divergence only, and a product with a divergent factor diverges even
-    where the other underflowed to 0.0.  A finite value beyond the float
-    range raises ``OverflowError`` where it arises, even if another part
-    diverges: in floats it cannot be told from one that a tiny factor would
-    bring back into range."""
-    values: list[float] = []  # per subtree, left on top
-    for node in reversed(preorder(expr)):
+def series(expr: Regex, weights: dict[str, float]) -> Callable[[float], float]:
+    """The regex's series as a function of real ``s``: a symbol of weight
+    ``w`` gives exp(-w*s), union a sum, concatenation a product, star
+    1/(1-v) for v < 1 (divergent for v >= 1), repetition a polynomial in v.
+    ``inf`` is divergence only, and a product with a divergent factor
+    diverges even where the other underflowed to 0.0.  A finite value
+    beyond the float range raises ``OverflowError`` where it arises, even if
+    another part diverges: in floats it cannot be told from one that a tiny
+    factor would bring back into range.
+
+    One ``preorder`` walk compiles the tree to a flat postfix program over
+    value slots: one per distinct label, one holding 1.0 for every ``eps``,
+    then one per operator node, whose step reads its operands' slots.  The
+    returned function runs it with no tree walk and one exp per label, so a
+    search at many points builds it once."""
+    nodes = preorder(expr)
+    labels = dict.fromkeys(node.label for node in nodes if type(node) is Symbol)
+    slot = {label: t for t, label in enumerate(labels)}
+    scales = [-weights[label] for label in labels]
+    program: list[tuple] = []  # per operator node: (type, operand slot, right slot or counts)
+    operands: list[int] = []  # per subtree, left on top: the slot of its value
+    for node in reversed(nodes):
         kind = type(node)
-        if kind is Symbol:  # exp raises, but exp(inf) is inf
-            values.append(_finite(math.exp(-weights[node.label] * s)))
-        elif kind is Epsilon:
-            values.append(1.0)
-        elif kind is Union:
-            left, right = values.pop(), values.pop()
-            values.append(_finite(left + right, left, right))
-        elif kind is Concat:
-            left, right = values.pop(), values.pop()
-            values.append(DIVERGENT if DIVERGENT in (left, right) else _finite(left * right))
+        if kind is Symbol:
+            operands.append(slot[node.label])
+            continue
+        if kind is Epsilon:
+            operands.append(len(slot))
+            continue
+        if kind is Union or kind is Concat:
+            program.append((kind, operands.pop(), operands.pop()))
         elif kind is Star:
-            v = values.pop()
-            values.append(1.0 / (1.0 - v) if v < 1.0 else DIVERGENT)
-        else:
-            v = values.pop()  # v^lo (1 + ... + v^(hi-lo)) by Horner
-            total = 1.0
-            for k in range(node.hi - 1, -1, -1):
-                total = total * v + (k >= node.lo)
-            values.append(_finite(total, v))
-    return values[0]
+            program.append((kind, operands.pop(), None))
+        else:  # v^lo (1 + ... + v^(hi-lo)) by Horner: hi - lo steps adding 1, then lo adding 0
+            program.append((kind, operands.pop(), (node.hi - node.lo, node.lo)))
+        operands.append(len(slot) + len(program))
+    root, exp = operands[0], math.exp
+
+    def value(s: float) -> float:
+        vals = [_finite(exp(scale * s)) for scale in scales]  # exp raises, but exp(inf) is inf
+        vals.append(1.0)
+        for kind, a, b in program:
+            v = vals[a]
+            if kind is Concat:
+                w = vals[b]
+                if v == DIVERGENT or w == DIVERGENT:
+                    v = DIVERGENT
+                elif (v := v * w) == DIVERGENT:
+                    _finite(v)
+            elif kind is Union:
+                w = vals[b]
+                if (v := v + w) == DIVERGENT:
+                    _finite(v, vals[a], w)
+            elif kind is Star:
+                v = 1.0 / (1.0 - v) if v < 1.0 else DIVERGENT
+            else:
+                total = 1.0
+                for _ in range(b[0]):
+                    total = total * v + 1.0
+                for _ in range(b[1]):
+                    total = total * v + 0.0
+                v = _finite(total, v)
+            vals.append(v)
+        return vals[root]
+
+    return value
+
+
+def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
+    """The regex's series at real ``s``: ``series(expr, weights)(s)``."""
+    return series(expr, weights)(s)
 
 
 class _PivotPlan(NamedTuple):
@@ -78,7 +120,7 @@ class _PivotPlan(NamedTuple):
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
     kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the slots
     slot_kinds: tuple[int, ...]  # per slot: the index of its pair in ``kinds``
-    steps: tuple  # per pivot: (diagonal slot, ((numerator slot, dst, src), ...))
+    steps: tuple[tuple[int, int, int, int], ...]  # (diagonal, numerator, dst, src) slots
 
 
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
@@ -111,10 +153,13 @@ def _plan_elimination(
     index of its pair (``slot_kinds``).  Pivots run from the last state in
     the BFS order of ``automata._bfs_numbering`` down, and each touches
     only the rows with an entry in its column, so repetition chains stay
-    cheap.  A step is a pivot's diagonal slot and one flat run of
-    ``(numerator, dst, src)`` slot triples, one per entry updated in the
-    rows it eliminates from: the numerator is that row's entry in the pivot
-    column, ``dst`` its entry in column j and ``src`` the pivot row's.
+    cheap.  The steps are one flat run of ``(diagonal, numerator, dst,
+    src)`` slot entries, pivot by pivot, one per entry updated in the rows
+    a pivot eliminates from: ``diagonal`` is the pivot's slot, the
+    numerator that row's entry in the pivot column, ``dst`` its entry in
+    column j and ``src`` the pivot row's.  A pivot that updates nothing
+    gets one entry whose other three slots are the scratch slot -1, which
+    ``_least_pivot`` appends holding 0.0, so that its pivot is tested too.
     """
     weights = {d.label: d.weight for d in alphabet}
     used = {label for moves in transitions for label in moves}
@@ -139,9 +184,9 @@ def _plan_elimination(
             kind = (1.0 if j == i else 0.0, terms[0] if terms else -1)
             slot_kinds.append(kinds.setdefault(kind, len(kinds)))
         rows.append(row)
-    steps = []
+    steps: list[tuple[int, int, int, int]] = []
     for k in range(len(rows) - 1, -1, -1):
-        pivot_row, updates = rows[k], []
+        pivot_row, diag, updated = rows[k], rows[k][k], len(steps)
         for i in column_rows[k]:
             if i < k:  # not row k itself, nor a row already eliminated
                 row = rows[i]
@@ -152,8 +197,9 @@ def _plan_elimination(
                             row[j] = len(slot_kinds)
                             slot_kinds.append(kinds.setdefault((0.0, -1), len(kinds)))
                             column_rows[j].add(i)
-                        updates.append((numerator, row[j], src))
-        steps.append((pivot_row[k], tuple(updates)))
+                        steps.append((diag, numerator, row[j], src))
+        if len(steps) == updated:
+            steps.append((diag, -1, -1, -1))
     return _PivotPlan(
         tuple(weights[label] for label in labels),
         tuple(groups),
@@ -166,14 +212,17 @@ def _plan_elimination(
 def _least_pivot(plan: _PivotPlan, s: float) -> float:
     """The least pivot of the planned elimination on I - A(s), the numeric
     phase: one exp(-w*s) per label, one ``base - term`` per distinct kind of
-    slot, copied into the slots, then per pivot a flat loop of
-    ``vals[dst] -= vals[numerator] / pivot * vals[src]``.  No triple writes
-    a numerator slot (those lie in the pivot column, every ``dst`` left of
-    it), so every triple of a row divides to the same float, the row's factor.
-    The loop assumes about one triple per row, as on (j,k), repetition and
-    small prefix-code systems; a row of many triples divides once each.
-    Elimination stops at the first pivot that is not positive (nan
-    included) and returns it.
+    slot, copied into the slots, then one loop over the plan's steps that
+    tests each step's pivot and makes its update
+    ``vals[dst] -= vals[numerator] / pivot * vals[src]``.  No update writes
+    a diagonal or numerator slot of its own pivot (those lie in the pivot
+    column, every ``dst`` left of it), so a pivot's steps all read the same
+    pivot, and every step of a row divides to the same float, the row's
+    factor.  The loop assumes about one step per row, as on (j,k),
+    repetition and small prefix-code systems; a row of many steps divides
+    once each.  An update-less pivot's step works on the scratch slot,
+    appended holding 0.0, and leaves it 0.0.  Elimination stops at the
+    first pivot that is not positive (nan included) and returns it.
 
     The sum over DFA paths of exp(-w*s) converges iff the spectral radius
     of A(s) is below 1, iff I - A(s) is a nonsingular M-matrix, iff every
@@ -188,15 +237,15 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
     terms.append(0.0)
     values = [base - terms[t] for base, t in plan.kinds]
     vals = list(map(values.__getitem__, plan.slot_kinds))
+    vals.append(0.0)  # the scratch slot
     least = math.inf
-    for diag, updates in plan.steps:
+    for diag, numerator, dst, src in plan.steps:
         pivot = vals[diag]
         if not pivot > 0.0:
             return pivot
         if pivot < least:
             least = pivot
-        for numerator, dst, src in updates:
-            vals[dst] -= vals[numerator] / pivot * vals[src]
+        vals[dst] -= vals[numerator] / pivot * vals[src]
     return least
 
 
@@ -269,20 +318,30 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
     b, fb = 1 << levels, f_hi
     budget, tests, kept = levels + SLACK, 0, 0
     snap = levels > 53  # up to 2^53 cells every grid point is a float
+    ldexp = math.ldexp
     while b - a > 1 and tests < MAX_ITERATIONS:
         k = (a + b) // 2
         room = budget - tests - 1  # after this test the bracket spans <= 2^room cells
         if room >= 0 and fa != fb:
             guess = a - fa * (b - a) / (fb - fa)
-            low, high = max(a + 1, b - (1 << room)), min(b - 1, a + (1 << room))
-            if math.isfinite(guess) and low <= high:
-                k = min(max(round(guess), low), high)
+            width = 1 << room  # the window: [max(a + 1, b - width), min(b - 1, a + width)]
+            low, high = b - width, a + width
+            if low <= a:
+                low = a + 1
+            if high >= b:
+                high = b - 1
+            if guess - guess == 0.0 and low <= high:  # guess is finite
+                k = round(guess)
+                if k < low:
+                    k = low
+                elif k > high:
+                    k = high
         if snap:  # past 2^53 cells only some grid points are floats: take the nearest
             first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
             if first > last:
                 break  # no float lies strictly inside the bracket
             k = min(max(int(float(k)), first), last)
-        f = excess(math.ldexp(k, scale))
+        f = excess(ldexp(k, scale))
         tests += 1
         if f < 0.0:
             if kept == -1:  # a kept twice
@@ -335,16 +394,21 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
         (x + x^2 + ... + x^j) * (x + x^2 + ... + x^k) = 1,   x = exp(-s).
 
     The left-hand side minus 1 strictly decreases in ``s`` and guides
-    ``bisect_root``.  Agrees with ``abscissa(build_jk_system(j, k))``.
+    ``bisect_root``.  It is evaluated in closed form,
+    x^2 (1 - x^j) (1 - x^k) / (1 - x)^2 - 1, at a cost independent of j
+    and k: ``bisect_root`` never tests s = 0, and (1,1), whose root is 0,
+    returns before the search, so 1 - x > 0 at every trial point.  Agrees
+    with ``abscissa(build_jk_system(j, k))``.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    exp = math.exp
 
     def lhs(s: float) -> float:
-        x = math.exp(-s)
-        return sum(x**i for i in range(1, j + 1)) * sum(x**i for i in range(1, k + 1)) - 1.0
+        x = exp(-s)
+        return x * x * (1.0 - x**j) * (1.0 - x**k) / ((1.0 - x) * (1.0 - x)) - 1.0
 
     if j == 1 and k == 1:
         return 0.0  # lhs(0) == 0 exactly

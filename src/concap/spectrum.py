@@ -42,7 +42,7 @@ from operator import mul, truediv
 
 from .automata import Dfa, system_dfa
 from .dsl import SystemDef
-from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real
+from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real, series
 
 DEFAULT_WEIGHT_EPSILON = 1e-9
 DEFAULT_MAX_STRINGS = 10_000_000  # enumeration budget of enumerate_spectrum and the CLI
@@ -472,14 +472,16 @@ def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
     optimum (gf decreases), so one golden-section search over [0, s], to
     ``DEFAULT_TOL`` (relative beyond 1), finds it; the least bound seen,
     x = s included, is returned, an x where gf leaves the float range giving
-    none.  At s = inf every term beyond the horizon is 0, and so is the bound."""
+    none.  The series is compiled once (``genfun.series``) and run at each
+    point.  At s = inf every term beyond the horizon is 0, and so is the
+    bound."""
     if s == math.inf:
         return 0.0
-    expr, weights = system.expr, system.weights
+    gf = series(system.expr, system.weights)
 
     def log_bound(x: float) -> float:
         try:
-            v = eval_real(expr, weights, x)
+            v = gf(x)
         except OverflowError:
             return math.inf
         return (math.log(v) if v > 0.0 else -math.inf) - horizon * (s - x)
@@ -544,11 +546,13 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
 def format_spectrum(sp: WeightSpectrum) -> str:
     """The export text: the header lines, then a ``%.12g %d %d`` row of
     weight, count and cumulative count per row, all rows made by one
-    format string applied to the three columns in one flat tuple."""
+    format string applied to the three columns, interleaved by slice
+    assignment into one flat list."""
     head = (
         f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
-    rows = zip(sp.weights, sp.counts, sp.cumulative)
-    return head + "%.12g %d %d\n" * len(sp.weights) % tuple(itertools.chain.from_iterable(rows))
+    flat = [0] * (3 * len(sp.weights))
+    flat[0::3], flat[1::3], flat[2::3] = sp.weights, sp.counts, sp.cumulative
+    return head + "%.12g %d %d\n" * len(sp.weights) % tuple(flat)

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
+import threading
 import time
 from unittest import mock
 
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 
 from concap import build_jk_system, genfun, maxent, parse_system
 from concap.automata import Dfa, system_dfa
-from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SystemDef, Union
+from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SystemDef, Union, preorder
 from concap.genfun import (
+    DEFAULT_TOL,
     DIVERGENT,
     MAX_ITERATIONS,
     SolverError,
+    _finite,
     _least_pivot,
     _pivot_plan,
     abscissa,
@@ -23,8 +27,10 @@ from concap.genfun import (
     capacity_jk,
     converges,
     eval_real,
+    series,
 )
 from concap.maxent import WeightedSupport, solve_rate
+from concap.spectrum import INV_PHI, gf_tail_bound
 
 from test_automata import SIZES
 from test_repeat import _DECLS, _regexes  # the Repeat suite's random regexes
@@ -334,6 +340,61 @@ def test_planned_pivot_is_the_reference_elimination_on_random_regexes(expr):
     assert_plan_matches_reference(SystemDef(_DECLS, expr))
 
 
+def reference_updates(edges):
+    """Per pivot, last state first, the number of entries the reference
+    elimination updates in the rows it eliminates from."""
+    rows = [{i, *(j for j, _ in targets)} for i, targets in enumerate(edges)]
+    column_rows: list[set[int]] = [set() for _ in edges]
+    for i, targets in enumerate(edges):
+        for j, _ in targets:
+            column_rows[j].add(i)
+    counts = []
+    for k in range(len(rows) - 1, -1, -1):
+        updates = 0
+        for i in column_rows[k]:
+            if i < k:
+                rows[i].discard(k)
+                for j in rows[k]:
+                    if j < k:
+                        rows[i].add(j)
+                        column_rows[j].add(i)
+                        updates += 1
+        counts.append(updates)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "system", FILL_IN + [system for system, _, _ in SIZES] + [parse_system("sym a=1 b=2;\nexpr: a b*")]
+)
+def test_plan_has_one_step_per_update_and_per_update_less_pivot(system):
+    steps, counts = _pivot_plan(system).steps, reference_updates(reference_edges(system))
+    runs = [list(run) for _, run in itertools.groupby(steps, key=lambda step: step[0])]
+    assert len(steps) == sum(counts) + counts.count(0)
+    assert [len(run) for run in runs] == [max(updates, 1) for updates in counts]
+    for run, updates in zip(runs, counts):
+        scratch = [step[1:] == (-1, -1, -1) for step in run]
+        assert scratch == [updates == 0] * len(run)
+    assert len({run[0][0] for run in runs}) == len(runs) == system_dfa(system).n_states
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("sym a=1 b=1;\nexpr: (a|b)*", (0.0, 0.3, LN2 - 1e-9, LN2, 0.7)),  # one state
+        ("sym a=1 b=2;\nexpr: a b*", (-1.0, 0.0, 1e-300, 0.5)),  # the last state first
+    ],
+)
+def test_an_update_less_pivot_is_tested(text, points):
+    system = parse_system(text)
+    plan, edges = _pivot_plan(system), reference_edges(system)
+    assert plan.steps[0][1:] == (-1, -1, -1)
+    for s in points:
+        assert _outcome(_least_pivot, plan, s) == _outcome(reference_least_pivot, edges, s), s
+    # below its root the first pivot, which updates nothing, is the value
+    assert not _least_pivot(plan, points[1]) > 0.0
+    assert _least_pivot(plan, points[-1]) > 0.0
+
+
 @pytest.mark.parametrize(
     "system", [parse_system("sym a=1 b=1;\nexpr: (a{1,100} b)*"), build_jk_system(10, 10)]
 )
@@ -414,6 +475,35 @@ def test_the_plan_follows_the_dfa():
 def test_capacity_jk_rejects_zero():
     with pytest.raises(ValueError):
         capacity_jk(0, 1)
+
+
+def reference_capacity_jk(j, k, tol=DEFAULT_TOL):
+    """The reference: the characteristic equation summed term by term,
+    j + k powers per trial point."""
+
+    def lhs(s):
+        x = math.exp(-s)
+        return sum(x**i for i in range(1, j + 1)) * sum(x**i for i in range(1, k + 1)) - 1.0
+
+    if j == 1 and k == 1:
+        return 0.0
+    lo, hi, _ = bisect_root(lhs, tol)
+    return 0.5 * (lo + hi)
+
+
+def test_capacity_jk_closed_form_is_the_term_by_term_equation():
+    for j in range(1, 65):
+        for k in range(1, 65):
+            assert capacity_jk(j, k) == reference_capacity_jk(j, k), (j, k)
+
+
+def test_capacity_jk_costs_no_more_for_long_runs():
+    # the term-by-term equation takes O(j + k) per trial point, 0.23 s at 10**5
+    result = []
+    worker = threading.Thread(target=lambda: result.append(capacity_jk(10**7, 10**7)), daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert result == [0.693147180559663]
 
 
 # --- the one bracketed root finder behind every "solve f(s) = 1" ---------
@@ -748,3 +838,93 @@ def test_eval_real_agrees_with_a_log_domain_reference(expr, s):
     else:
         assert reference < math.inf
         assert math.isclose(value, math.exp(reference), rel_tol=1e-9, abs_tol=1e-300)
+
+
+# --- the compiled series against the tree walk it replaced --------------
+
+
+def reference_eval_real(expr, weights, s):
+    """The reference: the regex's series by a walk over the tree at each
+    ``s``, one ``exp`` per symbol node."""
+    values = []
+    for node in reversed(preorder(expr)):
+        kind = type(node)
+        if kind is Symbol:
+            values.append(_finite(math.exp(-weights[node.label] * s)))
+        elif kind is Epsilon:
+            values.append(1.0)
+        elif kind is Union:
+            left, right = values.pop(), values.pop()
+            values.append(_finite(left + right, left, right))
+        elif kind is Concat:
+            left, right = values.pop(), values.pop()
+            values.append(DIVERGENT if DIVERGENT in (left, right) else _finite(left * right))
+        elif kind is Star:
+            v = values.pop()
+            values.append(1.0 / (1.0 - v) if v < 1.0 else DIVERGENT)
+        else:
+            v = values.pop()
+            total = 1.0
+            for k in range(node.hi - 1, -1, -1):
+                total = total * v + (k >= node.lo)
+            values.append(_finite(total, v))
+    return values[0]
+
+
+def reference_gf_tail_bound(system, s, horizon):
+    """The reference: the golden-section search with the tree walk at each point."""
+    if s == math.inf:
+        return 0.0
+    expr, weights = system.expr, system.weights
+
+    def log_bound(x):
+        try:
+            v = reference_eval_real(expr, weights, x)
+        except OverflowError:
+            return math.inf
+        return (math.log(v) if v > 0.0 else -math.inf) - horizon * (s - x)
+
+    a, b = min(0.0, s), s
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = log_bound(c), log_bound(d)
+    best = min(log_bound(s), fc, fd)
+    while b - a > DEFAULT_TOL * max(1.0, b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = log_bound(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = log_bound(d)
+        best = min(best, fc, fd)
+    return math.exp(best)
+
+
+# below 0, where terms exceed 1; 0; a tiny s; inside; past every exp's
+# underflow; inf; and -1000, where most of the seeded regexes overflow (at
+# the others about two in three diverge)
+SERIES_POINTS = (-1.0, 0.0, 1e-300, 0.5, 50.0, math.inf, -1000.0)
+
+
+@seed(3301)
+@settings(max_examples=300, deadline=None)
+@given(_regexes())
+def test_series_is_the_tree_walk(expr):
+    # one compiled series serves every point, as in gf_tail_bound's search
+    value = series(expr, _WEIGHTS)
+    for s in SERIES_POINTS:
+        want = _outcome(reference_eval_real, expr, _WEIGHTS, s)
+        assert _outcome(value, s) == want, s
+        assert _outcome(eval_real, expr, _WEIGHTS, s) == want, s
+
+
+@seed(3302)
+@settings(max_examples=60, deadline=None)
+@given(_regexes())
+def test_gf_tail_bound_is_the_tree_walk_search(expr):
+    system = SystemDef(_DECLS, expr)
+    for s in SERIES_POINTS:
+        for horizon in (2.0, 7.5):
+            want = _outcome(reference_gf_tail_bound, system, s, horizon)
+            assert _outcome(gf_tail_bound, system, s, horizon) == want, (s, horizon)
