@@ -15,10 +15,10 @@ full shift of five or more loops included, is searched with a heap of
 weight buckets.  No search makes a Python object per row: the rows stay two
 columns, weights and counts, from the search to the export, the exact
 weights become floats in one pass at the end, and the export formats every
-row with one format string.  Rows
-are more than ``DEFAULT_WEIGHT_EPSILON`` apart, so a label within it that
-the automaton reads is a ``SpectrumError``, and so are two rows that round
-to one float.  The resulting spectrum (distinct weights with
+row with one format string.  Each label weight is the decimal it is written
+as, so a row is an exact decimal sum: 0.1 + 0.2 and 0.3 share a row, and
+1 and 1.0000000001 do not.  Two rows that round to one float are a
+``SpectrumError``.  The resulting spectrum (distinct weights with
 distinct-string counts) feeds finite-horizon capacity estimators and a
 partial-sum cross-check against the regex's own series (one term per
 derivation), which doubles as the regex ambiguity detector.
@@ -37,14 +37,15 @@ import heapq
 import itertools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from operator import mul, truediv
+from decimal import Decimal
+from operator import eq, truediv
 
 from .automata import Dfa, system_dfa
 from .dsl import SystemDef
-from .genfun import DEFAULT_TOL, DIVERGENT, converges, eval_real, series
+from .genfun import DEFAULT_TOL, DIVERGENT, converges, series
 
-DEFAULT_WEIGHT_EPSILON = 1e-9
 DEFAULT_MAX_STRINGS = 10_000_000  # enumeration budget of enumerate_spectrum and the CLI
 REL_TOL = 1e-6  # relative slack of the cross-check's gap over the tail bound
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -67,7 +68,6 @@ class WeightSpectrum:
 
     weights: tuple[float, ...]  # strictly increasing
     counts: tuple[int, ...]
-    weight_epsilon: float
     max_weight: float
     complete: bool
     exhausted: bool
@@ -122,24 +122,18 @@ def enumerate_spectrum(
       loops included: a bucket per distinct reached weight holds per-state
       path counts, and buckets are expanded in weight order.
 
-    Weights are exact: every label weight is an integer number of units of
-    1/scale, scale being the largest denominator of the weights' binary
-    fractions, so a weight reached along two paths is one bucket.  Every
+    Weights are exact decimals: each label weight is read as the decimal of
+    its shortest repr, the text the DSL read and ``format_system`` prints,
+    in units of 1/scale, scale being the lcm of the decimals' reduced
+    denominators (1 for integer weights, 10 for 0.1).  So a weight reached
+    along two paths is one row, and so are equal decimal sums such as
+    0.1 + 0.2 and 0.3, while different decimals never share a row.  The
+    cutoff is the decimal of ``max_weight`` in units, rounded down.  Every
     search keeps each row's weight in units, and all rows turn into floats
-    at the end, each the correctly rounded exact sum: the product with
-    1/scale, a power of two, rounds only once (a subnormal product needs
-    fewer than 2**52 units, which are exact floats), so it is used unless
-    the units of the last row exceed the float range, and then each row is
-    divided exactly.  Bins closer than ``DEFAULT_WEIGHT_EPSILON`` are still
-    merged into one (at the least weight), which joins only weights that
-    really differ, such as 0.1 + 0.2 and 0.3.  So rows are more than the
-    epsilon apart, which a label within the epsilon would break: one that
-    the DFA reads raises ``SpectrumError`` (a declared label it never reads
-    is allowed).  Rows that far apart can still round to one float where
-    the float's ulp exceeds the epsilon (``a b*`` with ``a=1e8`` and
-    ``b=2e-9``): that raises ``SpectrumError`` naming the weight, so the
-    row weights stay strictly increasing.  Only a spectrum whose last row
-    is past that point, 2**24, is scanned for such rows.
+    at the end, each by one true division by the scale, which is correctly
+    rounded.  Two rows can still round to one float (``a b*`` with ``a=1``
+    and ``b=1e-17``): that raises ``SpectrumError`` naming the weight, so
+    the row weights stay strictly increasing.
     Every label weight is finite and positive (``SymbolDecl``)
     and every state of the minimal DFA reaches acceptance, so a finite
     language ends the search even at ``max_weight=inf``.
@@ -152,50 +146,34 @@ def enumerate_spectrum(
     if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
-    # the largest denominator, a power of two, so each weight is a whole number of units
-    scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
 
-    def units(x: float) -> int:
-        p, q = x.as_integer_ratio()
-        return p * scale // q  # x in units, rounded down
+    def ratio(x: float) -> tuple[int, int]:  # the decimal of x's shortest repr, reduced
+        return Decimal(repr(float(x))).as_integer_ratio()
 
-    weights = {d.label: units(d.weight) for d in system.alphabet}
+    ratios = {d.label: ratio(d.weight) for d in system.alphabet}
+    scale = math.lcm(*(q for _, q in ratios.values()))
+    weights = {label: p * (scale // q) for label, (p, q) in ratios.items()}
     # each state's (weight, next state) steps in weight order, read once
     steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
     # ints, as every key: an int compared with a float costs the loop its gain.
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
-    cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
-    epsilon = units(DEFAULT_WEIGHT_EPSILON)
+    p, q = ratio(min(max_weight, sys.float_info.max))
+    cutoff = p * scale // q
     read = set().union(*dfa.transitions)  # the labels on the DFA's edges
-    for d in system.alphabet:
-        if d.label in read and weights[d.label] <= epsilon:  # exact: both are whole units
-            raise SpectrumError(
-                f"label {d.label!r} weighs {d.weight:g}, not above the weight epsilon "
-                f"{DEFAULT_WEIGHT_EPSILON:g}"
-            )
     if len({weights[label] for label in read}) == 1:
         search = _level_rows
     elif dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
         search = _merge_rows
     else:
         search = _heap_rows
-    W, C, complete, exhausted = search(dfa, steps, cutoff, epsilon, max_strings)
-    try:  # every row at once, in C loops: see the docstring for why both are exact
-        nus = tuple(map(mul, W, itertools.repeat(1 / scale)))
-    except OverflowError:  # the last row has more units than a float holds
-        nus = tuple(map(truediv, W, itertools.repeat(scale)))
-    # rows more than epsilon apart can round to one float only where its ulp exceeds epsilon
-    if nus and math.ulp(nus[-1]) > DEFAULT_WEIGHT_EPSILON:
-        for a, b in zip(nus, nus[1:]):
-            if a == b:
-                raise SpectrumError(
-                    f"rows more than the weight epsilon {DEFAULT_WEIGHT_EPSILON:g} apart "
-                    f"round to one float weight, {a:.12g}"
-                )
+    W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
+    nus = tuple(map(truediv, W, itertools.repeat(scale)))  # each correctly rounded, in C
+    if any(map(eq, nus, itertools.islice(nus, 1, None))):  # one C scan; the pair is named only then
+        a = next(a for a, b in zip(nus, nus[1:]) if a == b)
+        raise SpectrumError(f"rows round to one float weight, {a:.12g}")
     return WeightSpectrum(
         weights=nus,
         counts=tuple(C),
-        weight_epsilon=DEFAULT_WEIGHT_EPSILON,
         max_weight=max_weight,
         complete=complete,
         exhausted=exhausted,
@@ -204,20 +182,19 @@ def enumerate_spectrum(
 
 
 # The three searches of enumerate_spectrum share one signature: the DFA, each
-# state's (weight, next state) steps in weight order, and the cutoff, epsilon
-# and budget, all in units.  Each returns the row weights in units, the row
+# state's (weight, next state) steps in weight order, the cutoff in units,
+# and the string budget.  Each returns the row weights in units, the row
 # counts, and the complete and exhausted flags.
 _Steps = list[list[tuple[int, int]]]
 _Rows = tuple[list[int], list[int], bool, bool]
 
 
-def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
-    """Every label read weighs u, more than epsilon: the rows are the
-    lengths t times u, no two within epsilon.  Two per-state count lists,
-    for lengths t and t + 1, are reused; each state reached at length t
-    pushes its count along its edges, and a state is listed as reached at
-    t + 1 at its first count (and as a hit if it accepts, so a length with
-    no accepting state sums none)."""
+def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
+    """Every label read weighs u: the rows are the lengths t times u.  Two
+    per-state count lists, for lengths t and t + 1, are reused; each state
+    reached at length t pushes its count along its edges, and a state is
+    listed as reached at t + 1 at its first count (and as a hit if it
+    accepts, so a length with no accepting state sums none)."""
     u = next(weight for row in steps for weight, _ in row)
     accepting = dfa.accepting
     counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
@@ -251,15 +228,14 @@ def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings:
     return W, C, True, True
 
 
-def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
+def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
     """One state with one to four loops.  Each row weight plus each loop
     weight is one of the heap search's bins: loop j's pending bins are
-    W[ij:] + sj, the least being hj, and every bin within epsilon of the
-    least of all joins its row, as the heap search merges them.  A loop gives
-    a row at most one bin: two would need two rows within epsilon, and rows
-    are more than epsilon apart, as no loop weighs that little.  Each loop's
-    head, read index and shift are locals; an absent loop's shift is past
-    the cutoff, so it never gives a bin."""
+    W[ij:] + sj, the least being hj, and a loop joins the row iff its head
+    equals the least head, as the heap search's bucket of that weight holds
+    both.  A loop gives a row at most one bin, as its bins strictly
+    increase.  Each loop's head, read index and shift are locals; an absent
+    loop's shift is past the cutoff, so it never gives a bin."""
     s0, s1, s2, s3 = [weight for weight, _ in steps[0]] + [cutoff + 1] * (4 - len(steps[0]))
     h0, h1, h2, h3 = s0, s1, s2, s3
     i0 = i1 = i2 = i3 = 0
@@ -277,22 +253,21 @@ def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings:
             w = h3
         if w > cutoff:
             break
-        top = w + epsilon if w + epsilon < cutoff else cutoff
         append_w(w)  # first: a loop that reads the row before reads this one next
         count = 0
-        if h0 <= top:
+        if h0 == w:
             count = C[i0]
             i0 += 1
             h0 = W[i0] + s0
-        if h1 <= top:
+        if h1 == w:
             count += C[i1]
             i1 += 1
             h1 = W[i1] + s1
-        if h2 <= top:
+        if h2 == w:
             count += C[i2]
             i2 += 1
             h2 = W[i2] + s2
-        if h3 <= top:
+        if h3 == w:
             count += C[i3]
             i3 += 1
             h3 = W[i3] + s3
@@ -305,9 +280,9 @@ def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings:
     return W[1:len(C)], C[1:], complete, False
 
 
-def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: int) -> _Rows:
+def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
     """A heap of buckets, one per distinct reached weight, each holding
-    per-state path counts; a bucket within epsilon of the least joins it."""
+    per-state path counts."""
     accepting = dfa.accepting
     heappush, heappop = heapq.heappush, heapq.heappop
     buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
@@ -318,10 +293,6 @@ def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: 
     while heap:
         w = heappop(heap)
         states = buckets.pop(w)
-        # merge bins within the binning tolerance
-        while heap and heap[0] - w <= epsilon:
-            for state, n in buckets.pop(heappop(heap)).items():
-                states[state] = states.get(state, 0) + n
         accepted = 0
         for state, n in states.items():
             if state in accepting:
@@ -350,7 +321,6 @@ def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, epsilon: int, max_strings: 
 
 def spectrum_from_counts(
     pairs: list[tuple[float, int]],
-    weight_epsilon: float = DEFAULT_WEIGHT_EPSILON,
     includes_empty: bool = False,
 ) -> WeightSpectrum:
     """Build a spectrum from externally computed (weight, count) pairs,
@@ -359,12 +329,11 @@ def spectrum_from_counts(
         raise SpectrumError(f"pair {bad[0]}: weights must be finite and positive, counts >= 1")
     pairs = sorted(pairs)
     for (a, _), (b, _) in zip(pairs, pairs[1:]):
-        if b - a <= weight_epsilon:
-            raise SpectrumError(f"weights {a} and {b} closer than epsilon")
+        if a == b:
+            raise SpectrumError(f"weights {a} and {b} are equal")
     return WeightSpectrum(
         weights=tuple(nu for nu, _ in pairs),
         counts=tuple(c for _, c in pairs),
-        weight_epsilon=weight_epsilon,
         max_weight=pairs[-1][0] if pairs else 0.0,
         complete=True,
         exhausted=False,
@@ -464,20 +433,18 @@ class CrossCheck:
     ambiguous: bool
 
 
-def gf_tail_bound(system: SystemDef, s: float, horizon: float) -> float:
-    """Upper bound on the tail beyond ``horizon`` at ``s`` of the series of
-    the system's regex: for any convergent x <= s, the tail is at most
-    gf(x) * exp(-horizon * (s - x)).  The log of that bound is convex in x
-    where the series converges, and every divergent x lies left of the
-    optimum (gf decreases), so one golden-section search over [0, s], to
-    ``DEFAULT_TOL`` (relative beyond 1), finds it; the least bound seen,
-    x = s included, is returned, an x where gf leaves the float range giving
-    none.  The series is compiled once (``genfun.series``) and run at each
-    point.  At s = inf every term beyond the horizon is 0, and so is the
-    bound."""
+def gf_tail_bound(gf: Callable[[float], float], s: float, horizon: float) -> float:
+    """Upper bound on the tail beyond ``horizon`` at ``s`` of a regex's
+    series ``gf``, compiled by ``genfun.series``: for any convergent x <= s,
+    the tail is at most gf(x) * exp(-horizon * (s - x)).  The log of that
+    bound is convex in x where the series converges, and every divergent x
+    lies left of the optimum (gf decreases), so one golden-section search
+    over [0, s], to ``DEFAULT_TOL`` (relative beyond 1), finds it; the least
+    bound seen, x = s included, is returned, an x where gf leaves the float
+    range giving none.  At s = inf every term beyond the horizon is 0, and
+    so is the bound."""
     if s == math.inf:
         return 0.0
-    gf = series(system.expr, system.weights)
 
     def log_bound(x: float) -> float:
         try:
@@ -519,19 +486,21 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
 
     A value or partial sum beyond the float range (from many derivations,
     or at ``s < 0``, where terms grow with weight) proves nothing either
-    way and is a ``SpectrumError`` too.
+    way and is a ``SpectrumError`` too.  The series is compiled once
+    (``genfun.series``) and serves the value and the tail bound's search.
     """
     if not sp.complete:
         raise SpectrumError("cross-check needs a complete spectrum")
     try:
-        gf_value = eval_real(system.expr, system.weights, s)
+        gf = series(system.expr, system.weights)
+        gf_value = gf(s)
         if gf_value == DIVERGENT and not converges(system, s):
             raise SpectrumError(f"the series of the regex diverges at s={s}")
         partial = sp.partial_sum(s)
         if gf_value == DIVERGENT:
             # the regex has more derivations than the language has strings
             return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
-        tail = 0.0 if sp.exhausted else gf_tail_bound(system, s, sp.horizon)
+        tail = 0.0 if sp.exhausted else gf_tail_bound(gf, s, sp.horizon)
     except OverflowError:
         raise SpectrumError(f"the series at s={s} exceeds the float range") from None
     diff = gf_value - partial
@@ -549,7 +518,7 @@ def format_spectrum(sp: WeightSpectrum) -> str:
     format string applied to the three columns, interleaved by slice
     assignment into one flat list."""
     head = (
-        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )

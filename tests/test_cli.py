@@ -90,12 +90,12 @@ def test_spectrum_budget_exit_code(capsys, sbin_file):
     ["spectrum", "--max-weight", "2", "--max-strings", "4"],
     ["crosscheck", "--s", "60", "--max-weight", "2"],
 ])
-def test_a_label_within_the_weight_epsilon_is_an_error(capsys, tmp_path, argv):
+def test_a_tiny_label_whose_rows_share_a_float_is_an_error(capsys, tmp_path, argv):
     # else the rows 1, 1 + 1e-17, ... print as one weight, 1, and growth_rate_estimate divides by 0
     path = tmp_path / "light.cs"
     path.write_text("sym a=1 b=1e-17;\nexpr: a b*\n")
     code, out, err = run(capsys, [*argv, "--system", str(path)])
-    assert (code, out, err) == (EXIT_ERROR, "", "error: label 'b' weighs 1e-17, not above the weight epsilon 1e-09\n")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: rows round to one float weight, 1\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -107,17 +107,29 @@ def test_rows_that_round_to_one_float_are_an_error(capsys, tmp_path, argv):
     path = tmp_path / "collide.cs"
     path.write_text("sym a=100000000 b=2e-09;\nexpr: a b*\n")
     code, out, err = run(capsys, [*argv, "--system", str(path)])
-    message = "error: rows more than the weight epsilon 1e-09 apart round to one float weight, 100000000\n"
+    message = "error: rows round to one float weight, 100000000\n"
     assert (code, out, err) == (EXIT_ERROR, "", message)
 
 
+def test_spectrum_rows_are_the_decimals_written(capsys, tmp_path):
+    # 1 and 1.0000000001 are two rows, and the header has no weight epsilon
+    path = tmp_path / "near.cs"
+    path.write_text("sym a=1 b=1.0000000001;\nexpr: (a|b)*\n")
+    code, out, err = run(capsys, ["spectrum", "--system", str(path), "--max-weight", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:7] == [
+        "# max_weight 2", "# complete 1", "# exhausted 0", "# includes_empty 1",
+        "1 1 1", "1.0000000001 1 2", "2 1 3",
+    ]
+
+
 def test_spectrum_of_a_row_past_the_float_range_in_units(capsys, tmp_path):
-    # b sets the unit to 2**-1074, so the row 1 is 2**1074 units: no float holds it
+    # b sets the unit to 1/2e323, so the row 1 is 2e323 units: no float holds it
     path = tmp_path / "tiny.cs"
     path.write_text("sym a=1 b=5e-324;\nexpr: a\n")
     code, out, err = run(capsys, ["spectrum", "--system", str(path), "--max-weight", "2"])
     assert (code, err) == (EXIT_OK, "")
-    assert out.splitlines()[5:] == ["1 1 1", "density_check         L=1 K=2: satisfied"]
+    assert out.splitlines()[4:] == ["1 1 1", "density_check         L=1 K=2: satisfied"]
 
 
 def test_crosscheck_ambiguous_flagged(capsys, tmp_path):

@@ -11,12 +11,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings
 
-from concap import build_jk_system, parse_system, spectrum
+from concap import build_jk_system, genfun, parse_system, spectrum
 from concap.automata import Dfa, matches, system_dfa
 from concap.dsl import SystemDef
-from concap.genfun import DEFAULT_TOL, bisect_root, eval_real
+from concap.genfun import DEFAULT_TOL, bisect_root, eval_real, series
 from concap.spectrum import (
-    DEFAULT_WEIGHT_EPSILON,
     DensityReport,
     SpectrumError,
     WeightSpectrum,
@@ -182,7 +181,7 @@ def exact_free_spectrum(weights, max_weight):
     table = {}
     ranges = [range(int(max_weight / w) + 1) for w in weights]
     for counts in itertools.product(*ranges):
-        total = sum(n * Fraction(w) for n, w in zip(counts, weights))
+        total = sum(n * decimal(w) for n, w in zip(counts, weights))
         if 0 < total <= max_weight:
             strings = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
             table[total] = table.get(total, 0) + strings
@@ -204,10 +203,10 @@ def test_entry_weights_are_correctly_rounded_exact_sums(decls, weights, max_weig
 
 
 def test_decimal_weights_print_the_rows_they_always_did():
-    # 0.1 + 0.2 and 0.3 differ in their exact binary sums and merge under
-    # the epsilon; the printed rows are pinned from the float-sum enumerator
+    # 0.1 + 0.2 and 0.3 are one decimal, so one row; the printed rows are
+    # pinned from the float-sum enumerator
     system = parse_system("sym a=0.1 b=0.2 c=0.3;\nexpr: (a|b|c)*")
-    rows = format_spectrum(enumerate_spectrum(system, 1.0)).splitlines()[5:]
+    rows = format_spectrum(enumerate_spectrum(system, 1.0)).splitlines()[4:]
     assert rows == [
         "0.1 1 1", "0.2 2 3", "0.3 4 7", "0.4 7 14", "0.5 13 27",
         "0.6 24 51", "0.7 44 95", "0.8 81 176", "0.9 149 325", "1 274 599",
@@ -222,33 +221,31 @@ def test_unbounded_weight_exhausts_a_finite_language():
 # --- rows: one exact conversion at the end, one format -------------------
 
 
+def decimal(weight):
+    """A weight as the decimal of its shortest repr, the text it is written as."""
+    return Fraction(repr(float(weight)))
+
+
 def fraction_rows(system, max_weight, max_strings=10_000_000):
-    """Each row's exact weight in units of 1/scale and its count, from a
-    bucket search on Fractions, with the cutoff, epsilon and budget of
+    """Each row's exact weight, a sum of its labels' decimals, and its
+    count, from a bucket search on Fractions with the cutoff and budget of
     ``enumerate_spectrum``; whether the budget held; and whether the
     language ended below the cutoff."""
     dfa = system_dfa(system)
-    scale = max(d.weight.as_integer_ratio()[1] for d in system.alphabet)
-    weights = {d.label: Fraction(d.weight) for d in system.alphabet}
-    eps = Fraction(DEFAULT_WEIGHT_EPSILON)
-    cutoff = Fraction(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
+    weights = {d.label: decimal(d.weight) for d in system.alphabet}
+    cutoff = decimal(min(max_weight, sys.float_info.max))
     buckets = {Fraction(0): {dfa.start: 1}}
     heap = [Fraction(0)]
     rows, total, exhausted = [], 0, True
     while heap:
         w = heapq.heappop(heap)
         states = buckets.pop(w)
-        while heap and heap[0] - w <= eps:
-            for state, n in buckets.pop(heapq.heappop(heap)).items():
-                states[state] = states.get(state, 0) + n
         accepted = sum(n for state, n in states.items() if state in dfa.accepting)
         if w and accepted:
             if total + accepted > max_strings:
                 return rows, False, False
             total += accepted
-            units = w * scale
-            assert units.denominator == 1
-            rows.append((units.numerator, scale, accepted))
+            rows.append((w, accepted))
         for state, n in states.items():
             for label, nxt in dfa.transitions[state].items():
                 if (w2 := w + weights[label]) > cutoff:
@@ -261,11 +258,11 @@ def fraction_rows(system, max_weight, max_strings=10_000_000):
     return rows, True, exhausted
 
 
-def assert_rows_divide_exactly(system, max_weight, max_strings=10_000_000):
-    """Every row's weight is its units over scale by one true division."""
+def assert_rows_are_decimal_sums(system, max_weight, max_strings=10_000_000):
+    """Every row's weight is the float nearest its exact decimal sum."""
     rows, complete, exhausted = fraction_rows(system, max_weight, max_strings)
     sp = enumerate_spectrum(system, max_weight, max_strings)
-    assert sp.entries == tuple((units / scale, count) for units, scale, count in rows)
+    assert sp.entries == tuple((float(w), count) for w, count in rows)
     assert (sp.complete, sp.exhausted) == (complete, exhausted)
     return rows, complete, exhausted
 
@@ -282,35 +279,102 @@ def test_row_weights_are_one_true_division_seeded():
         max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
         max_strings = rng.choice([30, 300, 1_000])
         system = parse_system(f"sym {decls};\nexpr: {expr}")
-        rows, complete, _ = assert_rows_divide_exactly(system, max_weight, max_strings)
-        largest = max([largest] + [units for units, _, _ in rows])
+        rows, complete, _ = assert_rows_are_decimal_sums(system, max_weight, max_strings)
+        scale = math.lcm(*(decimal(w).denominator for w in ws))
+        largest = max([largest] + [w * scale for w, _ in rows])
         flags.add(complete)
-    assert largest > 2**53  # beyond the integers a float holds exactly
+    assert largest > 2**53  # in units, beyond the integers a float holds exactly
     assert flags == {True, False}  # truncated spectra and whole ones
 
 
 @pytest.mark.parametrize(
     "decls,expr,max_weight",
     [
-        # the units of a, 2**1074, are beyond the float range: only division is exact
+        # the units of a, 2e323, are beyond the float range
         ("a=1 b=5e-324", "a", 2.0),
         ("a=1e300 b=0.1", "a | b b", math.inf),
         ("a=1e300 b=0.1", "(a | b)*", 0.35),  # a is read, but no row reaches it
-        # scale 2**1022: a weight of 4 is 2**1024 units, past the float range,
-        # and the float below 4 is the largest float of units
+        # scale 5e323: a weight of 2 is 1e324 units
         ("a=4 b=2.2250738585072014e-308", "a", math.inf),
         ("a=3.9999999999999996 b=2.2250738585072014e-308", "a", math.inf),
-        ("a=2 b=2.2250738585072014e-308", "a{1,2}", math.inf),  # only the last row is past it
+        ("a=2 b=2.2250738585072014e-308", "a{1,2}", math.inf),
     ],
 )
 def test_row_weights_beyond_the_float_range_in_units_divide_exactly(decls, expr, max_weight):
-    assert_rows_divide_exactly(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight)
+    assert_rows_are_decimal_sums(parse_system(f"sym {decls};\nexpr: {expr}"), max_weight)
+
+
+# --- the one rule: rows are exact decimal sums ---------------------------
+
+
+def decimal_outcome(system, max_weight, max_strings):
+    """What the rule gives, from the Fraction search: the rows as floats
+    with their flags, or the error for the first two rows that round to one
+    float."""
+    rows, complete, exhausted = fraction_rows(system, max_weight, max_strings)
+    nus = [float(w) for w, _ in rows]
+    for a, b in zip(nus, nus[1:]):
+        if a == b:
+            return f"rows round to one float weight, {a:.12g}"
+    return tuple(zip(nus, (count for _, count in rows))), complete, exhausted
+
+
+def spectrum_outcome(enumerate_, system, max_weight, max_strings):
+    try:
+        sp = enumerate_(system, max_weight, max_strings)
+    except SpectrumError as err:
+        return str(err)
+    return sp.entries, sp.complete, sp.exhausted
+
+
+def test_rows_are_decimal_sums_in_every_search_seeded():
+    # weights of 1 to 17 significant digits, each system through the search
+    # enumerate_spectrum picks and through the bucket heap
+    rng = random.Random(34)
+    searches = ("_level_rows", "_merge_rows", "_heap_rows")
+    taken = set()
+    for i in range(240):
+        digits = [rng.randint(1, 17) for _ in "abc"]
+        ws = [float(f"{rng.uniform(0.05, 3.0):.{d - 1}e}") for d in digits]
+        if i % 3 == 0:  # one weight on every label
+            ws = [ws[0]] * 3
+        if i % 3 == 1:  # a full shift
+            expr = "(" + "|".join("abc"[: rng.randint(1, 3)]) + ")*"
+        else:
+            expr = random_regex(rng, 4)
+        system = parse_system(f"sym a={ws[0]!r} b={ws[1]!r} c={ws[2]!r};\nexpr: {expr}")
+        max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
+        max_strings = rng.choice([30, 300, 2_000])
+        want = decimal_outcome(system, max_weight, max_strings)
+        spies = {name: mock.patch.object(spectrum, name, wraps=getattr(spectrum, name)) for name in searches}
+        with spies["_level_rows"] as level, spies["_merge_rows"] as merge, spies["_heap_rows"] as heap:
+            assert spectrum_outcome(enumerate_spectrum, system, max_weight, max_strings) == want, system
+        taken.update(name for name, spy in zip(searches, (level, merge, heap)) if spy.called)
+        assert spectrum_outcome(heap_loop_spectrum, system, max_weight, max_strings) == want, system
+    assert taken == set(searches)
+
+
+@pytest.mark.parametrize(
+    "decls,expr,max_weight,entries",
+    [
+        # 0.1 + 0.2 and 0.3 are one decimal: one row of both strings
+        ("a=0.1 b=0.2 c=0.3", "a b | c", 1.0, ((0.3, 2),)),
+        ("a=0.1 b=0.2 c=0.3", "(a|b|c)*", 0.3, ((0.1, 1), (0.2, 2), (0.3, 4))),
+        # 1 and 1.0000000001 are two
+        ("a=1 b=1.0000000001", "(a|b)*", 2.0, ((1.0, 1), (1.0000000001, 1), (2.0, 1))),
+        ("a=1 b=1.0000000001", "a b | b a | a a", 3.0, ((2.0, 1), (2.0000000001, 2))),
+    ],
+)
+def test_equal_decimals_share_a_row_and_different_ones_never_do(decls, expr, max_weight, entries):
+    system = parse_system(f"sym {decls};\nexpr: {expr}")
+    assert enumerate_spectrum(system, max_weight).entries == entries
+    assert heap_loop_spectrum(system, max_weight).entries == entries
 
 
 def reference_format_spectrum(sp):
     """The export text with a tuple and a string per row."""
     head = (
-        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
@@ -342,7 +406,7 @@ def test_format_spectrum_of_a_built_spectrum():
 def entries_format_spectrum(sp):
     """The export text as it was made from the (nu, count) pairs."""
     head = (
-        f"# weight_epsilon {sp.weight_epsilon:g}\n# max_weight {sp.max_weight:g}\n"
+        f"# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
@@ -392,15 +456,17 @@ def assert_same_as_heap_loop(system, max_weight, max_strings=10_000_000):
 @pytest.mark.parametrize(
     "decls,expr,max_weight,max_strings",
     [
-        # 0.1 + 0.2 and 0.3 differ in their exact sums and merge under the epsilon
+        # 0.1 + 0.2 and 0.3 are one decimal: the bins of two loops join
         ("a=0.1 b=0.2 c=0.3", "(a|b|c)*", 1.5, 10_000_000),
         # two loops of one weight: their bins are the same
         ("a=1 b=1.4142135623730951 c=1", "(a|b|c)*", 9.0, 10_000_000),
-        # just above the epsilon: 3e-9 - 2e-9 is within it, so the bins of two loops join
+        # tiny loops: aaa and bb weigh 6e-9 exactly, one bin
         ("a=2e-09 b=3e-09 c=1", "(a|b|c)*", 3.0, 20_000),
         ("a=1.5e-09", "a*", 1.0, 3_000),
-        # the cutoff, 1 + 1e-10, parts the bins 1 and 1 + 2**-31: only the first is counted
+        # the cutoff parts the bins 1 and 1.0000000004656613 from all below it
         ("a=1 b=1.0000000004656613", "(a|b)*", 0.9999999991, 10_000_000),
+        # 1 and 1.0000000001 stay apart
+        ("a=1 b=1.0000000001", "(a|b)*", 5.0, 10_000_000),
         # the budget ends the enumeration, at a finite weight and at inf
         ("a=1 b=1.4142135623730951", "(a|b)*", 30.0, 1_000),
         ("a=1 b=1.7320508075688772 c=2.23606797749979", "(a|b|c)*", math.inf, 10_000),
@@ -421,6 +487,7 @@ def test_full_shift_same_as_heap_loop_seeded():
     rng = random.Random(22)
     pool = [0.1, 0.2, 0.3, 0.7, 1.0, 1e-10, 5e-10, 1e-9, 2e-9, math.sqrt(2), math.sqrt(3), 1 / 3]
     forms = ["({})*", "({})* ({}|eps)", "(({})*)*"]
+    collisions = 0
     for _ in range(100):
         k = rng.randint(1, 4)
         labels = "abcd"[:k]
@@ -431,17 +498,23 @@ def test_full_shift_same_as_heap_loop_seeded():
         max_weight = rng.choice([rng.uniform(0.05, 8.0), math.inf])
         max_strings = rng.choice([50, 1_000, 10_000])
         system = parse_system(f"sym {decls};\nexpr: {expr}")
-        if min(ws) <= DEFAULT_WEIGHT_EPSILON:  # every label is a loop
-            for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
-                with pytest.raises(SpectrumError, match="not above the weight epsilon"):
-                    enumerate_(system, max_weight, max_strings)
-        else:
-            assert_same_as_heap_loop(system, max_weight, max_strings)
+        assert system_dfa(system).n_states == 1
+        outcomes = []
+        for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
+            try:
+                outcomes.append(enumerate_(system, max_weight, max_strings))
+            except SpectrumError as err:  # two decimal sums that round to one float
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        collisions += isinstance(outcomes[0], str)
+    # 0.2 * 6 and 0.2 + 0.3333333333333333 * 3 are two decimals and one float, 1.2
+    assert collisions == 1
 
 
-def reference_merge_rows(dfa, steps, cutoff, epsilon, max_strings):
+def reference_merge_rows(dfa, steps, cutoff, max_strings):
     """The full-shift merge with a list of heads and read indices, for any
-    number of loops: the kernel before each loop was held in locals."""
+    number of loops: the kernel before each loop was held in locals.  A loop
+    joins a row iff its head equals the row's weight."""
     shifts = [weight for weight, _ in steps[0]]
     W, C = [0], [1]
     loops = range(len(shifts))
@@ -450,11 +523,10 @@ def reference_merge_rows(dfa, steps, cutoff, epsilon, max_strings):
     total = 0
     complete = True
     while (w := min(heads)) <= cutoff:
-        top = w + epsilon if w + epsilon < cutoff else cutoff
         W.append(w)
         count = 0
         for j in loops:
-            if heads[j] <= top:
+            if heads[j] == w:
                 i = idx[j]
                 count += C[i]
                 idx[j] = i + 1
@@ -469,16 +541,12 @@ def reference_merge_rows(dfa, steps, cutoff, epsilon, max_strings):
 
 def full_shift_args(weights, max_weight, max_strings):
     """The arguments ``enumerate_spectrum`` passes its search for the full
-    shift over loops of these weights: all weights in units of 1/scale."""
-    scale = max(w.as_integer_ratio()[1] for w in weights)
-
-    def units(x):
-        p, q = x.as_integer_ratio()
-        return p * scale // q
-
-    cutoff = units(min(max_weight + DEFAULT_WEIGHT_EPSILON, sys.float_info.max))
-    steps = [sorted((units(w), 0) for w in weights)]
-    return Dfa(0, frozenset({0}), [{}]), steps, cutoff, units(DEFAULT_WEIGHT_EPSILON), max_strings
+    shift over loops of these weights: all weights, as decimals, in units of
+    1/scale."""
+    scale = math.lcm(*(decimal(w).denominator for w in weights))
+    cutoff = math.floor(decimal(min(max_weight, sys.float_info.max)) * scale)
+    steps = [sorted((int(decimal(w) * scale), 0) for w in weights)]
+    return Dfa(0, frozenset({0}), [{}]), steps, cutoff, max_strings
 
 
 def test_merge_kernel_and_heap_match_the_reference_merge_seeded():
@@ -486,13 +554,13 @@ def test_merge_kernel_and_heap_match_the_reference_merge_seeded():
     pools = [
         [1.0, 1.5, 2.0],  # a lattice: many bins of one weight
         [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13)],
-        [1.0, 1.0000000001, math.sqrt(2)],  # bins within the epsilon join
+        [1.0, 1.0000000001, math.sqrt(2)],  # bins 1e-10 apart
     ]
     flags = set()
     for i in range(300):
         k = 1 + i % 4 if i < 240 else rng.randint(5, 6)
         weights = [rng.choice(pools[i % 3]) for _ in range(k)]
-        # a cutoff 5e-11 past a whole weight parts its row from the bins just above it
+        # a cutoff 9.5e-10 below a whole weight leaves that weight out
         max_weight = rng.choice([rng.uniform(0.5, 25.0), math.inf, rng.randint(1, 12) - 9.5e-10])
         max_strings = rng.choice([1, 10, int(10 ** rng.uniform(1, 5)), 10**5])
         args = full_shift_args(weights, max_weight, max_strings)
@@ -532,7 +600,7 @@ def test_equal_weights_match_the_fraction_search_seeded():
         max_weight = rng.choice([rng.uniform(0.5, 12.0) * w, math.inf])
         max_strings = rng.choice([20, 500] + [10_000_000] * (max_weight < math.inf))
         with mock.patch.object(spectrum, "_level_rows", wraps=spectrum._level_rows) as level:
-            _, complete, exhausted = assert_rows_divide_exactly(system, max_weight, max_strings)
+            _, complete, exhausted = assert_rows_are_decimal_sums(system, max_weight, max_strings)
         dfa = system_dfa(system)
         assert level.call_count == bool(set().union(*dfa.transitions))  # eps reads no label
         if dfa.n_states > 1:
@@ -573,41 +641,44 @@ def test_the_level_search_is_taken_exactly_for_one_weight_read(decls, expr, leve
 
 
 @pytest.mark.parametrize(
-    "decls,expr,label",
+    "decls,expr",
     [
-        # the rows 1, 1 + 1e-17, ... are one float: nu stopped increasing
-        ("a=1 b=1e-17", "a b*", "b"),
-        ("a=1e-10 b=3e-10 c=1", "(a|b|c)*", "a"),
-        ("a=1 b=1e-10", "(a|b)*", "b"),
-        ("a=1e-09", "a*", "a"),  # at the epsilon itself
-        ("a=1 b=2e-10", "(a b)*", "b"),
-        # one weight on every edge, at and below the epsilon
-        ("a=1e-09 b=1e-09", "(a b | b)* a", "a"),
-        ("a=5e-10 b=5e-10", "(a b | b)* a", "a"),
+        ("a=1e-10 b=3e-10 c=1", "(a|b|c)*"),
+        ("a=1 b=1e-10", "(a|b)*"),
+        ("a=1e-09", "a*"),
+        ("a=1 b=2e-10", "(a b)*"),
+        ("a=1e-09 b=1e-09", "(a b | b)* a"),
+        ("a=5e-10 b=5e-10", "(a b | b)* a"),
     ],
 )
-def test_a_label_within_epsilon_on_a_dfa_edge_is_rejected(decls, expr, label):
+def test_a_tiny_label_gives_its_decimal_rows(decls, expr):
+    # distinct decimal sums that keep distinct floats, in each search
     system = parse_system(f"sym {decls};\nexpr: {expr}")
-    weight = system.weights[label]
-    message = f"label '{label}' weighs {weight:g}, not above the weight epsilon 1e-09"
+    rows, _, _ = assert_rows_are_decimal_sums(system, 2.0, 40)
+    assert heap_loop_spectrum(system, 2.0, 40).entries == tuple((float(w), c) for w, c in rows)
+
+
+def test_a_tiny_label_is_an_error_where_its_rows_share_a_float():
+    # the rows 1, 1 + 1e-17, ... are one float: nu stopped increasing
+    system = parse_system("sym a=1 b=1e-17;\nexpr: a b*")
     for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
         with pytest.raises(SpectrumError) as err:
             enumerate_(system, 2.0, 4)
-        assert str(err.value) == message
+        assert str(err.value) == "rows round to one float weight, 1"
 
 
 @pytest.mark.parametrize(
     "decls,expr,max_weight,weight",
     [
-        # 1e8 + 2e-9 and 1e8 + 4e-9 are more than the epsilon apart and both round to 1e8
+        # 1e8 + 2e-9 and 1e8 + 4e-9 are two decimals and both round to 1e8
         ("a=100000000 b=2e-09", "a b*", 100000001.0, "100000000"),
-        # the full shift: a b is 2e8 + 2**-26, halfway between the floats 2e8 and 2e8 + 2**-25
+        # the full shift: a b is 200000000.00000001, and the floats next to 2e8 are 2**-25 apart
         (f"a=100000000 b={math.nextafter(1e8, math.inf)!r}", "(a|b)*", 200000001.0, "200000000"),
     ],
 )
 def test_rows_that_round_to_one_float_are_rejected(decls, expr, max_weight, weight):
     system = parse_system(f"sym {decls};\nexpr: {expr}")
-    message = f"rows more than the weight epsilon 1e-09 apart round to one float weight, {weight}"
+    message = f"rows round to one float weight, {weight}"
     for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
         with pytest.raises(SpectrumError) as err:
             enumerate_(system, max_weight, 100)
@@ -615,7 +686,7 @@ def test_rows_that_round_to_one_float_are_rejected(decls, expr, max_weight, weig
 
 
 def test_rows_past_the_epsilon_ulp_that_keep_their_floats_are_allowed():
-    # the ulp of 1e8 exceeds the epsilon, so the rows are scanned, and all differ
+    # past 2**24 a float's spacing exceeds 1e-9, and rows 1 apart still differ
     sp = enumerate_spectrum(parse_system("sym a=100000000 b=1;\nexpr: a b*"), 100000003.0)
     assert sp.entries == ((1e8, 1), (1e8 + 1, 1), (1e8 + 2, 1), (1e8 + 3, 1))
 
@@ -626,7 +697,7 @@ def test_rows_past_the_epsilon_ulp_that_keep_their_floats_are_allowed():
         ("a=1 b=1e-17", "a", ((1.0, 1),)),  # b is declared, never read
         ("a=1 b=5e-324", "a", ((1.0, 1),)),
         ("a=1 b=1e-10", "a b{0,0}", ((1.0, 1),)),  # in the regex, on no edge of the DFA
-        # the least weight above the epsilon
+        # two rows that are their decimals
         ("a=1.0000000000000002e-09", "a{1,2}", ((1.0000000000000002e-09, 1), (2.0000000000000004e-09, 1))),
     ],
 )
@@ -637,7 +708,7 @@ def test_a_label_within_epsilon_that_the_dfa_never_reads_is_allowed(decls, expr,
 
 def test_one_state_without_loops_keeps_its_result():
     sp = enumerate_spectrum(parse_system("sym a=1;\nexpr: eps"), math.inf)
-    assert sp == WeightSpectrum((), (), DEFAULT_WEIGHT_EPSILON, math.inf, True, True, True)
+    assert sp == WeightSpectrum((), (), math.inf, True, True, True)
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
@@ -651,16 +722,19 @@ def test_spectrum_from_counts_rejects_a_count_below_1():
         spectrum_from_counts([(1.0, 0)])
 
 
-def test_spectrum_from_counts_rejects_weights_within_epsilon():
+def test_spectrum_from_counts_rejects_equal_weights():
     with pytest.raises(SpectrumError) as err:
-        spectrum_from_counts([(2.0, 1), (1.0, 3), (1.0 + 1e-10, 2)])
-    assert str(err.value) == "weights 1.0 and 1.0000000001 closer than epsilon"
+        spectrum_from_counts([(2.0, 1), (1.0, 3), (1, 2)])
+    assert str(err.value) == "weights 1 and 1.0 are equal"
+    # weights 1e-10 apart are two rows
+    sp = spectrum_from_counts([(2.0, 1), (1.0, 3), (1.0 + 1e-10, 2)])
+    assert sp.entries == ((1.0, 3), (1.0000000001, 2), (2.0, 1))
 
 
 def test_jk_export_text_is_pinned():
     text = format_spectrum(enumerate_spectrum(build_jk_system(2, 2), 18))
     assert text == (
-        "# weight_epsilon 1e-09\n# max_weight 18\n# complete 1\n# exhausted 0\n"
+        "# max_weight 18\n# complete 1\n# exhausted 0\n"
         "# includes_empty 0\n1 2 2\n2 4 6\n3 6 12\n4 10 22\n5 16 38\n6 26 64\n"
         "7 42 106\n8 68 174\n9 110 284\n10 178 462\n11 288 750\n12 466 1216\n"
         "13 754 1970\n14 1220 3190\n15 1974 5164\n16 3194 8358\n17 5168 13526\n"
@@ -682,7 +756,7 @@ def test_density_unit_weight_system_satisfied(sbin):
 def test_density_log_weights_violated():
     # nu_k = ln(k): index grows like exp(nu), beating any polynomial
     pairs = [(math.log(k), 1) for k in range(2, 2000)]
-    sp = spectrum_from_counts(pairs, weight_epsilon=1e-12)
+    sp = spectrum_from_counts(pairs)
     report = density_check(sp, L=10.0, K=2.0)
     assert not report.satisfied
     assert report.worst_n >= 1
@@ -715,7 +789,7 @@ def test_density_check_agrees_with_a_linear_walk():
     spectra = [
         enumerate_spectrum(parse_system("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*"), 9.0),
         enumerate_spectrum(build_jk_system(2, 3), 20),
-        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)], weight_epsilon=1e-12),
+        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)]),
         spectrum_from_counts([(0.25 * k, k) for k in range(1, 80)]),
         # 30 entries over 30,001 integers n: k steps up at every 1,000th
         enumerate_spectrum(parse_system("sym a=1000;\nexpr: a*"), 30_000),
@@ -756,7 +830,7 @@ def test_density_check_that_stops_early_agrees_with_one_to_the_horizon():
         spectrum_from_counts([(0.5, 1), (1.5, 1), (2.5, 1)]),
         enumerate_spectrum(build_jk_system(4, 3), 200, 10**100),  # an entry at each integer
         enumerate_spectrum(parse_system("sym a=1 b=1.4142135623730951;\nexpr: (a|b)*"), 12.0),
-        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)], weight_epsilon=1e-12),
+        spectrum_from_counts([(math.log(k), 1) for k in range(2, 300)]),
         spectrum_from_counts([(0.01 * k, 1) for k in range(1, 500)]),  # 100 entries per n
     ]
     for _ in range(600):
@@ -928,7 +1002,7 @@ def test_cross_check_tail_bound_skips_overflowed_trial_points():
 @pytest.mark.parametrize("horizon", [1, 5, 20, 100])
 def test_tail_bound_covers_exact_sbin_tail(sbin, s, horizon):
     r = 2.0 * math.exp(-s)  # (0|1)* has 2^n strings of weight n
-    assert r ** (horizon + 1) / (1.0 - r) <= gf_tail_bound(sbin, s, horizon) < math.inf
+    assert r ** (horizon + 1) / (1.0 - r) <= gf_tail_bound(series(sbin.expr, sbin.weights), s, horizon) < math.inf
 
 
 def test_tail_bound_at_the_ends_of_the_axis(sbin):
@@ -937,9 +1011,9 @@ def test_tail_bound_at_the_ends_of_the_axis(sbin):
     finite = parse_system("sym a=1 b=2;\nexpr: a b a | b")
     for s in (0.0, -1.0):
         value = eval_real(finite.expr, finite.weights, s)
-        assert gf_tail_bound(finite, s, 3.0) == pytest.approx(value, rel=1e-12)
+        assert gf_tail_bound(series(finite.expr, finite.weights), s, 3.0) == pytest.approx(value, rel=1e-12)
     # at s = inf every term of positive weight, so the whole tail, is 0
-    assert gf_tail_bound(sbin, math.inf, 5.0) == 0.0
+    assert gf_tail_bound(series(sbin.expr, sbin.weights), math.inf, 5.0) == 0.0
 
 
 def grid_tail_bound(system, s, horizon):
@@ -967,12 +1041,25 @@ def grid_tail_bound(system, s, horizon):
 @given(_regexes())
 def test_tail_bound_never_above_grid_bound(expr):
     system = SystemDef(_DECLS, expr)
+    gf = series(expr, system.weights)
     for s in (0.9, 1.7, 3.0):
-        if eval_real(expr, system.weights, s) == math.inf:
+        if gf(s) == math.inf:
             continue  # cross_check_gf reads no tail bound there
         for horizon in (3.0, 10.0, 40.0):
-            bound = gf_tail_bound(system, s, horizon)
+            bound = gf_tail_bound(gf, s, horizon)
             assert bound <= grid_tail_bound(system, s, horizon)
+
+
+def test_cross_check_compiles_the_series_once():
+    # the value at s and every point of the tail bound's search run one program
+    system = parse_system("sym a=1 b=1;\nexpr: (a | b a | b b)*")
+    sp = enumerate_spectrum(system, 10)
+    compile_ = mock.Mock(wraps=genfun.series)
+    with mock.patch.object(genfun, "series", compile_), mock.patch.object(spectrum, "series", compile_):
+        check = cross_check_gf(sp, system, 1.0)
+    assert compile_.call_count == 1
+    assert check.gf_value == eval_real(system.expr, system.weights, 1.0)
+    assert check.tail_bound == gf_tail_bound(series(system.expr, system.weights), 1.0, sp.horizon)
 
 
 def test_cross_check_rejects_incomplete(sbin):
@@ -1002,7 +1089,6 @@ def parse_spectrum(text: str) -> WeightSpectrum:
     return WeightSpectrum(
         weights=tuple(weights),
         counts=tuple(counts),
-        weight_epsilon=float(meta.get("weight_epsilon", DEFAULT_WEIGHT_EPSILON)),
         max_weight=float(meta.get("max_weight", weights[-1] if weights else 0.0)),
         complete=bool(int(meta.get("complete", 1))),
         exhausted=bool(int(meta.get("exhausted", 0))),
@@ -1019,5 +1105,5 @@ def test_spectrum_round_trips_through_text(sbin):
 def test_export_has_header_and_rows(sbin):
     text = format_spectrum(enumerate_spectrum(sbin, max_weight=3))
     lines = text.strip().splitlines()
-    assert lines[0].startswith("# weight_epsilon")
+    assert lines[0] == "# max_weight 3"
     assert lines[-1].split() == ["3", "8", "14"]
