@@ -8,8 +8,10 @@ bisecting on the pivot test ``converges``: Gaussian elimination on
 I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
 and shared, like its DFA (callers must not modify it), and run at each
 trial ``s`` as one flat loop over float slots (``_least_pivot``), one
-step per update, whose initial values take one subtraction per distinct
-kind of slot.  ``capacity_jk`` solves the (j,k) characteristic equation
+step per update, whose initial values take one subtraction and one list
+repetition per distinct kind of slot.  A DFA without a cycle is a finite
+language, of capacity 0: the plan records it, and no pivot test is run
+for it.  ``capacity_jk`` solves the (j,k) characteristic equation
 in closed form, at a cost per trial point independent of j and k.
 ``series`` compiles a regex's own series, one term per derivation, to a
 flat program that runs at any ``s`` (``eval_real`` runs it once); it
@@ -22,6 +24,7 @@ divergence and nothing else; a finite value beyond the float range is an
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,14 +116,16 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
 
 
 class _PivotPlan(NamedTuple):
-    """Elimination on I - A(s) with every float slot fixed:
-    ``_plan_elimination`` builds it, ``_least_pivot`` runs it at any ``s``."""
+    """Elimination on I - A(s) with every float slot fixed, and whether
+    the DFA has a cycle: ``_plan_elimination`` builds it, ``_least_pivot``
+    runs it at any ``s``."""
 
     weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
     kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the slots
-    slot_kinds: tuple[int, ...]  # per slot: the index of its pair in ``kinds``
+    runs: tuple[int, ...]  # per pair: its number of slots, the slots numbered pair by pair
     steps: tuple[tuple[int, int, int, int], ...]  # (diagonal, numerator, dst, src) slots
+    finite: bool  # the DFA has no cycle: the language is finite
 
 
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
@@ -149,17 +154,23 @@ def _plan_elimination(
     initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
     minus its term: one label's exp(-w*s), the sum of its labels' terms in
     edge order, or 0.0 (term index -1).  Few slots differ in that pair, so
-    the plan keeps the distinct pairs once (``kinds``) and, per slot, the
-    index of its pair (``slot_kinds``).  Pivots run from the last state in
-    the BFS order of ``automata._bfs_numbering`` down, and each touches
-    only the rows with an entry in its column, so repetition chains stay
-    cheap.  The steps are one flat run of ``(diagonal, numerator, dst,
-    src)`` slot entries, pivot by pivot, one per entry updated in the rows
-    a pivot eliminates from: ``diagonal`` is the pivot's slot, the
-    numerator that row's entry in the pivot column, ``dst`` its entry in
-    column j and ``src`` the pivot row's.  A pivot that updates nothing
-    gets one entry whose other three slots are the scratch slot -1, which
-    ``_least_pivot`` appends holding 0.0, so that its pivot is tested too.
+    the plan keeps the distinct pairs once (``kinds``), numbers the slots
+    pair by pair (a stable sort of the slots by their pair, once every
+    step is planned) and keeps only each pair's number of slots
+    (``runs``).  Pivots run from the last state in the BFS order of
+    ``automata._bfs_numbering`` down, and each touches only the rows with
+    an entry in its column, so repetition chains stay cheap.  The steps
+    are one flat run of ``(diagonal, numerator, dst, src)`` slot entries,
+    pivot by pivot, one per entry updated in the rows a pivot eliminates
+    from: ``diagonal`` is the pivot's slot, the numerator that row's entry
+    in the pivot column, ``dst`` its entry in column j and ``src`` the
+    pivot row's.  A pivot that updates nothing gets one entry whose other
+    three slots are the scratch slot -1, which ``_least_pivot`` appends
+    holding 0.0, so that its pivot is tested too.
+
+    ``finite`` is set when the DFA has no cycle, found by peeling states
+    of in-degree 0 as Kahn's topological sort does: every state peeled
+    means no cycle, so the language is finite.
     """
     weights = {d.label: d.weight for d in alphabet}
     used = {label for moves in transitions for label in moves}
@@ -200,20 +211,32 @@ def _plan_elimination(
                         steps.append((diag, numerator, row[j], src))
         if len(steps) == updated:
             steps.append((diag, -1, -1, -1))
+    order = sorted(range(len(slot_kinds)), key=slot_kinds.__getitem__)  # stable: kind by kind
+    renumber = [0] * len(order) + [-1]  # the scratch slot -1 stays -1
+    for new, old in enumerate(order):
+        renumber[old] = new
+    indegree = Counter(j for moves in transitions for j in moves.values())
+    peeled = [i for i in range(len(transitions)) if not indegree[i]]
+    for i in peeled:  # the list grows while it is read, as in Kahn's topological sort
+        for j in transitions[i].values():
+            indegree[j] -= 1
+            if not indegree[j]:
+                peeled.append(j)
     return _PivotPlan(
         tuple(weights[label] for label in labels),
         tuple(groups),
         tuple(kinds),
-        tuple(slot_kinds),
-        tuple(steps),
+        tuple(slot_kinds.count(kind) for kind in range(len(kinds))),
+        tuple(tuple(renumber[slot] for slot in step) for step in steps),
+        len(peeled) == len(transitions),
     )
 
 
 def _least_pivot(plan: _PivotPlan, s: float) -> float:
     """The least pivot of the planned elimination on I - A(s), the numeric
     phase: one exp(-w*s) per label, one ``base - term`` per distinct kind of
-    slot, copied into the slots, then one loop over the plan's steps that
-    tests each step's pivot and makes its update
+    slot, repeated over its run of slots, then one loop over the plan's
+    steps that tests each step's pivot and makes its update
     ``vals[dst] -= vals[numerator] / pivot * vals[src]``.  No update writes
     a diagonal or numerator slot of its own pivot (those lie in the pivot
     column, every ``dst`` left of it), so a pivot's steps all read the same
@@ -230,13 +253,16 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
     the pivot that vanishes there comes close to 0, so the value is
     continuous there.  The DSL has no empty-set regex, so every state of
     the minimized DFA (``system_dfa``) is reachable and reaches acceptance:
-    every cycle counts.
+    every cycle counts.  At s = 0 every pivot is positive exactly when the
+    DFA has no cycle, which the plan's ``finite`` records, so no caller
+    tests there.
     """
     terms = [math.exp(-w * s) for w in plan.weights]
     terms += [sum([terms[t] for t in group]) for group in plan.groups]
     terms.append(0.0)
-    values = [base - terms[t] for base, t in plan.kinds]
-    vals = list(map(values.__getitem__, plan.slot_kinds))
+    vals: list[float] = []
+    for (base, t), run in zip(plan.kinds, plan.runs):
+        vals += [base - terms[t]] * run
     vals.append(0.0)  # the scratch slot
     least = math.inf
     for diag, numerator, dst, src in plan.steps:
@@ -361,13 +387,14 @@ def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
     ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance.
     At s <= 0 no term is below 1, so the series converges there only for a
-    finite language, and the test runs at 0; a nan ``s`` is a ValueError.
-    The elimination is planned once per system and shared, like its DFA
-    (callers must not modify it), so a later call on the same system runs
-    only the numeric phase."""
+    finite language, which the plan's ``finite`` answers with no pivot
+    test; a nan ``s`` is a ValueError.  The elimination is planned once
+    per system and shared, like its DFA (callers must not modify it), so a
+    later call on the same system runs only the numeric phase."""
     if math.isnan(s):
         raise ValueError(f"s must be a number, got {s}")
-    return _least_pivot(_pivot_plan(system), max(s, 0.0)) > 0.0
+    plan = _pivot_plan(system)
+    return plan.finite if s <= 0.0 else _least_pivot(plan, s) > 0.0
 
 
 def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
@@ -375,13 +402,15 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
     strings converges: ``bisect_root`` guided by minus ``_least_pivot`` on
     the system's DFA, so the bracket is plain bisection's.
 
-    A series already convergent at 0 has finitely many terms (the DFA has
-    no cycle) and is reported with ``finite_language`` set and capacity 0.
+    A DFA without a cycle (the plan's ``finite``) has finitely many
+    strings, and is reported with ``finite_language`` set, capacity 0 and
+    no pivot test.  Cyclic languages of capacity 0, such as ``(a|a)*``,
+    are bisected like any other.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     plan = _pivot_plan(system)
-    if _least_pivot(plan, 0.0) > 0.0:
+    if plan.finite:
         return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
     lo, hi, iterations = bisect_root(lambda s: -_least_pivot(plan, s), tol)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)

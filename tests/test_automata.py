@@ -8,7 +8,7 @@ transition), and languages compared string by string.
 import dataclasses
 import itertools
 import math
-import time
+import sys
 from unittest import mock
 
 import pytest
@@ -166,19 +166,29 @@ def test_repetition_chain_is_the_subset_dfa():
 
 def test_long_repetition_minimizes_in_near_linear_time():
     # a quadratic refinement (Moore's, or Hopcroft's without the
-    # smaller-half rule) takes 16x as long on a 4x longer chain; Hopcroft's
-    # about 4x.  Best of three each, so a busy host does not decide it
-    def best_time(n):
+    # smaller-half rule) does 16x the work on a 4x longer chain; Hopcroft's
+    # about 4x.  Work is the Python lines run inside ``minimize`` and what
+    # it calls, counted by a trace function, so a busy host cannot decide it
+    def work(n):
         chain = repetition_chain(n)
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            dfa = minimize(chain, ["a", "b"])
-            times.append(time.perf_counter() - t0)
-        assert (chain.n_states, dfa.n_states) == (n + 2, n + 1)
-        return min(times)
+        lines = 0
 
-    assert best_time(4000) < 8 * best_time(1000)
+        def trace(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            dfa = minimize(chain, ["a", "b"])
+        finally:
+            sys.settrace(previous)
+        assert (chain.n_states, dfa.n_states) == (n + 2, n + 1)
+        return lines
+
+    assert work(4000) < 8 * work(1000)
 
 
 # --- property: minimizing keeps the language and every count -------------

@@ -340,6 +340,119 @@ def test_planned_pivot_is_the_reference_elimination_on_random_regexes(expr):
     assert_plan_matches_reference(SystemDef(_DECLS, expr))
 
 
+# --- a finite language is read off the DFA's cycles -----------------------
+
+
+def has_cycle(transitions: list[dict[str, int]]) -> bool:
+    """Whether the DFA's graph has a cycle: a depth-first search that meets
+    a state still on its path."""
+    state = [0] * len(transitions)  # 0 unseen, 1 on the path, 2 done
+    for root in range(len(transitions)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [(root, iter(transitions[root].values()))]
+        while path:
+            i, targets = path[-1]
+            j = next(targets, None)
+            if j is None:
+                state[i] = 2
+                path.pop()
+            elif state[j] == 1:
+                return True
+            elif not state[j]:
+                state[j] = 1
+                path.append((j, iter(transitions[j].values())))
+    return False
+
+
+def assert_finite_flag(system):
+    plan = _pivot_plan(system)
+    assert plan.finite is not has_cycle(system_dfa(system).transitions)
+    # the rule the flag replaced: every pivot positive at s = 0
+    assert plan.finite is (_least_pivot(plan, 0.0) > 0.0)
+    return plan.finite
+
+
+@pytest.mark.parametrize(
+    "system, finite",
+    [
+        (parse_system("sym a=1;\nexpr: eps"), True),
+        (parse_system("sym a=1 b=2;\nexpr: a b a | b"), True),
+        (parse_system("sym a=1;\nexpr: a{0,50}"), True),
+        (parse_system("sym a=1 b=2;\nexpr: a* b"), False),
+        (parse_system("sym a=1;\nexpr: (a|a)*"), False),
+        (parse_system("sym a=1 b=1;\nexpr: (a{1,40} b)*"), False),
+        (build_jk_system(1, 1), False),
+        (build_jk_system(2, 2), False),
+    ],
+)
+def test_plan_finite_is_a_dfa_without_cycles(system, finite):
+    assert assert_finite_flag(system) is finite
+
+
+@seed(1402)
+@settings(max_examples=300, deadline=None)
+@given(_regexes())
+def test_plan_finite_is_a_dfa_without_cycles_on_random_regexes(expr):
+    assert_finite_flag(SystemDef(_DECLS, expr))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sym 0=1 1=1;\nexpr: (0|1)*",  # hi = 1 at once
+        "sym a=0.1 b=0.1;\nexpr: (a|b)*",  # capacity 10 ln 2: hi doubles to 8
+        "sym a=1 b=1;\nexpr: (a{1,40} b)*",
+        "sym a=1;\nexpr: (a|a)*",  # capacity 0, bisected
+        "sym a=1 b=2;\nexpr: a b a | b",  # finite: no test at all
+        "sym a=1;\nexpr: eps",
+    ],
+)
+def test_abscissa_tests_only_to_find_hi_and_to_bisect(text):
+    system = parse_system(text)
+    with mock.patch.object(genfun, "_least_pivot", wraps=_least_pivot) as spy:
+        result = abscissa(system)
+    points = [call.args[1] for call in spy.call_args_list]
+    if result.finite_language:
+        assert points == []
+        return
+    # hi doubles from 1 until the series converges there
+    doublings = next(k for k in itertools.count() if converges(system, 2.0**k))
+    assert points[: doublings + 1] == [2.0**k for k in range(doublings + 1)]
+    assert len(points) == doublings + 1 + result.iterations
+    assert 0.0 not in points
+
+
+def reference_slot_count(edges) -> int:
+    """The entries of the reference elimination: each row's diagonal and
+    targets, plus every fill-in."""
+    rows = [{i, *(j for j, _ in targets)} for i, targets in enumerate(edges)]
+    count = sum(len(row) for row in rows)
+    column_rows: list[set[int]] = [set() for _ in edges]
+    for i, targets in enumerate(edges):
+        for j, _ in targets:
+            column_rows[j].add(i)
+    for k in range(len(rows) - 1, -1, -1):
+        for i in column_rows[k]:
+            if i < k:
+                for j in rows[k]:
+                    if j < k and j not in rows[i]:
+                        rows[i].add(j)
+                        column_rows[j].add(i)
+                        count += 1
+    return count
+
+
+@pytest.mark.parametrize("system", FILL_IN + [system for system, _, _ in SIZES])
+def test_plan_numbers_its_slots_kind_by_kind(system):
+    plan = _pivot_plan(system)
+    slots = sum(plan.runs)
+    assert slots == reference_slot_count(reference_edges(system))
+    assert len(plan.runs) == len(plan.kinds) and min(plan.runs) > 0
+    assert all(slot == -1 or 0 <= slot < slots for step in plan.steps for slot in step)
+
+
 def reference_updates(edges):
     """Per pivot, last state first, the number of entries the reference
     elimination updates in the rows it eliminates from."""
