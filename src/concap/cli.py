@@ -3,6 +3,14 @@
 Exit codes are stable across subcommands: 0 success (and VALID verdicts),
 1 error, 2 INVALID verdict, 3 enumeration budget exceeded (spectrum and
 crosscheck).
+
+Each command loads only the modules it runs.  Importing this module loads
+the core every command uses (``dsl``, ``automata`` and ``genfun``), which is
+all that capacity and jk-table need; spectrum and crosscheck import
+``spectrum``, and maxent, validate and simulate import ``maxent`` (simulate
+also imports numpy, for its draws).  Commands call through the module at
+call time (``maxent.solve_rate(...)``), so a function replaced on its
+module is the one that runs.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import functools
 import math
 import sys
 
-from . import dsl, genfun, maxent, spectrum
+from . import dsl, genfun
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -31,6 +39,8 @@ def _load_system(args) -> dsl.SystemDef:
 
 
 def _read_support(path: str) -> tuple[maxent.WeightedSupport, maxent.Pmf | None]:
+    from . import maxent
+
     with open(path, encoding="utf-8") as fh:
         return maxent.parse_support_file(fh.read())
 
@@ -55,23 +65,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_capacity(args) -> int:
     system = _load_system(args)
     result = genfun.abscissa(system, tol=args.tol)
-    q = _units_value(result.q, args.units)
+    q, lo, hi, residual = (  # the residual is the bracket's width, a rate too
+        _units_value(x, args.units)
+        for x in (result.q, result.bracket_lo, result.bracket_hi, result.residual)
+    )
     name = system.name or "system"
     print(f"system      {name}")
     print(f"capacity    {q:.12f} {args.units}")
-    print(f"bracket     [{result.bracket_lo:.15g}, {result.bracket_hi:.15g}]")
-    print(f"residual    {result.residual:.3g}")
+    print(f"bracket     [{lo:.15g}, {hi:.15g}]")
+    print(f"residual    {residual:.3g}")
     print(f"iterations  {result.iterations}")
     if result.finite_language:
         print("note        finite language; capacity reported as 0")
     return EXIT_OK
 
 
+def _enumerate(args, system: dsl.SystemDef) -> spectrum.WeightSpectrum:
+    """The spectrum that spectrum and crosscheck read, within ``--max-strings``
+    (``spectrum.DEFAULT_MAX_STRINGS`` when it is not given)."""
+    from . import spectrum
+
+    budget = spectrum.DEFAULT_MAX_STRINGS if args.max_strings is None else args.max_strings
+    return spectrum.enumerate_spectrum(system, max_weight=args.max_weight, max_strings=budget)
+
+
 def cmd_spectrum(args) -> int:
+    from . import spectrum
+
     system = _load_system(args)
-    sp = spectrum.enumerate_spectrum(
-        system, max_weight=args.max_weight, max_strings=args.max_strings
-    )
+    sp = _enumerate(args, system)
     density = spectrum.density_check(sp, args.density_l, args.density_k)
     text = spectrum.format_spectrum(sp)
     if args.output:
@@ -95,13 +117,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from . import spectrum
+
     system = _load_system(args)
     if args.s <= 0.0 or not genfun.converges(system, args.s):  # capacity >= 0
         q = genfun.abscissa(system)
         raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
-    sp = spectrum.enumerate_spectrum(
-        system, max_weight=args.max_weight, max_strings=args.max_strings
-    )
+    sp = _enumerate(args, system)
     if not sp.complete:
         print(f"budget exceeded: spectrum truncated at weight {sp.horizon:g}")
         return EXIT_BUDGET
@@ -115,6 +137,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_maxent(args) -> int:
+    from . import maxent
+
     support, _ = _read_support(args.support)
     result = maxent.solve_rate(support, tol=args.tol)
     p = maxent.maxentropic_pmf(support, result)
@@ -127,6 +151,8 @@ def cmd_maxent(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import maxent
+
     system = _load_system(args)
     support, pmf = _read_support(args.support)
     if pmf is None:  # the verdict reads only which blocks are positive: all of them
@@ -142,6 +168,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import maxent
+
     system = _load_system(args) if (args.system or args.jk) else None
     if args.support:
         support, pmf = _read_support(args.support)
@@ -200,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     _add_units(p)
     p.add_argument("--max-weight", type=float, required=True)
-    p.add_argument("--max-strings", type=int, default=spectrum.DEFAULT_MAX_STRINGS)
+    p.add_argument("--max-strings", type=int)
     p.add_argument("--density-l", type=float, default=1.0)
     p.add_argument("--density-k", type=float, default=2.0)
     p.add_argument("--output", metavar="FILE")
@@ -210,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--s", type=float, required=True, help="evaluation point")
     p.add_argument("--max-weight", type=float, required=True)
-    p.add_argument("--max-strings", type=int, default=spectrum.DEFAULT_MAX_STRINGS)
+    p.add_argument("--max-strings", type=int)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("maxent", help="maxentropic rate and PMF of a support file")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -39,6 +40,9 @@ def test_capacity_jk22_bits(capsys):
     code, out, _ = run(capsys, ["capacity", "--jk", "2", "2", "--units", "bits"])
     assert code == EXIT_OK
     assert "0.694241913631 bits" in out
+    # every number is in the chosen unit: the nats bracket [0.48121182505929,
+    # 0.4812118250602] and residual 9.09e-13, each divided by ln 2
+    assert "bracket     [0.694241913630166, 0.694241913631478]\nresidual    1.31e-12\n" in out
 
 
 def test_capacity_system_file(capsys, sbin_file):
@@ -595,11 +599,54 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # only sampling needs numpy; every other subcommand starts without it
-    code = "import sys, concap.cli; sys.exit('numpy' in sys.modules)"
+# modules that only some commands run, and so only those commands load
+DEFERRED_MODULES = ("numpy", "concap.maxent", "concap.spectrum", "decimal")
+
+
+@pytest.mark.parametrize("module", DEFERRED_MODULES)
+def test_importing_the_cli_leaves_unloaded(module):
+    code = f"import sys, concap.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    system, support = tmp_path / "sbin.cs", tmp_path / "pitfall.pmf"
+    system.write_text(SBIN)
+    support.write_text(PITFALL_PMF)
+    commands = [
+        ["capacity", "--jk", "2", "2"],
+        ["jk-table", "--jmax", "2", "--kmax", "2"],
+        ["spectrum", "--jk", "2", "2", "--max-weight", "4"],
+        ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4"],
+        ["maxent", "--support", str(support)],
+        ["validate", "--system", str(system), "--support", str(support), "--depth", "2"],
+        ["simulate", "--jk", "2", "2", "--blocks", "10"],
+    ]
+    # one process runs the commands in turn and, after each, prints its exit
+    # code and which deferred modules are loaded by then
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from concap.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        exit_code = main(argv)\n"
+        f"    print(exit_code, *(m for m in {DEFERRED_MODULES!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "0",  # capacity
+        "0",  # jk-table
+        "0 concap.spectrum decimal",  # spectrum
+        "0 concap.spectrum decimal",  # crosscheck
+        "0 concap.maxent concap.spectrum decimal",  # maxent
+        "2 concap.maxent concap.spectrum decimal",  # validate: 0·1 = 01
+        "0 numpy concap.maxent concap.spectrum decimal",  # simulate
+    ]
 
 
 def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
