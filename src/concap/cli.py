@@ -120,7 +120,7 @@ def cmd_crosscheck(args) -> int:
     from . import spectrum
 
     system = _load_system(args)
-    if args.s <= 0.0 or not genfun.converges(system, args.s):  # capacity >= 0
+    if not genfun.converges(system, args.s):
         q = genfun.abscissa(system)
         raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
     sp = _enumerate(args, system)

@@ -13,12 +13,11 @@ unequal symbol weights) merges shifted copies of its own row weights, each
 loop's read position held in local variables; every other automaton, the
 full shift of five or more loops included, is searched with a heap of
 weight buckets.  No search makes a Python object per row: the rows stay two
-columns, weights and counts, from the search to the export, the exact
-weights become floats in one pass at the end, and the export formats every
-row with one format string.  Each label weight is the decimal it is written
-as, so a row is an exact decimal sum: 0.1 + 0.2 and 0.3 share a row, and
-1 and 1.0000000001 do not.  Two rows that round to one float are a
-``SpectrumError``.  The resulting spectrum (distinct weights with
+columns, weights in exact units and counts, from the search to the export,
+and the export formats every row with one format string.  Each label weight
+is the decimal it is written as, so a row is an exact decimal sum: 0.1 + 0.2
+and 0.3 share a row, and 1 and 1.0000000001 do not, though two rows may
+share a float.  The resulting spectrum (distinct weights with
 distinct-string counts) feeds finite-horizon capacity estimators and a
 partial-sum cross-check against the regex's own series (one term per
 derivation), which doubles as the regex ambiguity detector.
@@ -40,7 +39,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import eq, truediv
+from operator import truediv
 
 from .automata import Dfa, system_dfa
 from .dsl import SystemDef
@@ -58,7 +57,7 @@ class SpectrumError(ValueError):
 @dataclass(frozen=True)
 class WeightSpectrum:
     """Ordered distinct weights with distinct-string counts, kept as two
-    columns: row i is ``(weights[i], counts[i])``.
+    columns: row i weighs ``units[i] / scale`` and has ``counts[i]`` strings.
 
     Only the provably complete part of an enumeration is stored: if the
     string budget was hit, rows stop at the last weight for which every
@@ -66,12 +65,19 @@ class WeightSpectrum:
     whole language was enumerated (finite language below the cutoff).
     """
 
-    weights: tuple[float, ...]  # strictly increasing
+    units: tuple[int, ...]  # row weights in units of 1/scale, strictly increasing
+    scale: int
     counts: tuple[int, ...]
     max_weight: float
     complete: bool
     exhausted: bool
     includes_empty: bool  # the empty string (weight 0) is in the language
+
+    @functools.cached_property
+    def weights(self) -> tuple[float, ...]:
+        """The row weights as floats, each correctly rounded, built on first
+        read: nondecreasing, as two rows may share a float."""
+        return tuple(map(truediv, self.units, itertools.repeat(self.scale)))
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[float, int], ...]:
@@ -122,18 +128,11 @@ def enumerate_spectrum(
       loops included: a bucket per distinct reached weight holds per-state
       path counts, and buckets are expanded in weight order.
 
-    Weights are exact decimals: each label weight is read as the decimal of
-    its shortest repr, the text the DSL read and ``format_system`` prints,
-    in units of 1/scale, scale being the lcm of the decimals' reduced
-    denominators (1 for integer weights, 10 for 0.1).  So a weight reached
-    along two paths is one row, and so are equal decimal sums such as
-    0.1 + 0.2 and 0.3, while different decimals never share a row.  The
-    cutoff is the decimal of ``max_weight`` in units, rounded down.  Every
-    search keeps each row's weight in units, and all rows turn into floats
-    at the end, each by one true division by the scale, which is correctly
-    rounded.  Two rows can still round to one float (``a b*`` with ``a=1``
-    and ``b=1e-17``): that raises ``SpectrumError`` naming the weight, so
-    the row weights stay strictly increasing.
+    Weights are exact decimals, read in units by ``_units``, so a weight
+    reached along two paths is one row, and so are equal decimal sums such
+    as 0.1 + 0.2 and 0.3, while different decimals never share a row, even
+    where they share a float (``a b*`` with ``a=1`` and ``b=1e-17``).
+    The cutoff is the decimal of ``max_weight`` in units, rounded down.
     Every label weight is finite and positive (``SymbolDecl``)
     and every state of the minimal DFA reaches acceptance, so a finite
     language ends the search even at ``max_weight=inf``.
@@ -146,18 +145,13 @@ def enumerate_spectrum(
     if not max_strings >= 1:
         raise SpectrumError("max_strings must be positive")
     dfa = system_dfa(system)
-
-    def ratio(x: float) -> tuple[int, int]:  # the decimal of x's shortest repr, reduced
-        return Decimal(repr(float(x))).as_integer_ratio()
-
-    ratios = {d.label: ratio(d.weight) for d in system.alphabet}
-    scale = math.lcm(*(q for _, q in ratios.values()))
-    weights = {label: p * (scale // q) for label, (p, q) in ratios.items()}
+    units, scale = _units([d.weight for d in system.alphabet])
+    weights = dict(zip([d.label for d in system.alphabet], units))
     # each state's (weight, next state) steps in weight order, read once
     steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
     # ints, as every key: an int compared with a float costs the loop its gain.
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
-    p, q = ratio(min(max_weight, sys.float_info.max))
+    (p,), q = _units([min(max_weight, sys.float_info.max)])
     cutoff = p * scale // q
     read = set().union(*dfa.transitions)  # the labels on the DFA's edges
     if len({weights[label] for label in read}) == 1:
@@ -167,18 +161,24 @@ def enumerate_spectrum(
     else:
         search = _heap_rows
     W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
-    nus = tuple(map(truediv, W, itertools.repeat(scale)))  # each correctly rounded, in C
-    if any(map(eq, nus, itertools.islice(nus, 1, None))):  # one C scan; the pair is named only then
-        a = next(a for a, b in zip(nus, nus[1:]) if a == b)
-        raise SpectrumError(f"rows round to one float weight, {a:.12g}")
     return WeightSpectrum(
-        weights=nus,
+        units=tuple(W),
+        scale=scale,
         counts=tuple(C),
         max_weight=max_weight,
         complete=complete,
         exhausted=exhausted,
         includes_empty=dfa.start in dfa.accepting,
     )
+
+
+def _units(xs: list[float]) -> tuple[tuple[int, ...], int]:
+    """Each x read as the decimal of its shortest repr (the text the DSL read
+    and ``format_system`` prints), in units of 1/scale, scale being the lcm
+    of the decimals' reduced denominators (1 for integers, 10 for 0.1)."""
+    ratios = [Decimal(repr(float(x))).as_integer_ratio() for x in xs]
+    scale = math.lcm(*(q for _, q in ratios))
+    return tuple(p * (scale // q) for p, q in ratios), scale
 
 
 # The three searches of enumerate_spectrum share one signature: the DFA, each
@@ -324,7 +324,8 @@ def spectrum_from_counts(
     includes_empty: bool = False,
 ) -> WeightSpectrum:
     """Build a spectrum from externally computed (weight, count) pairs,
-    e.g. a predicate-filter oracle or a synthetic test case."""
+    e.g. a predicate-filter oracle or a synthetic test case, the weights
+    read in units by ``_units``, so ``weights`` are the given floats."""
     if bad := [(nu, c) for nu, c in pairs if not (0 < nu < math.inf and c >= 1)]:  # nan fails
         raise SpectrumError(f"pair {bad[0]}: weights must be finite and positive, counts >= 1")
     pairs = sorted(pairs)
@@ -332,7 +333,7 @@ def spectrum_from_counts(
         if a == b:
             raise SpectrumError(f"weights {a} and {b} are equal")
     return WeightSpectrum(
-        weights=tuple(nu for nu, _ in pairs),
+        *_units([nu for nu, _ in pairs]),  # units and scale
         counts=tuple(c for _, c in pairs),
         max_weight=pairs[-1][0] if pairs else 0.0,
         complete=True,
@@ -369,14 +370,15 @@ def c0_estimate(sp: WeightSpectrum) -> float:
 
 
 def growth_rate_estimate(sp: WeightSpectrum) -> float:
-    """Tail growth rate ln(cum_k/cum_{k-1})/(nu_k - nu_{k-1}).
+    """Tail growth rate ln(cum_k/cum_{k-1})/(nu_k - nu_{k-1}), the gap read
+    exactly from the units: positive even where the rows share a float.
 
     Converges to the capacity much faster than the plain estimate whenever
     counts grow geometrically (finite automata do)."""
     _require(sp)
     cum = sp.cumulative
-    nu1, nu2 = sp.weights[-2:]
-    return math.log(cum[-1] / cum[-2]) / (nu2 - nu1)
+    u1, u2 = sp.units[-2:]
+    return math.log(cum[-1] / cum[-2]) / ((u2 - u1) / sp.scale)
 
 
 @dataclass(frozen=True)

@@ -90,29 +90,36 @@ def test_spectrum_budget_exit_code(capsys, sbin_file):
     assert "budget exceeded" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--max-weight", "2", "--max-strings", "4"],
-    ["crosscheck", "--s", "60", "--max-weight", "2"],
-])
-def test_a_tiny_label_whose_rows_share_a_float_is_an_error(capsys, tmp_path, argv):
-    # else the rows 1, 1 + 1e-17, ... print as one weight, 1, and growth_rate_estimate divides by 0
+def test_rows_that_round_to_one_float_are_printed(capsys, tmp_path):
+    # 0.2 * 6 and 0.2 + 0.3333333333333333 * 3 are two decimals, two rows, one printed weight
+    path = tmp_path / "third.cs"
+    path.write_text("sym a=0.3333333333333333 b=0.2;\nexpr: (a|b)*\n")
+    code, out, err = run(capsys, ["spectrum", "--system", str(path), "--max-weight", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.splitlines()
+    assert rows.index("1.2 1 36") == rows.index("1.2 4 35") + 1
+
+
+def test_a_tiny_label_prints_rows_that_share_a_float(capsys, tmp_path):
+    # the rows 1, 1 + 1e-17, ... print as 1, and growth_rate_estimate divides by their exact gap
     path = tmp_path / "light.cs"
     path.write_text("sym a=1 b=1e-17;\nexpr: a b*\n")
-    code, out, err = run(capsys, [*argv, "--system", str(path)])
-    assert (code, out, err) == (EXIT_ERROR, "", "error: rows round to one float weight, 1\n")
+    argv = ["spectrum", "--system", str(path), "--max-weight", "2", "--max-strings", "4"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (EXIT_BUDGET, "")
+    lines = out.splitlines()
+    assert lines[4:8] == ["1 1 1", "1 1 2", "1 1 3", "1 1 4"]
+    growth = next(line for line in lines if line.startswith("growth_rate_estimate"))
+    assert math.isfinite(float(growth.split()[1]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--max-weight", "100000001", "--max-strings", "3"],
-    ["crosscheck", "--s", "1", "--max-weight", "100000001", "--max-strings", "3"],
-])
-def test_rows_that_round_to_one_float_are_an_error(capsys, tmp_path, argv):
-    # else spectrum prints three rows of 100000000 and growth_rate_estimate divides by 0
-    path = tmp_path / "collide.cs"
-    path.write_text("sym a=100000000 b=2e-09;\nexpr: a b*\n")
-    code, out, err = run(capsys, [*argv, "--system", str(path)])
-    message = "error: rows round to one float weight, 100000000\n"
-    assert (code, out, err) == (EXIT_ERROR, "", message)
+def test_crosscheck_of_a_tiny_label_stops_at_the_budget(capsys, tmp_path):
+    # the budget is passed: at the default one the count runs to 10^7 rows first
+    path = tmp_path / "light.cs"
+    path.write_text("sym a=1 b=1e-17;\nexpr: a b*\n")
+    argv = ["crosscheck", "--system", str(path), "--s", "60", "--max-weight", "2", "--max-strings", "4"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_BUDGET, "budget exceeded: spectrum truncated at weight 1\n", "")
 
 
 def test_spectrum_rows_are_the_decimals_written(capsys, tmp_path):
@@ -660,6 +667,18 @@ def test_crosscheck_at_or_below_capacity_is_error(capsys, tmp_path):
         assert code == EXIT_ERROR
         assert out == ""
         assert err.startswith(f"error: s={s} is inside the divergence region (Q=0.693147)")
+
+
+def test_crosscheck_of_a_finite_language_at_or_below_zero(capsys, tmp_path):
+    # a finite language converges at every s, so s <= 0 is no divergence
+    path = tmp_path / "finite.cs"
+    path.write_text("sym a=1 b=2;\nexpr: a b a | b\n")
+    argv = ["crosscheck", "--system", str(path), "--max-weight", "5", "--s"]
+    code, out, err = run(capsys, [*argv, "0"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "partial_sum  2.000000000" in out and "ambiguous    no" in out
+    code, out, err = run(capsys, [*argv, "-1000"])  # exp(1000) overflows
+    assert (code, out, err) == (EXIT_ERROR, "", "error: the series at s=-1000.0 exceeds the float range\n")
 
 
 def test_maxent_solves_rate_once(capsys, tmp_path, monkeypatch):

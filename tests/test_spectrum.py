@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import heapq
 import itertools
 import math
@@ -258,12 +259,29 @@ def fraction_rows(system, max_weight, max_strings=10_000_000):
     return rows, True, exhausted
 
 
+def exact_rows(sp):
+    """The spectrum's rows, each with its exact weight."""
+    return [(Fraction(u, sp.scale), count) for u, count in zip(sp.units, sp.counts)]
+
+
+def fraction_growth_rate(rows):
+    """``growth_rate_estimate`` of the Fraction rows: the log ratio of the
+    last two cumulative counts over the exact gap between their weights."""
+    (w1, _), (w2, _) = rows[-2:]
+    *_, cum1, cum2 = itertools.accumulate(count for _, count in rows)
+    return math.log(cum2 / cum1) / float(w2 - w1)
+
+
 def assert_rows_are_decimal_sums(system, max_weight, max_strings=10_000_000):
-    """Every row's weight is the float nearest its exact decimal sum."""
+    """Every row's weight is its exact decimal sum, and its float the
+    nearest one; the growth rate divides by the exact gap."""
     rows, complete, exhausted = fraction_rows(system, max_weight, max_strings)
     sp = enumerate_spectrum(system, max_weight, max_strings)
+    assert exact_rows(sp) == rows
     assert sp.entries == tuple((float(w), count) for w, count in rows)
     assert (sp.complete, sp.exhausted) == (complete, exhausted)
+    if len(rows) >= 2:
+        assert growth_rate_estimate(sp) == pytest.approx(fraction_growth_rate(rows), rel=1e-12)
     return rows, complete, exhausted
 
 
@@ -307,24 +325,10 @@ def test_row_weights_beyond_the_float_range_in_units_divide_exactly(decls, expr,
 # --- the one rule: rows are exact decimal sums ---------------------------
 
 
-def decimal_outcome(system, max_weight, max_strings):
-    """What the rule gives, from the Fraction search: the rows as floats
-    with their flags, or the error for the first two rows that round to one
-    float."""
-    rows, complete, exhausted = fraction_rows(system, max_weight, max_strings)
-    nus = [float(w) for w, _ in rows]
-    for a, b in zip(nus, nus[1:]):
-        if a == b:
-            return f"rows round to one float weight, {a:.12g}"
-    return tuple(zip(nus, (count for _, count in rows))), complete, exhausted
-
-
 def spectrum_outcome(enumerate_, system, max_weight, max_strings):
-    try:
-        sp = enumerate_(system, max_weight, max_strings)
-    except SpectrumError as err:
-        return str(err)
-    return sp.entries, sp.complete, sp.exhausted
+    """The exact rows and the flags, as ``fraction_rows`` gives them."""
+    sp = enumerate_(system, max_weight, max_strings)
+    return exact_rows(sp), sp.complete, sp.exhausted
 
 
 def test_rows_are_decimal_sums_in_every_search_seeded():
@@ -345,7 +349,7 @@ def test_rows_are_decimal_sums_in_every_search_seeded():
         system = parse_system(f"sym a={ws[0]!r} b={ws[1]!r} c={ws[2]!r};\nexpr: {expr}")
         max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
         max_strings = rng.choice([30, 300, 2_000])
-        want = decimal_outcome(system, max_weight, max_strings)
+        want = fraction_rows(system, max_weight, max_strings)
         spies = {name: mock.patch.object(spectrum, name, wraps=getattr(spectrum, name)) for name in searches}
         with spies["_level_rows"] as level, spies["_merge_rows"] as merge, spies["_heap_rows"] as heap:
             assert spectrum_outcome(enumerate_spectrum, system, max_weight, max_strings) == want, system
@@ -396,6 +400,7 @@ def reference_format_spectrum(sp):
 def test_format_spectrum_is_the_per_row_format(text, max_weight, max_strings):
     sp = enumerate_spectrum(parse_system(text), max_weight, max_strings)
     assert format_spectrum(sp) == reference_format_spectrum(sp)
+    assert spectrum_from_counts(sp.entries).weights == sp.weights
 
 
 def test_format_spectrum_of_a_built_spectrum():
@@ -433,6 +438,7 @@ def test_rows_kept_as_columns_read_as_the_pairs_did():
             pairs += sum(math.exp(math.log(c) - nu * s) for nu, c in sp.entries)
             assert sp.partial_sum(s) == pairs
         assert format_spectrum(sp) == entries_format_spectrum(sp)
+        assert spectrum_from_counts(sp.entries, sp.includes_empty).weights == sp.weights
 
 
 # --- the merge and level searches against the bucket heap ---------------
@@ -487,7 +493,7 @@ def test_full_shift_same_as_heap_loop_seeded():
     rng = random.Random(22)
     pool = [0.1, 0.2, 0.3, 0.7, 1.0, 1e-10, 5e-10, 1e-9, 2e-9, math.sqrt(2), math.sqrt(3), 1 / 3]
     forms = ["({})*", "({})* ({}|eps)", "(({})*)*"]
-    collisions = 0
+    shared = 0
     for _ in range(100):
         k = rng.randint(1, 4)
         labels = "abcd"[:k]
@@ -499,16 +505,13 @@ def test_full_shift_same_as_heap_loop_seeded():
         max_strings = rng.choice([50, 1_000, 10_000])
         system = parse_system(f"sym {decls};\nexpr: {expr}")
         assert system_dfa(system).n_states == 1
-        outcomes = []
-        for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
-            try:
-                outcomes.append(enumerate_(system, max_weight, max_strings))
-            except SpectrumError as err:  # two decimal sums that round to one float
-                outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1]
-        collisions += isinstance(outcomes[0], str)
+        sp = enumerate_spectrum(system, max_weight, max_strings)
+        assert sp == heap_loop_spectrum(system, max_weight, max_strings)
+        if any(map(operator.eq, sp.weights, sp.weights[1:])):  # two rows share a float
+            shared += 1
+            assert (exact_rows(sp), sp.complete, sp.exhausted) == fraction_rows(system, max_weight, max_strings)
     # 0.2 * 6 and 0.2 + 0.3333333333333333 * 3 are two decimals and one float, 1.2
-    assert collisions == 1
+    assert shared == 1
 
 
 def reference_merge_rows(dfa, steps, cutoff, max_strings):
@@ -658,31 +661,35 @@ def test_a_tiny_label_gives_its_decimal_rows(decls, expr):
     assert heap_loop_spectrum(system, 2.0, 40).entries == tuple((float(w), c) for w, c in rows)
 
 
-def test_a_tiny_label_is_an_error_where_its_rows_share_a_float():
-    # the rows 1, 1 + 1e-17, ... are one float: nu stopped increasing
+def test_a_tiny_label_whose_rows_share_a_float_gives_its_decimal_rows():
+    # the rows 1, 1 + 1e-17, ... are one float, and four rows
     system = parse_system("sym a=1 b=1e-17;\nexpr: a b*")
-    for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
-        with pytest.raises(SpectrumError) as err:
-            enumerate_(system, 2.0, 4)
-        assert str(err.value) == "rows round to one float weight, 1"
+    rows, _, _ = assert_rows_are_decimal_sums(system, 2.0, 4)
+    sp = heap_loop_spectrum(system, 2.0, 4)
+    assert exact_rows(sp) == rows
+    assert sp.weights == (1.0,) * 4
+    assert math.isfinite(growth_rate_estimate(sp))
 
 
 @pytest.mark.parametrize(
-    "decls,expr,max_weight,weight",
+    "decls,expr,max_weight,max_strings,weight",
     [
         # 1e8 + 2e-9 and 1e8 + 4e-9 are two decimals and both round to 1e8
-        ("a=100000000 b=2e-09", "a b*", 100000001.0, "100000000"),
+        pytest.param("a=100000000 b=2e-09", "a b*", 100000001.0, 100, 1e8, id="1e8_plus_2e-9"),
         # the full shift: a b is 200000000.00000001, and the floats next to 2e8 are 2**-25 apart
-        (f"a=100000000 b={math.nextafter(1e8, math.inf)!r}", "(a|b)*", 200000001.0, "200000000"),
+        pytest.param(
+            f"a=100000000 b={math.nextafter(1e8, math.inf)!r}", "(a|b)*", 200000001.0, 100, 2e8, id="1e8_and_next_float"
+        ),
+        # 0.2 * 6 and 0.2 + 0.3333333333333333 * 3
+        pytest.param("a=0.3333333333333333 b=0.2", "(a|b)*", 2.0, 10_000_000, 1.2, id="third_and_fifth"),
     ],
 )
-def test_rows_that_round_to_one_float_are_rejected(decls, expr, max_weight, weight):
+def test_rows_that_round_to_one_float_are_their_decimal_sums(decls, expr, max_weight, max_strings, weight):
     system = parse_system(f"sym {decls};\nexpr: {expr}")
-    message = f"rows round to one float weight, {weight}"
-    for enumerate_ in (enumerate_spectrum, heap_loop_spectrum):
-        with pytest.raises(SpectrumError) as err:
-            enumerate_(system, max_weight, 100)
-        assert str(err.value) == message
+    rows, _, _ = assert_rows_are_decimal_sums(system, max_weight, max_strings)
+    sp = heap_loop_spectrum(system, max_weight, max_strings)
+    assert exact_rows(sp) == rows
+    assert sp.weights.count(weight) >= 2  # rows that share this float
 
 
 def test_rows_past_the_epsilon_ulp_that_keep_their_floats_are_allowed():
@@ -708,7 +715,7 @@ def test_a_label_within_epsilon_that_the_dfa_never_reads_is_allowed(decls, expr,
 
 def test_one_state_without_loops_keeps_its_result():
     sp = enumerate_spectrum(parse_system("sym a=1;\nexpr: eps"), math.inf)
-    assert sp == WeightSpectrum((), (), math.inf, True, True, True)
+    assert sp == WeightSpectrum((), 1, (), math.inf, True, True, True)
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
@@ -729,6 +736,7 @@ def test_spectrum_from_counts_rejects_equal_weights():
     # weights 1e-10 apart are two rows
     sp = spectrum_from_counts([(2.0, 1), (1.0, 3), (1.0 + 1e-10, 2)])
     assert sp.entries == ((1.0, 3), (1.0000000001, 2), (2.0, 1))
+    assert (sp.units, sp.scale) == ((10**10, 10**10 + 1, 2 * 10**10), 10**10)  # read as decimals
 
 
 def test_jk_export_text_is_pinned():
@@ -1086,13 +1094,11 @@ def parse_spectrum(text: str) -> WeightSpectrum:
         nu, count, _ = line.split()
         weights.append(float(nu))
         counts.append(int(count))
-    return WeightSpectrum(
-        weights=tuple(weights),
-        counts=tuple(counts),
+    return dataclasses.replace(
+        spectrum_from_counts(list(zip(weights, counts)), bool(int(meta.get("includes_empty", 0)))),
         max_weight=float(meta.get("max_weight", weights[-1] if weights else 0.0)),
         complete=bool(int(meta.get("complete", 1))),
         exhausted=bool(int(meta.get("exhausted", 0))),
-        includes_empty=bool(int(meta.get("includes_empty", 0))),
     )
 
 
