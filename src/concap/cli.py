@@ -41,7 +41,7 @@ def _load_system(args) -> dsl.SystemDef:
 def _read_support(path: str) -> tuple[maxent.WeightedSupport, maxent.Pmf | None]:
     from . import maxent
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no part of the text
         return maxent.parse_support_file(fh.read())
 
 
@@ -195,16 +195,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_jk_table(args) -> int:
+    """Print the (j,k) capacities, a row per j.  ``capacity_jk`` is
+    symmetric in j and k bit for bit, so each unordered pair is solved
+    once, at its first cell, and its text is reused at the mirrored cell:
+    an 8x8 table takes 36 solves."""
     if args.jmax > 64 or args.kmax > 64:
         raise ValueError("table bounds must be <= 64")
     if args.jmax < 1 or args.kmax < 1:
         raise ValueError("table bounds must be >= 1")
     print("j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1)))
+    cells: dict[tuple[int, int], str] = {}  # (min(j,k), max(j,k)) -> the cell's text
     for j in range(1, args.jmax + 1):
-        print(f"{j:<4d}" + " ".join(
-            f"{_units_value(genfun.capacity_jk(j, k), args.units):8.5f}"
-            for k in range(1, args.kmax + 1)
-        ))
+        row = []
+        for k in range(1, args.kmax + 1):
+            pair = (j, k) if j <= k else (k, j)
+            if pair not in cells:
+                cells[pair] = f"{_units_value(genfun.capacity_jk(*pair), args.units):8.5f}"
+            row.append(cells[pair])
+        print(f"{j:<4d}" + " ".join(row))
     return EXIT_OK
 
 

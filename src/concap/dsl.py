@@ -12,10 +12,11 @@ postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
 and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
 of n copies of ``a``, printed back as written).  Postfix operators bind
 tighter than concatenation, concatenation tighter than union.  The
-expression runs to the end of the text.  Every walk over a regex tree reads
-``preorder``, which keeps its own stack, and the parser keeps one too, a
-level per open parenthesis, so a tree as deep as a long or deeply nested
-regex is read and walked like any other.
+expression runs to the end of the text.  Every walk over a regex tree keeps
+a stack of its own (``preorder``, and ``_regex_key``'s walk, which emits its
+tokens as it goes), and the parser keeps one too, a level per open
+parenthesis, so a tree as deep as a long or deeply nested regex is read and
+walked like any other.
 """
 
 from __future__ import annotations
@@ -128,16 +129,28 @@ def _regex_key(expr: Regex) -> tuple:
     each node's token in preorder, a symbol's label, a repetition's bounds
     (lo, hi), any other node's class, which no label or bounds equal.  Each
     kind of node has a fixed number of children, so equal keys are equal
-    trees."""
+    trees.  The tokens are emitted in one walk with a stack of its own, the
+    walk of ``preorder``, with no list of the nodes between."""
     tokens: list = []
-    for node in preorder(expr):
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         kind = type(node)
         if kind is Symbol:
             tokens.append(node.label)
+        elif kind is Concat or kind is Union:
+            tokens.append(kind)
+            stack += (node.right, node.left)
+        elif kind is Star:
+            tokens.append(kind)
+            stack.append(node.child)
         elif kind is Repeat:
             tokens.append((node.lo, node.hi))
-        else:
+            stack.append(node.child)
+        elif kind is Epsilon:
             tokens.append(kind)
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
     return tuple(tokens)
 
 
@@ -405,7 +418,10 @@ def parse_system(text: str, name: str = "") -> SystemDef:
 
 
 def load_system(path) -> SystemDef:
-    with open(path, encoding="utf-8") as fh:
+    """Read and parse the system definition file at ``path``, named by its
+    path.  The file is UTF-8, with or without a leading byte order mark
+    (BOM), which is no part of the text."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_system(fh.read(), name=str(path))
 
 

@@ -7,9 +7,9 @@ that threshold, the abscissa of convergence, is the system's capacity.
 bisecting on the pivot test ``converges``: Gaussian elimination on
 I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
 and shared, like its DFA (callers must not modify it), and run at each
-trial ``s`` as one flat loop over float slots (``_least_pivot``), one
-step per update, whose initial values take one subtraction and one list
-repetition per distinct kind of slot.  A DFA without a cycle is a finite
+trial ``s`` as one flat loop (``_least_pivot``), one step per update,
+over one float per distinct kind of entry and one per entry that a step
+writes: an entry never written is read from its kind's value.  A DFA without a cycle is a finite
 language, of capacity 0: the plan records it, and no pivot test is run
 for it.  ``capacity_jk`` solves the (j,k) characteristic equation
 in closed form, at a cost per trial point independent of j and k.
@@ -116,15 +116,15 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
 
 
 class _PivotPlan(NamedTuple):
-    """Elimination on I - A(s) with every float slot fixed, and whether
-    the DFA has a cycle: ``_plan_elimination`` builds it, ``_least_pivot``
-    runs it at any ``s``."""
+    """Elimination on I - A(s) with every read and write located, and
+    whether the DFA has a cycle: ``_plan_elimination`` builds it,
+    ``_least_pivot`` runs it at any ``s``."""
 
     weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
-    kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the slots
-    runs: tuple[int, ...]  # per pair: its number of slots, the slots numbered pair by pair
-    steps: tuple[tuple[int, int, int, int], ...]  # (diagonal, numerator, dst, src) slots
+    kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the entries
+    written: int  # the entries some step writes, each stored after the scratch slot
+    steps: tuple[tuple[int, int, int, int, int], ...]  # (diagonal, numerator, old, dst, src)
     finite: bool  # the DFA has no cycle: the language is finite
 
 
@@ -150,23 +150,26 @@ def _plan_elimination(
     every ``s``, and ``_least_pivot`` runs the numeric phase at each trial
     point.
 
-    Every entry, fill-in included, gets a slot in one flat list.  An
-    initial entry's value is its base (1.0 on the diagonal, 0.0 elsewhere)
-    minus its term: one label's exp(-w*s), the sum of its labels' terms in
-    edge order, or 0.0 (term index -1).  Few slots differ in that pair, so
-    the plan keeps the distinct pairs once (``kinds``), numbers the slots
-    pair by pair (a stable sort of the slots by their pair, once every
-    step is planned) and keeps only each pair's number of slots
-    (``runs``).  Pivots run from the last state in the BFS order of
+    An initial entry's value is its base (1.0 on the diagonal, 0.0
+    elsewhere) minus its term: one label's exp(-w*s), the sum of its
+    labels' terms in edge order, or 0.0 (term index -1).  Few entries
+    differ in that pair, so the plan keeps the distinct pairs once
+    (``kinds``), and every entry gets a location as it is planned: its
+    kind's index, from which it is read until a step first writes it, and
+    from that write on a storage slot of its own (``written`` of them,
+    numbered from ``len(kinds) + 1``).  Slot ``len(kinds)`` is the scratch
+    slot, which holds 0.0: a fill-in is 0.0 until its first write, and is
+    read from there.  Pivots run from the last state in the BFS order of
     ``automata._bfs_numbering`` down, and each touches only the rows with
     an entry in its column, so repetition chains stay cheap.  The steps
-    are one flat run of ``(diagonal, numerator, dst, src)`` slot entries,
-    pivot by pivot, one per entry updated in the rows a pivot eliminates
-    from: ``diagonal`` is the pivot's slot, the numerator that row's entry
-    in the pivot column, ``dst`` its entry in column j and ``src`` the
-    pivot row's.  A pivot that updates nothing gets one entry whose other
-    three slots are the scratch slot -1, which ``_least_pivot`` appends
-    holding 0.0, so that its pivot is tested too.
+    are one flat run of ``(diagonal, numerator, old, dst, src)``
+    locations, pivot by pivot, one per entry updated in the rows a pivot
+    eliminates from: ``diagonal`` is the pivot's, the numerator that row's
+    entry in the pivot column, ``dst`` its entry in column j, where
+    ``old`` is read before the write (the kind at a first write, else
+    ``dst``), and ``src`` the pivot row's.  A pivot that updates nothing
+    gets one step whose other four locations are the scratch slot, so
+    that its pivot is tested too.
 
     ``finite`` is set when the DFA has no cycle, found by peeling states
     of in-degree 0 as Kahn's topological sort does: every state peeled
@@ -178,8 +181,7 @@ def _plan_elimination(
     index = {label: t for t, label in enumerate(labels)}
     groups: list[tuple[int, ...]] = []
     kinds: dict[tuple[float, int], int] = {}  # (base, term index) -> its index
-    slot_kinds: list[int] = []
-    rows: list[dict[int, int]] = []  # column -> slot
+    rows: list[dict[int, int]] = []  # column -> location
     column_rows: list[set[int]] = [set() for _ in transitions]
     for i, moves in enumerate(transitions):
         targets: dict[int, list[int]] = {i: []}
@@ -191,11 +193,11 @@ def _plan_elimination(
             if len(terms) > 1:
                 groups.append(tuple(terms))
                 terms = [len(labels) + len(groups) - 1]
-            row[j] = len(slot_kinds)
             kind = (1.0 if j == i else 0.0, terms[0] if terms else -1)
-            slot_kinds.append(kinds.setdefault(kind, len(kinds)))
+            row[j] = kinds.setdefault(kind, len(kinds))
         rows.append(row)
-    steps: list[tuple[int, int, int, int]] = []
+    scratch = written = len(kinds)
+    steps: list[tuple[int, int, int, int, int]] = []
     for k in range(len(rows) - 1, -1, -1):
         pivot_row, diag, updated = rows[k], rows[k][k], len(steps)
         for i in column_rows[k]:
@@ -204,17 +206,15 @@ def _plan_elimination(
                 numerator = row.pop(k)
                 for j, src in pivot_row.items():
                     if j < k:
-                        if j not in row:  # fill-in
-                            row[j] = len(slot_kinds)
-                            slot_kinds.append(kinds.setdefault((0.0, -1), len(kinds)))
-                            column_rows[j].add(i)
-                        steps.append((diag, numerator, row[j], src))
+                        old = row.get(j, scratch)
+                        if old <= scratch:  # a first write: the entry gets a slot of its own
+                            written += 1
+                            row[j] = written
+                            if old == scratch:  # fill-in
+                                column_rows[j].add(i)
+                        steps.append((diag, numerator, old, row[j], src))
         if len(steps) == updated:
-            steps.append((diag, -1, -1, -1))
-    order = sorted(range(len(slot_kinds)), key=slot_kinds.__getitem__)  # stable: kind by kind
-    renumber = [0] * len(order) + [-1]  # the scratch slot -1 stays -1
-    for new, old in enumerate(order):
-        renumber[old] = new
+            steps.append((diag, scratch, scratch, scratch, scratch))
     indegree = Counter(j for moves in transitions for j in moves.values())
     peeled = [i for i in range(len(transitions)) if not indegree[i]]
     for i in peeled:  # the list grows while it is read, as in Kahn's topological sort
@@ -226,8 +226,8 @@ def _plan_elimination(
         tuple(weights[label] for label in labels),
         tuple(groups),
         tuple(kinds),
-        tuple(slot_kinds.count(kind) for kind in range(len(kinds))),
-        tuple(tuple(renumber[slot] for slot in step) for step in steps),
+        written - scratch,
+        tuple(steps),
         len(peeled) == len(transitions),
     )
 
@@ -235,16 +235,17 @@ def _plan_elimination(
 def _least_pivot(plan: _PivotPlan, s: float) -> float:
     """The least pivot of the planned elimination on I - A(s), the numeric
     phase: one exp(-w*s) per label, one ``base - term`` per distinct kind of
-    slot, repeated over its run of slots, then one loop over the plan's
-    steps that tests each step's pivot and makes its update
-    ``vals[dst] -= vals[numerator] / pivot * vals[src]``.  No update writes
-    a diagonal or numerator slot of its own pivot (those lie in the pivot
-    column, every ``dst`` left of it), so a pivot's steps all read the same
-    pivot, and every step of a row divides to the same float, the row's
-    factor.  The loop assumes about one step per row, as on (j,k),
-    repetition and small prefix-code systems; a row of many steps divides
-    once each.  An update-less pivot's step works on the scratch slot,
-    appended holding 0.0, and leaves it 0.0.  Elimination stops at the
+    entry, then one 0.0 per written slot and the scratch slot, and one loop
+    over the plan's steps that tests each step's pivot and makes its update
+    ``vals[dst] = vals[old] - vals[numerator] / pivot * vals[src]``.  An
+    entry no step writes is only ever read, from its kind's value.  No
+    update writes a diagonal or numerator entry of its own pivot (those lie
+    in the pivot column, every ``dst`` left of it), so a pivot's steps all
+    read the same pivot, and every step of a row divides to the same float,
+    the row's factor.  The loop assumes about one step per row, as on
+    (j,k), repetition and small prefix-code systems; a row of many steps
+    divides once each.  An update-less pivot's step works on the scratch
+    slot, which holds 0.0, and leaves it 0.0.  Elimination stops at the
     first pivot that is not positive (nan included) and returns it.
 
     The sum over DFA paths of exp(-w*s) converges iff the spectral radius
@@ -260,18 +261,16 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
     terms = [math.exp(-w * s) for w in plan.weights]
     terms += [sum([terms[t] for t in group]) for group in plan.groups]
     terms.append(0.0)
-    vals: list[float] = []
-    for (base, t), run in zip(plan.kinds, plan.runs):
-        vals += [base - terms[t]] * run
-    vals.append(0.0)  # the scratch slot
+    vals = [base - terms[t] for base, t in plan.kinds]
+    vals += [0.0] * (1 + plan.written)  # the scratch slot, then the written slots
     least = math.inf
-    for diag, numerator, dst, src in plan.steps:
+    for diag, numerator, old, dst, src in plan.steps:
         pivot = vals[diag]
         if not pivot > 0.0:
             return pivot
         if pivot < least:
             least = pivot
-        vals[dst] -= vals[numerator] / pivot * vals[src]
+        vals[dst] = vals[old] - vals[numerator] / pivot * vals[src]
     return least
 
 
@@ -424,10 +423,13 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
 
     The left-hand side minus 1 strictly decreases in ``s`` and guides
     ``bisect_root``.  It is evaluated in closed form,
-    x^2 (1 - x^j) (1 - x^k) / (1 - x)^2 - 1, at a cost independent of j
+    (1 - x^j) (1 - x^k) x^2 / (1 - x)^2 - 1, at a cost independent of j
     and k: ``bisect_root`` never tests s = 0, and (1,1), whose root is 0,
-    returns before the search, so 1 - x > 0 at every trial point.  Agrees
-    with ``abscissa(build_jk_system(j, k))``.
+    returns before the search, so 1 - x > 0 at every trial point.  The
+    product of the two j and k factors comes first, and a float product
+    does not depend on its operands' order, so the value is symmetric in j
+    and k bit for bit, at every ``tol``: ``capacity_jk(j, k)`` equals
+    ``capacity_jk(k, j)``.  Agrees with ``abscissa(build_jk_system(j, k))``.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
@@ -437,7 +439,7 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
 
     def lhs(s: float) -> float:
         x = exp(-s)
-        return x * x * (1.0 - x**j) * (1.0 - x**k) / ((1.0 - x) * (1.0 - x)) - 1.0
+        return (1.0 - x**j) * (1.0 - x**k) * (x * x) / ((1.0 - x) * (1.0 - x)) - 1.0
 
     if j == 1 and k == 1:
         return 0.0  # lhs(0) == 0 exactly

@@ -51,6 +51,39 @@ def test_capacity_system_file(capsys, sbin_file):
     assert "capacity    0.693147180560 nats" in out
 
 
+BOM = "\ufeff"  # a UTF-8 byte order mark, as some editors write at a file's start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--system", "SYSTEM"],
+        ["maxent", "--support", "SUPPORT"],
+        ["validate", "--system", "SYSTEM", "--support", "SUPPORT", "--depth", "2"],
+    ],
+)
+def test_a_leading_bom_is_no_part_of_a_file(capsys, tmp_path, argv):
+    system, support = tmp_path / "sbin.cs", tmp_path / "pitfall.sup"
+    argv = [{"SYSTEM": str(system), "SUPPORT": str(support)}.get(arg, arg) for arg in argv]
+    outputs = []
+    for bom in ("", BOM):  # the same paths, so the system's name is the same
+        system.write_text(bom + SBIN, encoding="utf-8")
+        support.write_text(bom + "0 1\n1 1\n01 2\n", encoding="utf-8")
+        outputs.append(run(capsys, argv))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] in (EXIT_OK, EXIT_INVALID) and outputs[0][2] == ""
+    assert BOM not in outputs[0][1]
+
+
+def test_maxent_reads_the_first_block_after_a_bom(capsys, tmp_path):
+    # a BOM read as text would make the first block '\ufeffa', printed with its BOM
+    support = tmp_path / "ab.sup"
+    support.write_text(BOM + "a 1\nb 2\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["maxent", "--support", str(support)])
+    assert code == EXIT_OK
+    assert [line.split()[:2] for line in out.splitlines()[2:]] == [["a", "1"], ["b", "2"]]
+
+
 def test_capacity_jk11_zero(capsys):
     code, out, _ = run(capsys, ["capacity", "--jk", "1", "1"])
     assert code == EXIT_OK
@@ -335,8 +368,32 @@ def test_jk_table_symmetric_row(capsys):
     assert grid[0][0] == pytest.approx(0.0, abs=1e-9)
     for a in range(3):
         for b in range(3):
-            assert grid[a][b] == pytest.approx(grid[b][a], abs=1e-9)
+            assert grid[a][b] == grid[b][a]
             assert grid[a][b] <= math.log(2) + 1e-9
+
+
+@pytest.mark.parametrize("jmax, kmax, solves", [(8, 8, 36), (3, 8, 21), (8, 3, 21), (1, 1, 1)])
+def test_jk_table_solves_each_unordered_pair_once(capsys, jmax, kmax, solves):
+    with mock.patch.object(genfun, "capacity_jk", wraps=genfun.capacity_jk) as spy:
+        code, out, _ = run(capsys, ["jk-table", "--jmax", str(jmax), "--kmax", str(kmax)])
+    assert code == EXIT_OK and len(out.splitlines()) == jmax + 1
+    pairs = [tuple(call.args) for call in spy.call_args_list]
+    assert len(pairs) == solves
+    assert len(set(pairs)) == solves and all(j <= k for j, k in pairs)
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+def test_jk_table_is_each_cell_formatted_on_its_own(capsys, units):
+    # the mirrored table against one unmirrored capacity_jk per cell
+    code, out, _ = run(capsys, ["jk-table", "--jmax", "64", "--kmax", "64", "--units", units])
+    assert code == EXIT_OK
+    cells = [[genfun.capacity_jk(j, k) for k in range(1, 65)] for j in range(1, 65)]
+    expected = ["j\\k " + " ".join(f"{k:>8d}" for k in range(1, 65))] + [
+        f"{j:<4d}" + " ".join(f"{q / math.log(2) if units == 'bits' else q:8.5f}" for q in row)
+        for j, row in enumerate(cells, start=1)
+    ]
+    assert out.splitlines() == expected
+
 
 
 def test_jk_table_bounds_capped(capsys):

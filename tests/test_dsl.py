@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from concap.automata import build_nfa, matches, system_dfa
@@ -16,10 +16,12 @@ from concap.dsl import (
     SymbolDecl,
     SystemDef,
     Union,
+    _regex_key,
     build_jk_system,
     format_regex,
     format_system,
     parse_system,
+    preorder,
 )
 
 from conftest import all_binary_strings, runlength_ok
@@ -208,6 +210,34 @@ def test_deep_nodes_compare_hash_and_print_without_recursing():
     assert repr(long) == f"Concat({' '.join(['a b'] * 1000)!r})"
 
 
+def reference_regex_key(expr):
+    """The reference: the key built from the ``preorder`` list of nodes, in a
+    second loop over it."""
+    tokens = []
+    for node in preorder(expr):
+        kind = type(node)
+        if kind is Symbol:
+            tokens.append(node.label)
+        elif kind is Repeat:
+            tokens.append((node.lo, node.hi))
+        else:
+            tokens.append(kind)
+    return tuple(tokens)
+
+
+def test_regex_key_is_the_reference_on_deep_trees():
+    long = parse_system("sym a=1 b=2;\nexpr: " + " ".join(["a", "b"] * (DEPTH // 2))).expr
+    trees = [_chain(Symbol("b")), _chain(Repeat(Symbol("a"), 0, 1)), _chain(Epsilon()), long]
+    for expr in trees:
+        assert _regex_key(expr) == reference_regex_key(expr)
+    assert len(_regex_key(long)) == 2 * DEPTH - 1
+
+
+def test_regex_key_of_a_non_node_is_an_error():
+    with pytest.raises(TypeError, match="not a regex node"):
+        _regex_key(Concat(Symbol("a"), "b"))
+
+
 @pytest.mark.parametrize(
     "x, y",
     [
@@ -275,6 +305,13 @@ def test_pretty_print_round_trip(expr):
     decls = "sym 0=1 1=1 a=2;"
     text = f"{decls}\nexpr: {format_regex(expr)}"
     assert parse_system(text).expr == expr
+
+
+@seed(3901)
+@settings(max_examples=300, deadline=None)
+@given(_regexes(20))
+def test_regex_key_is_the_reference(expr):
+    assert _regex_key(expr) == reference_regex_key(expr)
 
 
 def test_format_system_round_trip():

@@ -314,11 +314,19 @@ FILL_IN = [
 ]
 
 
+def fills_in(plan) -> bool:
+    """Whether a step writes a fill-in: an update, not an update-less
+    pivot's step, that reads its old value from the scratch slot."""
+    scratch = len(plan.kinds)
+    return any(step[2] == scratch != step[1] for step in plan.steps)
+
+
 def test_fill_in_systems_fill_in():
     # so the comparison below also covers fill-in and summed label groups
     plans = [_pivot_plan(system) for system in FILL_IN]
-    # a slot of base 0.0 and no term is a fill-in: the initial entries off the diagonal have terms
-    assert [(0.0, -1) in plan.kinds for plan in plans] == [True, True, True, False, True, False]
+    assert [fills_in(plan) for plan in plans] == [True, True, True, False, True, False]
+    # no initial entry is 0.0 with no term: those off the diagonal have terms
+    assert not any((0.0, -1) in plan.kinds for plan in plans)
     assert [len(plan.groups) for plan in plans] == [1, 0, 1, 3, 0, 1]
 
 
@@ -444,26 +452,17 @@ def reference_slot_count(edges) -> int:
     return count
 
 
-@pytest.mark.parametrize("system", FILL_IN + [system for system, _, _ in SIZES])
-def test_plan_numbers_its_slots_kind_by_kind(system):
-    plan = _pivot_plan(system)
-    slots = sum(plan.runs)
-    assert slots == reference_slot_count(reference_edges(system))
-    assert len(plan.runs) == len(plan.kinds) and min(plan.runs) > 0
-    assert all(slot == -1 or 0 <= slot < slots for step in plan.steps for slot in step)
-
-
 def reference_updates(edges):
-    """Per pivot, last state first, the number of entries the reference
+    """Per pivot, last state first, the entries (i, j) the reference
     elimination updates in the rows it eliminates from."""
     rows = [{i, *(j for j, _ in targets)} for i, targets in enumerate(edges)]
     column_rows: list[set[int]] = [set() for _ in edges]
     for i, targets in enumerate(edges):
         for j, _ in targets:
             column_rows[j].add(i)
-    counts = []
+    updates = []
     for k in range(len(rows) - 1, -1, -1):
-        updates = 0
+        updated = []
         for i in column_rows[k]:
             if i < k:
                 rows[i].discard(k)
@@ -471,23 +470,75 @@ def reference_updates(edges):
                     if j < k:
                         rows[i].add(j)
                         column_rows[j].add(i)
-                        updates += 1
-        counts.append(updates)
-    return counts
+                        updated.append((i, j))
+        updates.append(updated)
+    return updates
+
+
+@pytest.mark.parametrize("system", FILL_IN + [system for system, _, _ in SIZES])
+def test_plan_numbers_its_slots_kind_by_kind(system):
+    # a slot per distinct kind, then the scratch slot, then a slot per written
+    # entry, numbered in the order of the entries' first writes
+    plan = _pivot_plan(system)
+    scratch = len(plan.kinds)
+    assert len(set(plan.kinds)) == scratch > 0
+    assert all(0 <= slot <= scratch + plan.written for step in plan.steps for slot in step)
+    first_writes = [dst for _, _, old, dst, _ in plan.steps if old <= scratch < dst]
+    assert first_writes == list(range(scratch + 1, scratch + 1 + plan.written))
+
+
+@pytest.mark.parametrize("system", FILL_IN + [system for system, _, _ in SIZES])
+def test_plan_stores_only_the_entries_it_writes(system):
+    plan, edges = _pivot_plan(system), reference_edges(system)
+    scratch = len(plan.kinds)
+    # one slot per distinct entry the reference elimination updates
+    assert plan.written == len({entry for updated in reference_updates(edges) for entry in updated})
+    assert plan.written < reference_slot_count(edges)
+    # every read is a kind, the scratch slot or a slot an earlier step wrote, and
+    # a step reads its old value from its own slot once that slot is written
+    written: set[int] = set()
+    for diag, numerator, old, dst, src in plan.steps:
+        assert all(slot <= scratch or slot in written for slot in (diag, numerator, src))
+        if dst == scratch:
+            assert (numerator, old, dst, src) == (scratch,) * 4
+        elif dst in written:
+            assert old == dst
+        else:
+            assert dst > scratch and old <= scratch
+            written.add(dst)
+    assert written == set(range(scratch + 1, scratch + 1 + plan.written))
+
+
+def test_a_repetition_stores_a_slot_per_written_entry():
+    # of its 295 entries, fill-in included, the steps write 98: only those are stored
+    system = parse_system("sym a=1 b=1;\nexpr: (a{1,98} b)*")
+    plan = _pivot_plan(system)
+    assert reference_slot_count(reference_edges(system)) == 295
+    assert plan.written == 98
+    assert len(plan.kinds) == 3
 
 
 @pytest.mark.parametrize(
     "system", FILL_IN + [system for system, _, _ in SIZES] + [parse_system("sym a=1 b=2;\nexpr: a b*")]
 )
 def test_plan_has_one_step_per_update_and_per_update_less_pivot(system):
-    steps, counts = _pivot_plan(system).steps, reference_updates(reference_edges(system))
-    runs = [list(run) for _, run in itertools.groupby(steps, key=lambda step: step[0])]
+    plan = _pivot_plan(system)
+    steps, scratch = plan.steps, len(plan.kinds)
+    counts = [len(updated) for updated in reference_updates(reference_edges(system))]
+    assert len(counts) == system_dfa(system).n_states
     assert len(steps) == sum(counts) + counts.count(0)
-    assert [len(run) for run in runs] == [max(updates, 1) for updates in counts]
+    ends = list(itertools.accumulate(max(updates, 1) for updates in counts))
+    runs = [steps[end - max(updates, 1) : end] for end, updates in zip(ends, counts)]
+    diagonals = []
     for run, updates in zip(runs, counts):
-        scratch = [step[1:] == (-1, -1, -1) for step in run]
-        assert scratch == [updates == 0] * len(run)
-    assert len({run[0][0] for run in runs}) == len(runs) == system_dfa(system).n_states
+        assert len({step[0] for step in run}) == 1  # a pivot's steps read one diagonal
+        on_scratch = [step[1:] == (scratch,) * 4 for step in run]
+        assert on_scratch == [updates == 0] * len(run)
+        diagonals.append(run[0][0])
+    # a diagonal is read from its own written slot, or from a kind of base 1.0 if never written
+    written = [diag for diag in diagonals if diag > scratch]
+    assert len(set(written)) == len(written)
+    assert all(plan.kinds[diag][0] == 1.0 for diag in diagonals if diag < scratch)
 
 
 @pytest.mark.parametrize(
@@ -500,7 +551,7 @@ def test_plan_has_one_step_per_update_and_per_update_less_pivot(system):
 def test_an_update_less_pivot_is_tested(text, points):
     system = parse_system(text)
     plan, edges = _pivot_plan(system), reference_edges(system)
-    assert plan.steps[0][1:] == (-1, -1, -1)
+    assert plan.steps[0][1:] == (len(plan.kinds),) * 4  # the scratch slot
     for s in points:
         assert _outcome(_least_pivot, plan, s) == _outcome(reference_least_pivot, edges, s), s
     # below its root the first pivot, which updates nothing, is the value
@@ -608,6 +659,15 @@ def test_capacity_jk_closed_form_is_the_term_by_term_equation():
     for j in range(1, 65):
         for k in range(1, 65):
             assert capacity_jk(j, k) == reference_capacity_jk(j, k), (j, k)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15])
+def test_capacity_jk_is_symmetric_bit_for_bit(tol):
+    # at 1e-15 the bisection reads the last bits of lhs: a product taken in
+    # another order, x * x first, gives 17 pairs up to 64 that differ there
+    for j in range(1, 65):
+        for k in range(j + 1, 65):
+            assert capacity_jk(j, k, tol=tol) == capacity_jk(k, j, tol=tol), (j, k)
 
 
 def test_capacity_jk_costs_no_more_for_long_runs():
