@@ -45,8 +45,8 @@ def _read_support(path: str) -> tuple[maxent.WeightedSupport, maxent.Pmf | None]
         return maxent.parse_support_file(fh.read())
 
 
-def _add_system_args(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
+def _add_system_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
     group.add_argument("--system", metavar="FILE", help="system definition file")
     group.add_argument(
         "--jk", nargs=2, type=int, metavar=("J", "K"), help="(j,k) run-length preset"
@@ -261,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="sample an IID block process")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--system", metavar="FILE")
-    group.add_argument("--jk", nargs=2, type=int, metavar=("J", "K"))
+    _add_system_args(p, required=False)
     p.add_argument("--support", metavar="FILE")
     p.add_argument("--blocks", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

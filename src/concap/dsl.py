@@ -257,7 +257,7 @@ def split_labels(s: str, label_re: re.Pattern[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_.]+(?:[-+][0-9]+)?|[(){}|,*;=]|\S")
+_TOKEN_RE = re.compile(r"[-+]?[A-Za-z0-9_.]+(?:[-+][0-9]+)?|[(){}|,*;=]|\S")
 
 
 @dataclass

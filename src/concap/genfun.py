@@ -7,24 +7,23 @@ that threshold, the abscissa of convergence, is the system's capacity.
 bisecting on the pivot test ``converges``: Gaussian elimination on
 I - A(s), planned from the DFA's shape (``_pivot_plan``) once per system
 and shared, like its DFA (callers must not modify it), and run at each
-trial ``s`` as one flat loop (``_least_pivot``), one step per update,
-over one float per distinct kind of entry and one per entry that a step
-writes: an entry never written is read from its kind's value.  A DFA without a cycle is a finite
-language, of capacity 0: the plan records it, and no pivot test is run
-for it.  ``capacity_jk`` solves the (j,k) characteristic equation
-in closed form, at a cost per trial point independent of j and k.
-``series`` compiles a regex's own series, one term per derivation, to a
-flat program that runs at any ``s`` (``eval_real`` runs it once); it
-equals the string series only if the regex is unambiguous: it is the
-ambiguity witness of ``spectrum.cross_check_gf``.  ``math.inf`` means
-divergence and nothing else; a finite value beyond the float range is an
-``OverflowError``.
+trial ``s`` as one flat loop (``_least_pivot``), one step per update, over
+one float per distinct kind of entry and one per entry that a step writes:
+an entry never written is read from its kind's value.  The plan records
+how the language grows too: a finite or polynomially growing one has
+capacity 0, and takes no pivot test.  ``capacity_jk`` solves the (j,k)
+characteristic equation in closed form, at a cost per trial point
+independent of j and k.  ``series`` compiles a regex's own series, one
+term per derivation, to a flat program that runs at any ``s`` (once in
+``eval_real``); it equals the string series only if the regex is
+unambiguous: it is the ambiguity witness of ``spectrum.cross_check_gf``.
+``math.inf`` means divergence and nothing else; a finite value beyond
+the float range is an ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,16 +115,15 @@ def eval_real(expr: Regex, weights: dict[str, float], s: float) -> float:
 
 
 class _PivotPlan(NamedTuple):
-    """Elimination on I - A(s) with every read and write located, and
-    whether the DFA has a cycle: ``_plan_elimination`` builds it,
-    ``_least_pivot`` runs it at any ``s``."""
+    """Elimination on I - A(s), every read and write located, and the
+    language's growth: built by ``_plan_elimination``, run by ``_least_pivot``."""
 
     weights: tuple[float, ...]  # of the labels on the DFA's edges, in alphabet order
     groups: tuple[tuple[int, ...], ...]  # label indices of the entries with two or more labels
     kinds: tuple[tuple[float, int], ...]  # the distinct (base, term index) pairs of the entries
     written: int  # the entries some step writes, each stored after the scratch slot
     steps: tuple[tuple[int, int, int, int, int], ...]  # (diagonal, numerator, old, dst, src)
-    finite: bool  # the DFA has no cycle: the language is finite
+    growth: int  # 0 finite, 1 polynomial (capacity 0 both), 2 exponential
 
 
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
@@ -171,11 +169,15 @@ def _plan_elimination(
     gets one step whose other four locations are the scratch slot, so
     that its pivot is tested too.
 
-    ``finite`` is set when the DFA has no cycle, found by peeling states
-    of in-degree 0 as Kahn's topological sort does: every state peeled
-    means no cycle, so the language is finite.
+    ``growth`` reruns the steps over path counts capped at 2, "many" (the
+    algebraic path problem, Tarjan 1981): an entry starts at its number of
+    labels, and a step adds ``numerator`` times 1 + c times ``src`` to
+    ``dst``, c being the pivot's diagonal count of its state's first
+    returns through the states after it (1 + c is c's star).  The smallest
+    state of a strongly connected part gets c = 1 if the part is one cycle,
+    2 if it holds two; so the largest c is 0 with no cycle (finite), 1 for
+    polynomial growth and 2 for exponential; the run stops at the first 2.
     """
-    weights = {d.label: d.weight for d in alphabet}
     used = {label for moves in transitions for label in moves}
     labels = [d.label for d in alphabet if d.label in used]
     index = {label: t for t, label in enumerate(labels)}
@@ -215,20 +217,20 @@ def _plan_elimination(
                         steps.append((diag, numerator, old, row[j], src))
         if len(steps) == updated:
             steps.append((diag, scratch, scratch, scratch, scratch))
-    indegree = Counter(j for moves in transitions for j in moves.values())
-    peeled = [i for i in range(len(transitions)) if not indegree[i]]
-    for i in peeled:  # the list grows while it is read, as in Kahn's topological sort
-        for j in transitions[i].values():
-            indegree[j] -= 1
-            if not indegree[j]:
-                peeled.append(j)
+    sizes = [1] * len(labels) + [min(2, len(group)) for group in groups] + [0]  # per term index
+    counts, growth = [sizes[t] for _, t in kinds] + [0] * (1 + written - scratch), 0
+    cap = (0, 1) + (2,) * 9  # min(2, n) for every n a step makes, 2 + 2 * 2 * 2 at most
+    for diag, numerator, old, dst, src in steps:
+        if (loops := counts[diag]) > growth and (growth := loops) == 2:
+            break
+        counts[dst] = cap[counts[old] + counts[numerator] * (1 + loops) * counts[src]]
     return _PivotPlan(
-        tuple(weights[label] for label in labels),
+        tuple(d.weight for d in alphabet if d.label in used),
         tuple(groups),
         tuple(kinds),
         written - scratch,
         tuple(steps),
-        len(peeled) == len(transitions),
+        growth,
     )
 
 
@@ -254,9 +256,8 @@ def _least_pivot(plan: _PivotPlan, s: float) -> float:
     the pivot that vanishes there comes close to 0, so the value is
     continuous there.  The DSL has no empty-set regex, so every state of
     the minimized DFA (``system_dfa``) is reachable and reaches acceptance:
-    every cycle counts.  At s = 0 every pivot is positive exactly when the
-    DFA has no cycle, which the plan's ``finite`` records, so no caller
-    tests there.
+    every cycle counts.  No caller tests at s <= 0: the plan's ``growth``
+    answers there.
     """
     terms = [math.exp(-w * s) for w in plan.weights]
     terms += [sum([terms[t] for t in group]) for group in plan.groups]
@@ -384,16 +385,14 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
 
 def converges(system: SystemDef, s: float) -> bool:
     """Whether the series of the system's distinct strings converges at
-    ``s``: the pivot test ``abscissa`` bisects on, free of any tolerance.
-    At s <= 0 no term is below 1, so the series converges there only for a
-    finite language, which the plan's ``finite`` answers with no pivot
-    test; a nan ``s`` is a ValueError.  The elimination is planned once
-    per system and shared, like its DFA (callers must not modify it), so a
-    later call on the same system runs only the numeric phase."""
+    ``s``, free of any tolerance.  By the plan's ``growth``, with no test, a
+    finite language does at every ``s``, one of polynomial growth at every
+    s > 0, and no other at s <= 0, where no term is below 1; else the pivot
+    test ``abscissa`` bisects on decides.  A nan ``s`` is a ValueError."""
     if math.isnan(s):
         raise ValueError(f"s must be a number, got {s}")
     plan = _pivot_plan(system)
-    return plan.finite if s <= 0.0 else _least_pivot(plan, s) > 0.0
+    return plan.growth == 0 or s > 0.0 and (plan.growth == 1 or _least_pivot(plan, s) > 0.0)
 
 
 def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
@@ -401,16 +400,15 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
     strings converges: ``bisect_root`` guided by minus ``_least_pivot`` on
     the system's DFA, so the bracket is plain bisection's.
 
-    A DFA without a cycle (the plan's ``finite``) has finitely many
-    strings, and is reported with ``finite_language`` set, capacity 0 and
-    no pivot test.  Cyclic languages of capacity 0, such as ``(a|a)*``,
-    are bisected like any other.
+    A language of capacity 0, finite or of polynomial growth (the plan's
+    ``growth``), makes no pivot test: its capacity, bracket, residual and
+    iterations are 0, and ``finite_language`` is set if it is finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     plan = _pivot_plan(system)
-    if plan.finite:
-        return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=True)
+    if plan.growth < 2:
+        return CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=plan.growth == 0)
     lo, hi, iterations = bisect_root(lambda s: -_least_pivot(plan, s), tol)
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 

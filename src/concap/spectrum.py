@@ -153,8 +153,7 @@ def enumerate_spectrum(
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
     (p,), q = _units([min(max_weight, sys.float_info.max)])
     cutoff = p * scale // q
-    read = set().union(*dfa.transitions)  # the labels on the DFA's edges
-    if len({weights[label] for label in read}) == 1:
+    if len({w for row in steps for w, _ in row}) == 1:  # one weight on every edge
         search = _level_rows
     elif dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
         search = _merge_rows
@@ -484,7 +483,10 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
     series of the regex that diverges at an ``s`` where the string series
     converges (``genfun.converges``): value, difference and tail bound then
     read ``inf``.  Where the string series diverges, every regex's series
-    diverges with it, so there divergence is a ``SpectrumError``.
+    diverges with it, so there divergence is a ``SpectrumError``.  So is
+    divergence at an ``s > 0`` where a term ``exp(-w*s)`` is 1 in floats
+    (the unambiguous ``a*``'s at 1e-300), unless the language was
+    exhausted: a finite language's regex diverges only on an empty star.
 
     A value or partial sum beyond the float range (from many derivations,
     or at ``s < 0``, where terms grow with weight) proves nothing either
@@ -500,6 +502,8 @@ def cross_check_gf(sp: WeightSpectrum, system: SystemDef, s: float) -> CrossChec
             raise SpectrumError(f"the series of the regex diverges at s={s}")
         partial = sp.partial_sum(s)
         if gf_value == DIVERGENT:
+            if s > 0.0 and math.exp(-min(system.weights.values()) * s) == 1.0 and not sp.exhausted:
+                raise SpectrumError(f"the series at s={s} is beyond float precision: a term is 1")
             # the regex has more derivations than the language has strings
             return CrossCheck(DIVERGENT, partial, DIVERGENT, DIVERGENT, True)
         tail = 0.0 if sp.exhausted else gf_tail_bound(gf, s, sp.horizon)

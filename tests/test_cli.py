@@ -90,6 +90,28 @@ def test_capacity_jk11_zero(capsys):
     assert "capacity    0.000000000000 nats" in out
 
 
+@pytest.mark.parametrize("expr", [None, "(a|a)*", "a* b*"])
+@pytest.mark.parametrize("units", ["nats", "bits"])
+def test_capacity_0_of_polynomial_growth_is_printed_with_no_search(capsys, tmp_path, expr, units):
+    # (1,1), a* and a* b* grow polynomially: capacity 0 with a bracket of 0
+    # and no pivot test, and no note, which is for finite languages
+    if expr is None:
+        argv = ["capacity", "--jk", "1", "1"]
+    else:
+        path = tmp_path / "poly.cs"
+        path.write_text(f"sym a=1 b=2;\nexpr: {expr}\n")
+        argv = ["capacity", "--system", str(path)]
+    with mock.patch.object(genfun, "_least_pivot") as spy:
+        code, out, err = run(capsys, argv + ["--units", units])
+    assert (code, err, spy.call_count) == (EXIT_OK, "", 0)
+    assert out.splitlines()[1:] == [
+        f"capacity    0.000000000000 {units}",
+        "bracket     [0, 0]",
+        "residual    0",
+        "iterations  0",
+    ]
+
+
 def test_capacity_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.cs"
     bad.write_text("sym a=1;\nexpr: b*\n")
@@ -475,6 +497,43 @@ def test_capacity_of_an_ambiguous_regex(capsys, tmp_path):
     assert q == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "expr, ambiguous", [("a*", False), ("a* b*", False), ("(a b)*", False), ("(a|a)*", True)]
+)
+def test_crosscheck_of_polynomial_growth_just_above_zero(capsys, tmp_path, expr, ambiguous):
+    # each language converges at every s > 0, but exp(-1e-300) is 1 in
+    # floats, so every star of a reads divergent there, ambiguous or not:
+    # that proves nothing and is refused; at 1e-15 the verdict is sound
+    path = tmp_path / "poly.cs"
+    path.write_text(f"sym a=1 b=2;\nexpr: {expr}\n")
+    argv = ["crosscheck", "--system", str(path), "--max-weight", "12"]
+    code, out, err = run(capsys, argv + ["--s", "1e-300"])
+    message = "the series at s=1e-300 is beyond float precision: a term is 1"
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+    code, out, err = run(capsys, argv + ["--s", "1e-15"])
+    assert (code, err) == (EXIT_INVALID if ambiguous else EXIT_OK, "")
+    assert out.splitlines()[-1] == f"ambiguous    {'yes' if ambiguous else 'no'}"
+    code, out, err = run(capsys, argv + ["--s", "0"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: s=0.0 is inside the divergence region (Q=0.000000)\n"
+
+
+def test_crosscheck_of_an_exhausted_language_certifies_at_a_term_of_1(capsys, tmp_path):
+    # a finite language's regex diverges only on a star of the empty
+    # string, which is real divergence even where exp(-w*s) is 1
+    path = tmp_path / "epsstar.cs"
+    path.write_text("sym a=1;\nexpr: a eps*\n")
+    argv = ["crosscheck", "--system", str(path), "--max-weight", "3", "--s", "1e-300"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (EXIT_INVALID, "")
+    assert out.splitlines()[1:] == [
+        "gf_value     inf",
+        "difference   inf",
+        "tail_bound   inf",
+        "ambiguous    yes",
+    ]
+
+
 def test_crosscheck_ambiguous_just_above_regex_abscissa(capsys, tmp_path):
     # the series of (a|a)* converges only above ln 2, far above the
     # language's capacity 0; the tail bound must probe that series where it
@@ -816,6 +875,15 @@ def test_support_value_that_is_not_finite_is_an_error(capsys, tmp_path, command,
         (tmp_path / "ab.cs").write_text(system)
         argv += ["--system", str(tmp_path / "ab.cs"), "--depth", "2"]
     code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+def test_a_negative_weight_is_named_in_its_error(capsys, tmp_path):
+    # the sign is part of the weight's token, not a token of its own
+    path = tmp_path / "negative.cs"
+    path.write_text("sym a=-1;\nexpr: a*\n")
+    code, out, err = run(capsys, ["capacity", "--system", str(path)])
+    message = "weight of 'a' must be finite and positive, got -1.0 (line 1, column 7)"
     assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
 
 

@@ -123,6 +123,9 @@ def test_structured_errors(text, fragment):
         ("sym (=1;", "bad symbol label '('", 1, 5),
         ("sym a=1;\nexpr: a{x,2}", "repetition bounds must be integers", 2, 9),
         ("sym a=1;\nexpr: a{1,1.5}", "repetition bounds must be integers", 2, 9),
+        # a sign is part of its number's token
+        ("sym a=1;\nexpr: a{-1,2}", "bad repetition bounds {-1,2}", 2, 9),
+        ("sym a=1;\nexpr: a -a", "unexpected token '-a'", 2, 9),
         # the expression runs to the end of the text: a ';' after it is no end mark
         ("sym a=1;\nexpr: a;", "unexpected token ';'", 2, 8),
         ("sym a=1;\nexpr: a; sym b=2;", "unexpected token ';'", 2, 8),
@@ -147,12 +150,20 @@ def test_error_carries_position():
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("weight, value", [("inf", "inf"), ("1e999", "inf"), ("nan", "nan")])
+@pytest.mark.parametrize(
+    "weight, value",
+    [("inf", "inf"), ("1e999", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("-0.5", "-0.5"), ("-inf", "-inf")],
+)
 def test_weight_that_is_not_finite_is_an_error_at_its_token(weight, value):
+    # a signed weight is one token, so its error names the value, not its sign
     with pytest.raises(DslError) as err:
         parse_system(f"sym a=1\n  b={weight};\nexpr: (a|b)*")
     assert (err.value.line, err.value.col) == (2, 5)
     assert f"weight of 'b' must be finite and positive, got {value}" in str(err.value)
+
+
+def test_a_weight_with_a_plus_sign_reads_as_its_number():
+    assert parse_system("sym a=+2 b=1e+2;\nexpr: a b").weights == {"a": 2.0, "b": 100.0}
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])

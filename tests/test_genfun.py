@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -5,6 +6,7 @@ import math
 import random
 import threading
 import time
+from collections.abc import Iterator
 from unittest import mock
 
 import pytest
@@ -13,15 +15,17 @@ from hypothesis import strategies as st
 
 from concap import build_jk_system, genfun, maxent, parse_system
 from concap.automata import Dfa, system_dfa
-from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SystemDef, Union, preorder
+from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SymbolDecl, SystemDef, Union, preorder
 from concap.genfun import (
     DEFAULT_TOL,
     DIVERGENT,
     MAX_ITERATIONS,
+    CapacityResult,
     SolverError,
     _finite,
     _least_pivot,
     _pivot_plan,
+    _plan_elimination,
     abscissa,
     bisect_root,
     capacity_jk,
@@ -211,9 +215,13 @@ def test_capacity_jk_agrees_with_abscissa(j, k):
     [s for s, _, _ in SIZES] + [build_jk_system(j, k) for j in range(1, 9) for k in range(1, 9)],
 )
 def test_converges_above_the_bracket_and_not_below(system):
-    # the pivot test abscissa bisects on, read at the bracket's ends
+    # the pivot test abscissa bisects on, read at the bracket's ends; a
+    # capacity 0 that the plan decides, as on (1,1), is read just above 0
     result = abscissa(system)
-    assert converges(system, result.bracket_hi)
+    if _pivot_plan(system).growth < 2:
+        assert converges(system, math.ulp(0.0))
+    else:
+        assert converges(system, result.bracket_hi)
     assert result.bracket_lo == 0.0 or not converges(system, result.bracket_lo)
 
 
@@ -222,6 +230,7 @@ def test_converges_at_or_below_zero_only_for_a_finite_language(s):
     # no term is below 1 there; exp(1000) used to raise OverflowError
     assert not converges(parse_system("sym 0=1 1=1;\nexpr: (0|1)*"), s)
     assert not converges(build_jk_system(2, 2), s)
+    assert not converges(parse_system("sym a=1;\nexpr: (a|a)*"), s)  # capacity 0, not finite
     assert converges(parse_system("sym a=1 b=2;\nexpr: a b a | b"), s)
     assert converges(parse_system("sym a=1;\nexpr: eps"), s)
 
@@ -376,10 +385,11 @@ def has_cycle(transitions: list[dict[str, int]]) -> bool:
 
 def assert_finite_flag(system):
     plan = _pivot_plan(system)
-    assert plan.finite is not has_cycle(system_dfa(system).transitions)
-    # the rule the flag replaced: every pivot positive at s = 0
-    assert plan.finite is (_least_pivot(plan, 0.0) > 0.0)
-    return plan.finite
+    finite = plan.growth == 0
+    assert finite is not has_cycle(system_dfa(system).transitions)
+    # the rule the class replaced: every pivot positive at s = 0
+    assert finite is (_least_pivot(plan, 0.0) > 0.0)
+    return finite
 
 
 @pytest.mark.parametrize(
@@ -406,13 +416,130 @@ def test_plan_finite_is_a_dfa_without_cycles_on_random_regexes(expr):
     assert_finite_flag(SystemDef(_DECLS, expr))
 
 
+# --- capacity 0 is read off the plan's growth class ----------------------
+
+
+def tarjan_growth(transitions: list[dict[str, int]]) -> int:
+    """The growth class from Tarjan's strongly connected components, found
+    with an explicit stack: 2 (exponential) if a component has more
+    label-edges inside it than states, so two cycles; else 1 (polynomial)
+    if one has any, one cycle; else 0 (finite)."""
+    n = len(transitions)
+    index, low, numbers = [-1] * n, [0] * n, itertools.count()
+    stack: list[int] = []  # Tarjan's stack of states not yet in a component
+    on_stack: set[int] = set()
+    path: list[tuple[int, Iterator[int]]] = []  # the search path, with each state's targets left
+    components = []
+
+    def enter(i: int) -> None:
+        index[i] = low[i] = next(numbers)
+        stack.append(i)
+        on_stack.add(i)
+        path.append((i, iter(transitions[i].values())))
+
+    for root in range(n):
+        if index[root] < 0:
+            enter(root)
+        while path:
+            i, targets = path[-1]
+            j = next(targets, None)
+            if j is None:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[i])
+                if low[i] == index[i]:  # i roots a component: pop it off the stack
+                    component = set()
+                    while i not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    components.append(component)
+            elif index[j] < 0:
+                enter(j)
+            elif j in on_stack:
+                low[i] = min(low[i], index[j])
+    # label-edges inside a component minus its states: -1 for a state on no cycle
+    excess = max(sum(j in c for i in c for j in transitions[i].values()) - len(c) for c in components)
+    return 2 if excess > 0 else 1 if excess == 0 else 0
+
+
+def reference_abscissa(plan) -> CapacityResult:
+    """The bisection ``abscissa`` ran on every cyclic language before the
+    plan recorded its growth."""
+    lo, hi, iterations = bisect_root(lambda s: -_least_pivot(plan, s), DEFAULT_TOL)
+    return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
+
+
+def assert_growth_is_tarjans(plan, transitions):
+    """The plan's class is Tarjan's, and below 2 exactly where the reference
+    bisection's bracket starts at 0.  Returns the class."""
+    assert plan.growth == tarjan_growth(transitions)
+    reference = reference_abscissa(plan)
+    assert (plan.growth < 2) is (reference.bracket_lo == 0.0)
+    return plan.growth
+
+
+@seed(1403)
+@settings(max_examples=400, deadline=None)
+@given(_regexes())
+def test_plan_growth_is_tarjans_on_random_regexes(expr):
+    system = SystemDef(_DECLS, expr)
+    plan = _pivot_plan(system)
+    if assert_growth_is_tarjans(plan, system_dfa(system).transitions) == 2:
+        assert abscissa(system) == reference_abscissa(plan)  # bit for bit
+    else:
+        assert abscissa(system) == CapacityResult(0.0, 0.0, 0.0, 0.0, 0, plan.growth == 0)
+
+
+RAW_DECLS = (SymbolDecl("a", 1.0), SymbolDecl("b", math.sqrt(2)), SymbolDecl("c", 2.5))
+
+
+def test_plan_growth_is_tarjans_on_raw_graphs():
+    # any graph, not only a minimal DFA's: states that reach no acceptance,
+    # self-loops and parallel labels included
+    rng = random.Random(1404)
+    classes = collections.Counter()
+    for _ in range(1500):
+        n, density = rng.randint(1, 7), rng.random()
+        transitions = [
+            {d.label: rng.randrange(n) for d in RAW_DECLS if rng.random() < density} for _ in range(n)
+        ]
+        classes[assert_growth_is_tarjans(_plan_elimination(transitions, RAW_DECLS), transitions)] += 1
+    assert min(classes[growth] for growth in range(3)) >= 200, classes
+
+
+CAPACITY_ZERO = [
+    parse_system("sym a=1;\nexpr: (a|a)*"),
+    parse_system("sym a=1 b=2;\nexpr: a* b*"),
+    parse_system("sym a=1 b=2 c=3;\nexpr: a* b* c*"),
+    parse_system("sym a=1 b=2 c=3;\nexpr: (a b)* (c a)*"),
+    build_jk_system(1, 1),
+]
+
+
+@pytest.mark.parametrize("system", CAPACITY_ZERO)
+def test_capacity_0_of_polynomial_growth_needs_no_pivot_test(system):
+    plan = _pivot_plan(system)
+    assert plan.growth == 1
+    with mock.patch.object(genfun, "_least_pivot", wraps=_least_pivot) as spy:
+        result = abscissa(system)
+        converging = [converges(system, s) for s in (1e-300, math.ulp(0.0), 1.0, math.inf, 0.0, -1.0)]
+    assert spy.call_count == 0
+    assert result == CapacityResult(0.0, 0.0, 0.0, 0.0, 0, finite_language=False)
+    assert converging == [True] * 4 + [False] * 2
+    # in floats the pivot test cannot tell 1e-300 from 0, and the bisection
+    # that ran before ended in a bracket 9.09e-13 wide
+    assert not _least_pivot(plan, 1e-300) > 0.0
+    reference = reference_abscissa(plan)
+    assert reference.bracket_lo == 0.0 < reference.bracket_hi == reference.residual < DEFAULT_TOL
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "sym 0=1 1=1;\nexpr: (0|1)*",  # hi = 1 at once
         "sym a=0.1 b=0.1;\nexpr: (a|b)*",  # capacity 10 ln 2: hi doubles to 8
         "sym a=1 b=1;\nexpr: (a{1,40} b)*",
-        "sym a=1;\nexpr: (a|a)*",  # capacity 0, bisected
+        "sym a=1;\nexpr: (a|a)*",  # capacity 0 of polynomial growth: no test at all
         "sym a=1 b=2;\nexpr: a b a | b",  # finite: no test at all
         "sym a=1;\nexpr: eps",
     ],
@@ -422,8 +549,9 @@ def test_abscissa_tests_only_to_find_hi_and_to_bisect(text):
     with mock.patch.object(genfun, "_least_pivot", wraps=_least_pivot) as spy:
         result = abscissa(system)
     points = [call.args[1] for call in spy.call_args_list]
-    if result.finite_language:
+    if _pivot_plan(system).growth < 2:
         assert points == []
+        assert result.iterations == 0
         return
     # hi doubles from 1 until the series converges there
     doublings = next(k for k in itertools.count() if converges(system, 2.0**k))
