@@ -69,14 +69,14 @@ def cmd_capacity(args) -> int:
         _units_value(x, args.units)
         for x in (result.q, result.bracket_lo, result.bracket_hi, result.residual)
     )
-    name = system.name or "system"
-    print(f"system      {name}")
-    print(f"capacity    {q:.12f} {args.units}")
-    print(f"bracket     [{lo:.15g}, {hi:.15g}]")
-    print(f"residual    {residual:.3g}")
-    print(f"iterations  {result.iterations}")
-    if result.finite_language:
-        print("note        finite language; capacity reported as 0")
+    note = "note        finite language; capacity reported as 0\n" if result.finite_language else ""
+    sys.stdout.write(  # the report in one write
+        f"system      {system.name or 'system'}\n"
+        f"capacity    {q:.12f} {args.units}\n"
+        f"bracket     [{lo:.15g}, {hi:.15g}]\n"
+        f"residual    {residual:.3g}\n"
+        f"iterations  {result.iterations}\n{note}"
+    )
     return EXIT_OK
 
 

@@ -16,7 +16,9 @@ expression runs to the end of the text.  Every walk over a regex tree keeps
 a stack of its own (``preorder``, and ``_regex_key``'s walk, which emits its
 tokens as it goes), and the parser keeps one too, a level per open
 parenthesis, so a tree as deep as a long or deeply nested regex is read and
-walked like any other.
+walked like any other.  The parser reads the text's tokens as plain
+strings; an error finds its line and column by reading the text again, so
+a text that parses pays for no position.
 """
 
 from __future__ import annotations
@@ -168,12 +170,19 @@ class SymbolDecl:
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named alphabet-plus-regex constraint definition. Immutable."""
+    """A named alphabet-plus-regex constraint definition. Immutable.
+
+    Systems compare and hash by a flat key made in ``__post_init__``: the
+    (label, weight) pairs (``label_weights``), the regex's ``_regex_key``
+    tokens and the name, all plain tuples and strings, so a comparison runs
+    in C and recurses nowhere.  The hash is taken once, there."""
 
     alphabet: tuple[SymbolDecl, ...] = field(compare=False)
     expr: Regex = field(compare=False)
     name: str = field(default="", compare=False)
     _key: tuple = field(init=False, repr=False)  # all that is compared: flat, never recursed
+    label_weights: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alphabet:
@@ -193,7 +202,18 @@ class SystemDef:
                     raise DslError(f"bad repetition bounds {{{lo},{hi}}}")
             elif kind is not type and token not in declared:  # a label, not a node's class
                 raise DslError(f"undeclared symbol {token!r}")
-        object.__setattr__(self, "_key", (self.alphabet, tokens, self.name))
+        label_weights = tuple((d.label, d.weight) for d in self.alphabet)
+        key = (label_weights, tokens, self.name)
+        object.__setattr__(self, "label_weights", label_weights)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its parts: the hash of a string differs between processes
+        return SystemDef, (self.alphabet, self.expr, self.name)
 
     def __repr__(self) -> str:
         # the regex as the text it parses from
@@ -201,7 +221,7 @@ class SystemDef:
 
     @property
     def weights(self) -> dict[str, float]:
-        return {d.label: d.weight for d in self.alphabet}
+        return dict(self.label_weights)
 
     @cached_property
     def label_re(self) -> re.Pattern[str]:
@@ -260,43 +280,56 @@ def split_labels(s: str, label_re: re.Pattern[str]) -> list[str]:
 _TOKEN_RE = re.compile(r"[-+]?[A-Za-z0-9_.]+(?:[-+][0-9]+)?|[(){}|,*;=]|\S")
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> list[str]:
+    """The text's tokens, as plain strings: line by line, each line cut at
+    its first ``#``, the matches of ``_TOKEN_RE``.  No position is kept;
+    ``_position`` finds a token's again, which only an error needs."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        tokens += _TOKEN_RE.findall(line.split("#", 1)[0])
+    return tokens
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            toks.append(_Token(m.group(), lineno, m.start() + 1))
-    return toks
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The 1-based (line, column) of token ``index`` of ``_tokenize(text)``,
+    found by reading the text again as ``_tokenize`` does; (1, 1) when the
+    text has no such token."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            if index == 0:
+                return lineno, m.start() + 1
+            index -= 1
+    return 1, 1
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
+    """Reads a system off the text's tokens, ``_tokenize``'s strings.  An
+    error is placed at a token by its index, and only then is the token's
+    line and column looked up in the text (``error``)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks: list[str | None] = _tokenize(text) + [None]  # None: the end, never read past
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def error(self, message: str, index: int | None = None) -> DslError:
+        """A ``DslError`` at token ``index``, by default the last one read."""
+        return DslError(message, *_position(self.text, self.pos - 1 if index is None else index))
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else _Token("", 1, 1)
-            raise DslError("unexpected end of input", last.line, last.col)
+    def peek(self) -> str | None:
+        return self.toks[self.pos]
+
+    def next(self) -> str:
+        tok = self.toks[self.pos]
+        if tok is None:  # placed at the last token, at 1:1 if there is none
+            raise self.error("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise DslError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self.error(f"expected {text!r}, got {tok!r}")
 
     # --- declarations
 
@@ -306,48 +339,47 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 raise DslError("missing 'expr:' clause", 1, 1)
-            if tok.text == "sym":
+            if tok == "sym":
                 self.next()
                 self._parse_sym_block(decls)
-            elif tok.text == "expr":
+            elif tok == "expr":
                 self.next()
                 break
             else:
-                raise DslError(f"expected 'sym' or 'expr', got {tok.text!r}", tok.line, tok.col)
+                raise self.error(f"expected 'sym' or 'expr', got {tok!r}", self.pos)
         colon = self.next()  # ':' is a token of its own (\S), and never part of a regex
-        if colon.text != ":":
-            raise DslError(f"expected ':' after 'expr', got {colon.text!r}", colon.line, colon.col)
+        if colon != ":":
+            raise self.error(f"expected ':' after 'expr', got {colon!r}")
         if not decls:
-            raise DslError("no symbols declared", colon.line, colon.col)
+            raise self.error("no symbols declared")
         expr = self._parse_union({d.label for d in decls})
         if (trailing := self.peek()) is not None:  # the expression runs to the end
-            raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
+            raise self.error(f"unexpected token {trailing!r}", self.pos)
         return SystemDef(alphabet=tuple(decls), expr=expr, name=name)
 
     def _parse_sym_block(self, decls: list[SymbolDecl]) -> None:
         """Parse one ``sym`` block onto ``decls``, the declarations so far."""
         start = len(decls)
         while True:
-            tok = self.next()
-            if tok.text == ";":
+            label = self.next()
+            if label == ";":
                 if len(decls) == start:
-                    raise DslError("empty 'sym' declaration", tok.line, tok.col)
+                    raise self.error("empty 'sym' declaration")
                 return
-            label = tok.text
             if not re.fullmatch(r"[A-Za-z0-9_]+", label):
-                raise DslError(f"bad symbol label {label!r}", tok.line, tok.col)
+                raise self.error(f"bad symbol label {label!r}")
             if label == "eps":
-                raise DslError("'eps' is reserved for the empty string", tok.line, tok.col)
+                raise self.error("'eps' is reserved for the empty string")
             if clash := _label_clash(label, (d.label for d in decls)):
-                raise DslError(clash, tok.line, tok.col)
+                raise self.error(clash)
             self.expect("=")
-            wtok = self.next()
+            weight = self.next()
             try:
-                decls.append(SymbolDecl(label, float(wtok.text)))
+                decls.append(SymbolDecl(label, float(weight)))
             except DslError as exc:  # SymbolDecl's weight check, placed at the token
-                raise DslError(str(exc), wtok.line, wtok.col) from None
+                raise self.error(str(exc)) from None
             except ValueError:
-                raise DslError(f"bad weight {wtok.text!r}", wtok.line, wtok.col) from None
+                raise self.error(f"bad weight {weight!r}") from None
 
     # --- regex, precedence: union < concat < star/repeat
 
@@ -359,20 +391,20 @@ class _Parser:
         union = concat = None
         while True:
             tok = self.next()
-            if tok.text == "(":
+            if tok == "(":
                 stack.append((union, concat))
                 union = concat = None
                 continue
             node = self._parse_atom(tok, labels)
             while True:
-                while (tok := self.peek()) is not None and tok.text in ("*", "{"):
+                while (tok := self.peek()) in ("*", "{"):
                     self.next()
-                    node = Star(node) if tok.text == "*" else self._parse_repeat(node)
+                    node = Star(node) if tok == "*" else self._parse_repeat(node)
                 concat = node if concat is None else Concat(concat, node)
-                if tok is not None and tok.text not in ("|", ")", ";", ",", "}"):
+                if tok is not None and tok not in ("|", ")", ";", ",", "}"):
                     break  # the next factor
                 union = concat if union is None else Union(union, concat)
-                if tok is not None and tok.text == "|":
+                if tok == "|":
                     self.next()
                     concat = None
                     break  # the next alternative
@@ -383,50 +415,55 @@ class _Parser:
                 union, concat = stack.pop()
 
     def _parse_repeat(self, node: Regex) -> Regex:
+        at = self.pos  # errors in the bounds are placed at the lower one
         lo_tok = self.next()
         self.expect(",")
         hi_tok = self.next()
         self.expect("}")
         try:
-            lo, hi = int(lo_tok.text), int(hi_tok.text)
+            lo, hi = int(lo_tok), int(hi_tok)
         except ValueError:
-            raise DslError("repetition bounds must be integers", lo_tok.line, lo_tok.col) from None
+            raise self.error("repetition bounds must be integers", at) from None
         if lo < 0 or hi < lo:
-            raise DslError(f"bad repetition bounds {{{lo},{hi}}}", lo_tok.line, lo_tok.col)
+            raise self.error(f"bad repetition bounds {{{lo},{hi}}}", at)
         return Repeat(node, lo, hi)
 
-    def _parse_atom(self, tok: _Token, labels: set[str]) -> Regex:
-        if tok.text == "eps":
+    def _parse_atom(self, tok: str, labels: set[str]) -> Regex:
+        """The atom that ``tok``, the last token read, starts."""
+        if tok == "eps":
             return EPSILON
-        if tok.text == "expr" and getattr(self.peek(), "text", "") == ":":
-            raise DslError("duplicate 'expr:' clause", tok.line, tok.col)
+        if tok == "expr" and self.peek() == ":":
+            raise self.error("duplicate 'expr:' clause")
         # a bare word is one label, or a juxtaposition of labels ("01")
-        word = tok.text
-        if word in labels:
-            return Symbol(word)
+        if tok in labels:
+            return Symbol(tok)
         try:
-            parts = split_labels(word, label_regex(labels))
+            parts = split_labels(tok, label_regex(labels))
         except DslError:
-            kind = "undeclared symbol" if re.fullmatch(r"[A-Za-z0-9_]+", word) else "unexpected token"
-            raise DslError(f"{kind} {word!r}", tok.line, tok.col) from None
+            kind = "undeclared symbol" if re.fullmatch(r"[A-Za-z0-9_]+", tok) else "unexpected token"
+            raise self.error(f"{kind} {tok!r}") from None
         return reduce(Concat, map(Symbol, parts))
 
 
 def parse_system(text: str, name: str = "") -> SystemDef:
     """Parse a system definition document into a validated ``SystemDef``."""
-    return _Parser(_tokenize(text)).parse_system(name)
+    return _Parser(text).parse_system(name)
 
 
 def load_system(path) -> SystemDef:
     """Read and parse the system definition file at ``path``, named by its
     path.  The file is UTF-8, with or without a leading byte order mark
     (BOM), which is no part of the text."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_system(fh.read(), name=str(path))
+    with open(path, "rb") as fh:  # split as text mode would: splitlines reads \r\n and \r
+        text = fh.read().decode("utf-8-sig")
+    return parse_system(text, name=str(path))
 
 
 # ---------------------------------------------------------------------------
 # Construction helpers
+
+
+_BINARY = (SymbolDecl("0", 1.0), SymbolDecl("1", 1.0))  # every (j,k) system's alphabet
 
 
 def build_jk_system(j: int, k: int) -> SystemDef:
@@ -445,7 +482,7 @@ def build_jk_system(j: int, k: int) -> SystemDef:
     branch1 = Concat(Concat(ones, Star(Concat(zeros, ones))), Union(EPSILON, zeros))
     branch2 = Concat(Concat(zeros, Star(Concat(ones, zeros))), Union(EPSILON, ones))
     return SystemDef(
-        alphabet=(SymbolDecl("0", 1.0), SymbolDecl("1", 1.0)),
+        alphabet=_BINARY,
         expr=Union(branch1, branch2),
         name=f"S_({j},{k})",
     )

@@ -129,10 +129,10 @@ class _PivotPlan(NamedTuple):
 def _pivot_plan(system: SystemDef) -> _PivotPlan:
     """The elimination plan of the system's pivot test, planned once per
     system and shared, like its DFA: it is kept in the DFA's ``derived``,
-    keyed by the alphabet whose weights it holds.  Callers must not modify
-    it."""
+    keyed by the (label, weight) pairs whose weights it holds.  Callers
+    must not modify it."""
     dfa = system_dfa(system)
-    key = ("pivot_plan", system.alphabet)
+    key = ("pivot_plan", system.label_weights)
     plan = dfa.derived.get(key)
     if plan is None:
         plan = dfa.derived[key] = _plan_elimination(dfa.transitions, system.alphabet)

@@ -120,12 +120,16 @@ def maxentropic_pmf(support: WeightedSupport, solved: RateResult | None = None) 
     """The unique entropy-per-weight-maximizing distribution
     p(z) = exp(-w(z) * R).  ``solved``, the support's ``solve_rate``
     result if the caller has it, saves solving for R again.  Every item is
-    computed by C loops, as exp(w * -R) divided by the sum of them all."""
+    computed by C loops, as exp(w * -R) divided by the sum of them all.
+    Where every term underflows to 0 (weights near 1e30 and more), there is
+    nothing to divide by, and a ``MaxentError`` says so."""
     result = solve_rate(support) if solved is None else solved
     # w * -R is (-w) * R exactly: negation is exact and rounding is symmetric
     probs = list(map(math.exp, map(mul, support.weights, repeat(-result.rate))))
+    if not (total := sum(probs)):
+        raise MaxentError(f"every exp(-w*R) underflows to 0 at R={result.rate!r}")
     # the root already puts the sum within tol of 1; renormalize the dust
-    return Pmf(support, tuple(map(truediv, probs, repeat(sum(probs)))))
+    return Pmf(support, tuple(map(truediv, probs, repeat(total))))
 
 
 def entropy(p: Pmf) -> float:

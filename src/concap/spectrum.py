@@ -147,19 +147,21 @@ def enumerate_spectrum(
     dfa = system_dfa(system)
     units, scale = _units([d.weight for d in system.alphabet])
     weights = dict(zip([d.label for d in system.alphabet], units))
-    # each state's (weight, next state) steps in weight order, read once
-    steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
     # ints, as every key: an int compared with a float costs the loop its gain.
     # A weight beyond the float range is past the cutoff, even at max_weight inf.
     (p,), q = _units([min(max_weight, sys.float_info.max)])
     cutoff = p * scale // q
-    if len({w for row in steps for w, _ in row}) == 1:  # one weight on every edge
-        search = _level_rows
-    elif dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
-        search = _merge_rows
+    read = {weights[label] for label in set().union(*dfa.transitions)}  # the weights on edges
+    if len(read) == 1:  # one weight on every edge
+        W, C, complete, exhausted = _level_rows(dfa, read.pop(), cutoff, max_strings)
     else:
-        search = _heap_rows
-    W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
+        # each state's (weight, next state) steps in weight order, read once
+        steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
+        if dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
+            search = _merge_rows
+        else:
+            search = _heap_rows
+        W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
     return WeightSpectrum(
         units=tuple(W),
         scale=scale,
@@ -180,22 +182,25 @@ def _units(xs: list[float]) -> tuple[tuple[int, ...], int]:
     return tuple(p * (scale // q) for p, q in ratios), scale
 
 
-# The three searches of enumerate_spectrum share one signature: the DFA, each
-# state's (weight, next state) steps in weight order, the cutoff in units,
-# and the string budget.  Each returns the row weights in units, the row
-# counts, and the complete and exhausted flags.
+# The searches of enumerate_spectrum by weight, _merge_rows and _heap_rows,
+# share one signature: the DFA, each state's (weight, next state) steps in
+# weight order, the cutoff in units, and the string budget.  _level_rows
+# takes the one weight in place of the steps.  Each returns the row weights
+# in units, the row counts, and the complete and exhausted flags.
 _Steps = list[list[tuple[int, int]]]
 _Rows = tuple[list[int], list[int], bool, bool]
 
 
-def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
-    """Every label read weighs u: the rows are the lengths t times u.  Two
-    per-state count lists, for lengths t and t + 1, are reused; each state
-    reached at length t pushes its count along its edges, and a state is
-    listed as reached at t + 1 at its first count (and as a hit if it
-    accepts, so a length with no accepting state sums none)."""
-    u = next(weight for row in steps for weight, _ in row)
-    accepting = dfa.accepting
+def _level_rows(dfa: Dfa, u: int, cutoff: int, max_strings: int) -> _Rows:
+    """Every label read weighs u: the rows are the lengths t times u, and
+    only the edges' next states are read.  Two per-state count lists, for
+    lengths t and t + 1, are reused; each state reached at length t pushes
+    its count along its edges, and a state is listed as reached at t + 1 at
+    its first count.  After the pushes, one pass over that list sums the
+    length's accepted count; a length that reaches no accepting state has
+    no row."""
+    succ = [list(row.values()) for row in dfa.transitions]
+    is_accepting = dfa.accepting.__contains__
     counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
     counts[dfa.start] = 1
     reached = [dfa.start]
@@ -204,21 +209,19 @@ def _level_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows
     while reached:
         w += u
         if w > cutoff:  # exhausted unless a reached state has an edge
-            return W, C, True, not any(map(steps.__getitem__, reached))
-        level, hits = [], []
+            return W, C, True, not any(map(succ.__getitem__, reached))
+        level = []
         for state in reached:
             n = counts[state]
             counts[state] = 0
-            for _, nxt in steps[state]:
+            for nxt in succ[state]:
                 if pushed[nxt]:
                     pushed[nxt] += n
                 else:
                     pushed[nxt] = n
                     level.append(nxt)
-                    if nxt in accepting:
-                        hits.append(nxt)
-        if hits:
-            total += (accepted := sum(map(pushed.__getitem__, hits)))
+        if accepted := sum(map(pushed.__getitem__, filter(is_accepting, level))):
+            total += accepted
             if total > max_strings:
                 return W, C, False, False
             W.append(w)

@@ -228,6 +228,45 @@ def test_maxent_pitfall_rate(capsys, tmp_path):
     assert "01 2 0.171572875254" in out
 
 
+def test_maxent_of_weights_whose_terms_all_underflow_is_an_error(capsys, tmp_path):
+    sup = tmp_path / "big.sup"
+    sup.write_text("a 1e30\nb 1e30\n")
+    for argv in (["maxent", "--support", str(sup)], ["simulate", "--support", str(sup), "--blocks", "10"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: every exp(-w*R) underflows to 0 at R=4.547473508864641e-13\n"
+
+
+def test_an_error_in_a_crlf_file_is_placed_on_its_line(capsys, tmp_path):
+    # comments and CRLF line ends: the error's line and column are those of
+    # the file's text, as its lines read in a text editor
+    path = tmp_path / "crlf.cs"
+    path.write_bytes(b"sym a=1; # one label\r\n# comment line\r\nexpr: (a a\r\n  | a b)*\r\n")
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+        code, out, err = run(capsys, ["capacity", "--system", str(path)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: undeclared symbol 'b' (line 4, column 7)\n"
+
+
+def test_capacity_report_is_written_in_one_piece(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "finite.cs"
+    path.write_text("sym a=1 b=2;\nexpr: a b a | b\n")
+    writes = []
+    real_write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+    code = main(["capacity", "--system", str(path)])
+    assert code == EXIT_OK
+    assert writes == [
+        f"system      {path}\n"
+        "capacity    0.000000000000 nats\n"
+        "bracket     [0, 0]\n"
+        "residual    0\n"
+        "iterations  0\n"
+        "note        finite language; capacity reported as 0\n"
+    ]
+
+
 def test_validate_pitfall_invalid(capsys, sbin_file, tmp_path):
     pmf = tmp_path / "pitfall.pmf"
     pmf.write_text(PITFALL_PMF)

@@ -184,6 +184,20 @@ def test_maxentropic_pmf_degenerate():
     assert p.probs == (1.0,)
 
 
+def test_maxentropic_pmf_names_the_underflow_of_every_term():
+    # at weights 1e30 the rate's bracket ends near 4.5e-13, where every
+    # exp(-w*R) is 0: there is no sum to divide by
+    support = WeightedSupport((("a", 1e30), ("b", 1e30)))
+    result = solve_rate(support)
+    with pytest.raises(MaxentError, match=r"^every exp\(-w\*R\) underflows to 0 at R=4\.547473508864641e-13$"):
+        maxentropic_pmf(support, result)
+    with pytest.raises(MaxentError, match="underflows"):
+        maxentropic_pmf(support)
+    # one term that does not underflow is enough
+    p = maxentropic_pmf(WeightedSupport((("a", 1e30), ("b", 1.0))))
+    assert p.probs[0] == 0.0 and p.probs[1] == 1.0
+
+
 def test_entropy_per_weight_examples():
     assert entropy_per_weight(maxentropic_pmf(BITS)) == pytest.approx(LN2, abs=1e-12)
     assert entropy_per_weight(maxentropic_pmf(PITFALL)) == pytest.approx(

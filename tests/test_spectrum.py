@@ -445,10 +445,17 @@ def test_rows_kept_as_columns_read_as_the_pairs_did():
 
 
 def heap_loop_spectrum(system, max_weight, max_strings=10_000_000):
-    """The spectrum from the bucket heap, whatever the automaton: the level
-    and merge searches share its signature, and it stands in for both."""
+    """The spectrum from the bucket heap, whatever the automaton: the merge
+    search shares its signature, and it stands in for it; for the level
+    search, which reads no steps, it reads each edge's step at the one
+    weight, in weight order as enumerate_spectrum builds them."""
     heap = spectrum._heap_rows
-    with mock.patch.multiple(spectrum, _level_rows=heap, _merge_rows=heap):
+
+    def level(dfa, u, cutoff, max_strings):
+        steps = [sorted((u, nxt) for nxt in row.values()) for row in dfa.transitions]
+        return heap(dfa, steps, cutoff, max_strings)
+
+    with mock.patch.multiple(spectrum, _level_rows=level, _merge_rows=heap):
         return enumerate_spectrum(system, max_weight, max_strings)
 
 
@@ -613,6 +620,64 @@ def test_equal_weights_match_the_fraction_search_seeded():
         (False, True, False), (False, True, True), (False, False, False),
         (True, True, True), (True, False, False),
     }
+
+
+def reference_level_rows(dfa, steps, cutoff, max_strings):
+    """The level search as it read the weighted steps, listing each length's
+    accepting states as it pushed."""
+    u = next(weight for row in steps for weight, _ in row)
+    counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
+    counts[dfa.start] = 1
+    reached = [dfa.start]
+    W, C = [], []
+    w = total = 0
+    while reached:
+        w += u
+        if w > cutoff:
+            return W, C, True, not any(map(steps.__getitem__, reached))
+        level, hits = [], []
+        for state in reached:
+            n = counts[state]
+            counts[state] = 0
+            for _, nxt in steps[state]:
+                if pushed[nxt]:
+                    pushed[nxt] += n
+                else:
+                    pushed[nxt] = n
+                    level.append(nxt)
+                    if nxt in dfa.accepting:
+                        hits.append(nxt)
+        if hits:
+            total += (accepted := sum(map(pushed.__getitem__, hits)))
+            if total > max_strings:
+                return W, C, False, False
+            W.append(w)
+            C.append(accepted)
+        counts, pushed, reached = pushed, counts, level
+    return W, C, True, True
+
+
+def test_level_search_is_the_reference_level_search_seeded():
+    # the same rows, flags and truncation, in units, on random regexes and
+    # (j,k) systems, at budgets from 1 and cutoffs from 0 units
+    rng = random.Random(41)
+    flags = set()
+    for i in range(400):
+        system = (
+            build_jk_system(rng.randint(1, 6), rng.randint(1, 6)) if i % 4 == 0
+            else parse_system(f"sym a=1 b=1 c=1;\nexpr: {random_regex(rng, 5)}")
+        )
+        dfa = system_dfa(system)
+        if not set().union(*dfa.transitions):
+            continue
+        u = rng.choice([1, 3, 10**20])
+        steps = [sorted((u, nxt) for nxt in row.values()) for row in dfa.transitions]
+        cutoff = u * rng.randint(0, 40) + rng.randint(0, u - 1)
+        max_strings = rng.choice([1, 2, 7, 100, 10**6])
+        rows = spectrum._level_rows(dfa, u, cutoff, max_strings)
+        assert rows == reference_level_rows(dfa, steps, cutoff, max_strings), system
+        flags.add(rows[2:])
+    assert flags == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize(

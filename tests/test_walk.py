@@ -6,13 +6,23 @@ tree, and so failed on a regex a few hundred symbols long; the parser's
 recursive descent refused parentheses nested a few hundred deep.  Their
 recursive forms are kept here as references: on trees and texts of
 ordinary depth the walks must agree with them exactly, errors included.
-``SystemDef`` compares and hashes a flat key that the same walk builds; it
-must agree with comparing the trees.
+The parser reads tokens as plain strings and finds an error's line and
+column only when it raises; the parser that kept a ``Token`` with its
+position per token is kept here too, and every parse, error or system,
+must equal its.  ``SystemDef`` compares and hashes a flat key that the same
+walk builds; it must agree with comparing the trees.
 """
 
 import copy
 import math
+import os
+import pickle
+import random
 import re
+import subprocess
+import sys
+from dataclasses import dataclass
+from functools import reduce
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -29,10 +39,13 @@ from concap.dsl import (
     SymbolDecl,
     SystemDef,
     Union,
+    _label_clash,
     _Parser,
-    _tokenize,
+    build_jk_system,
     format_regex,
     label_regex,
+    load_system,
+    parse_system,
     preorder,
     split_labels,
 )
@@ -156,24 +169,24 @@ class RecursiveParser(_Parser):
 
     def _parse_union(self, labels):
         node = self._parse_concat(labels)
-        while (tok := self.peek()) is not None and tok.text == "|":
+        while self.peek() == "|":
             self.next()
             node = Union(node, self._parse_concat(labels))
         return node
 
     def _parse_concat(self, labels):
         node = self._parse_postfix(labels)
-        while (tok := self.peek()) is not None and tok.text not in ("|", ")", ";", ",", "}"):
+        while (tok := self.peek()) is not None and tok not in ("|", ")", ";", ",", "}"):
             node = Concat(node, self._parse_postfix(labels))
         return node
 
     def _parse_postfix(self, labels):
         node = self._parse_group_or_atom(labels)
         while (tok := self.peek()) is not None:
-            if tok.text == "*":
+            if tok == "*":
                 self.next()
                 node = Star(node)
-            elif tok.text == "{":
+            elif tok == "{":
                 self.next()
                 node = self._parse_repeat(node)
             else:
@@ -181,26 +194,181 @@ class RecursiveParser(_Parser):
         return node
 
     def _parse_group_or_atom(self, labels):
-        tok = self.next()
-        if tok.text == "(":
+        word = self.next()
+        if word == "(":
             node = self._parse_union(labels)
             self.expect(")")
             return node
-        if tok.text == "eps":
+        if word == "eps":
             return EPSILON
-        word = tok.text
         if not re.fullmatch(r"[A-Za-z0-9_]+", word):
-            raise DslError(f"unexpected token {word!r}", tok.line, tok.col)
+            raise self.error(f"unexpected token {word!r}")
         if word in labels:
             return Symbol(word)
         try:
             parts = split_labels(word, label_regex(labels))
         except DslError:
-            raise DslError(f"undeclared symbol {word!r}", tok.line, tok.col) from None
+            raise self.error(f"undeclared symbol {word!r}") from None
         node = Symbol(parts[0])
         for lab in parts[1:]:
             node = Concat(node, Symbol(lab))
         return node
+
+
+# --- reference: the parser that kept each token's position ---------------
+
+
+@dataclass
+class Token:
+    text: str
+    line: int
+    col: int
+
+
+def token_tokenize(text):
+    toks = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for m in re.finditer(r"[-+]?[A-Za-z0-9_.]+(?:[-+][0-9]+)?|[(){}|,*;=]|\S", line):
+            toks.append(Token(m.group(), lineno, m.start() + 1))
+    return toks
+
+
+class TokenParser:
+    """The parser as it was when every token carried its line and column:
+    each error is placed by the token at hand."""
+
+    def __init__(self, tokens):
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            last = self.toks[-1] if self.toks else Token("", 1, 1)
+            raise DslError("unexpected end of input", last.line, last.col)
+        self.pos += 1
+        return tok
+
+    def expect(self, text):
+        tok = self.next()
+        if tok.text != text:
+            raise DslError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def parse_system(self, name):
+        decls = []
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise DslError("missing 'expr:' clause", 1, 1)
+            if tok.text == "sym":
+                self.next()
+                self._parse_sym_block(decls)
+            elif tok.text == "expr":
+                self.next()
+                break
+            else:
+                raise DslError(f"expected 'sym' or 'expr', got {tok.text!r}", tok.line, tok.col)
+        colon = self.next()
+        if colon.text != ":":
+            raise DslError(f"expected ':' after 'expr', got {colon.text!r}", colon.line, colon.col)
+        if not decls:
+            raise DslError("no symbols declared", colon.line, colon.col)
+        expr = self._parse_union({d.label for d in decls})
+        if (trailing := self.peek()) is not None:
+            raise DslError(f"unexpected token {trailing.text!r}", trailing.line, trailing.col)
+        return SystemDef(alphabet=tuple(decls), expr=expr, name=name)
+
+    def _parse_sym_block(self, decls):
+        start = len(decls)
+        while True:
+            tok = self.next()
+            if tok.text == ";":
+                if len(decls) == start:
+                    raise DslError("empty 'sym' declaration", tok.line, tok.col)
+                return
+            label = tok.text
+            if not re.fullmatch(r"[A-Za-z0-9_]+", label):
+                raise DslError(f"bad symbol label {label!r}", tok.line, tok.col)
+            if label == "eps":
+                raise DslError("'eps' is reserved for the empty string", tok.line, tok.col)
+            if clash := _label_clash(label, (d.label for d in decls)):
+                raise DslError(clash, tok.line, tok.col)
+            self.expect("=")
+            wtok = self.next()
+            try:
+                decls.append(SymbolDecl(label, float(wtok.text)))
+            except DslError as exc:
+                raise DslError(str(exc), wtok.line, wtok.col) from None
+            except ValueError:
+                raise DslError(f"bad weight {wtok.text!r}", wtok.line, wtok.col) from None
+
+    def _parse_union(self, labels):
+        stack = []
+        union = concat = None
+        while True:
+            tok = self.next()
+            if tok.text == "(":
+                stack.append((union, concat))
+                union = concat = None
+                continue
+            node = self._parse_atom(tok, labels)
+            while True:
+                while (tok := self.peek()) is not None and tok.text in ("*", "{"):
+                    self.next()
+                    node = Star(node) if tok.text == "*" else self._parse_repeat(node)
+                concat = node if concat is None else Concat(concat, node)
+                if tok is not None and tok.text not in ("|", ")", ";", ",", "}"):
+                    break
+                union = concat if union is None else Union(union, concat)
+                if tok is not None and tok.text == "|":
+                    self.next()
+                    concat = None
+                    break
+                if not stack:
+                    return union
+                self.expect(")")
+                node = union
+                union, concat = stack.pop()
+
+    def _parse_repeat(self, node):
+        lo_tok = self.next()
+        self.expect(",")
+        hi_tok = self.next()
+        self.expect("}")
+        try:
+            lo, hi = int(lo_tok.text), int(hi_tok.text)
+        except ValueError:
+            raise DslError("repetition bounds must be integers", lo_tok.line, lo_tok.col) from None
+        if lo < 0 or hi < lo:
+            raise DslError(f"bad repetition bounds {{{lo},{hi}}}", lo_tok.line, lo_tok.col)
+        return Repeat(node, lo, hi)
+
+    def _parse_atom(self, tok, labels):
+        if tok.text == "eps":
+            return EPSILON
+        if tok.text == "expr" and getattr(self.peek(), "text", "") == ":":
+            raise DslError("duplicate 'expr:' clause", tok.line, tok.col)
+        word = tok.text
+        if word in labels:
+            return Symbol(word)
+        try:
+            parts = split_labels(word, label_regex(labels))
+        except DslError:
+            kind = "undeclared symbol" if re.fullmatch(r"[A-Za-z0-9_]+", word) else "unexpected token"
+            raise DslError(f"{kind} {word!r}", tok.line, tok.col) from None
+        return reduce(Concat, map(Symbol, parts))
+
+
+def token_load_system(path):
+    """The file read in text mode, as ``load_system`` read it before it
+    read bytes, and parsed by ``TokenParser``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return TokenParser(token_tokenize(fh.read())).parse_system(str(path))
 
 
 # --- the walk -------------------------------------------------------------
@@ -256,13 +424,22 @@ _HEADER = "sym a=1 b=2 c=1.5;\nexpr:"
 _TOKENS = "a b ab ba c eps ( ) | * { } , 0 1 2 ; x - :".split()
 
 
+def _outcome_of(parse, *args):
+    """The system ``parse`` reads, or its error's message, line and column."""
+    try:
+        return parse(*args)
+    except DslError as exc:
+        return str(exc), exc.line, exc.col
+
+
 def _parsed(parser, text):
     """The system a parser reads from ``text``, or its error's message,
     line and column."""
-    try:
-        return parser(_tokenize(text)).parse_system("")
-    except DslError as exc:
-        return str(exc), exc.line, exc.col
+    return _outcome_of(lambda: parser(text).parse_system(""))
+
+
+def _token_parsed(text):
+    return _outcome_of(lambda: TokenParser(token_tokenize(text)).parse_system(""))
 
 
 _SEPARATORS = st.sampled_from([" ", "", "\n"])
@@ -287,7 +464,73 @@ def test_parser_equals_the_recursive_descent(body):
     # mostly malformed: each reads the same tree, or fails with the same
     # first error at the same place
     text = _HEADER + body
-    assert _parsed(_Parser, text) == _parsed(RecursiveParser, text)
+    assert _parsed(_Parser, text) == _parsed(RecursiveParser, text) == _token_parsed(text)
+
+
+# the same, over several lines: line ends of every kind, tabs, comments,
+# whitespace that ends a line (\f) or does not (\t), and a BOM, which is a
+# token of its own in a text that did not come from a file
+_LINE_SEPARATORS = st.sampled_from(
+    [" ", "", "\n", "\t", "\r\n", "\r", " # a note; sym b=2\n", "#)\r\n", "\f", "\ufeff", "\t#\r"]
+)
+_HEADERS = st.sampled_from([
+    _HEADER,
+    "sym a=1\tb=2;\r\n# c too\r\nsym c=1.5;\r\nexpr:",
+    "\ufeffsym a=1 b=2 c=1.5;\nexpr:",
+    "# a comment\r\tsym a=1 b=2 # c=9\n c=1.5 ;\r\n\texpr\n:",
+    "sym a=1 b=2 c=1.5;",  # then any tokens: mostly an error in the header
+    "",
+])
+_TEXTS = st.tuples(
+    _HEADERS,
+    st.lists(st.tuples(_LINE_SEPARATORS, st.sampled_from(_TOKENS + ["sym", "expr", "=", "#"])), max_size=14),
+).map(lambda t: t[0] + "".join(sep + tok for sep, tok in t[1]))
+
+
+@seed(41)
+@settings(max_examples=1000, deadline=None)
+@given(_TEXTS)
+def test_parser_over_lines_equals_the_token_parser(text):
+    assert _parsed(_Parser, text) == _token_parsed(text)
+
+
+def test_a_file_reads_as_the_token_parser_read_it_in_text_mode(tmp_path):
+    # CRLF and CR line ends, a BOM and bytes that are no UTF-8: the same
+    # system, or the same error with its line and column, or the same
+    # decoding error
+    rng = random.Random(41)
+    path = tmp_path / "system.cs"
+    bodies = [
+        "sym a=1; # one label\n# comment line\nexpr: (a a\n  | a b)*\n",
+        "sym a=1 b=2;\n\nexpr: (a | b a)*\n",
+        "sym a=1\tb=2; # x\n\texpr:\n(a\n|\n b)*",
+        "sym a=1 b=2;\nexpr: a{1,2\n",
+        "\n\n",
+    ]
+    seen = set()
+    for _ in range(300):
+        text = rng.choice(bodies)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(_TOKENS + ["\n", "#", "\t"]) + text[i:]
+        data = text.replace("\n", rng.choice(["\n", "\r\n", "\r"])).encode()
+        if rng.random() < 0.5:
+            data = b"\xef\xbb\xbf" + data
+        if rng.random() < 0.1:
+            i = rng.randrange(len(data) + 1)
+            data = data[:i] + b"\xff" + data[i:]
+        path.write_bytes(data)
+        try:
+            expected = _outcome_of(token_load_system, path)
+        except UnicodeDecodeError as exc:
+            expected = str(exc)
+        try:
+            got = _outcome_of(load_system, path)
+        except UnicodeDecodeError as exc:
+            got = str(exc)
+        assert got == expected, data
+        seen.add(type(expected))
+    assert seen == {SystemDef, tuple, str}
 
 
 # --- identity -------------------------------------------------------------
@@ -323,6 +566,46 @@ def test_systems_that_differ_in_one_place_are_unequal():
     ):
         assert base != other and not base == other
     assert base != (DECLS, base.expr, "x")
+
+
+def test_a_parsed_system_equals_the_one_built_through_the_api():
+    text = "sym a=1 b=1.5;\nexpr: (a{1,3} b)* | eps\n"
+    expr = Union(Star(Concat(Repeat(Symbol("a"), 1, 3), Symbol("b"))), EPSILON)
+    alphabet = (SymbolDecl("a", 1.0), SymbolDecl("b", 1.5))
+    parsed, built = parse_system(text, "x"), SystemDef(alphabet, expr, "x")
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed.label_weights == built.label_weights == (("a", 1.0), ("b", 1.5))
+    assert system_dfa(parsed) is system_dfa(built)
+    for other in (
+        SystemDef((SymbolDecl("a", 1.0), SymbolDecl("b", 2.5)), expr, "x"),  # one weight
+        SystemDef((SymbolDecl("a", 1.0000000000000002), alphabet[1]), expr, "x"),
+        SystemDef(alphabet, expr, "y"),  # the name
+        parse_system(text),
+    ):
+        assert parsed != other and not parsed == other
+
+
+def test_jk_systems_share_one_alphabet():
+    assert build_jk_system(2, 3).alphabet is build_jk_system(5, 1).alphabet
+    assert build_jk_system(2, 3) == build_jk_system(2, 3) != build_jk_system(3, 2)
+
+
+def test_a_pickled_system_hashes_as_one_built_here():
+    # the hash is kept, and a string hashes differently in another process
+    text = "sym a=1 b=1.5;\nexpr: (a{1,3} b)*\n"
+    system = parse_system(text, "x")
+    assert pickle.loads(pickle.dumps(system)) == system
+    assert hash(copy.deepcopy(system)) == hash(system)
+    code = (
+        "import pickle, sys; from concap.dsl import parse_system; "
+        f"sys.stdout.buffer.write(pickle.dumps(parse_system({text!r}, 'x')))"
+    )
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+        other = pickle.loads(data)
+        assert other == system and hash(other) == hash(system)
+        assert {system: 1}[other] == 1
 
 
 # --- depth ----------------------------------------------------------------
