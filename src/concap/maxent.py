@@ -31,6 +31,7 @@ class MaxentError(ValueError):
 
 
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)  # a support item's string and weight
+_CHUNK = 8192  # uniforms per ``Generator.random`` call in ``_draw_indices``: 64 KiB of floats
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,8 @@ def sample_process(
             # block i's end state from each state it was drawn at, each walked once
             steps: list[dict[int, int | None]] = [{} for _ in strings]
             state: int | None = dfa.start
-            for i in idx.tolist():
+            chunks = (idx[start:start + _CHUNK].tolist() for start in range(0, n_blocks, _CHUNK))
+            for i in chain.from_iterable(chunks):
                 memo = steps[i]
                 if state not in memo:
                     memo[state] = dfa.walk(labels[strings[i]], state)
@@ -478,29 +480,33 @@ def _draw_indices(rng, probs, n: int):
     that hold a point are searched.  The table has about 16 cells per item,
     so few of them hold a point, but at most n/4 (and at least one), so that
     building it costs little next to the draws.
+
+    The uniforms come from the same stream ``_CHUNK`` at a time, so only the
+    index array grows with ``n`` and every temporary is reused from the heap.
     """
     import numpy as np
 
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
     m = len(cdf)
     k = max(0, min((16 * m - 1).bit_length(), int(n).bit_length() - 3))  # n may be a numpy integer
     cells = 1 << k
     # scaling by a power of two is exact, so each comparison below is one
     # numpy makes; cell g is then [g, g + 1) and the floor of u its index
     cdf *= cells
-    u *= cells
     edges = np.arange(cells + 1, dtype=float)
     left = cdf.searchsorted(edges[:-1], side="right")  # points at or below g
     inside = cdf.searchsorted(edges[1:], side="left") != left  # a point in (g, g + 1)
-    cell = u.astype(np.intp)
-    hit = np.flatnonzero(inside[cell])
-    searched = cdf.searchsorted(u[hit], side="right")
-    # the counts overwrite the spent uniforms; mode "clip" never acts on a
-    # cell index and, unlike "raise", writes ``out`` in place
-    idx = left.take(cell, out=u.view(np.int64), mode="clip")
-    idx[hit] = searched
+    idx = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _CHUNK):
+        u = rng.random(min(_CHUNK, n - start))
+        u *= cells
+        cell = u.astype(np.intp)
+        # mode "clip" never acts on a cell index and, unlike "raise",
+        # writes ``out`` in place
+        out = left.take(cell, out=idx[start:start + len(u)], mode="clip")
+        hit = np.flatnonzero(inside[cell])
+        out[hit] = cdf.searchsorted(u[hit], side="right")
     return idx
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -605,15 +606,31 @@ def test_draw_indices_equal_generator_choice(case):
     assert np.array_equal(drawn, expected)
 
 
+# sizes on both sides of a chunk's end, and one over three chunks
+CHUNK_EDGES = [8191, 8192, 8193, 3 * 8192 + 5]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_draw_indices_equal_generator_choice_across_chunks(n):
+    probs = np.asarray(maxentropic_pmf(jk_phrase_support(8, 4)).probs)
+    rng, expected_rng = np.random.default_rng(n), np.random.default_rng(n)
+    expected = expected_rng.choice(len(probs), size=n, p=probs)
+    assert np.array_equal(maxent._draw_indices(rng, probs, n), expected)
+    assert rng.random() == expected_rng.random()  # the same uniforms spent
+
+
 class _Uniforms:
-    """A generator whose ``random`` returns the uniforms it was given."""
+    """A generator whose ``random`` calls hand out the uniforms it was
+    given, in order."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
+        self.used = 0
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
+    def random(self, size):
+        assert self.used + size <= len(self.u)
+        self.used += size
+        return self.u[self.used - size:self.used].copy()
 
 
 @pytest.mark.parametrize("probs", [
@@ -627,7 +644,7 @@ class _Uniforms:
     (0.25, 0.75 - 1e-10),  # renormalized: no draw past the last item
     (0.25, 0.75 + 1e-10),
 ])
-@pytest.mark.parametrize("n", [16, 300, 70_000])
+@pytest.mark.parametrize("n", [16, 300, 70_000, *CHUNK_EDGES])
 def test_draw_indices_at_cell_edges_and_cdf_points(probs, n):
     # uniforms on, just below and just above every multiple of 1/512 (the
     # edges of every table these sizes build) and every cdf point, and the
@@ -639,8 +656,55 @@ def test_draw_indices_at_cell_edges_and_cdf_points(probs, n):
         points, np.nextafter(points[1:], 0.0), np.nextafter(points, 1.0), [1.0 - 2.0**-53]
     ])
     u = np.resize(u, n)
-    drawn = maxent._draw_indices(_Uniforms(u), np.asarray(probs), n)
+    rng = _Uniforms(u)
+    drawn = maxent._draw_indices(rng, np.asarray(probs), n)
+    assert rng.used == n
     assert np.array_equal(drawn, cdf.searchsorted(u, side="right"))
+
+
+def _rare_c(q: float) -> Pmf:
+    """"a" and "b" at even odds and a rare block "c" that no concatenation
+    in ``AB_STAR`` may hold: the closure finds it, so the draws are walked."""
+    return Pmf(WeightedSupport((("a", 1.0), ("b", 1.0), ("c", 1.0))), ((1 - q) / 2, (1 - q) / 2, q))
+
+
+AB_STAR = "sym a=1 b=1 c=1;\nexpr: (a|b)*"
+
+
+@pytest.mark.parametrize("seed, first_c", [(0, 6138), (35, 22077), (1, None)])
+def test_sample_walk_reads_the_draws_a_chunk_at_a_time(monkeypatch, seed, first_c):
+    # 3 chunks and 5 draws; the first "c" is in the first chunk, in the
+    # third, or never drawn
+    system = parse_system(AB_STAR)
+    closures = _closure_spy(monkeypatch)
+    report = sample_process(_rare_c(2e-5), n_blocks=3 * maxent._CHUNK + 5, seed=seed, system=system)
+    assert closures == [["c"]]
+    assert (report.drawn.index(2) if 2 in report.drawn else None) == first_c
+    dfa, state = system_dfa(system), system_dfa(system).start
+    for i in report.drawn:
+        state = dfa.walk([report.blocks[i]], state)
+        if state is None:
+            break
+    assert report.accepted == (state in dfa.accepting) == (first_c is None)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda p, n: maxent._draw_indices(np.random.default_rng(0), np.asarray(p.probs), n),
+    lambda p, n: sample_process(p, n, seed=0),
+    # no "c" drawn: every draw is walked
+    lambda p, n: sample_process(_rare_c(1e-12), n, seed=0, system=parse_system(AB_STAR)),
+], ids=["draw_indices", "sample_process", "walked"])
+def test_draws_take_one_index_of_memory_each(draw):
+    # only the index array grows with the number of draws
+    p, n = maxentropic_pmf(jk_phrase_support(8, 4)), 10**6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        draw(p, n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2**20
 
 
 def test_sample_process_single_deterministic_block():
