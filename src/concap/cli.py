@@ -2,7 +2,9 @@
 
 Exit codes are stable across subcommands: 0 success (and VALID verdicts),
 1 error, 2 INVALID verdict, 3 enumeration budget exceeded (spectrum and
-crosscheck).
+crosscheck).  A command returns its exit code and its report, and ``main``
+writes the report in one piece once the command has returned, so an error
+leaves stdout empty.
 
 Each command loads only the modules it runs.  Importing this module loads
 the core every command uses (``dsl``, ``automata`` and ``genfun``), which is
@@ -41,8 +43,12 @@ def _load_system(args) -> dsl.SystemDef:
 def _read_support(path: str) -> tuple[maxent.WeightedSupport, maxent.Pmf | None]:
     from . import maxent
 
-    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no part of the text
-        return maxent.parse_support_file(fh.read())
+    return maxent.parse_support_file(dsl.read_text(path))
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _add_system_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -62,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_units(p)
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> tuple[int, str]:
     system = _load_system(args)
     result = genfun.abscissa(system, tol=args.tol)
     q, lo, hi, residual = (  # the residual is the bracket's width, a rate too
@@ -70,87 +76,85 @@ def cmd_capacity(args) -> int:
         for x in (result.q, result.bracket_lo, result.bracket_hi, result.residual)
     )
     note = "note        finite language; capacity reported as 0\n" if result.finite_language else ""
-    sys.stdout.write(  # the report in one write
+    return EXIT_OK, (
         f"system      {system.name or 'system'}\n"
         f"capacity    {q:.12f} {args.units}\n"
         f"bracket     [{lo:.15g}, {hi:.15g}]\n"
         f"residual    {residual:.3g}\n"
         f"iterations  {result.iterations}\n{note}"
     )
-    return EXIT_OK
 
 
-def _enumerate(args, system: dsl.SystemDef) -> spectrum.WeightSpectrum:
+def _enumerate(args, system: dsl.SystemDef) -> tuple[spectrum.WeightSpectrum, str]:
     """The spectrum that spectrum and crosscheck read, within ``--max-strings``
-    (``spectrum.DEFAULT_MAX_STRINGS`` when it is not given)."""
+    (``spectrum.DEFAULT_MAX_STRINGS`` when it is not given), and its budget
+    line: '' when it is complete."""
     from . import spectrum
 
     budget = spectrum.DEFAULT_MAX_STRINGS if args.max_strings is None else args.max_strings
-    return spectrum.enumerate_spectrum(system, max_weight=args.max_weight, max_strings=budget)
+    sp = spectrum.enumerate_spectrum(system, max_weight=args.max_weight, max_strings=budget)
+    exceeded = f"budget exceeded: spectrum truncated at weight {sp.horizon:g}\n"
+    return sp, ("" if sp.complete else exceeded)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[int, str]:
     from . import spectrum
 
     system = _load_system(args)
-    sp = _enumerate(args, system)
+    sp, exceeded = _enumerate(args, system)
     density = spectrum.density_check(sp, args.density_l, args.density_k)
     text = spectrum.format_spectrum(sp)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write_text(args.output, text)
+        text = ""
     if len(sp.weights) >= 2:
         cap = _units_value(spectrum.capacity_estimate(sp), args.units)
         c0 = _units_value(spectrum.c0_estimate(sp), args.units)
         growth = _units_value(spectrum.growth_rate_estimate(sp), args.units)
-        print(f"capacity_estimate     {cap:.6f} {args.units}")
-        print(f"c0_estimate           {c0:.6f} {args.units}")
-        print(f"growth_rate_estimate  {growth:.6f} {args.units}")
+        text += (
+            f"capacity_estimate     {cap:.6f} {args.units}\n"
+            f"c0_estimate           {c0:.6f} {args.units}\n"
+            f"growth_rate_estimate  {growth:.6f} {args.units}\n"
+        )
     verdict = "satisfied" if density.satisfied else f"violated at n={density.worst_n}"
-    print(f"density_check         L={density.L:g} K={density.K:g}: {verdict}")
-    if not sp.complete:
-        print(f"budget exceeded: spectrum truncated at weight {sp.horizon:g}")
-        return EXIT_BUDGET
-    return EXIT_OK
+    text += f"density_check         L={density.L:g} K={density.K:g}: {verdict}\n{exceeded}"
+    return (EXIT_BUDGET if exceeded else EXIT_OK), text
 
 
-def cmd_crosscheck(args) -> int:
+def cmd_crosscheck(args) -> tuple[int, str]:
     from . import spectrum
 
     system = _load_system(args)
     if not genfun.converges(system, args.s):
         q = genfun.abscissa(system)
         raise ValueError(f"s={args.s} is inside the divergence region (Q={q.q:.6f})")
-    sp = _enumerate(args, system)
-    if not sp.complete:
-        print(f"budget exceeded: spectrum truncated at weight {sp.horizon:g}")
-        return EXIT_BUDGET
+    sp, exceeded = _enumerate(args, system)
+    if exceeded:
+        return EXIT_BUDGET, exceeded
     check = spectrum.cross_check_gf(sp, system, args.s)
-    print(f"partial_sum  {check.partial_sum:.9f}")
-    print(f"gf_value     {check.gf_value:.9f}")
-    print(f"difference   {check.difference:.3g}")
-    print(f"tail_bound   {check.tail_bound:.3g}")
-    print(f"ambiguous    {'yes' if check.ambiguous else 'no'}")
-    return EXIT_INVALID if check.ambiguous else EXIT_OK
+    return (EXIT_INVALID if check.ambiguous else EXIT_OK), (
+        f"partial_sum  {check.partial_sum:.9f}\n"
+        f"gf_value     {check.gf_value:.9f}\n"
+        f"difference   {check.difference:.3g}\n"
+        f"tail_bound   {check.tail_bound:.3g}\n"
+        f"ambiguous    {'yes' if check.ambiguous else 'no'}\n"
+    )
 
 
-def cmd_maxent(args) -> int:
+def cmd_maxent(args) -> tuple[int, str]:
     from . import maxent
 
     support, _ = _read_support(args.support)
     result = maxent.solve_rate(support, tol=args.tol)
     p = maxent.maxentropic_pmf(support, result)
-    print(f"rate        {_units_value(result.rate, args.units):.12f} {args.units}")
-    print(f"residual    {result.residual:.3g}")
-    if result.degenerate:
-        print("note        single-item support; rate is 0")
-    sys.stdout.write(maxent.format_pmf(p))
-    return EXIT_OK
+    note = "note        single-item support; rate is 0\n" if result.degenerate else ""
+    return EXIT_OK, (
+        f"rate        {_units_value(result.rate, args.units):.12f} {args.units}\n"
+        f"residual    {result.residual:.3g}\n{note}{maxent.format_pmf(p)}"
+    )
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     from . import maxent
 
     system = _load_system(args)
@@ -158,16 +162,15 @@ def cmd_validate(args) -> int:
     if pmf is None:  # the verdict reads only which blocks are positive: all of them
         pmf = maxent.Pmf(support, (1.0 / len(support),) * len(support))
     report = maxent.validate_input_process(pmf, system, depth=args.depth)
-    verdict = "VALID" if report.valid else "INVALID"
-    print(f"verdict {verdict} depth={report.depth}")
+    text = f"verdict {'VALID' if report.valid else 'INVALID'} depth={report.depth}\n"
     if report.witness:
-        print(f"witness {report.witness}")
+        text += f"witness {report.witness}\n"
     if report.reason:
-        print(f"reason  {report.reason}")
-    return EXIT_OK if report.valid else EXIT_INVALID
+        text += f"reason  {report.reason}\n"
+    return (EXIT_OK if report.valid else EXIT_INVALID), text
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     from . import maxent
 
     system = _load_system(args) if (args.system or args.jk) else None
@@ -180,30 +183,30 @@ def cmd_simulate(args) -> int:
     if pmf is None:
         pmf = maxent.maxentropic_pmf(support)
     report = maxent.sample_process(pmf, n_blocks=args.blocks, seed=args.seed, system=system)
-    print(f"blocks           {report.n_blocks}")
-    print(f"exact_rate       {_units_value(report.rate, args.units):.9f} {args.units}")
-    print(f"empirical_rate   {_units_value(report.empirical_rate, args.units):.9f} {args.units}")
-    print(f"mean_weight      {report.mean_weight:.9f}")
+    text = (
+        f"blocks           {report.n_blocks}\n"
+        f"exact_rate       {_units_value(report.rate, args.units):.9f} {args.units}\n"
+        f"empirical_rate   {_units_value(report.empirical_rate, args.units):.9f} {args.units}\n"
+        f"mean_weight      {report.mean_weight:.9f}\n"
+    )
     if report.accepted is not None:
-        print(f"accepted         {'yes' if report.accepted else 'no'}")
+        text += f"accepted         {'yes' if report.accepted else 'no'}\n"
         if not report.accepted:
-            return EXIT_INVALID
+            return EXIT_INVALID, text
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.string + "\n")
-    return EXIT_OK
+        _write_text(args.output, report.string + "\n")
+    return EXIT_OK, text
 
 
-def cmd_jk_table(args) -> int:
-    """Print the (j,k) capacities, a row per j.  ``capacity_jk`` is
-    symmetric in j and k bit for bit, so each unordered pair is solved
-    once, at its first cell, and its text is reused at the mirrored cell:
-    an 8x8 table takes 36 solves."""
+def cmd_jk_table(args) -> tuple[int, str]:
+    """The (j,k) capacities, a row per j.  ``capacity_jk`` is symmetric in j
+    and k bit for bit, so each unordered pair is solved once and its text
+    reused at the mirrored cell: an 8x8 table takes 36 solves."""
     if args.jmax > 64 or args.kmax > 64:
         raise ValueError("table bounds must be <= 64")
     if args.jmax < 1 or args.kmax < 1:
         raise ValueError("table bounds must be >= 1")
-    print("j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1)))
+    rows = ["j\\k " + " ".join(f"{k:>8d}" for k in range(1, args.kmax + 1))]
     cells: dict[tuple[int, int], str] = {}  # (min(j,k), max(j,k)) -> the cell's text
     for j in range(1, args.jmax + 1):
         row = []
@@ -212,8 +215,8 @@ def cmd_jk_table(args) -> int:
             if pair not in cells:
                 cells[pair] = f"{_units_value(genfun.capacity_jk(*pair), args.units):8.5f}"
             row.append(cells[pair])
-        print(f"{j:<4d}" + " ".join(row))
-    return EXIT_OK
+        rows.append(f"{j:<4d}" + " ".join(row))
+    return EXIT_OK, "\n".join(rows) + "\n"
 
 
 @functools.cache
@@ -293,11 +296,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a bad command line, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except (ValueError, genfun.SolverError, OSError) as exc:
         # ValueError covers DslError, MaxentError, SpectrumError and bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    sys.stdout.write(report)  # the one write to stdout, after the command has finished
+    return code
 
 
 def run() -> None:

@@ -175,14 +175,13 @@ class SystemDef:
     Systems compare and hash by a flat key made in ``__post_init__``: the
     (label, weight) pairs (``label_weights``), the regex's ``_regex_key``
     tokens and the name, all plain tuples and strings, so a comparison runs
-    in C and recurses nowhere.  The hash is taken once, there."""
+    in C and recurses nowhere, and the dataclass hashes the same key."""
 
     alphabet: tuple[SymbolDecl, ...] = field(compare=False)
     expr: Regex = field(compare=False)
     name: str = field(default="", compare=False)
     _key: tuple = field(init=False, repr=False)  # all that is compared: flat, never recursed
     label_weights: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alphabet:
@@ -206,14 +205,6 @@ class SystemDef:
         key = (label_weights, tokens, self.name)
         object.__setattr__(self, "label_weights", label_weights)
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from its parts: the hash of a string differs between processes
-        return SystemDef, (self.alphabet, self.expr, self.name)
 
     def __repr__(self) -> str:
         # the regex as the text it parses from
@@ -450,13 +441,17 @@ def parse_system(text: str, name: str = "") -> SystemDef:
     return _Parser(text).parse_system(name)
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, line ends as written; a
+    leading byte order mark (BOM) is no part of it."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8-sig")
+
+
 def load_system(path) -> SystemDef:
     """Read and parse the system definition file at ``path``, named by its
-    path.  The file is UTF-8, with or without a leading byte order mark
-    (BOM), which is no part of the text."""
-    with open(path, "rb") as fh:  # split as text mode would: splitlines reads \r\n and \r
-        text = fh.read().decode("utf-8-sig")
-    return parse_system(text, name=str(path))
+    path, as ``read_text`` reads it."""
+    return parse_system(read_text(path), name=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, build_par
 
 SBIN = "sym 0=1 1=1;\nexpr: (0|1)*\n"
 PITFALL_PMF = "0 1 0.4142135623731\n1 1 0.4142135623731\n01 2 0.1715728752538\n"
+SPECTRUM = ["spectrum", "--jk", "2", "2", "--max-weight", "4"]
+CROSSCHECK = ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4"]
 
 
 @pytest.fixture
@@ -249,12 +251,18 @@ def test_an_error_in_a_crlf_file_is_placed_on_its_line(capsys, tmp_path):
         assert err == "error: undeclared symbol 'b' (line 4, column 7)\n"
 
 
-def test_capacity_report_is_written_in_one_piece(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "finite.cs"
-    path.write_text("sym a=1 b=2;\nexpr: a b a | b\n")
+def _stdout_writes(monkeypatch):
+    """The list that each later ``sys.stdout.write`` call appends its text to."""
     writes = []
     real_write = sys.stdout.write
     monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+    return writes
+
+
+def test_capacity_report_is_written_in_one_piece(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "finite.cs"
+    path.write_text("sym a=1 b=2;\nexpr: a b a | b\n")
+    writes = _stdout_writes(monkeypatch)
     code = main(["capacity", "--system", str(path)])
     assert code == EXIT_OK
     assert writes == [
@@ -265,6 +273,64 @@ def test_capacity_report_is_written_in_one_piece(capsys, tmp_path, monkeypatch):
         "iterations  0\n"
         "note        finite language; capacity reported as 0\n"
     ]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["capacity", "--jk", "2", "2"], EXIT_OK),
+    (SPECTRUM, EXIT_OK),
+    (SPECTRUM + ["--max-strings", "3"], EXIT_BUDGET),
+    (SPECTRUM + ["--output", "SPEC"], EXIT_OK),
+    (CROSSCHECK, EXIT_OK),
+    (CROSSCHECK + ["--max-strings", "3"], EXIT_BUDGET),
+    (["crosscheck", "--system", "AMB", "--s", "1", "--max-weight", "12"], EXIT_INVALID),
+    (["maxent", "--support", "PITFALL"], EXIT_OK),
+    (["validate", "--system", "SBIN", "--support", "PITFALL", "--depth", "2"], EXIT_INVALID),
+    (["validate", "--system", "SBIN", "--support", "BITS"], EXIT_OK),
+    (["simulate", "--jk", "2", "2", "--blocks", "50", "--output", "SIM"], EXIT_OK),
+    (["simulate", "--jk", "1", "1", "--support", "PITFALL", "--blocks", "50"], EXIT_INVALID),
+    (["jk-table", "--jmax", "3", "--kmax", "4"], EXIT_OK),
+])
+def test_every_report_is_written_in_one_piece(capsys, tmp_path, monkeypatch, argv, expected):
+    # one write of the whole report, after the command has finished: the
+    # same text as the report the command returned
+    files = {
+        "AMB": ("amb.cs", "sym a=1 b=1;\nexpr: (a|b)* (a|b)*\n"),
+        "SBIN": ("sbin.cs", SBIN),
+        "PITFALL": ("pitfall.sup", "0 1\n1 1\n01 2\n"),
+        "BITS": ("bits.sup", "0 1\n1 1\n"),
+        "SPEC": ("spec.txt", None),
+        "SIM": ("sim.txt", None),
+    }
+    for name, text in files.values():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]
+    args = build_parser().parse_args(argv)
+    returned = args.func(args)
+    writes = _stdout_writes(monkeypatch)
+    assert main(argv) == expected
+    assert writes == [returned[1]] and returned[0] == expected
+    assert writes[0].endswith("\n") and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the report is complete when the file cannot be written: none of it is printed
+    (["simulate", "--jk", "2", "2", "--blocks", "100", "--seed", "0", "--output", "MISSING/x.txt"],
+     "[Errno 2] No such file or directory: 'MISSING/x.txt'"),
+    (["spectrum", "--jk", "2", "2", "--max-weight", "6", "--output", "MISSING/s.txt"],
+     "[Errno 2] No such file or directory: 'MISSING/s.txt'"),
+    (["maxent", "--support", "DIR"], "[Errno 21] Is a directory: 'DIR'"),
+    (["validate", "--jk", "2", "2", "--support", "DIR"], "[Errno 21] Is a directory: 'DIR'"),
+    (["simulate", "--jk", "2", "2", "--support", "DIR"], "[Errno 21] Is a directory: 'DIR'"),
+])
+def test_a_late_error_leaves_stdout_empty(capsys, tmp_path, monkeypatch, argv, message):
+    paths = {"MISSING": str(tmp_path / "missing"), "DIR": str(tmp_path)}
+    argv = [re.sub("MISSING|DIR", lambda m: paths[m[0]], a) for a in argv]
+    writes = _stdout_writes(monkeypatch)
+    code, out, err = run(capsys, argv)
+    assert (code, out, writes) == (EXIT_ERROR, "", [])
+    assert err == "error: " + re.sub("MISSING|DIR", lambda m: paths[m[0]], message) + "\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_validate_pitfall_invalid(capsys, sbin_file, tmp_path):
@@ -1014,17 +1080,20 @@ def test_duplicate_expr_clause_is_named(capsys, tmp_path):
 
 def reference_main(argv=None):
     """``main`` as it was when the top-level parser read every command line
-    and handed the rest to the command's parser."""
+    and handed the rest to the command's parser; the command's report is
+    written as ``main`` writes it."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except (ValueError, genfun.SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    sys.stdout.write(report)
+    return code
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -1046,8 +1115,6 @@ def readme_command_lines():
     return [line[1:] for line in lines]
 
 
-SPECTRUM = ["spectrum", "--jk", "2", "2", "--max-weight", "4"]
-CROSSCHECK = ["crosscheck", "--jk", "2", "2", "--s", "1", "--max-weight", "4"]
 COMMANDS = ["capacity", "spectrum", "crosscheck", "maxent", "validate", "simulate", "jk-table"]
 COMMAND_LINES = (
     [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--jk", "2", "2"], ["-x"]]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from concap import build_jk_system, maxent, parse_system
 from concap.automata import Dfa, matches, system_dfa
+from concap.dsl import read_text
 from concap.genfun import bisect_root, capacity_jk
 from concap.maxent import (
     MaxentError,
@@ -821,6 +822,51 @@ def test_support_file_read_by_column_as_by_line(text):
 ])
 def test_support_file_read_by_column_cases(text):
     assert _outcome(parse_support_file, text) == _outcome(_line_parser, text)
+
+
+def _text_mode_read(path) -> str:
+    """A support file read in text mode, as the CLI read it before it read
+    support files by ``dsl.read_text``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def test_a_support_file_reads_as_in_text_mode(tmp_path):
+    # LF, CRLF and CR line ends, a BOM and bytes that are no UTF-8: the same
+    # support and PMF, or the same error, or the same decoding error
+    rng = random.Random(43)
+    path = tmp_path / "blocks.sup"
+    bodies = [
+        "0 1 0.4142135623731\n1 1 0.4142135623731\n01 2 0.1715728752538\n",
+        "01 2\n011 3 # a comment\n\n001 3\n0011 4\n",
+        "# a header\na\t1\nb 2.5",
+        "a 1 0.5\nb 1\n",
+        "a 1\nb x\n",
+        "\n\n",
+    ]
+    seen = set()
+    for _ in range(300):
+        text = rng.choice(bodies)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice([" ", "\n", "#", "\t", "1", "x", "\x0c", "\x85"]) + text[i:]
+        data = text.replace("\n", rng.choice(["\n", "\r\n", "\r"])).encode()
+        if rng.random() < 0.5:
+            data = b"\xef\xbb\xbf" + data
+        if rng.random() < 0.1:
+            i = rng.randrange(len(data) + 1)
+            data = data[:i] + b"\xff" + data[i:]
+        path.write_bytes(data)
+        outcomes = []
+        for read in (_text_mode_read, read_text):
+            try:
+                outcome = _outcome(parse_support_file, read(path))
+            except UnicodeDecodeError as exc:
+                outcome = ("undecodable", str(exc))
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1], data
+        seen.add(outcomes[0][0] if outcomes[0][0] == "undecodable" else type(outcomes[0]))
+    assert seen == {tuple, str, "undecodable"}
 
 
 def _row_formatter(p: Pmf) -> str:
