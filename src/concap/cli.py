@@ -69,15 +69,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_capacity(args) -> tuple[int, str]:
-    system = _load_system(args)
-    result = genfun.abscissa(system, tol=args.tol)
+    """The capacity report.  A ``--jk`` preset is solved in closed form
+    (``genfun.abscissa_jk``), with no regex, DFA or pivot test; a
+    ``--system`` file by ``genfun.abscissa`` on its DFA."""
+    if args.jk is not None:
+        name, result = dsl.JK_NAME.format(*args.jk), genfun.abscissa_jk(*args.jk, tol=args.tol)
+    else:
+        system = _load_system(args)
+        name, result = system.name, genfun.abscissa(system, tol=args.tol)  # its path
     q, lo, hi, residual = (  # the residual is the bracket's width, a rate too
         _units_value(x, args.units)
         for x in (result.q, result.bracket_lo, result.bracket_hi, result.residual)
     )
     note = "note        finite language; capacity reported as 0\n" if result.finite_language else ""
     return EXIT_OK, (
-        f"system      {system.name or 'system'}\n"
+        f"system      {name}\n"
         f"capacity    {q:.12f} {args.units}\n"
         f"bracket     [{lo:.15g}, {hi:.15g}]\n"
         f"residual    {residual:.3g}\n"

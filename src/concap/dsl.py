@@ -10,13 +10,14 @@ plus a regular expression over those symbols::
 Supported regex syntax: juxtaposition for concatenation, ``|`` for union,
 postfix ``*`` for Kleene star, ``eps`` for the empty string, parentheses,
 and bounded repetition ``a{m,n}``, one ``Repeat`` node (compiled to a chain
-of n copies of ``a``, printed back as written).  Postfix operators bind
-tighter than concatenation, concatenation tighter than union.  The
-expression runs to the end of the text.  Every walk over a regex tree keeps
-a stack of its own (``preorder``, and ``_regex_key``'s walk, which emits its
-tokens as it goes), and the parser keeps one too, a level per open
-parenthesis, so a tree as deep as a long or deeply nested regex is read and
-walked like any other.  The parser reads the text's tokens as plain
+of n copies of ``a``, so n is at most ``sys.maxsize``; printed back as
+written).  Postfix operators bind tighter than concatenation,
+concatenation tighter than union.  The expression runs to the end of the
+text.  Every walk over a regex tree keeps a stack of its own
+(``preorder``, and ``_regex_key``'s walk, which emits its tokens as it
+goes), and the parser keeps one too, a level per open parenthesis, so a
+tree as deep as a long or deeply nested regex is read and walked like any
+other.  The parser reads the text's tokens as plain
 strings; an error finds its line and column by reading the text again, so
 a text that parses pays for no position.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -196,9 +198,8 @@ class SystemDef:
         for token in tokens:
             kind = type(token)
             if kind is tuple:
-                lo, hi = token
-                if not 0 <= lo <= hi:
-                    raise DslError(f"bad repetition bounds {{{lo},{hi}}}")
+                if bad := _bounds_error(*token):
+                    raise DslError(bad)
             elif kind is not type and token not in declared:  # a label, not a node's class
                 raise DslError(f"undeclared symbol {token!r}")
         label_weights = tuple((d.label, d.weight) for d in self.alphabet)
@@ -226,6 +227,17 @@ class SystemDef:
         for lab in split_labels(s, self.label_re):
             total += w[lab]
         return total
+
+
+def _bounds_error(lo: int, hi: int) -> str | None:
+    """The error for repetition bounds ``{lo,hi}``, if they are not
+    0 <= lo <= hi, or hi exceeds ``sys.maxsize``, the most copies of a
+    regex a chain can hold."""
+    if not 0 <= lo <= hi:
+        return f"bad repetition bounds {{{lo},{hi}}}"
+    if hi > sys.maxsize:
+        return f"repetition bound {hi} exceeds {sys.maxsize}"
+    return None
 
 
 def _label_clash(label: str, earlier: Iterable[str]) -> str | None:
@@ -415,8 +427,8 @@ class _Parser:
             lo, hi = int(lo_tok), int(hi_tok)
         except ValueError:
             raise self.error("repetition bounds must be integers", at) from None
-        if lo < 0 or hi < lo:
-            raise self.error(f"bad repetition bounds {{{lo},{hi}}}", at)
+        if bad := _bounds_error(lo, hi):
+            raise self.error(bad, at)
         return Repeat(node, lo, hi)
 
     def _parse_atom(self, tok: str, labels: set[str]) -> Regex:
@@ -459,6 +471,7 @@ def load_system(path) -> SystemDef:
 
 
 _BINARY = (SymbolDecl("0", 1.0), SymbolDecl("1", 1.0))  # every (j,k) system's alphabet
+JK_NAME = "S_({},{})"  # the (j,k) system's name, JK_NAME.format(j, k)
 
 
 def build_jk_system(j: int, k: int) -> SystemDef:
@@ -479,7 +492,7 @@ def build_jk_system(j: int, k: int) -> SystemDef:
     return SystemDef(
         alphabet=_BINARY,
         expr=Union(branch1, branch2),
-        name=f"S_({j},{k})",
+        name=JK_NAME.format(j, k),
     )
 
 

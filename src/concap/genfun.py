@@ -11,12 +11,14 @@ trial ``s`` as one flat loop (``_least_pivot``), one step per update, over
 one float per distinct kind of entry and one per entry that a step writes:
 an entry never written is read from its kind's value.  The plan records
 how the language grows too: a finite or polynomially growing one has
-capacity 0, and takes no pivot test.  ``capacity_jk`` solves the (j,k)
+capacity 0, and takes no pivot test.  ``abscissa_jk`` solves the (j,k)
 characteristic equation in closed form, at a cost per trial point
-independent of j and k.  ``series`` compiles a regex's own series, one
-term per derivation, to a flat program that runs at any ``s`` (once in
-``eval_real``); it equals the string series only if the regex is
-unambiguous: it is the ambiguity witness of ``spectrum.cross_check_gf``.
+independent of j and k, with no regex or DFA, and ``capacity --jk`` prints
+its result; ``capacity_jk`` is its capacity alone.  ``series`` compiles a
+regex's own series, one term per derivation, to a flat program that runs
+at any ``s`` (once in ``eval_real``); it equals the string series only if
+the regex is unambiguous: it is the ambiguity witness of
+``spectrum.cross_check_gf``.
 ``math.inf`` means divergence and nothing else; a finite value beyond
 the float range is an ``OverflowError``.
 """
@@ -413,9 +415,10 @@ def abscissa(system: SystemDef, tol: float = DEFAULT_TOL) -> CapacityResult:
     return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
 
 
-def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
-    """Capacity of the (j,k) run-length constraint from its characteristic
-    equation: the largest positive real root of
+def abscissa_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> CapacityResult:
+    """Capacity of the (j,k) run-length constraint, with ``abscissa``'s
+    diagnostics, from its characteristic equation: the largest positive
+    real root of
 
         (x + x^2 + ... + x^j) * (x + x^2 + ... + x^k) = 1,   x = exp(-s).
 
@@ -423,11 +426,14 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
     ``bisect_root``.  It is evaluated in closed form,
     (1 - x^j) (1 - x^k) x^2 / (1 - x)^2 - 1, at a cost independent of j
     and k: ``bisect_root`` never tests s = 0, and (1,1), whose root is 0,
-    returns before the search, so 1 - x > 0 at every trial point.  The
-    product of the two j and k factors comes first, and a float product
-    does not depend on its operands' order, so the value is symmetric in j
-    and k bit for bit, at every ``tol``: ``capacity_jk(j, k)`` equals
-    ``capacity_jk(k, j)``.  Agrees with ``abscissa(build_jk_system(j, k))``.
+    returns ``abscissa``'s zero result before the search, so 1 - x > 0 at
+    every trial point.  The product of the two j and k factors comes first,
+    and a float product does not depend on its operands' order, so the
+    result is symmetric in j and k bit for bit, at every ``tol``.  On (j,k)
+    up to (24,24) it is ``abscissa(build_jk_system(j, k), tol)`` at the
+    default tol, 1e-6, 1e-9, 1e-13 and 3e-14; from 1e-14 down, where a grid
+    cell is a few float spacings wide, the two may place the root a cell or
+    a few apart.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
@@ -440,6 +446,12 @@ def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
         return (1.0 - x**j) * (1.0 - x**k) * (x * x) / ((1.0 - x) * (1.0 - x)) - 1.0
 
     if j == 1 and k == 1:
-        return 0.0  # lhs(0) == 0 exactly
-    lo, hi, _ = bisect_root(lhs, tol)
-    return 0.5 * (lo + hi)
+        return CapacityResult(0.0, 0.0, 0.0, 0.0, 0)  # lhs(0) == 0 exactly
+    lo, hi, iterations = bisect_root(lhs, tol)
+    return CapacityResult(0.5 * (lo + hi), lo, hi, hi - lo, iterations)
+
+
+def capacity_jk(j: int, k: int, tol: float = DEFAULT_TOL) -> float:
+    """Capacity of the (j,k) run-length constraint: ``abscissa_jk``'s ``q``,
+    so ``capacity_jk(j, k)`` equals ``capacity_jk(k, j)`` bit for bit."""
+    return abscissa_jk(j, k, tol).q

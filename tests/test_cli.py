@@ -5,12 +5,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from concap import genfun, maxent, spectrum
+from concap import automata, dsl, genfun, maxent, spectrum
 from concap.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_INVALID, EXIT_OK, build_parser, main
 
 SBIN = "sym 0=1 1=1;\nexpr: (0|1)*\n"
@@ -112,6 +113,76 @@ def test_capacity_0_of_polynomial_growth_is_printed_with_no_search(capsys, tmp_p
         "residual    0",
         "iterations  0",
     ]
+
+
+@pytest.mark.parametrize("j", range(1, 25))
+def test_capacity_jk_prints_the_report_of_its_system_file(capsys, tmp_path, j):
+    # the DFA path, which every --system file takes, is the reference: down
+    # to tol 3e-14 the closed form gives its report byte for byte
+    for k in range(1, 25):
+        system = dsl.build_jk_system(j, k)
+        path = tmp_path / f"{k}.cs"
+        path.write_text(dsl.format_system(system))
+        for tol in ([], ["--tol", "3e-14"], ["--tol", "1e-13"], ["--tol", "1e-9"], ["--tol", "1e-6"]):
+            for units in ("nats", "bits"):
+                options = [*tol, "--units", units]
+                code, out, err = run(capsys, ["capacity", "--jk", str(j), str(k), *options])
+                _, reference, _ = run(capsys, ["capacity", "--system", str(path), *options])
+                assert (code, err) == (EXIT_OK, "")
+                assert out == f"system      {system.name}\n" + reference.split("\n", 1)[1]
+
+
+def test_capacity_jk_builds_no_regex_dfa_or_pivot_plan(capsys):
+    with (
+        mock.patch.object(dsl, "build_jk_system") as build,
+        mock.patch.object(automata, "system_dfa") as dfa,
+        mock.patch.object(genfun, "system_dfa") as dfa_in_genfun,
+        mock.patch.object(genfun, "_least_pivot") as pivot,
+    ):
+        code, out, err = run(capsys, ["capacity", "--jk", "9", "15"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("system      S_(9,15)\ncapacity    0.69")
+    assert build.call_count == dfa.call_count == dfa_in_genfun.call_count == pivot.call_count == 0
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-15"], ["--tol", "6e-17"], ["--tol", "1e-300"]])
+def test_capacity_jk_report_is_symmetric_in_j_and_k(capsys, tol):
+    # below the system line, and in an unreachable tol's error too
+    for j in range(1, 25):
+        for k in range(j, 25):
+            code, out, err = run(capsys, ["capacity", "--jk", str(j), str(k), *tol])
+            mirrored = run(capsys, ["capacity", "--jk", str(k), str(j), *tol])
+            assert code in (EXIT_OK, EXIT_ERROR)
+            assert mirrored[0] == code and mirrored[2] == err
+            assert mirrored[1].split("\n", 1)[1:] == out.split("\n", 1)[1:]
+
+
+@pytest.mark.parametrize(
+    "j, k, capacity",
+    [("1000000", "1000000", "0.693147180560"), ("99999999999999999999", "2", "0.609377863436")],
+)
+def test_capacity_jk_cost_does_not_grow_with_j_and_k(capsys, j, k, capacity):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["capacity", "--jk", j, k])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == [f"system      S_({j},{k})", f"capacity    {capacity} nats"]
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["capacity", "--system", "HUGE"], " (line 2, column 10)"),
+        (["spectrum", "--jk", "99999999999999999999", "2", "--max-weight", "5"], ""),
+    ],
+)
+def test_repetition_bound_beyond_maxsize_is_an_error(capsys, tmp_path, argv, at):
+    path = tmp_path / "huge.cs"
+    path.write_text("sym a=1 b=1;\nexpr: (a{1,99999999999999999999} b)*\n")
+    argv = [str(path) if arg == "HUGE" else arg for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: repetition bound 99999999999999999999 exceeds {sys.maxsize}{at}\n"
 
 
 def test_capacity_parse_error_exit_code(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
@@ -125,6 +126,9 @@ def test_structured_errors(text, fragment):
         ("sym a=1;\nexpr: a{1,1.5}", "repetition bounds must be integers", 2, 9),
         # a sign is part of its number's token
         ("sym a=1;\nexpr: a{-1,2}", "bad repetition bounds {-1,2}", 2, 9),
+        # a chain holds at most sys.maxsize copies
+        ("sym a=1 b=1;\nexpr: (a{1,99999999999999999999} b)*",
+         f"repetition bound 99999999999999999999 exceeds {sys.maxsize}", 2, 10),
         ("sym a=1;\nexpr: a -a", "unexpected token '-a'", 2, 9),
         # the expression runs to the end of the text: a ';' after it is no end mark
         ("sym a=1;\nexpr: a;", "unexpected token ';'", 2, 8),
@@ -201,6 +205,7 @@ def _chain(leaf, depth=DEPTH):
         (Symbol("x"), "undeclared symbol 'x'"),
         (Repeat(Symbol("a"), 3, 2), "bad repetition bounds {3,2}"),
         (Repeat(Symbol("a"), -1, 2), "bad repetition bounds {-1,2}"),
+        (Repeat(Symbol("a"), 1, sys.maxsize + 1), f"repetition bound {sys.maxsize + 1} exceeds {sys.maxsize}"),
     ],
 )
 def test_deep_faults_are_named(leaf, message):
@@ -419,6 +424,15 @@ def test_jk_matches_equals_predicate(j, k):
     for n in range(1, 13):
         for word in all_binary_strings(n):
             assert matches(s, word) == runlength_ok(word, j, k), (j, k, word)
+
+
+def test_jk_bound_beyond_maxsize_is_named():
+    # the chain of a{1,n} could not hold n copies: a DslError, not an OverflowError
+    with pytest.raises(DslError) as err:
+        build_jk_system(99999999999999999999, 2)
+    assert str(err.value) == f"repetition bound 99999999999999999999 exceeds {sys.maxsize}"
+    system = SystemDef(build_jk_system(2, 2).alphabet, Repeat(Symbol("0"), 0, sys.maxsize))
+    assert system.expr.hi == sys.maxsize  # the largest bound is no error
 
 
 def test_jk_rejects_zero():

@@ -27,6 +27,7 @@ from concap.genfun import (
     _pivot_plan,
     _plan_elimination,
     abscissa,
+    abscissa_jk,
     bisect_root,
     capacity_jk,
     converges,
@@ -188,6 +189,36 @@ def test_capacity_jk_known_values():
     assert capacity_jk(1, 1) == 0.0
     assert capacity_jk(2, 2) == pytest.approx(LN_GOLDEN, abs=1e-12)
     assert capacity_jk(20, 20) == pytest.approx(LN2, abs=1e-3)
+
+
+def test_abscissa_jk_is_the_full_result_of_capacity_jk():
+    assert abscissa_jk(1, 1) == CapacityResult(0.0, 0.0, 0.0, 0.0, 0)
+    for j, k in ((2, 2), (9, 15), (1, 24)):
+        result = abscissa_jk(j, k)
+        assert result.q == capacity_jk(j, k) == 0.5 * (result.bracket_lo + result.bracket_hi)
+        assert result.residual == result.bracket_hi - result.bracket_lo <= DEFAULT_TOL
+        assert result.iterations > 0 and not result.finite_language
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-15, 1e-16, 6e-17])
+def test_abscissa_jk_and_the_dfa_path_agree_within_a_residual_near_the_float_spacing(tol):
+    # cells a few float spacings wide: up to (12,12) the closed form and the
+    # pivot test may put the root in neighbouring cells, and may both find
+    # the tol unreachable, but never only one of them
+    for j in range(1, 13):
+        for k in range(1, 13):
+            results = []
+            for solve in (abscissa_jk, lambda j, k, tol: abscissa(build_jk_system(j, k), tol)):
+                try:
+                    results.append(solve(j, k, tol))
+                except SolverError:
+                    results.append(None)
+            a, b = results
+            if a is None or b is None:
+                assert a is b is None, (j, k)
+                continue
+            for x, y in ((a, b), (b, a)):
+                assert y.bracket_lo - y.residual <= x.q <= y.bracket_hi + y.residual, (j, k)
 
 
 def test_capacity_jk_symmetry_and_monotonicity():
