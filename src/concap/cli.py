@@ -307,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError covers DslError, MaxentError, SpectrumError and bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
     sys.stdout.write(report)  # the one write to stdout, after the command has finished
     return code
 

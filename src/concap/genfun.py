@@ -302,73 +302,70 @@ class SolverError(RuntimeError):
 
 
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 200
 SLACK = 3  # tests allowed beyond bisection's count, to follow regula falsi
 
 
 def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, float, int]:
     """Bracket the root of a decreasing ``excess`` on [0, inf): the cell
-    plain bisection ends in, found in far fewer tests.
+    plain bisection of [0, max(hi, 1)] ends in, found in far fewer tests.
 
     ``excess(s) < 0`` means ``s`` lies above the root; 0 or more, or nan,
-    at or below it (0 is taken to lie below).  ``hi`` doubles from 1 until
-    it lies above; bisection of [0, hi] would then halve n times, to a cell
-    of the grid of multiples of h = hi / 2^n, h <= ``tol``.  Every trial
-    point here is a grid point: Anderson-Bjorck regula falsi between the
-    bracket ends (an end kept twice in a row has its value scaled down), or
-    the midpoint while the lower end is the untested 0, kept within a window
-    that leaves the bracket at most 2^(n + SLACK - t) cells wide after t
-    tests.  So where the sign of ``excess`` is monotone on the grid, the
-    search ends in bisection's own cell after at most n + SLACK tests, and
-    near a smooth root after a few.  Up to 2^53 cells (53 halvings, 40 at
-    tol 1e-12) every grid point is a float; beyond, a trial point is
-    snapped to the nearest float strictly inside the bracket.  Returns
-    ``(a, a + h, iterations)``, counting the tests made after ``hi`` was
-    found.  If ``tol`` is out of reach (below the float spacing at the
-    root, or beyond ``MAX_ITERATIONS`` halvings), ``SolverError`` carries
-    the tightest bracket found.
+    at or below it (0 is taken to lie below).  First the root's binade
+    [hi / 2, hi) is found, both ends tested: from 1, ``hi`` doubles while it
+    lies at or below the root, up to 2^1023, or halves while ``hi / 2`` lies
+    above it.  The halvings are bisection's first midpoints and count as
+    tests; if they reach ``tol``, the result is (0, hi).  Bisection would
+    halve n times, to a cell of the grid of multiples of h <= ``tol``.
+    Every trial point in the binade is a grid point: Anderson-Bjorck regula
+    falsi between the bracket ends (an end kept twice in a row has its
+    value scaled down), kept within a window that leaves the bracket at
+    most 2^(n + SLACK - t) cells wide after t tests.  So where the sign of
+    ``excess`` is monotone on the grid, the search ends in bisection's own
+    cell after at most n + SLACK tests, and near a smooth root after a few.
+    Returns ``(a, a + h, iterations)``, counting the tests after the one at
+    1, doublings apart.  Past 53 levels under ``hi`` grid points are not
+    all floats, so ``tol`` is out of reach: ``SolverError`` carries the two
+    neighbouring floats around the root, or [hi, inf] if 2^1023 lies at or
+    below it.
     """
     hi, f_hi = 1.0, excess(1.0)
-    f_half = math.nan  # excess at hi / 2 once tested; 0 never is
-    grow = 0
+    halvings = tests = kept = 0
+    if f_hi < 0.0:
+        while hi > tol and (f_half := excess(0.5 * hi)) < 0.0:
+            hi, f_hi, halvings = 0.5 * hi, f_half, halvings + 1
+        tests, kept = halvings + 1, 1  # the last halving test moved the lower end
     while not f_hi < 0.0:
-        grow += 1
-        if grow > 60:
-            raise SolverError("no point above the root found", 0.0, 2.0 * hi)
+        if hi == 2.0**1023:
+            raise SolverError("no point above the root found", hi, math.inf)
         hi, f_half, f_hi = 2.0 * hi, f_hi, excess(2.0 * hi)
+    if hi <= tol:
+        return 0.0, hi, halvings
     n, h = 0, hi
     while h > tol:
         h *= 0.5
         n += 1
-    levels = min(n, MAX_ITERATIONS, 1023)  # grid points are ints k < 2^1024, at k * hi / 2^levels
+    levels = min(n, 53)  # every grid point k * hi / 2^levels is a float: h >= 5e-324
     scale = math.frexp(hi)[1] - 1 - levels
-    a, fa = (1 << (levels - 1), f_half) if grow and levels else (0, math.nan)
+    a, fa = 1 << (levels - 1), f_half
     b, fb = 1 << levels, f_hi
-    budget, tests, kept = levels + SLACK, 0, 0
-    snap = levels > 53  # up to 2^53 cells every grid point is a float
+    budget = levels + SLACK + halvings
     ldexp = math.ldexp
-    while b - a > 1 and tests < MAX_ITERATIONS:
+    while b - a > 1:
         k = (a + b) // 2
-        room = budget - tests - 1  # after this test the bracket spans <= 2^room cells
-        if room >= 0 and fa != fb:
+        if fa != fb:
             guess = a - fa * (b - a) / (fb - fa)
-            width = 1 << room  # the window: [max(a + 1, b - width), min(b - 1, a + width)]
-            low, high = b - width, a + width
-            if low <= a:
-                low = a + 1
-            if high >= b:
-                high = b - 1
-            if guess - guess == 0.0 and low <= high:  # guess is finite
+            if guess - guess == 0.0:  # guess is finite
+                width = 1 << (budget - tests - 1)  # after this test the bracket spans <= width cells
+                low, high = b - width, a + width
+                if low <= a:
+                    low = a + 1
+                if high >= b:
+                    high = b - 1
                 k = round(guess)
                 if k < low:
                     k = low
                 elif k > high:
                     k = high
-        if snap:  # past 2^53 cells only some grid points are floats: take the nearest
-            first, last = math.ceil(math.nextafter(a, math.inf)), math.floor(math.nextafter(b, 0.0))
-            if first > last:
-                break  # no float lies strictly inside the bracket
-            k = min(max(int(float(k)), first), last)
         f = excess(ldexp(k, scale))
         tests += 1
         if f < 0.0:
@@ -379,8 +376,8 @@ def bisect_root(excess: Callable[[float], float], tol: float) -> tuple[float, fl
             if kept == 1:  # b kept twice
                 fb *= 1.0 - f / fa if f < fa else 0.5
             a, fa, kept = k, f, 1
-    lo, hi = math.ldexp(a, scale), math.ldexp(b, scale)
-    if b - a > 1 or n > levels:
+    lo, hi = ldexp(a, scale), ldexp(b, scale)
+    if n > levels:
         raise SolverError("bisection did not reach tolerance", lo, hi)
     return lo, hi, tests
 

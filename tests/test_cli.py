@@ -310,6 +310,50 @@ def test_maxent_of_weights_whose_terms_all_underflow_is_an_error(capsys, tmp_pat
         assert err == "error: every exp(-w*R) underflows to 0 at R=4.547473508864641e-13\n"
 
 
+@pytest.mark.parametrize("command, option, text", [
+    ("capacity", "--system", "sym a=1e-30 b=1e-30;\nexpr: (a|b)*\n"),
+    ("maxent", "--support", "0 1e-30\n1 1e-30\n"),
+])
+def test_a_root_near_1e30_is_bracketed_to_the_float_spacing(capsys, tmp_path, command, option, text):
+    # capacity scales as 1/weight: the root ln 2 * 1e30 lies past 2^99, where
+    # floats are 2^47 apart, so the default tol is out of reach and 1e16 is not
+    path = tmp_path / "tiny"
+    path.write_text(text)
+    code, out, err = run(capsys, [command, option, str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == (
+        "error: bisection did not reach tolerance "
+        "(bracket [6.931471805599452e+29, 6.931471805599453e+29])\n"
+    )
+    code, out, err = run(capsys, [command, option, str(path), "--tol", "1e16"])
+    assert (code, err) == (EXIT_OK, "")
+    if command == "capacity":
+        assert "bracket     [6.93147180559944e+29, 6.93147180559953e+29]\n" in out
+        lo, hi = (float(x) for x in re.search(r"bracket +\[(.*), (.*)\]", out).groups())
+        assert lo <= math.log(2) * 1e30 <= hi
+    else:
+        assert out.endswith("0 1e-30 0.5\n1 1e-30 0.5\n")
+
+
+def test_a_root_beyond_2_to_1023_has_no_point_above_it(capsys, tmp_path):
+    path = tmp_path / "subnormal.cs"
+    path.write_text("sym a=5e-324 b=5e-324;\nexpr: (a|b)*\n")
+    code, out, err = run(capsys, ["capacity", "--system", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: no point above the root found (bracket [8.98846567431158e+307, inf])\n"
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
+    # a MemoryError's message is empty; a long (j,k) chain under an
+    # address-space cap raises one while the spectrum is built
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spectrum, "enumerate_spectrum", exhausted)
+    code, out, err = run(capsys, SPECTRUM)
+    assert (code, out, err) == (EXIT_ERROR, "", "error: out of memory\n")
+
+
 def test_an_error_in_a_crlf_file_is_placed_on_its_line(capsys, tmp_path):
     # comments and CRLF line ends: the error's line and column are those of
     # the file's text, as its lines read in a text editor

@@ -19,7 +19,6 @@ from concap.dsl import EPSILON, Concat, Epsilon, Repeat, Star, Symbol, SymbolDec
 from concap.genfun import (
     DEFAULT_TOL,
     DIVERGENT,
-    MAX_ITERATIONS,
     CapacityResult,
     SolverError,
     _finite,
@@ -872,6 +871,8 @@ def test_root_finders_raise_on_unreachable_tol(sbin, name):
 
 # --- bisect_root ends where plain bisection ends --------------------------
 
+MAX_ITERATIONS = 200  # the references' own bound on tests and levels
+
 
 def plain_bisection(excess, tol, max_iter=MAX_ITERATIONS):
     """The reference: ``hi`` doubles from 1 until ``excess(hi) < 0``, then
@@ -980,6 +981,23 @@ def test_bisect_root_far_fewer_tests_than_bisection():
     # the capacity workload's saving: about 40 halvings at the default tol
     tests = [abscissa(build_jk_system(j, k)).iterations for j in range(1, 9) for k in range(1, 9)]
     assert sum(tests) / len(tests) < 15
+
+
+@pytest.mark.parametrize("e", range(-60, 101))
+def test_bisect_root_brackets_a_root_in_any_binade(e):
+    # from 2^13 up floats near the root are more than 1e-12 apart: the
+    # search ends on the two around it
+    root = 1.5 * 2.0**e
+    try:
+        lo, hi, _ = bisect_root(lambda s: root - s, 1e-12)
+    except SolverError as err:
+        lo, hi = err.bracket
+        assert math.nextafter(lo, math.inf) == hi
+    assert lo <= root <= hi
+
+
+def test_bisect_root_of_a_root_below_tol_counts_its_halvings():
+    assert bisect_root(lambda s: -1.0, 1e-12) == (0.0, 2**-40, 40)
 
 
 # --- bisect_root's trial points are the snapping search's ----------------
@@ -1095,6 +1113,21 @@ def test_solve_rate_trial_points_are_the_reference(tol):
         size = rng.randint(2, 30)
         support = WeightedSupport(tuple((f"s{i}", rng.uniform(0.05, 40.0)) for i in range(size)))
         assert assert_same_trial_points(maxent, lambda: solve_rate(support, tol=tol)) == 1
+
+
+@pytest.mark.parametrize("tol", TRIAL_TOLS)
+def test_concave_excess_trial_points_are_the_reference(tol):
+    # regula falsi on a concave excess lands below the root, so the lower
+    # end moves twice in a row, the first time just after the halvings
+    for c in (1e-6, 0.01, 0.3, 0.7, 3.0, 1e4):
+        excess = lambda s, c=c: c - s * s
+        assert _search(bisect_root, excess, tol) == _search(reference_bisect_root, excess, tol)
+
+
+def test_bisect_root_reaches_the_float_spacing_of_a_subnormal_root():
+    for root in (1e-320, 5e-324):
+        lo, hi, _ = bisect_root(lambda s: root - s, 5e-324)
+        assert lo <= root <= hi == math.nextafter(lo, 1.0)
 
 
 def test_trial_tols_cover_the_snapping_search_and_its_error():
