@@ -91,23 +91,30 @@ def cmd_capacity(args) -> tuple[int, str]:
     )
 
 
-def _enumerate(args, system: dsl.SystemDef) -> tuple[spectrum.WeightSpectrum, str]:
+def _enumerate(args, system: dsl.SystemDef | None) -> tuple[spectrum.WeightSpectrum, str]:
     """The spectrum that spectrum and crosscheck read, within ``--max-strings``
     (``spectrum.DEFAULT_MAX_STRINGS`` when it is not given), and its budget
-    line: '' when it is complete."""
+    line: '' when it is complete.  A ``--jk`` preset is counted by
+    ``spectrum.jk_spectrum``, from the (j,k) recurrence, and ``system`` is
+    not read; a ``--system`` file by ``spectrum.enumerate_spectrum`` on its
+    DFA."""
     from . import spectrum
 
     budget = spectrum.DEFAULT_MAX_STRINGS if args.max_strings is None else args.max_strings
-    sp = spectrum.enumerate_spectrum(system, max_weight=args.max_weight, max_strings=budget)
+    if args.jk is not None:
+        sp = spectrum.jk_spectrum(*args.jk, max_weight=args.max_weight, max_strings=budget)
+    else:
+        sp = spectrum.enumerate_spectrum(system, max_weight=args.max_weight, max_strings=budget)
     exceeded = f"budget exceeded: spectrum truncated at weight {sp.horizon:g}\n"
     return sp, ("" if sp.complete else exceeded)
 
 
 def cmd_spectrum(args) -> tuple[int, str]:
+    """The spectrum report.  A ``--jk`` preset builds no system: its rows
+    come from the (j,k) recurrence (``_enumerate``)."""
     from . import spectrum
 
-    system = _load_system(args)
-    sp, exceeded = _enumerate(args, system)
+    sp, exceeded = _enumerate(args, None if args.jk is not None else _load_system(args))
     density = spectrum.density_check(sp, args.density_l, args.density_k)
     text = spectrum.format_spectrum(sp)
     if args.output:

@@ -4,8 +4,8 @@ Enumeration runs weight-ordered over the minimal automaton of the system, so
 every accepted string is counted once however many derivations the regex
 gives it, and its finite positive weights add exactly, so every entry's
 weight is the correctly rounded sum.  Three searches give the same rows:
-where every label that the automaton reads has one weight (Shannon's (j,k)
-run-length systems, every unit-weight system), rows are string lengths, and
+where every label that the automaton reads has one weight (every
+unit-weight system, a (j,k) regex among them), rows are string lengths, and
 the counts are pushed from each length to the next, as Shannon counts
 N_q(t) = sum over p->q of N_p(t-1); a single state with one to four loops
 that differ in weight (the full shift, Shannon's unconstrained channel with
@@ -17,7 +17,10 @@ columns, weights in exact units and counts, from the search to the export,
 and the export formats every row with one format string.  Each label weight
 is the decimal it is written as, so a row is an exact decimal sum: 0.1 + 0.2
 and 0.3 share a row, and 1 and 1.0000000001 do not, though two rows may
-share a float.  The resulting spectrum (distinct weights with
+share a float.  The (j,k) preset itself needs no automaton:
+``jk_spectrum`` counts its rows from the paper's run-length recurrence, a
+row at a time, in the spectrum the level search gives its regex.  The
+resulting spectrum (distinct weights with
 distinct-string counts) feeds finite-horizon capacity estimators and a
 partial-sum cross-check against the regex's own series (one term per
 derivation), which doubles as the regex ambiguity detector.
@@ -115,8 +118,9 @@ def enumerate_spectrum(
     searches makes the rows; each gives the same rows, flags and truncation
     as the heap search, and the first two need no heap or bucket:
 
-    - ``_level_rows``, when every label the DFA reads has one weight u (the
-      (j,k) systems and every unit-weight system): the rows are the string
+    - ``_level_rows``, when every label the DFA reads has one weight u
+      (every unit-weight system, a (j,k) regex among them; ``jk_spectrum``
+      gives the (j,k) preset's rows with no DFA): the rows are the string
       lengths times u, so weight order is length order, and each length's
       per-state counts are pushed along the edges into the next length's,
       as Shannon counts N_q(t) = sum over p->q of N_p(t-1);
@@ -140,17 +144,10 @@ def enumerate_spectrum(
     If more than ``max_strings`` strings are found the result is truncated
     to the last fully expanded weight and flagged incomplete.
     """
-    if not max_weight > 0:
-        raise SpectrumError("max_weight must be positive")
-    if not max_strings >= 1:
-        raise SpectrumError("max_strings must be positive")
-    dfa = system_dfa(system)
     units, scale = _units([d.weight for d in system.alphabet])
+    cutoff = _cutoff(max_weight, max_strings, scale)
+    dfa = system_dfa(system)
     weights = dict(zip([d.label for d in system.alphabet], units))
-    # ints, as every key: an int compared with a float costs the loop its gain.
-    # A weight beyond the float range is past the cutoff, even at max_weight inf.
-    (p,), q = _units([min(max_weight, sys.float_info.max)])
-    cutoff = p * scale // q
     read = {weights[label] for label in set().union(*dfa.transitions)}  # the weights on edges
     if len(read) == 1:  # one weight on every edge
         W, C, complete, exhausted = _level_rows(dfa, read.pop(), cutoff, max_strings)
@@ -180,6 +177,72 @@ def _units(xs: list[float]) -> tuple[tuple[int, ...], int]:
     ratios = [Decimal(repr(float(x))).as_integer_ratio() for x in xs]
     scale = math.lcm(*(q for _, q in ratios))
     return tuple(p * (scale // q) for p, q in ratios), scale
+
+
+def _cutoff(max_weight: float, max_strings: int, scale: int) -> int:
+    """The enumeration cutoff in units of 1/scale, once both limits are
+    checked: the decimal of ``max_weight``, rounded down.  An int, as every
+    key: an int compared with a float costs a search loop its gain.  A weight
+    beyond the float range is past the cutoff, even at ``max_weight=inf``."""
+    if not max_weight > 0:
+        raise SpectrumError("max_weight must be positive")
+    if not max_strings >= 1:
+        raise SpectrumError("max_strings must be positive")
+    (p,), q = _units([min(max_weight, sys.float_info.max)])
+    return p * scale // q
+
+
+def jk_spectrum(
+    j: int,
+    k: int,
+    max_weight: float,
+    max_strings: int = DEFAULT_MAX_STRINGS,
+) -> WeightSpectrum:
+    """``enumerate_spectrum(build_jk_system(j, k), max_weight, max_strings)``
+    with no regex or DFA, from the (j,k) run-length recurrence.
+
+    A(t) strings of length t end in a run of 1s and B(t) in a run of 0s:
+    A(t) = B(t-1) + ... + B(t-j) and B(t) = A(t-1) + ... + A(t-k), where
+    A(0) = B(0) = 1 stand for the empty prefix, and row t counts
+    A(t) + B(t) strings, the coefficient of x^t in (J + K + 2JK)/(1 - JK),
+    J = x + ... + x^j and K = x + ... + x^k.  Each window sum is kept
+    running, A(t) = A(t-1) + B(t-1) - B(t-1-j), the term leaving the window
+    subtracted only once t > j, so a row costs the same at any j and k, and
+    nothing is sized by them.  Every symbol weighs 1, so row t weighs t
+    units of scale 1; the language is infinite and has no empty string.
+    """
+    if j < 1 or k < 1:
+        raise ValueError("j and k must be >= 1")
+    cutoff = _cutoff(max_weight, max_strings, 1)
+    ends1, ends0 = [1], [1]  # A(t) and B(t), from t = 0
+    a = b = 0  # the window sums of row t; the empty prefix is in neither
+    C = []  # row counts
+    total = t = 0
+    complete = True
+    while t < cutoff:  # row t + 1: A(t+1) = A(t) + B(t) - B(t-j), B(t+1) likewise
+        a += ends0[t]
+        b += ends1[t]
+        if t >= j:
+            a -= ends0[t - j]
+        if t >= k:
+            b -= ends1[t - k]
+        total += (n := a + b)
+        if total > max_strings:
+            complete = False
+            break
+        ends1.append(a)
+        ends0.append(b)
+        C.append(n)
+        t += 1
+    return WeightSpectrum(
+        units=tuple(range(1, t + 1)),
+        scale=1,
+        counts=tuple(C),
+        max_weight=max_weight,
+        complete=complete,
+        exhausted=False,
+        includes_empty=False,
+    )
 
 
 # The searches of enumerate_spectrum by weight, _merge_rows and _heap_rows,

@@ -173,7 +173,8 @@ def test_capacity_jk_cost_does_not_grow_with_j_and_k(capsys, j, k, capacity):
     "argv, at",
     [
         (["capacity", "--system", "HUGE"], " (line 2, column 10)"),
-        (["spectrum", "--jk", "99999999999999999999", "2", "--max-weight", "5"], ""),
+        # crosscheck builds the (j,k) regex for its series
+        (["crosscheck", "--jk", "99999999999999999999", "2", "--s", "1", "--max-weight", "5"], ""),
     ],
 )
 def test_repetition_bound_beyond_maxsize_is_an_error(capsys, tmp_path, argv, at):
@@ -183,6 +184,15 @@ def test_repetition_bound_beyond_maxsize_is_an_error(capsys, tmp_path, argv, at)
     code, out, err = run(capsys, argv)
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: repetition bound 99999999999999999999 exceeds {sys.maxsize}{at}\n"
+
+
+@pytest.mark.parametrize("j, k", [("99999999999999999999", "2"), ("2", "99999999999999999999")])
+def test_spectrum_jk_of_a_bound_beyond_maxsize_is_its_spectrum(capsys, j, k):
+    # the (j,k) recurrence builds no regex: a run bound past any string
+    # length is no bound, and the rows are those of (inf, 2)
+    code, out, err = run(capsys, ["spectrum", "--jk", j, k, "--max-weight", "5"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "1 2 2\n2 4 6\n3 7 13\n4 13 26\n5 24 50\n" in out
 
 
 def test_capacity_parse_error_exit_code(capsys, tmp_path):
@@ -206,6 +216,44 @@ def test_spectrum_writes_file_and_estimates(capsys, sbin_file, tmp_path):
     rows = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
     assert rows[0].split() == ["1", "2", "2"]
     assert rows[-1].split() == ["12", "4096", "8190"]
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_spectrum_jk_prints_the_report_of_its_system_file(capsys, tmp_path, j):
+    # the DFA path, which every --system file takes, is the reference
+    for k in range(1, 13):
+        path = tmp_path / f"{k}.cs"
+        path.write_text(dsl.format_system(dsl.build_jk_system(j, k)))
+        for units in ("nats", "bits"):
+            for limits, codes in (
+                (["--max-weight", "40"], (EXIT_OK, EXIT_BUDGET)),
+                (["--max-weight", "inf", "--max-strings", "5000"], (EXIT_BUDGET,)),
+            ):
+                options = [*limits, "--units", units]
+                report = run(capsys, ["spectrum", "--jk", str(j), str(k), *options])
+                assert report == run(capsys, ["spectrum", "--system", str(path), *options])
+                assert report[0] in codes and report[2] == ""
+
+
+def test_crosscheck_jk_prints_the_report_of_its_system_file(capsys, tmp_path):
+    path = tmp_path / "jk22.cs"
+    path.write_text(dsl.format_system(dsl.build_jk_system(2, 2)))
+    report = run(capsys, CROSSCHECK)
+    assert report == run(capsys, ["crosscheck", "--system", str(path), *CROSSCHECK[4:]])
+    assert report[0] == EXIT_OK and "ambiguous    no\n" in report[1]
+
+
+def test_spectrum_jk_builds_no_regex_or_dfa(capsys):
+    with (
+        mock.patch.object(dsl, "build_jk_system") as build,
+        mock.patch.object(automata, "system_dfa") as dfa,
+        mock.patch.object(spectrum, "system_dfa") as dfa_in_spectrum,
+        mock.patch.object(spectrum, "enumerate_spectrum") as search,
+    ):
+        code, out, err = run(capsys, SPECTRUM)
+    assert (code, err) == (EXIT_OK, "")
+    assert "1 2 2\n2 4 6\n3 6 12\n4 10 22\n" in out
+    assert build.call_count == dfa.call_count == dfa_in_spectrum.call_count == search.call_count == 0
 
 
 def test_spectrum_budget_exit_code(capsys, sbin_file):
@@ -349,7 +397,7 @@ def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(spectrum, "enumerate_spectrum", exhausted)
+    monkeypatch.setattr(spectrum, "jk_spectrum", exhausted)
     code, out, err = run(capsys, SPECTRUM)
     assert (code, out, err) == (EXIT_ERROR, "", "error: out of memory\n")
 

@@ -680,6 +680,60 @@ def test_level_search_is_the_reference_level_search_seeded():
     assert flags == {(True, True), (True, False), (False, False)}
 
 
+@pytest.mark.parametrize("j", range(1, 25))
+def test_jk_spectrum_is_the_level_search_on_the_jk_dfa(j):
+    # the same rows and flags at cutoffs 0-60 units (read from fractional
+    # max weights), whole ones, inf, and budgets from 1
+    flags = set()
+    for k in range(1, 25):
+        dfa = system_dfa(build_jk_system(j, k))
+        for max_strings in (1, 2, 7, 100, 10**6):
+            for max_weight in [c + 0.5 for c in range(61)] + [1, 2, 7, 60, math.inf]:
+                cutoff = int(min(max_weight, sys.float_info.max))
+                W, C, complete, exhausted = spectrum._level_rows(dfa, 1, cutoff, max_strings)
+                sp = spectrum.jk_spectrum(j, k, max_weight, max_strings)
+                assert (sp.units, sp.counts) == (tuple(W), tuple(C)), (k, max_weight, max_strings)
+                assert (sp.complete, sp.exhausted) == (complete, exhausted)
+                flags.add((complete, exhausted))
+    assert flags == {(True, False), (False, False)}
+
+
+@pytest.mark.parametrize("max_weight", [0.5, 1, 6.25, 12, 40, math.inf])
+@pytest.mark.parametrize("max_strings", [1, 2, 7, 100, 10**6])
+def test_jk_spectrum_is_the_spectrum_of_the_jk_system(max_weight, max_strings):
+    # every field, the scale, max_weight and includes_empty included
+    for j in range(1, 7):
+        for k in range(1, 7):
+            sp = spectrum.jk_spectrum(j, k, max_weight, max_strings)
+            assert sp == enumerate_spectrum(build_jk_system(j, k), max_weight, max_strings)
+            assert (sp.scale, sp.exhausted, sp.includes_empty) == (1, False, False)
+
+
+@pytest.mark.parametrize("j,k", [(1, 1), (1, 2), (2, 2), (2, 5), (3, 3), (7, 4), (10**20, 2), (3, 10**20)])
+def test_jk_spectrum_counts_are_the_run_length_dp(j, k):
+    sp = spectrum.jk_spectrum(j, k, 150, 10**400)
+    assert sp.counts == runlength_dp_counts(j, k, 150)
+    assert sp.units == tuple(range(1, 151)) and sp.complete
+
+
+def test_jk_spectrum_checks_its_arguments_in_order():
+    for args, message in [
+        ((0, 2, 0, 0), "j and k must be >= 1"),
+        ((2, -1, 4, 10), "j and k must be >= 1"),
+        ((2, 2, 0, 0), "max_weight must be positive"),
+        ((2, 2, math.nan, 10), "max_weight must be positive"),
+        ((2, 2, 4, 0), "max_strings must be positive"),
+        ((2, 2, 4, math.nan), "max_strings must be positive"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            spectrum.jk_spectrum(*args)
+        assert str(err.value) == message
+        if args[0] >= 1 and args[1] >= 1:
+            with pytest.raises(SpectrumError) as ref:
+                enumerate_spectrum(build_jk_system(*args[:2]), *args[2:])
+            assert str(ref.value) == message
+
+
 @pytest.mark.parametrize(
     "expr,first_row",
     [("a{2000,2000}", (2000.0, 1)), ("a{800,800} (a|b)*", (800.0, 1)), ("(a{1,1000} b)*", (2.0, 1))],
