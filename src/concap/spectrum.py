@@ -3,24 +3,20 @@
 Enumeration runs weight-ordered over the minimal automaton of the system, so
 every accepted string is counted once however many derivations the regex
 gives it, and its finite positive weights add exactly, so every entry's
-weight is the correctly rounded sum.  Three searches give the same rows:
-where every label that the automaton reads has one weight (every
-unit-weight system, a (j,k) regex among them), rows are string lengths, and
-the counts are pushed from each length to the next, as Shannon counts
-N_q(t) = sum over p->q of N_p(t-1); a single state with one to four loops
-that differ in weight (the full shift, Shannon's unconstrained channel with
-unequal symbol weights) merges shifted copies of its own row weights, each
-loop's read position held in local variables; every other automaton, the
-full shift of five or more loops included, is searched with a heap of
-weight buckets.  No search makes a Python object per row: the rows stay two
-columns, weights in exact units and counts, from the search to the export,
-and the export formats every row with one format string.  Each label weight
-is the decimal it is written as, so a row is an exact decimal sum: 0.1 + 0.2
-and 0.3 share a row, and 1 and 1.0000000001 do not, though two rows may
-share a float.  The (j,k) preset itself needs no automaton:
-``jk_spectrum`` counts its rows from the paper's run-length recurrence, a
-row at a time, in the spectrum the level search gives its regex.  The
-resulting spectrum (distinct weights with
+weight is the correctly rounded sum.  Two searches give the same rows: a
+single state with one to four loops, of equal weights or not (the full
+shift, Shannon's unconstrained channel), merges shifted copies of its own
+row weights, each loop's read position held in local variables; every other
+automaton, the full shift of five or more loops included, is searched with
+a heap of weight buckets, each bucket read once.  No search makes a Python
+object per row: the rows stay two columns, weights in exact units and
+counts, from the search to the export, and the export formats every row
+with one format string.  Each label weight is the decimal it is written as,
+so a row is an exact decimal sum: 0.1 + 0.2 and 0.3 share a row, and 1 and
+1.0000000001 do not, though two rows may share a float.  The (j,k) preset
+itself needs no automaton: ``jk_spectrum`` counts its rows from the paper's
+run-length recurrence, a row at a time, in the spectrum the heap search
+gives its regex.  The resulting spectrum (distinct weights with
 distinct-string counts) feeds finite-horizon capacity estimators and a
 partial-sum cross-check against the regex's own series (one term per
 derivation), which doubles as the regex ambiguity detector.
@@ -114,23 +110,19 @@ def enumerate_spectrum(
 ) -> WeightSpectrum:
     """Count every distinct accepted string of weight <= ``max_weight``.
 
-    Counting on the minimal DFA needs no explicit dedup.  One of three
-    searches makes the rows; each gives the same rows, flags and truncation
-    as the heap search, and the first two need no heap or bucket:
+    Counting on the minimal DFA needs no explicit dedup.  One of two
+    searches makes the rows; the merge gives the same rows, flags and
+    truncation as the heap search, with no heap or bucket:
 
-    - ``_level_rows``, when every label the DFA reads has one weight u
-      (every unit-weight system, a (j,k) regex among them; ``jk_spectrum``
-      gives the (j,k) preset's rows with no DFA): the rows are the string
-      lengths times u, so weight order is length order, and each length's
-      per-state counts are pushed along the edges into the next length's,
-      as Shannon counts N_q(t) = sum over p->q of N_p(t-1);
-    - ``_merge_rows``, for a DFA of one state with one to four loops of
-      unequal weights (the full shift): the rows are a merge of the row
-      weights shifted by each loop weight, one read index per loop
+    - ``_merge_rows``, for a DFA of one state with one to four loops, of
+      equal weights or not (the full shift): the rows are a merge of the
+      row weights shifted by each loop weight, one read index per loop
       (Dijkstra's merge for Hamming numbers), each loop held in locals;
-    - ``_heap_rows``, for every other DFA, the full shift of five or more
-      loops included: a bucket per distinct reached weight holds per-state
-      path counts, and buckets are expanded in weight order.
+    - ``_heap_rows``, for every other DFA, every unit-weight automaton of
+      two or more states and the full shift of five or more loops included
+      (``jk_spectrum`` gives the (j,k) preset's rows with no DFA): a bucket
+      per distinct reached weight holds per-state path counts, and buckets
+      are expanded in weight order.
 
     Weights are exact decimals, read in units by ``_units``, so a weight
     reached along two paths is one row, and so are equal decimal sums such
@@ -148,17 +140,13 @@ def enumerate_spectrum(
     cutoff = _cutoff(max_weight, max_strings, scale)
     dfa = system_dfa(system)
     weights = dict(zip([d.label for d in system.alphabet], units))
-    read = {weights[label] for label in set().union(*dfa.transitions)}  # the weights on edges
-    if len(read) == 1:  # one weight on every edge
-        W, C, complete, exhausted = _level_rows(dfa, read.pop(), cutoff, max_strings)
+    # each state's (weight, next state) steps in weight order, read once
+    steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
+    if dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
+        search = _merge_rows
     else:
-        # each state's (weight, next state) steps in weight order, read once
-        steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
-        if dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
-            search = _merge_rows
-        else:
-            search = _heap_rows
-        W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
+        search = _heap_rows
+    W, C, complete, exhausted = search(dfa, steps, cutoff, max_strings)
     return WeightSpectrum(
         units=tuple(W),
         scale=scale,
@@ -247,50 +235,11 @@ def jk_spectrum(
 
 # The searches of enumerate_spectrum by weight, _merge_rows and _heap_rows,
 # share one signature: the DFA, each state's (weight, next state) steps in
-# weight order, the cutoff in units, and the string budget.  _level_rows
-# takes the one weight in place of the steps.  Each returns the row weights
-# in units, the row counts, and the complete and exhausted flags.
+# weight order, the cutoff in units, and the string budget.  Each returns
+# the row weights in units, the row counts, and the complete and exhausted
+# flags.
 _Steps = list[list[tuple[int, int]]]
 _Rows = tuple[list[int], list[int], bool, bool]
-
-
-def _level_rows(dfa: Dfa, u: int, cutoff: int, max_strings: int) -> _Rows:
-    """Every label read weighs u: the rows are the lengths t times u, and
-    only the edges' next states are read.  Two per-state count lists, for
-    lengths t and t + 1, are reused; each state reached at length t pushes
-    its count along its edges, and a state is listed as reached at t + 1 at
-    its first count.  After the pushes, one pass over that list sums the
-    length's accepted count; a length that reaches no accepting state has
-    no row."""
-    succ = [list(row.values()) for row in dfa.transitions]
-    is_accepting = dfa.accepting.__contains__
-    counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
-    counts[dfa.start] = 1
-    reached = [dfa.start]
-    W, C = [], []  # row weights in units and counts
-    w = total = 0
-    while reached:
-        w += u
-        if w > cutoff:  # exhausted unless a reached state has an edge
-            return W, C, True, not any(map(succ.__getitem__, reached))
-        level = []
-        for state in reached:
-            n = counts[state]
-            counts[state] = 0
-            for nxt in succ[state]:
-                if pushed[nxt]:
-                    pushed[nxt] += n
-                else:
-                    pushed[nxt] = n
-                    level.append(nxt)
-        if accepted := sum(map(pushed.__getitem__, filter(is_accepting, level))):
-            total += accepted
-            if total > max_strings:
-                return W, C, False, False
-            W.append(w)
-            C.append(accepted)
-        counts, pushed, reached = pushed, counts, level
-    return W, C, True, True
 
 
 def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
@@ -347,7 +296,9 @@ def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows
 
 def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
     """A heap of buckets, one per distinct reached weight, each holding
-    per-state path counts."""
+    per-state path counts.  A bucket is read once: each state's count is
+    added to the row as the state is expanded, and the row is kept after
+    the expansion, which only fills heavier buckets."""
     accepting = dfa.accepting
     heappush, heappop = heapq.heappush, heapq.heappop
     buckets: dict[int, dict[int, int]] = {0: {dfa.start: 1}}
@@ -357,19 +308,10 @@ def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
     exhausted = True
     while heap:
         w = heappop(heap)
-        states = buckets.pop(w)
         accepted = 0
-        for state, n in states.items():
+        for state, n in buckets.pop(w).items():
             if state in accepting:
                 accepted += n
-        if w and accepted:
-            if total + accepted > max_strings:
-                return W, C, False, False
-            total += accepted
-            W.append(w)
-            C.append(accepted)
-        # expand
-        for state, n in states.items():
             for weight, nxt in steps[state]:
                 w2 = w + weight
                 if w2 > cutoff:
@@ -381,6 +323,12 @@ def _heap_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
                     heappush(heap, w2)
                 else:
                     bucket[nxt] = bucket.get(nxt, 0) + n
+        if w and accepted:
+            if total + accepted > max_strings:
+                return W, C, False, False
+            total += accepted
+            W.append(w)
+            C.append(accepted)
     return W, C, True, exhausted
 
 

@@ -318,6 +318,11 @@ def test_pitfall_fixed_by_zeroing_01(sbin):
     assert (report.witness, report.reason) == ("", "")
 
 
+def test_a_report_is_true_exactly_when_valid(sbin):
+    assert validate_input_process(Pmf(PITFALL, (0.5, 0.5, 0.0)), sbin, depth=4)
+    assert not validate_input_process(maxentropic_pmf(PITFALL), sbin, depth=2)
+
+
 def test_jk_process_valid():
     system = build_jk_system(2, 2)
     p = maxentropic_pmf(jk_phrase_support(2, 2))

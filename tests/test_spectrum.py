@@ -331,11 +331,20 @@ def spectrum_outcome(enumerate_, system, max_weight, max_strings):
     return exact_rows(sp), sp.complete, sp.exhausted
 
 
+def spectrum_and_searches(system, max_weight, max_strings=10_000_000):
+    """The spectrum, and the names of the searches that made it."""
+    with (
+        mock.patch.object(spectrum, "_merge_rows", wraps=spectrum._merge_rows) as merge,
+        mock.patch.object(spectrum, "_heap_rows", wraps=spectrum._heap_rows) as heap,
+    ):
+        sp = enumerate_spectrum(system, max_weight, max_strings)
+    return sp, {name for name, spy in [("_merge_rows", merge), ("_heap_rows", heap)] if spy.called}
+
+
 def test_rows_are_decimal_sums_in_every_search_seeded():
     # weights of 1 to 17 significant digits, each system through the search
     # enumerate_spectrum picks and through the bucket heap
     rng = random.Random(34)
-    searches = ("_level_rows", "_merge_rows", "_heap_rows")
     taken = set()
     for i in range(240):
         digits = [rng.randint(1, 17) for _ in "abc"]
@@ -350,12 +359,11 @@ def test_rows_are_decimal_sums_in_every_search_seeded():
         max_weight = rng.choice([rng.uniform(0.5, 8.0), math.inf])
         max_strings = rng.choice([30, 300, 2_000])
         want = fraction_rows(system, max_weight, max_strings)
-        spies = {name: mock.patch.object(spectrum, name, wraps=getattr(spectrum, name)) for name in searches}
-        with spies["_level_rows"] as level, spies["_merge_rows"] as merge, spies["_heap_rows"] as heap:
-            assert spectrum_outcome(enumerate_spectrum, system, max_weight, max_strings) == want, system
-        taken.update(name for name, spy in zip(searches, (level, merge, heap)) if spy.called)
+        sp, searches = spectrum_and_searches(system, max_weight, max_strings)
+        assert (exact_rows(sp), sp.complete, sp.exhausted) == want, system
+        taken |= searches
         assert spectrum_outcome(heap_loop_spectrum, system, max_weight, max_strings) == want, system
-    assert taken == set(searches)
+    assert taken == {"_merge_rows", "_heap_rows"}
 
 
 @pytest.mark.parametrize(
@@ -441,21 +449,13 @@ def test_rows_kept_as_columns_read_as_the_pairs_did():
         assert spectrum_from_counts(sp.entries, sp.includes_empty).weights == sp.weights
 
 
-# --- the merge and level searches against the bucket heap ---------------
+# --- the merge search against the bucket heap ----------------------------
 
 
 def heap_loop_spectrum(system, max_weight, max_strings=10_000_000):
     """The spectrum from the bucket heap, whatever the automaton: the merge
-    search shares its signature, and it stands in for it; for the level
-    search, which reads no steps, it reads each edge's step at the one
-    weight, in weight order as enumerate_spectrum builds them."""
-    heap = spectrum._heap_rows
-
-    def level(dfa, u, cutoff, max_strings):
-        steps = [sorted((u, nxt) for nxt in row.values()) for row in dfa.transitions]
-        return heap(dfa, steps, cutoff, max_strings)
-
-    with mock.patch.multiple(spectrum, _level_rows=level, _merge_rows=heap):
+    search shares its signature, and it stands in for it."""
+    with mock.patch.object(spectrum, "_merge_rows", spectrum._heap_rows):
         return enumerate_spectrum(system, max_weight, max_strings)
 
 
@@ -581,15 +581,16 @@ def test_merge_kernel_and_heap_match_the_reference_merge_seeded():
     assert flags == {True, False}  # the cutoff ends some searches, the budget others
 
 
-@pytest.mark.parametrize("n_loops,merged", [(1, False), (2, True), (4, True), (5, False), (6, False)])
+@pytest.mark.parametrize("n_loops,merged", [(1, True), (2, True), (4, True), (5, False), (6, False)])
 def test_the_merge_is_taken_for_two_to_four_loops_of_unequal_weights(n_loops, merged):
+    # and for one loop, and for loops of equal weights
     labels = "abcdef"[:n_loops]
-    decls = " ".join(f"{label}={n}" for n, label in enumerate(labels, 1))
-    system = parse_system(f"sym {decls};\nexpr: ({'|'.join(labels)})*")
-    with mock.patch.object(spectrum, "_merge_rows", wraps=spectrum._merge_rows) as spy:
-        sp = enumerate_spectrum(system, 12.0)
-    assert spy.called == merged
-    assert sp == heap_loop_spectrum(system, 12.0)
+    for weights in (range(1, n_loops + 1), [1] * n_loops, [0.7] * n_loops):
+        decls = " ".join(f"{label}={w}" for label, w in zip(labels, weights))
+        system = parse_system(f"sym {decls};\nexpr: ({'|'.join(labels)})*")
+        sp, searches = spectrum_and_searches(system, 12.0)
+        assert searches == {"_merge_rows" if merged else "_heap_rows"}, decls
+        assert sp == heap_loop_spectrum(system, 12.0)
 
 
 def random_regex(rng, depth):
@@ -609,11 +610,8 @@ def test_equal_weights_match_the_fraction_search_seeded():
         system = parse_system(f"sym a={w!r} b={w!r} c={w!r};\nexpr: {random_regex(rng, 4)}")
         max_weight = rng.choice([rng.uniform(0.5, 12.0) * w, math.inf])
         max_strings = rng.choice([20, 500] + [10_000_000] * (max_weight < math.inf))
-        with mock.patch.object(spectrum, "_level_rows", wraps=spectrum._level_rows) as level:
-            _, complete, exhausted = assert_rows_are_decimal_sums(system, max_weight, max_strings)
-        dfa = system_dfa(system)
-        assert level.call_count == bool(set().union(*dfa.transitions))  # eps reads no label
-        if dfa.n_states > 1:
+        _, complete, exhausted = assert_rows_are_decimal_sums(system, max_weight, max_strings)
+        if system_dfa(system).n_states > 1:
             seen.add((max_weight == math.inf, complete, exhausted))
     # (at inf, complete, exhausted): every flag a multi-state automaton can give
     assert seen == {
@@ -622,75 +620,87 @@ def test_equal_weights_match_the_fraction_search_seeded():
     }
 
 
-def reference_level_rows(dfa, steps, cutoff, max_strings):
-    """The level search as it read the weighted steps, listing each length's
-    accepting states as it pushed."""
-    u = next(weight for row in steps for weight, _ in row)
-    counts, pushed = [0] * dfa.n_states, [0] * dfa.n_states
-    counts[dfa.start] = 1
-    reached = [dfa.start]
-    W, C = [], []
-    w = total = 0
-    while reached:
-        w += u
-        if w > cutoff:
-            return W, C, True, not any(map(steps.__getitem__, reached))
-        level, hits = [], []
-        for state in reached:
-            n = counts[state]
-            counts[state] = 0
-            for _, nxt in steps[state]:
-                if pushed[nxt]:
-                    pushed[nxt] += n
-                else:
-                    pushed[nxt] = n
-                    level.append(nxt)
-                    if nxt in dfa.accepting:
-                        hits.append(nxt)
-        if hits:
-            total += (accepted := sum(map(pushed.__getitem__, hits)))
-            if total > max_strings:
+def reference_heap_rows(dfa, steps, cutoff, max_strings):
+    """The bucket heap that read each bucket twice: once for its accepted
+    count, once to expand it."""
+    accepting = dfa.accepting
+    heappush, heappop = heapq.heappush, heapq.heappop
+    buckets = {0: {dfa.start: 1}}
+    heap = [0]
+    W, C = [], []  # row weights in units and counts
+    total = 0
+    exhausted = True
+    while heap:
+        w = heappop(heap)
+        states = buckets.pop(w)
+        accepted = 0
+        for state, n in states.items():
+            if state in accepting:
+                accepted += n
+        if w and accepted:
+            if total + accepted > max_strings:
                 return W, C, False, False
+            total += accepted
             W.append(w)
             C.append(accepted)
-        counts, pushed, reached = pushed, counts, level
-    return W, C, True, True
+        # expand
+        for state, n in states.items():
+            for weight, nxt in steps[state]:
+                w2 = w + weight
+                if w2 > cutoff:
+                    exhausted = False
+                    break
+                bucket = buckets.get(w2)
+                if bucket is None:
+                    buckets[w2] = {nxt: n}
+                    heappush(heap, w2)
+                else:
+                    bucket[nxt] = bucket.get(nxt, 0) + n
+    return W, C, True, exhausted
 
 
-def test_level_search_is_the_reference_level_search_seeded():
-    # the same rows, flags and truncation, in units, on random regexes and
-    # (j,k) systems, at budgets from 1 and cutoffs from 0 units
-    rng = random.Random(41)
+def search_args(system, max_weight, max_strings):
+    """The arguments ``enumerate_spectrum`` passes the search it takes."""
+    with mock.patch.multiple(spectrum, _merge_rows=mock.DEFAULT, _heap_rows=mock.DEFAULT) as searches:
+        for search in searches.values():
+            search.return_value = [], [], True, False
+        enumerate_spectrum(system, max_weight, max_strings)
+    (args,) = [search.call_args.args for search in searches.values() if search.called]
+    return args
+
+
+def test_one_pass_heap_is_the_two_pass_heap_seeded():
+    # the same rows, flags and truncation, in units, on random regexes of
+    # equal and unequal weights, at budgets from 1 and cutoffs up to inf
+    rng = random.Random(48)
     flags = set()
     for i in range(400):
-        system = (
-            build_jk_system(rng.randint(1, 6), rng.randint(1, 6)) if i % 4 == 0
-            else parse_system(f"sym a=1 b=1 c=1;\nexpr: {random_regex(rng, 5)}")
-        )
-        dfa = system_dfa(system)
-        if not set().union(*dfa.transitions):
-            continue
-        u = rng.choice([1, 3, 10**20])
-        steps = [sorted((u, nxt) for nxt in row.values()) for row in dfa.transitions]
-        cutoff = u * rng.randint(0, 40) + rng.randint(0, u - 1)
-        max_strings = rng.choice([1, 2, 7, 100, 10**6])
-        rows = spectrum._level_rows(dfa, u, cutoff, max_strings)
-        assert rows == reference_level_rows(dfa, steps, cutoff, max_strings), system
+        ws = [rng.choice([1.0, 0.5, 0.3, 0.7, 2.0, math.sqrt(2)]) for _ in "abc"]
+        if i % 2 == 0:  # one weight on every label
+            ws = [ws[0]] * 3
+        system = parse_system(f"sym a={ws[0]!r} b={ws[1]!r} c={ws[2]!r};\nexpr: {random_regex(rng, 5)}")
+        max_weight = rng.choice([rng.uniform(0.1, 12.0), math.inf])
+        max_strings = rng.choice([1, 2, 7, 100] + [10**6] * (max_weight < math.inf))
+        args = search_args(system, max_weight, max_strings)
+        rows = spectrum._heap_rows(*args)
+        assert rows == reference_heap_rows(*args), system
         flags.add(rows[2:])
     assert flags == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("j", range(1, 25))
 def test_jk_spectrum_is_the_level_search_on_the_jk_dfa(j):
-    # the same rows and flags at cutoffs 0-60 units (read from fractional
-    # max weights), whole ones, inf, and budgets from 1
+    # the heap search's rows and flags on the (j,k) DFA, at cutoffs 0-60
+    # units (read from fractional max weights), whole ones, inf, and budgets
+    # from 1
     flags = set()
     for k in range(1, 25):
         dfa = system_dfa(build_jk_system(j, k))
+        steps = [sorted((1, nxt) for nxt in row.values()) for row in dfa.transitions]
         for max_strings in (1, 2, 7, 100, 10**6):
             for max_weight in [c + 0.5 for c in range(61)] + [1, 2, 7, 60, math.inf]:
                 cutoff = int(min(max_weight, sys.float_info.max))
-                W, C, complete, exhausted = spectrum._level_rows(dfa, 1, cutoff, max_strings)
+                W, C, complete, exhausted = spectrum._heap_rows(dfa, steps, cutoff, max_strings)
                 sp = spectrum.jk_spectrum(j, k, max_weight, max_strings)
                 assert (sp.units, sp.counts) == (tuple(W), tuple(C)), (k, max_weight, max_strings)
                 assert (sp.complete, sp.exhausted) == (complete, exhausted)
@@ -746,19 +756,21 @@ def test_sparse_chains_same_as_heap_loop(expr, first_row):
 
 
 @pytest.mark.parametrize(
-    "decls,expr,level",
+    "decls,expr,search",
     [
-        ("a=1 b=1", "(a b a | b)*", True),
-        ("a=1 b=2", "(a a)* a", True),  # b is declared, never read
-        ("a=1 b=2", "a* b", False),
-        ("a=1 b=2", "(a|b)*", False),  # the full shift of unequal loops is merged
+        ("a=1 b=1", "(a b a | b)*", "_heap_rows"),  # three states
+        ("a=1 b=2", "(a a)* a", "_heap_rows"),  # two states; b is declared, never read
+        ("a=1 b=2", "a* b", "_heap_rows"),
+        ("a=1", "eps", "_heap_rows"),  # one state with no loop
+        ("a=1 b=1", "(a|b)*", "_merge_rows"),  # one state, of unit weights
+        ("a=1 b=1", "a*", "_merge_rows"),
+        ("a=1 b=2", "(a|b)*", "_merge_rows"),  # the full shift of unequal loops
     ],
 )
-def test_the_level_search_is_taken_exactly_for_one_weight_read(decls, expr, level):
+def test_each_shape_takes_its_search(decls, expr, search):
     system = parse_system(f"sym {decls};\nexpr: {expr}")
-    with mock.patch.object(spectrum, "_level_rows", wraps=spectrum._level_rows) as spy:
-        sp = enumerate_spectrum(system, 8.0)
-    assert spy.called == level
+    sp, searches = spectrum_and_searches(system, 8.0)
+    assert searches == {search}
     assert sp == heap_loop_spectrum(system, 8.0)
 
 

@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,7 @@ from concap.dsl import (
     _label_clash,
     _Parser,
     build_jk_system,
+    children,
     format_regex,
     label_regex,
     load_system,
@@ -379,6 +381,11 @@ def test_preorder_lists_each_node_before_its_children_left_to_right():
     left, right = Star(a), Repeat(b, 1, 2)
     expr = Union(Concat(left, right), Epsilon())
     assert preorder(expr) == [expr, expr.left, left, a, right, b, expr.right]
+
+
+def test_children_of_a_non_node_is_a_type_error():
+    with pytest.raises(TypeError, match="not a regex node: 'a'"):
+        children("a")
 
 
 def _outcome(f, *args):
