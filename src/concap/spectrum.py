@@ -4,19 +4,20 @@ Enumeration runs weight-ordered over the minimal automaton of the system, so
 every accepted string is counted once however many derivations the regex
 gives it, and its finite positive weights add exactly, so every entry's
 weight is the correctly rounded sum.  Two searches give the same rows: a
-single state with one to four loops, of equal weights or not (the full
+single state with one to three loops, of equal weights or not (the full
 shift, Shannon's unconstrained channel), merges shifted copies of its own
-row weights, each loop's read position held in local variables; every other
-automaton, the full shift of five or more loops included, is searched with
-a heap of weight buckets, each bucket read once.  No search makes a Python
-object per row: the rows stay two columns, weights in exact units and
-counts, from the search to the export, and the export formats every row
-with one format string.  Each label weight is the decimal it is written as,
-so a row is an exact decimal sum: 0.1 + 0.2 and 0.3 share a row, and 1 and
-1.0000000001 do not, though two rows may share a float.  The (j,k) preset
-itself needs no automaton: ``jk_spectrum`` counts its rows from the paper's
-run-length recurrence, a row at a time, in the spectrum the heap search
-gives its regex.  The resulting spectrum (distinct weights with
+row weights, in one kernel for one or two loops and one for three, each
+loop's read position held in local variables; every other automaton, the
+full shift of four or more loops included, is searched with a heap of
+weight buckets, each bucket read once.  No search makes a Python object
+per row: the rows stay two columns, weights in exact units and counts, from
+the search to the export, and the export formats every row with one format
+string, whole weights with ``%d``.  Each label weight is the decimal it is
+written as, so a row is an exact decimal sum: 0.1 + 0.2 and 0.3 share a
+row, and 1 and 1.0000000001 do not, though two rows may share a float.  The
+(j,k) preset itself needs no automaton: ``jk_spectrum`` counts its rows
+from the paper's run-length recurrence, a row at a time, in the spectrum
+the heap search gives its regex.  The resulting spectrum (distinct weights with
 distinct-string counts) feeds finite-horizon capacity estimators and a
 partial-sum cross-check against the regex's own series (one term per
 derivation), which doubles as the regex ambiguity detector.
@@ -38,7 +39,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import truediv
+from operator import mul, sub, truediv
 
 from .automata import Dfa, system_dfa
 from .dsl import SystemDef
@@ -97,7 +98,8 @@ class WeightSpectrum:
         each term as exp(ln N - nu*s): N may exceed the float range.  A sum
         beyond the float range (at ``s < 0``) raises ``OverflowError``."""
         total = 1.0 if self.includes_empty else 0.0
-        total += sum(math.exp(math.log(c) - nu * s) for nu, c in zip(self.weights, self.counts))
+        logs = map(math.log, self.counts)
+        total += sum(map(math.exp, map(sub, logs, map(mul, self.weights, itertools.repeat(s)))))
         if total == math.inf:  # finite terms may add up past it, and exp(inf) is inf
             raise OverflowError("the partial sum exceeds the float range")
         return total
@@ -114,12 +116,13 @@ def enumerate_spectrum(
     searches makes the rows; the merge gives the same rows, flags and
     truncation as the heap search, with no heap or bucket:
 
-    - ``_merge_rows``, for a DFA of one state with one to four loops, of
+    - ``_merge_rows``, for a DFA of one state with one to three loops, of
       equal weights or not (the full shift): the rows are a merge of the
       row weights shifted by each loop weight, one read index per loop
-      (Dijkstra's merge for Hamming numbers), each loop held in locals;
+      (Dijkstra's merge for Hamming numbers), in a kernel per loop count
+      that tests the row reached through every loop first;
     - ``_heap_rows``, for every other DFA, every unit-weight automaton of
-      two or more states and the full shift of five or more loops included
+      two or more states and the full shift of four or more loops included
       (``jk_spectrum`` gives the (j,k) preset's rows with no DFA): a bucket
       per distinct reached weight holds per-state path counts, and buckets
       are expanded in weight order.
@@ -142,7 +145,7 @@ def enumerate_spectrum(
     weights = dict(zip([d.label for d in system.alphabet], units))
     # each state's (weight, next state) steps in weight order, read once
     steps = [sorted((weights[label], nxt) for label, nxt in row.items()) for row in dfa.transitions]
-    if dfa.n_states == 1 and 1 <= len(steps[0]) <= 4:  # the full shift of up to four loops
+    if dfa.n_states == 1 and 1 <= len(steps[0]) <= 3:  # the full shift of up to three loops
         search = _merge_rows
     else:
         search = _heap_rows
@@ -243,48 +246,107 @@ _Rows = tuple[list[int], list[int], bool, bool]
 
 
 def _merge_rows(dfa: Dfa, steps: _Steps, cutoff: int, max_strings: int) -> _Rows:
-    """One state with one to four loops.  Each row weight plus each loop
+    """One state with one to three loops.  Each row weight plus each loop
     weight is one of the heap search's bins: loop j's pending bins are
     W[ij:] + sj, the least being hj, and a loop joins the row iff its head
     equals the least head, as the heap search's bucket of that weight holds
     both.  A loop gives a row at most one bin, as its bins strictly
-    increase.  Each loop's head, read index and shift are locals; an absent
-    loop's shift is past the cutoff, so it never gives a bin."""
-    s0, s1, s2, s3 = [weight for weight, _ in steps[0]] + [cutoff + 1] * (4 - len(steps[0]))
-    h0, h1, h2, h3 = s0, s1, s2, s3
-    i0 = i1 = i2 = i3 = 0
+    increase.  The loop count picks one of two kernels, each loop's head,
+    read index and shift held in locals; a single loop is merged with an
+    absent one, whose shift is past the cutoff, so it never gives a bin."""
+    shifts = [weight for weight, _ in steps[0]]
+    if len(shifts) == 3:
+        return _merge_three(*shifts, cutoff, max_strings)
+    s0, s1 = (shifts + [cutoff + 1])[:2]
+    return _merge_two(s0, s1, cutoff, max_strings)
+
+
+def _merge_two(s0: int, s1: int, cutoff: int, max_strings: int) -> _Rows:
+    """``_merge_rows`` for two loops.  Where both heads are equal the row
+    takes both loops' counts; otherwise the lesser head gives it alone."""
+    h0, h1 = s0, s1
+    i0 = i1 = 0
     W, C = [0], [1]  # row weights in units and counts, the empty string first
     append_w, append_c = W.append, C.append
     total = 0
     complete = True
     while True:
-        w = h0
-        if h1 < w:
-            w = h1
-        if h2 < w:
-            w = h2
-        if h3 < w:
-            w = h3
-        if w > cutoff:
-            break
-        append_w(w)  # first: a loop that reads the row before reads this one next
-        count = 0
-        if h0 == w:
+        if h0 == h1:
+            if h0 > cutoff:
+                break
+            append_w(h0)  # first: a loop that reads the row before reads this one next
+            count = C[i0] + C[i1]
+            i0 += 1
+            i1 += 1
+            h0 = W[i0] + s0
+            h1 = W[i1] + s1
+        elif h0 < h1:
+            if h0 > cutoff:
+                break
+            append_w(h0)
             count = C[i0]
             i0 += 1
             h0 = W[i0] + s0
-        if h1 == w:
-            count += C[i1]
+        else:
+            if h1 > cutoff:
+                break
+            append_w(h1)
+            count = C[i1]
             i1 += 1
             h1 = W[i1] + s1
-        if h2 == w:
-            count += C[i2]
+        total += count
+        if total > max_strings:
+            complete = False
+            break
+        append_c(count)
+    # every row has a loop: only the cutoff or the budget ends it, never exhaustion
+    return W[1:len(C)], C[1:], complete, False
+
+
+def _merge_three(s0: int, s1: int, s2: int, cutoff: int, max_strings: int) -> _Rows:
+    """``_merge_rows`` for three loops.  Where all three heads are equal
+    the row takes every loop's count; otherwise the least head is found,
+    and each loop whose head equals it joins the row."""
+    h0, h1, h2 = s0, s1, s2
+    i0 = i1 = i2 = 0
+    W, C = [0], [1]  # row weights in units and counts, the empty string first
+    append_w, append_c = W.append, C.append
+    total = 0
+    complete = True
+    while True:
+        if h0 == h1 == h2:
+            if h0 > cutoff:
+                break
+            append_w(h0)  # first: a loop that reads the row before reads this one next
+            count = C[i0] + C[i1] + C[i2]
+            i0 += 1
+            i1 += 1
             i2 += 1
+            h0 = W[i0] + s0
+            h1 = W[i1] + s1
             h2 = W[i2] + s2
-        if h3 == w:
-            count += C[i3]
-            i3 += 1
-            h3 = W[i3] + s3
+        else:
+            w = h0
+            if h1 < w:
+                w = h1
+            if h2 < w:
+                w = h2
+            if w > cutoff:
+                break
+            append_w(w)
+            count = 0
+            if h0 == w:
+                count = C[i0]
+                i0 += 1
+                h0 = W[i0] + s0
+            if h1 == w:
+                count += C[i1]
+                i1 += 1
+                h1 = W[i1] + s1
+            if h2 == w:
+                count += C[i2]
+                i2 += 1
+                h2 = W[i2] + s2
         total += count
         if total > max_strings:
             complete = False
@@ -536,12 +598,18 @@ def format_spectrum(sp: WeightSpectrum) -> str:
     """The export text: the header lines, then a ``%.12g %d %d`` row of
     weight, count and cumulative count per row, all rows made by one
     format string applied to the three columns, interleaved by slice
-    assignment into one flat list."""
+    assignment into one flat list.  Whole weights (scale 1, the last unit
+    below 10**12, as in every ``--jk`` spectrum) print as ``%d`` of their
+    units, the digits ``%.12g`` prints for them, only faster."""
     head = (
         f"# max_weight {sp.max_weight:g}\n"
         f"# complete {sp.complete:d}\n# exhausted {sp.exhausted:d}\n"
         f"# includes_empty {sp.includes_empty:d}\n"
     )
-    flat = [0] * (3 * len(sp.weights))
-    flat[0::3], flat[1::3], flat[2::3] = sp.weights, sp.counts, sp.cumulative
-    return head + "%.12g %d %d\n" * len(sp.weights) % tuple(flat)
+    if sp.scale == 1 and sp.units and sp.units[-1] < 10**12:
+        weights, row = sp.units, "%d %d %d\n"
+    else:
+        weights, row = sp.weights, "%.12g %d %d\n"
+    flat = [0] * (3 * len(weights))
+    flat[0::3], flat[1::3], flat[2::3] = weights, sp.counts, sp.cumulative
+    return head + row * len(weights) % tuple(flat)

@@ -416,6 +416,17 @@ def test_format_spectrum_of_a_built_spectrum():
     assert format_spectrum(sp) == reference_format_spectrum(sp)
 
 
+def test_whole_weight_rows_print_the_digits_of_the_float_rows():
+    sp = spectrum_from_counts([(float(u), 1) for u in [*range(1, 10**4 + 1), 999_999_999_999]])
+    assert sp.scale == 1
+    assert format_spectrum(sp) == reference_format_spectrum(sp)
+    assert format_spectrum(sp).endswith("\n999999999999 1 10001\n")
+    # a last unit of 10**12 takes the float rows, which print it as 1e+12
+    sp = spectrum_from_counts([(999_999_999_999.0, 1), (1e12, 1)])
+    assert format_spectrum(sp) == reference_format_spectrum(sp)
+    assert format_spectrum(sp).splitlines()[-2:] == ["999999999999 1 1", "1e+12 1 2"]
+
+
 def entries_format_spectrum(sp):
     """The export text as it was made from the (nu, count) pairs."""
     head = (
@@ -569,21 +580,27 @@ def test_merge_kernel_and_heap_match_the_reference_merge_seeded():
     flags = set()
     for i in range(300):
         k = 1 + i % 4 if i < 240 else rng.randint(5, 6)
-        weights = [rng.choice(pools[i % 3]) for _ in range(k)]
+        # equal weights: every row of every kernel is reached through all loops
+        weights = [0.7] * k if i % 5 == 4 else [rng.choice(pools[i % 3]) for _ in range(k)]
         # a cutoff 9.5e-10 below a whole weight leaves that weight out
         max_weight = rng.choice([rng.uniform(0.5, 25.0), math.inf, rng.randint(1, 12) - 9.5e-10])
         max_strings = rng.choice([1, 10, int(10 ** rng.uniform(1, 5)), 10**5])
         args = full_shift_args(weights, max_weight, max_strings)
-        search = spectrum._merge_rows if k <= 4 else spectrum._heap_rows
+        search = spectrum._merge_rows if k <= 3 else spectrum._heap_rows
         rows = reference_merge_rows(*args)
         assert search(*args) == rows, (weights, max_weight, max_strings)
         flags.add(rows[2])
+        if rows[0]:  # a cutoff on a row's weight keeps that row
+            on_row = (*args[:2], rng.choice(rows[0]), max_strings)
+            assert search(*on_row) == reference_merge_rows(*on_row), (weights, on_row[2], max_strings)
     assert flags == {True, False}  # the cutoff ends some searches, the budget others
 
 
-@pytest.mark.parametrize("n_loops,merged", [(1, True), (2, True), (4, True), (5, False), (6, False)])
+@pytest.mark.parametrize(
+    "n_loops,merged", [(1, True), (2, True), (3, True), (4, False), (5, False), (6, False)]
+)
 def test_the_merge_is_taken_for_two_to_four_loops_of_unequal_weights(n_loops, merged):
-    # and for one loop, and for loops of equal weights
+    # the merge takes one to three loops, of unequal or equal weights; four or more take the heap
     labels = "abcdef"[:n_loops]
     for weights in (range(1, n_loops + 1), [1] * n_loops, [0.7] * n_loops):
         decls = " ".join(f"{label}={w}" for label, w in zip(labels, weights))
@@ -1002,6 +1019,21 @@ def test_partial_sum_of_counts_beyond_float_range():
     sp = spectrum_from_counts([(1.0, 2), (1100.0, 2**1100)])
     want = 2 * math.exp(-1.0) + math.exp(1100 * (LN2 - 1.0))
     assert sp.partial_sum(1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_partial_sum_is_the_sum_of_its_terms_seeded():
+    rng = random.Random(49)
+    for _ in range(200):
+        rows = {}
+        for _ in range(rng.randint(1, 30)):
+            if rng.random() < 0.2:  # a count beyond the float range, its term within it
+                rows[rng.uniform(100.0, 150.0)] = 2 ** rng.randint(1024, 1100)
+            else:
+                rows[rng.uniform(0.01, 100.0)] = rng.choice([1, rng.randint(2, 10**6)])
+        sp = spectrum_from_counts(list(rows.items()), includes_empty=rng.random() < 0.5)
+        s = rng.uniform(1.0, 5.0)
+        terms = (math.exp(math.log(c) - nu * s) for nu, c in zip(sp.weights, sp.counts))
+        assert sp.partial_sum(s) == (1.0 if sp.includes_empty else 0.0) + sum(terms)
 
 
 # --- cross-check / ambiguity detector -----------------------------------
